@@ -662,9 +662,13 @@ impl<'a> Evaluator<'a> {
     ///
     /// The busy-interval search horizon is clamped to the flattening
     /// horizon: a server still backlogged beyond it cannot meet any
-    /// deadline of interest (it is reported infeasible instead), and
-    /// evaluating envelopes past the flattened range would fall through
-    /// to the expensive unflattened chains and cascade down the chain.
+    /// deadline of interest (it is reported infeasible instead). The
+    /// clamp does not keep every evaluation inside the flattened range,
+    /// though: `Delayed::breakpoints` asks its inner envelope for
+    /// `horizon + delay`, so a receive-side search over a chain of
+    /// multiplexer hops still reaches past the flattened wire envelope
+    /// and falls through to its unflattened inner chain (a full
+    /// `Quantized` level enumeration, once per search).
     #[must_use]
     pub fn new(net: &'a HetNetwork, cfg: EvalConfig) -> Self {
         Self::with_cache(net, cfg, EvalCache::new())

@@ -987,6 +987,12 @@ impl ServiceEngine {
         self.recovery.undrained = self.open_faults.len() as u64;
         let wall_seconds = self.started.elapsed().as_secs_f64();
         self.state.set_observer(None);
+        // The evaluator cache only accelerates this engine's next
+        // decision; decisions never depend on it. A finished run does
+        // not carry it: on paper-style churn it holds up to a thousand
+        // flattened stage-1 envelopes (tens of MiB) that whoever keeps
+        // the run around would otherwise pin.
+        let _ = self.state.take_eval_cache();
         self.telemetry.finish(self.last_event);
         let cache = *self.gauges.lock().expect("gauges mutex poisoned");
         let fast_path = *self.fast.lock().expect("fast-path mutex poisoned");

@@ -65,6 +65,9 @@ pub mod regulator;
 pub mod service;
 pub mod units;
 
+#[cfg(test)]
+mod exactness;
+
 pub use analysis::{analyze_guaranteed_server, AnalysisConfig, ServerAnalysis};
 pub use envelope::{Envelope, EnvelopeDescriptor, SharedEnvelope};
 pub use error::TrafficError;

@@ -30,6 +30,9 @@ test_stage() {
     echo "==> recovery gate (faulted runs replay bit-identically from checkpoints)"
     cargo test --release -p hetnet-service --test churn_replay -q
 
+    echo "==> dense-evaluator golden gate (150 paper-style churn decisions bit-identical to the pinned audit)"
+    cargo test --release -p hetnet-service --test dense_golden -q
+
     echo "==> observability gate (sharded runs with full tracing stay decision-identical)"
     cargo test --release -p hetnet-service --test sharded_replay -q
 }
