@@ -55,6 +55,7 @@
 //! newcomer's allocation, so checking them at the maximum suffices)
 //! makes that sound.
 
+use crate::connection::ConnectionSpec;
 use crate::error::CacError;
 use crate::network::{HetNetwork, HostId};
 use hetnet_atm::affine::AffineBound;
@@ -127,6 +128,21 @@ pub struct PathInput {
     pub h_r: SyncBandwidth,
     /// Traffic class at the backbone scheduler (ignored under FIFO).
     pub class: u8,
+}
+
+impl PathInput {
+    /// The input for `spec` at the allocation pair `(h_s, h_r)`.
+    #[must_use]
+    pub fn new(spec: &ConnectionSpec, h_s: SyncBandwidth, h_r: SyncBandwidth) -> Self {
+        Self {
+            source: spec.source,
+            dest: spec.dest,
+            envelope: Arc::clone(&spec.envelope),
+            h_s,
+            h_r,
+            class: spec.class,
+        }
+    }
 }
 
 /// Per-connection worst-case delay decomposition (eq. 7).

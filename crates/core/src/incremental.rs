@@ -2,19 +2,18 @@
 //!
 //! The dense evaluator recomputes every multiplexer and both ring MACs
 //! from scratch for each β-search probe, so a probe costs
-//! `O(active × path length)` even when only the candidate's allocation
-//! moved. This module maintains the cross-request state that makes a
-//! probe `O(path length)`:
+//! `O(closure × path length)` even when only the candidate's allocation
+//! moved. This module maintains the cross-request state that scopes a
+//! decision to its closure and makes a probe `O(path length)`:
 //!
-//! * [`IncrementalState`] — per-ring Theorem-1 aggregate terms and
-//!   per-multiplexer membership, updated by deltas on every
-//!   admit/release/teardown. Equality with a from-scratch rebuild is a
-//!   maintained invariant (ring totals are re-summed in connection-id
-//!   order on each change, so they are bit-identical to a rebuild, not
-//!   merely close).
-//! * [`FastContext`] — a per-decision snapshot combining that state
-//!   with the dense evaluator's cached stage-1 summaries, through which
-//!   each probe runs a five-rung decision ladder:
+//! * [`Membership`] — per-multiplexer membership of the active set,
+//!   updated by deltas on every admit/release/teardown (equality with a
+//!   from-scratch rebuild is a maintained invariant). Its
+//!   [`Membership::closure`] is the set of connections a candidate's
+//!   decision depends on; both engines decide over it.
+//! * [`FastContext`] — a per-decision snapshot combining the closure's
+//!   memberships with the dense evaluator's cached stage-1 summaries,
+//!   through which each probe runs a five-rung decision ladder:
 //!
 //!   1. **source-stability reject** — the exact comparison the dense
 //!      source-MAC analysis performs, on three floats;
@@ -35,19 +34,17 @@
 //! is how decisions stay bit-identical with the fast path on or off
 //! (property-tested in `tests/fast_path.rs`).
 
-use crate::connection::{ActiveConnection, ConnectionId, ConnectionSpec};
+use crate::connection::{ActiveConnection, ConnectionId};
 use crate::delay::{Evaluator, FastStage1, MuxKey, PathInput};
 use crate::error::CacError;
 use crate::network::{HetNetwork, HostId};
 use hetnet_atm::affine::{fifo_bounds, AffineBound};
 use hetnet_atm::cell;
 use hetnet_fddi::mac::mac_service;
-use hetnet_fddi::ring::SyncBandwidth;
 use hetnet_obs as obs;
 use hetnet_traffic::service::ServiceCurve;
 use hetnet_traffic::units::Seconds;
-use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Relative slack applied to every fast-path comparison, covering the
 /// floating-point daylight between this module's sums and the dense
@@ -150,29 +147,13 @@ impl FastPathStats {
     }
 }
 
-/// Per-ring Theorem-1 aggregate terms: total synchronous bandwidth held
-/// by senders (`Σ H_S`) and receiving interface devices (`Σ H_R`), and
-/// the total sustained rate of the sources transmitting on the ring.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub(crate) struct RingTerms {
-    /// `Σ H_S` of connections sourced on this ring (seconds/rotation).
-    pub(crate) h_s_total: f64,
-    /// `Σ H_R` of connections terminating on this ring.
-    pub(crate) h_r_total: f64,
-    /// `Σ ρ` of source envelopes on this ring (bits/second).
-    pub(crate) rho_total: f64,
-}
-
-/// What one admitted connection contributes to the incremental state.
+/// One admitted connection's entry in the [`Membership`] index.
 #[derive(Clone, Debug, PartialEq)]
-struct FlowTerms {
-    source_ring: usize,
-    dest_ring: usize,
-    h_s: f64,
-    h_r: f64,
-    rho: f64,
+pub(crate) struct FlowTerms {
+    pub(crate) source_ring: usize,
+    pub(crate) dest_ring: usize,
     /// The multiplexers the flow traverses, in path order.
-    hops: Vec<MuxKey>,
+    pub(crate) hops: Vec<MuxKey>,
 }
 
 /// Membership of one backbone multiplexer: which connection crosses it
@@ -180,81 +161,58 @@ struct FlowTerms {
 /// are monotone, so this is also admission order — the canonical order
 /// the dense evaluator sums each aggregate in).
 #[derive(Clone, Debug, Default, PartialEq)]
-pub(crate) struct ServerTerms {
+struct ServerTerms {
     members: Vec<(ConnectionId, u32)>,
 }
 
-impl ServerTerms {
-    /// The `(connection, hop index)` members in connection-id order.
-    pub(crate) fn members(&self) -> &[(ConnectionId, u32)] {
-        &self.members
-    }
+/// A candidate's dependency closure: the active connections a decision
+/// for it must see, and every multiplexer they and the candidate reach.
+#[derive(Clone, Debug)]
+pub(crate) struct Closure {
+    /// Member connections, ascending id.
+    pub(crate) ids: Vec<ConnectionId>,
+    /// Multiplexers reached, including the candidate's own path and
+    /// both endpoint rings' uplink and downlink.
+    pub(crate) muxes: BTreeSet<MuxKey>,
 }
 
-/// Persistent admission state maintained by deltas.
+/// The per-multiplexer membership index of an active set, maintained
+/// on every admit/release/teardown. Both admission engines read their
+/// candidates' dependency closures from it: the sequential
+/// [`NetworkState`](crate::cac::NetworkState) holds one directly, the
+/// sharded engine's backbone ledger holds the one for its whole
+/// partitioned state.
 ///
-/// `PartialEq` compares every term (floats included): ring totals are
-/// recomputed from zero in id order on each mutation, so an
-/// incrementally maintained state is bit-identical to
-/// [`IncrementalState::rebuild`] of the same active set — the invariant
-/// the property tests pin down.
+/// It holds no floats, so an incrementally maintained index equals
+/// [`Membership::rebuild`] of the same active set exactly — the
+/// invariant the property tests pin down.
 #[derive(Clone, Debug, Default, PartialEq)]
-pub(crate) struct IncrementalState {
+pub(crate) struct Membership {
     flows: BTreeMap<ConnectionId, FlowTerms>,
     servers: BTreeMap<MuxKey, ServerTerms>,
-    rings: Vec<RingTerms>,
 }
 
-impl IncrementalState {
-    /// Empty state for a network of `ring_count` rings.
-    pub(crate) fn new(ring_count: usize) -> Self {
-        Self {
-            flows: BTreeMap::new(),
-            servers: BTreeMap::new(),
-            rings: vec![RingTerms::default(); ring_count],
-        }
-    }
-
-    /// Builds the state of `active` from scratch (the reference the
-    /// delta-maintained state must stay equal to).
+impl Membership {
+    /// Builds the index of `active` from scratch (the reference the
+    /// delta-maintained index must stay equal to).
     pub(crate) fn rebuild(net: &HetNetwork, active: &[ActiveConnection]) -> Result<Self, CacError> {
-        let mut state = Self::new(net.rings().len());
+        let mut index = Self::default();
         for c in active {
-            state.insert(net, c.id, &c.spec, c.h_s, c.h_r)?;
+            index.admit(net, c.id, c.spec.source, c.spec.dest)?;
         }
-        // One recompute for the whole batch instead of one per flow:
-        // `recompute_rings` re-sums from zero over the id-ordered flow
-        // map, so its final result depends only on the final map —
-        // bitwise identical to recomputing after every insert.
-        state.recompute_rings();
-        Ok(state)
+        Ok(index)
     }
 
-    /// Records an admitted connection.
+    /// Records an admitted connection, returning the multiplexers it
+    /// traverses in path order.
     pub(crate) fn admit(
         &mut self,
         net: &HetNetwork,
         id: ConnectionId,
-        spec: &ConnectionSpec,
-        h_s: SyncBandwidth,
-        h_r: SyncBandwidth,
-    ) -> Result<(), CacError> {
-        self.insert(net, id, spec, h_s, h_r)?;
-        self.recompute_rings();
-        Ok(())
-    }
-
-    /// Inserts a flow's per-server terms without refreshing ring
-    /// totals; callers must `recompute_rings` before the state is read.
-    fn insert(
-        &mut self,
-        net: &HetNetwork,
-        id: ConnectionId,
-        spec: &ConnectionSpec,
-        h_s: SyncBandwidth,
-        h_r: SyncBandwidth,
-    ) -> Result<(), CacError> {
-        let hops = hops_for(net, spec.source, spec.dest)?;
+        source: HostId,
+        dest: HostId,
+    ) -> Result<&[MuxKey], CacError> {
+        let hops = hops_for(net, source, dest)?;
         for (hi, key) in hops.iter().enumerate() {
             let server = self.servers.entry(*key).or_default();
             let pos = server.members.partition_point(|&(mid, _)| mid < id);
@@ -263,63 +221,94 @@ impl IncrementalState {
         self.flows.insert(
             id,
             FlowTerms {
-                source_ring: spec.source.ring,
-                dest_ring: spec.dest.ring,
-                h_s: h_s.per_rotation().value(),
-                h_r: h_r.per_rotation().value(),
-                rho: spec.envelope.sustained_rate().value(),
+                source_ring: source.ring,
+                dest_ring: dest.ring,
                 hops,
             },
         );
-        Ok(())
+        Ok(&self.flows[&id].hops)
     }
 
-    /// Removes a released (or torn-down) connection. Unknown ids are
-    /// ignored, so teardown sweeps can release unconditionally.
-    pub(crate) fn release(&mut self, id: ConnectionId) {
-        let Some(flow) = self.flows.remove(&id) else {
-            return;
-        };
+    /// Removes a released (or torn-down) connection, returning its
+    /// entry (`None` for an unknown id).
+    pub(crate) fn release(&mut self, id: ConnectionId) -> Option<FlowTerms> {
+        let flow = self.flows.remove(&id)?;
         for key in &flow.hops {
-            let now_empty = match self.servers.get_mut(key) {
-                Some(server) => {
-                    server.members.retain(|&(mid, _)| mid != id);
-                    server.members.is_empty()
+            if let Some(server) = self.servers.get_mut(key) {
+                server.members.retain(|&(mid, _)| mid != id);
+                if server.members.is_empty() {
+                    self.servers.remove(key);
                 }
-                None => false,
-            };
-            if now_empty {
-                self.servers.remove(key);
             }
         }
-        self.recompute_rings();
+        Some(flow)
     }
 
-    /// The Theorem-1 aggregate terms of one ring.
-    #[cfg(test)]
-    pub(crate) fn ring_totals(&self, ring: usize) -> RingTerms {
-        self.rings[ring]
+    /// The entry of connection `id`, if tracked.
+    pub(crate) fn flow(&self, id: ConnectionId) -> Option<&FlowTerms> {
+        self.flows.get(&id)
     }
 
     /// Number of tracked connections.
-    #[cfg(test)]
-    pub(crate) fn flow_count(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.flows.len()
     }
 
-    /// Ring totals are *re-summed from zero in connection-id order* on
-    /// every mutation rather than adjusted by `+=`/`-=` deltas: float
-    /// addition is not associative, and delta adjustment would let the
-    /// totals drift away (bitwise) from what a rebuild produces.
-    fn recompute_rings(&mut self) {
-        for r in &mut self.rings {
-            *r = RingTerms::default();
+    /// Every tracked connection's entry, ascending id.
+    pub(crate) fn flows(&self) -> impl Iterator<Item = (ConnectionId, &FlowTerms)> {
+        self.flows.iter().map(|(id, f)| (*id, f))
+    }
+
+    /// The dependency closure of a `source → dest` candidate: starting
+    /// from the candidate's own multiplexers *plus* both endpoint
+    /// rings' uplink and downlink multiplexers (whose member flows
+    /// share the endpoint rings' allocation tables with the candidate),
+    /// repeatedly adds every member flow of every reached multiplexer
+    /// and every multiplexer of every added flow, to a fixpoint.
+    ///
+    /// An admission decided over the closure is bit-identical to one
+    /// decided over the whole active set (`DESIGN.md` §12): the closure
+    /// holds every flow any quantity the decision reads depends on, in
+    /// the same relative id order, and the flows outside it share no
+    /// multiplexer with the candidate.
+    ///
+    /// # Errors
+    ///
+    /// Propagates routing errors for rings out of range or unrouted.
+    pub(crate) fn closure(
+        &self,
+        net: &HetNetwork,
+        source: HostId,
+        dest: HostId,
+    ) -> Result<Closure, CacError> {
+        let mut muxes: BTreeSet<MuxKey> = hops_for(net, source, dest)?.into_iter().collect();
+        muxes.extend([
+            MuxKey::Uplink(source.ring),
+            MuxKey::Downlink(source.ring),
+            MuxKey::Uplink(dest.ring),
+            MuxKey::Downlink(dest.ring),
+        ]);
+        let mut ids: BTreeSet<ConnectionId> = BTreeSet::new();
+        let mut frontier: Vec<MuxKey> = muxes.iter().copied().collect();
+        while let Some(key) = frontier.pop() {
+            let Some(server) = self.servers.get(&key) else {
+                continue;
+            };
+            for &(id, _) in &server.members {
+                if !ids.insert(id) {
+                    continue;
+                }
+                for &hop in &self.flows[&id].hops {
+                    if muxes.insert(hop) {
+                        frontier.push(hop);
+                    }
+                }
+            }
         }
-        for f in self.flows.values() {
-            self.rings[f.source_ring].h_s_total += f.h_s;
-            self.rings[f.source_ring].rho_total += f.rho;
-            self.rings[f.dest_ring].h_r_total += f.h_r;
-        }
+        Ok(Closure {
+            ids: ids.into_iter().collect(),
+            muxes,
+        })
     }
 }
 
@@ -382,16 +371,17 @@ impl LadderOutcome {
 }
 
 /// Per-decision snapshot driving the fast ladder: the dense evaluator's
-/// cached stage-1 summaries of every active connection, the multiplexer
-/// membership (actives from [`IncrementalState`], candidate appended),
-/// in dependency order, and the candidate's λ-independent fixed delays.
+/// cached stage-1 summaries of every connection in the candidate's
+/// closure, the multiplexer membership of that closure (candidate
+/// appended), in dependency order, and the candidate's λ-independent
+/// fixed delays.
 #[derive(Debug)]
 pub(crate) struct FastContext<'n> {
     net: &'n HetNetwork,
-    /// Stage-1 summaries of the active paths, in path (= id) order.
+    /// Stage-1 summaries of the closure's paths, in path (= id) order.
     flows: Vec<FastStage1>,
-    /// All multiplexers touched by actives or candidate, in an order
-    /// that resolves each path's hops front to back.
+    /// All multiplexers touched by the closure or the candidate, in an
+    /// order that resolves each path's hops front to back.
     groups: Vec<Group>,
     /// Path index of the candidate (`flows.len()`).
     cand_pi: usize,
@@ -401,30 +391,38 @@ pub(crate) struct FastContext<'n> {
 }
 
 impl<'n> FastContext<'n> {
-    /// Assembles the snapshot, or `None` when the fast path cannot be
-    /// used for this decision (an active's stage-1 summary is
-    /// unavailable or infeasible, the state is out of sync with the
-    /// active set, or the mux dependencies are not feedforward) — the
-    /// caller then runs every probe densely, which is always correct.
+    /// Assembles the snapshot over the candidate's closure in `active`,
+    /// or `None` when the fast path cannot be used for this decision —
+    /// the caller then runs every probe densely, which is always
+    /// correct.
     #[cfg(test)]
     pub(crate) fn new(
         ev: &mut Evaluator<'_>,
         net: &'n HetNetwork,
-        state: &IncrementalState,
+        members: &Membership,
         active: &[ActiveConnection],
         source: HostId,
         dest: HostId,
     ) -> Result<Option<Self>, CacError> {
-        Ok(Self::assemble(ev, net, state, active, source, dest)?.ok())
+        let scope: Vec<&ActiveConnection> = members
+            .closure(net, source, dest)?
+            .ids
+            .iter()
+            .filter_map(|id| active.iter().find(|c| c.id == *id))
+            .collect();
+        Ok(Self::assemble(ev, net, members, &scope, source, dest)?.ok())
     }
 
-    /// [`FastContext::new`], but a failed assembly names its cause (one
-    /// of [`SKIP_CAUSES`]) so the caller can attribute the dense run.
+    /// Builds the snapshot from the candidate's closure (`scope`,
+    /// ascending id), or names the cause (one of [`SKIP_CAUSES`]) when
+    /// it cannot: a member's stage-1 summary is unavailable or
+    /// infeasible, the index is out of sync with the scope, or the mux
+    /// dependencies are not feedforward.
     pub(crate) fn assemble(
         ev: &mut Evaluator<'_>,
         net: &'n HetNetwork,
-        state: &IncrementalState,
-        active: &[ActiveConnection],
+        members: &Membership,
+        scope: &[&ActiveConnection],
         source: HostId,
         dest: HostId,
     ) -> Result<Result<Self, &'static str>, CacError> {
@@ -435,35 +433,29 @@ impl<'n> FastContext<'n> {
         if !net.scheduler().is_fifo() {
             return Ok(Err("non-fifo-scheduler"));
         }
-        let mut flows = Vec::with_capacity(active.len());
-        for c in active {
-            let p = PathInput {
-                source: c.spec.source,
-                dest: c.spec.dest,
-                envelope: Arc::clone(&c.spec.envelope),
-                h_s: c.h_s,
-                h_r: c.h_r,
-                class: c.spec.class,
-            };
-            match ev.fast_stage1(&p)? {
+        let mut flows = Vec::with_capacity(scope.len());
+        for c in scope {
+            match ev.fast_stage1(&PathInput::new(&c.spec, c.h_s, c.h_r))? {
                 Some(summary) => flows.push(summary),
                 None => return Ok(Err("stage1-unavailable")),
             }
         }
 
-        let cand_pi = active.len();
+        // The closure is closed under "shares a multiplexer with", so
+        // its members' hops reach every member of each group; walking
+        // them in id order lists each group's members in id order.
+        let cand_pi = scope.len();
         let mut grouped: BTreeMap<MuxKey, Vec<(u32, u32)>> = BTreeMap::new();
-        for (key, server) in &state.servers {
-            let mut members = Vec::with_capacity(server.members().len());
-            for &(id, hi) in server.members() {
-                // Actives are kept in id order, so the position of an id
-                // in `active` is its path index.
-                match active.binary_search_by_key(&id, |c| c.id) {
-                    Ok(pi) => members.push((pi as u32, hi)),
-                    Err(_) => return Ok(Err("stale-active-set")),
-                }
+        for (pi, c) in scope.iter().enumerate() {
+            let Some(flow) = members.flow(c.id) else {
+                return Ok(Err("stale-active-set"));
+            };
+            for (hi, key) in flow.hops.iter().enumerate() {
+                grouped
+                    .entry(*key)
+                    .or_default()
+                    .push((pi as u32, hi as u32));
             }
-            grouped.insert(*key, members);
         }
         let cand_hops = hops_for(net, source, dest)?;
         for (hi, key) in cand_hops.iter().enumerate() {
@@ -733,11 +725,14 @@ impl<'n> FastContext<'n> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::connection::ConnectionSpec;
     use crate::delay::{CandidateOutcome, EvalConfig};
     use hetnet_fddi::frames;
+    use hetnet_fddi::ring::SyncBandwidth;
     use hetnet_traffic::models::DualPeriodicEnvelope;
     use hetnet_traffic::units::{Bits, BitsPerSec};
     use proptest::prelude::*;
+    use std::sync::Arc;
 
     fn env(c1_mbit: f64) -> crate::connection::ConnectionSpec {
         ConnectionSpec {
@@ -804,7 +799,7 @@ mod tests {
     #[test]
     fn ladder_decides_easy_cases() {
         let net = HetNetwork::paper_topology();
-        let state = IncrementalState::new(net.rings().len());
+        let state = Membership::default();
         let mut ev = Evaluator::new(&net, EvalConfig::fast());
         let ctx = FastContext::new(
             &mut ev,
@@ -863,14 +858,14 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// Delta maintenance must stay bit-identical to a from-scratch
-        /// rebuild across arbitrary admit/release interleavings.
+        /// Delta maintenance must stay equal to a from-scratch rebuild
+        /// across arbitrary admit/release interleavings.
         #[test]
         fn incremental_state_matches_rebuild(
             ops in proptest::collection::vec((0usize..3, 0usize..3, 0usize..3), 1..40),
         ) {
             let net = HetNetwork::paper_topology();
-            let mut state = IncrementalState::new(net.rings().len());
+            let mut state = Membership::default();
             let mut active: Vec<ActiveConnection> = Vec::new();
             let mut next_id = 0u64;
             for (op, a, b) in ops {
@@ -880,7 +875,7 @@ mod tests {
                     next_id += 1;
                     let spec = spec_between(0.5 + a as f64, src, dst);
                     let h = SyncBandwidth::new(Seconds::from_millis(0.5 + b as f64));
-                    state.admit(&net, id, &spec, h, h).unwrap();
+                    state.admit(&net, id, spec.source, spec.dest).unwrap();
                     active.push(ActiveConnection {
                         id,
                         spec,
@@ -890,18 +885,42 @@ mod tests {
                     });
                 } else {
                     let victim = active.remove((a * 7 + b) % active.len());
-                    state.release(victim.id);
+                    prop_assert!(state.release(victim.id).is_some());
                 }
-                let rebuilt = IncrementalState::rebuild(&net, &active).unwrap();
+                let rebuilt = Membership::rebuild(&net, &active).unwrap();
                 prop_assert!(state == rebuilt, "diverged after {} ops", active.len());
-                let totals = state.ring_totals(0);
-                prop_assert!(totals.h_s_total >= 0.0 && totals.rho_total >= 0.0);
-                prop_assert_eq!(state.flow_count(), active.len());
+                prop_assert_eq!(state.len(), active.len());
             }
             for c in &active {
                 state.release(c.id);
             }
-            prop_assert!(state == IncrementalState::new(net.rings().len()));
+            prop_assert!(state == Membership::default());
+        }
+
+        /// A closure holds every flow of every multiplexer it reaches
+        /// and every flow on the candidate's endpoint rings, ascending.
+        #[test]
+        fn closure_is_closed_under_shared_multiplexers(
+            pairs in proptest::collection::vec((0usize..6, 1usize..6), 0..24),
+            src in 0usize..6,
+            hop in 1usize..6,
+        ) {
+            let net = HetNetwork::grid(6, 3);
+            let host = |ring| HostId { ring, station: 0 };
+            let mut state = Membership::default();
+            for (i, (a, d)) in pairs.iter().enumerate() {
+                let (a, b) = (*a, (a + d) % 6);
+                state.admit(&net, ConnectionId(i as u64), host(a), host(b)).unwrap();
+            }
+            let dst = (src + hop) % 6;
+            let closure = state.closure(&net, host(src), host(dst)).unwrap();
+            prop_assert!(closure.ids.windows(2).all(|w| w[0] < w[1]));
+            for (id, flow) in state.flows() {
+                let reached = flow.hops.iter().any(|h| closure.muxes.contains(h));
+                let on_endpoint = [src, dst].iter().any(|r| flow.source_ring == *r || flow.dest_ring == *r);
+                prop_assert_eq!(closure.ids.binary_search(&id).is_ok(), reached);
+                prop_assert!(!on_endpoint || reached);
+            }
         }
 
         /// Every decisive ladder answer must agree with the dense probe,
@@ -926,7 +945,7 @@ mod tests {
                     delay_bound: Seconds::ZERO,
                 });
             }
-            let state = IncrementalState::rebuild(&net, &active).unwrap();
+            let state = Membership::rebuild(&net, &active).unwrap();
             let mut ev = Evaluator::new(&net, EvalConfig::fast());
             let src = HostId { ring: 0, station: 1 };
             let dst = HostId { ring: 2, station: 1 };

@@ -1,15 +1,15 @@
 //! Ring-partitioned admission state behind a backbone ledger.
 //!
 //! [`crate::cac::NetworkState`] keeps one flat connection vector and
-//! recomputes against all of it; at hundreds of rings and 10⁵ live
-//! connections that flat view is the bottleneck — every decision pays
-//! O(active) even though a candidate only interacts with the small
-//! slice of the network it shares multiplexers with. This module
-//! partitions the same state *by source ring* ([`ShardedState`]): each
-//! ring shard owns the connections sourced on it, and a shared
-//! **backbone ledger** owns the cross-ring coupling — which flows cross
-//! which ATM multiplexers — plus a version counter and a footprint log
-//! that make optimistic concurrency possible.
+//! decides each admission over the candidate's dependency closure — the
+//! small slice of the network it shares multiplexers with — but one
+//! decision at a time. This module partitions the same state *by
+//! source ring* ([`ShardedState`]) so decisions over disjoint closures
+//! can run concurrently: each ring shard owns the connections sourced
+//! on it, and a shared **backbone ledger** owns the cross-ring coupling
+//! — which flows cross which ATM multiplexers, in the same
+//! `Membership` index the flat state keeps — plus a version counter
+//! and a footprint log that make optimistic concurrency possible.
 //!
 //! A decision runs in three steps:
 //!
@@ -50,7 +50,7 @@ use crate::cac::{NetworkState, TeardownReport};
 use crate::connection::{ActiveConnection, ConnectionId, ConnectionSpec};
 use crate::delay::MuxKey;
 use crate::error::CacError;
-use crate::incremental::hops_for;
+use crate::incremental::Membership;
 use crate::network::{Component, HetNetwork, HostId};
 use crate::snapshot::{ConnectionSnapshot, StateSnapshot, SNAPSHOT_VERSION};
 use hetnet_fddi::ring::RingConfig;
@@ -68,14 +68,6 @@ struct RingShard {
     sourced: BTreeMap<u64, ActiveConnection>,
 }
 
-/// A flow's entry in the backbone ledger.
-#[derive(Clone, Debug)]
-struct FlowEntry {
-    source_ring: usize,
-    dest_ring: usize,
-    hops: Vec<MuxKey>,
-}
-
 /// One committed mutation's footprint, for conflict checks.
 #[derive(Clone, Debug)]
 struct LogEntry {
@@ -88,10 +80,10 @@ struct LogEntry {
 /// against.
 #[derive(Clone, Debug, Default)]
 struct BackboneLedger {
-    /// Multiplexer → member flow ids, ascending.
-    servers: BTreeMap<MuxKey, Vec<u64>>,
-    /// Flow id → its shard and multiplexer footprint.
-    flows: BTreeMap<u64, FlowEntry>,
+    /// Every flow's source ring and multiplexer footprint — the same
+    /// index the sequential state keeps, so both engines read their
+    /// closures from one definition.
+    members: Membership,
     /// Bumped by every committed mutation.
     version: u64,
     /// Speculations read at a version below this always conflict (set
@@ -227,7 +219,7 @@ impl ShardedState {
     /// Number of active connections across all shards.
     #[must_use]
     pub fn active_count(&self) -> usize {
-        self.ledger.flows.len()
+        self.ledger.members.len()
     }
 
     /// The components currently marked down, in sorted order.
@@ -239,22 +231,17 @@ impl ShardedState {
     /// Iterates every active connection in id (= admission) order,
     /// crossing shards through the ledger's flow index.
     pub fn active_iter(&self) -> impl Iterator<Item = &ActiveConnection> {
-        self.ledger.flows.iter().map(|(id, flow)| {
+        self.ledger.members.flows().map(|(id, flow)| {
             self.shards[flow.source_ring]
                 .sourced
-                .get(id)
+                .get(&id.0)
                 .expect("ledger flow present in its source shard")
         })
     }
 
-    /// Extracts the dependency closure of a `source → dest` candidate:
-    /// starting from the candidate's own multiplexers *plus* both
-    /// endpoint rings' uplink and downlink multiplexers (whose member
-    /// flows share the endpoint rings' allocation tables with the
-    /// candidate), repeatedly adds every member flow of every reached
-    /// multiplexer and every multiplexer of every added flow, to a
-    /// fixpoint. The result is returned in id order with the ledger
-    /// version it was read at.
+    /// Extracts the dependency closure of a `source → dest` candidate
+    /// (`Membership::closure`) in id order, with the ledger version it
+    /// was read at.
     ///
     /// # Errors
     ///
@@ -262,34 +249,13 @@ impl ShardedState {
     /// or unrouted (the scoped admission would reject such a spec
     /// anyway).
     pub fn speculate(&self, source: HostId, dest: HostId) -> Result<Speculation, CacError> {
-        let mut muxes: BTreeSet<MuxKey> = hops_for(&self.net, source, dest)?.into_iter().collect();
-        muxes.insert(MuxKey::Uplink(source.ring));
-        muxes.insert(MuxKey::Downlink(source.ring));
-        muxes.insert(MuxKey::Uplink(dest.ring));
-        muxes.insert(MuxKey::Downlink(dest.ring));
-        let mut ids: BTreeSet<u64> = BTreeSet::new();
-        let mut frontier: Vec<MuxKey> = muxes.iter().copied().collect();
-        while let Some(key) = frontier.pop() {
-            let Some(members) = self.ledger.servers.get(&key) else {
-                continue;
-            };
-            for &id in members {
-                if !ids.insert(id) {
-                    continue;
-                }
-                let flow = self.ledger.flows.get(&id).expect("member flow tracked");
-                for &hop in &flow.hops {
-                    if muxes.insert(hop) {
-                        frontier.push(hop);
-                    }
-                }
-            }
-        }
-        let connections = ids
+        let closure = self.ledger.members.closure(&self.net, source, dest)?;
+        let connections = closure
+            .ids
             .iter()
             .map(|id| {
-                let ring = self.ledger.flows[id].source_ring;
-                self.shards[ring].sourced[id].clone()
+                let flow = self.ledger.members.flow(*id).expect("member flow tracked");
+                self.shards[flow.source_ring].sourced[&id.0].clone()
             })
             .collect();
         Ok(Speculation {
@@ -298,7 +264,7 @@ impl ShardedState {
             next_id: self.next_id,
             connections,
             down: self.down.clone(),
-            muxes,
+            muxes: closure.muxes,
         })
     }
 
@@ -338,20 +304,11 @@ impl ShardedState {
     ) -> Result<ConnectionId, CacError> {
         let id = ConnectionId(self.next_id);
         self.next_id += 1;
-        let hops = hops_for(&self.net, spec.source, spec.dest)?;
-        for key in &hops {
-            let members = self.ledger.servers.entry(*key).or_default();
-            let pos = members.partition_point(|&m| m < id.0);
-            members.insert(pos, id.0);
-        }
-        self.ledger.flows.insert(
-            id.0,
-            FlowEntry {
-                source_ring: spec.source.ring,
-                dest_ring: spec.dest.ring,
-                hops: hops.clone(),
-            },
-        );
+        let hops = self
+            .ledger
+            .members
+            .admit(&self.net, id, spec.source, spec.dest)?
+            .to_vec();
         self.shards[spec.source.ring].sourced.insert(
             id.0,
             ActiveConnection {
@@ -376,21 +333,13 @@ impl ShardedState {
     pub fn release(&mut self, id: ConnectionId) -> Result<ActiveConnection, CacError> {
         let flow = self
             .ledger
-            .flows
-            .remove(&id.0)
+            .members
+            .release(id)
             .ok_or(CacError::UnknownConnection(id))?;
         let conn = self.shards[flow.source_ring]
             .sourced
             .remove(&id.0)
             .expect("shard tracks ledgered flow");
-        for key in &flow.hops {
-            if let Some(members) = self.ledger.servers.get_mut(key) {
-                members.retain(|&m| m != id.0);
-                if members.is_empty() {
-                    self.ledger.servers.remove(key);
-                }
-            }
-        }
         self.ledger.bump(flow.hops);
         Ok(conn)
     }
@@ -418,15 +367,15 @@ impl ShardedState {
         if newly {
             let victims: Vec<ConnectionId> = self
                 .ledger
-                .flows
-                .iter()
+                .members
+                .flows()
                 .filter(|(_, f)| match component {
                     Component::Ring(r) | Component::IfDev(r) => {
                         f.source_ring == r.0 || f.dest_ring == r.0
                     }
                     Component::Link(l) => f.hops.contains(&MuxKey::Backbone(l.0)),
                 })
-                .map(|(&id, _)| ConnectionId(id))
+                .map(|(id, _)| id)
                 .collect();
             for id in victims {
                 let conn = self.release(id).expect("victim is active");
@@ -483,10 +432,10 @@ impl ShardedState {
             rings: self.net.rings().to_vec(),
             connections: self
                 .ledger
-                .flows
-                .iter()
+                .members
+                .flows()
                 .map(|(id, f)| {
-                    let c = &self.shards[f.source_ring].sourced[id];
+                    let c = &self.shards[f.source_ring].sourced[&id.0];
                     ConnectionSnapshot {
                         id: c.id,
                         source: c.spec.source,

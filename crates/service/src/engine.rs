@@ -915,6 +915,7 @@ impl ServiceEngine {
         self.mx.on_decision(
             matches!(decision, Decision::Admitted { .. }),
             latency_seconds,
+            self.state.last_closure_len().unwrap_or_default(),
             &self.state.last_cache_stats().unwrap_or_default(),
             &self.state.last_fast_path_stats().unwrap_or_default(),
         );

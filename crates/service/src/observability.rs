@@ -88,6 +88,7 @@ pub(crate) struct EngineMetrics {
     admitted: Counter,
     rejected: Counter,
     latency: Histogram,
+    closure: Histogram,
     stage_hits: [Counter; 4],
     stage_misses: [Counter; 4],
     fast_accepts: Counter,
@@ -132,6 +133,11 @@ impl EngineMetrics {
                 "Wall-clock admission decision latency.",
                 &[],
             ),
+            closure: reg.histogram(
+                "hetnet_decision_closure_connections",
+                "Active connections each admission decided over (the candidate's dependency closure).",
+                &[],
+            ),
             stage_hits: CACHE_STAGES.map(|s| cache(s, "hit")),
             stage_misses: CACHE_STAGES.map(|s| cache(s, "miss")),
             fast_accepts: fast("accept"),
@@ -151,11 +157,14 @@ impl EngineMetrics {
         }
     }
 
-    /// Folds one committed decision into the registry.
+    /// Folds one committed decision into the registry. `closure` is
+    /// the number of active connections it decided over, as both
+    /// engines measure it.
     pub(crate) fn on_decision(
         &self,
         admitted: bool,
         latency_seconds: f64,
+        closure: usize,
         cache: &CacheStats,
         fast: &FastPathStats,
     ) {
@@ -165,6 +174,7 @@ impl EngineMetrics {
             self.rejected.inc();
         }
         self.latency.observe(latency_seconds);
+        self.closure.observe(closure as f64);
         let hits = [
             cache.stage1_hits,
             cache.mux_hits,
@@ -332,10 +342,11 @@ mod tests {
             fast_accepts: 1,
             ..FastPathStats::default()
         };
-        mx.on_decision(true, 1e-4, &cache, &fast);
+        mx.on_decision(true, 1e-4, 18, &cache, &fast);
         mx.on_decision(
             false,
             2e-4,
+            3,
             &CacheStats::default(),
             &FastPathStats::default(),
         );
@@ -348,6 +359,8 @@ mod tests {
         assert!(text.contains("hetnet_fast_path_probes_total{outcome=\"accept\"} 1"));
         assert!(text.contains("hetnet_active_connections 5"));
         assert!(text.contains("hetnet_decision_latency_seconds_count 2"));
+        assert!(text.contains("hetnet_decision_closure_connections_count 2"));
+        assert!(text.contains("hetnet_decision_closure_connections_max 18.0"));
     }
 
     #[test]

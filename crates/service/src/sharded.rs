@@ -617,6 +617,7 @@ impl Committer<'_> {
         self.mx.on_decision(
             matches!(decision, Decision::Admitted { .. }),
             latency.value(),
+            closure,
             &cache,
             &fast,
         );
@@ -1230,6 +1231,42 @@ mod tests {
             assert!(sharded.sharding.speculated > 0);
             assert!(sharded.sharding.peak_closure > 0);
         }
+    }
+
+    #[test]
+    fn both_engines_record_the_same_closure_sizes() {
+        use hetnet_obs::registry::SeriesValue;
+        use hetnet_sim::churn::{TopologyShape, TrafficPattern};
+        let mut cfg = faulted_cfg(120, 41);
+        cfg.churn.shape = TopologyShape {
+            rings: 8,
+            hosts_per_ring: 3,
+        };
+        cfg.churn.pattern = TrafficPattern::Paired;
+        let closures = |reg: &MetricsRegistry| match reg
+            .snapshot()
+            .find("hetnet_decision_closure_connections", &[])
+        {
+            Some(SeriesValue::Histogram(h)) => (h.count(), h.sum(), h.max()),
+            other => panic!("closure histogram missing: {other:?}"),
+        };
+        let engine = ServiceEngine::new(HetNetwork::grid(8, 3), &cfg).unwrap();
+        let registry = engine.registry();
+        let sequential = engine.finish().unwrap();
+        let engine = ShardedEngine::new(HetNetwork::grid(8, 3), &cfg, 2).unwrap();
+        let sharded_registry = engine.registry();
+        let (sharded, _) = engine.run().unwrap();
+        assert!(runs_equivalent(&sharded, &sequential));
+
+        let (count, sum, max) = closures(&registry);
+        assert_eq!((count, sum, max), closures(&sharded_registry));
+        assert_eq!(count, sequential.audit.len() as u64);
+        assert_eq!(sum, sharded.sharding.closure_sum as f64);
+        assert_eq!(max, sharded.sharding.peak_closure as f64);
+        assert!(
+            max < sequential.report.peak_active as f64,
+            "paired grid closures should stay below the active set"
+        );
     }
 
     #[test]

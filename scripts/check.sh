@@ -33,6 +33,9 @@ test_stage() {
     echo "==> dense-evaluator golden gate (150 paper-style churn decisions bit-identical to the pinned audit)"
     cargo test --release -p hetnet-service --test dense_golden -q
 
+    echo "==> closure-oracle gate (closure-scoped grid decisions match a full-network evaluation)"
+    cargo test --release -p hetnet-service --test closure_oracle -q
+
     echo "==> observability gate (sharded runs with full tracing stay decision-identical)"
     cargo test --release -p hetnet-service --test sharded_replay -q
 }
