@@ -249,8 +249,10 @@ pub struct DecisionTrace {
     /// allocation on admit, `None` when the reject happened before any
     /// allocation was evaluated (bandwidth pre-checks).
     pub allocation: Option<(SyncBandwidth, SyncBandwidth)>,
-    /// Per-connection decompositions at the decided allocation:
-    /// existing connections in admission order, the candidate last.
+    /// Per-connection decompositions at the decided allocation: the
+    /// existing connections of the candidate's dependency closure (the
+    /// only ones a decision evaluates) in admission order, the
+    /// candidate last.
     /// Empty when the reject happened before any path was evaluated.
     pub connections: Vec<ConnectionTrace>,
     /// What decided a rejection; `None` on admit.
