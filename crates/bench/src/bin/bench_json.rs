@@ -28,15 +28,16 @@ use hetnet_bench::retune::{campaign, campaign_json};
 use hetnet_cac::cac::{AdmissionOptions, CacConfig, Decision, NetworkState};
 use hetnet_cac::connection::ConnectionSpec;
 use hetnet_cac::delay::{CacheStats, PathInput};
+use hetnet_cac::incremental::FastPathStats;
 use hetnet_cac::network::{HetNetwork, HostId, Scheduler};
 use hetnet_cac::reconfig::ReconfigPlan;
 use hetnet_cac::region::{sample_region_frontier, sample_region_threads, RegionSample};
 use hetnet_fddi::ring::{RingConfig, SyncBandwidth};
 use hetnet_ifdev::IfDevConfig;
+use hetnet_obs::GeometricHistogram;
 use hetnet_service::{
     entries_equivalent, run as run_service, run_sharded, sharded_runs_equivalent, verify_recovery,
-    FastPathGauges, LatencyHistogram, ObsOptions, ReconfigEvent, ServiceConfig, ServiceEngine,
-    ShardedEngine,
+    ObsOptions, ReconfigEvent, ServiceConfig, ServiceEngine, ShardedEngine,
 };
 use hetnet_sim::autotune::SweepGrid;
 use hetnet_sim::churn::{ChurnConfig, TopologyShape, TrafficPattern};
@@ -467,8 +468,8 @@ fn main() {
             lat_state.release(id).expect("warmup release");
         }
     }
-    let mut lat_hist = LatencyHistogram::new();
-    let mut lat_fast = FastPathGauges::default();
+    let mut lat_hist = GeometricHistogram::new();
+    let mut lat_fast = FastPathStats::default();
     let mut lat_admits = 0u64;
     let mut lat_rejects = 0u64;
     for i in 0..lat_decisions {
@@ -479,9 +480,9 @@ fn main() {
         };
         let start = Instant::now();
         let decision = lat_state.admit(spec, &lat_opts).expect("latency admit");
-        lat_hist.record(Seconds::new(start.elapsed().as_secs_f64()));
+        lat_hist.record(start.elapsed().as_secs_f64());
         if let Some(stats) = lat_state.last_fast_path_stats() {
-            lat_fast.absorb(stats);
+            lat_fast.merge(&stats);
         }
         match decision {
             Decision::Admitted { id, .. } => {
@@ -492,12 +493,12 @@ fn main() {
         }
     }
     assert!(lat_admits > 0 && lat_rejects > 0, "latency mix degenerated");
-    let (lat_p50, lat_p95, lat_p99) = lat_hist.percentiles();
+    let [lat_p50, lat_p95, lat_p99] = [0.50, 0.95, 0.99].map(|q| lat_hist.quantile(q));
     eprintln!(
         "decision latency: {lat_decisions} warm decisions, p50 {:.1} us, p99 {:.1} us, \
          fast-path hit rate {:.3}",
-        lat_p50.value() * 1e6,
-        lat_p99.value() * 1e6,
+        lat_p50 * 1e6,
+        lat_p99 * 1e6,
         lat_fast.hit_rate(),
     );
     let decision_latency_json = format!(
@@ -511,11 +512,11 @@ fn main() {
         lat_decisions,
         lat_admits,
         lat_rejects,
-        lat_p50.value() * 1e6,
-        lat_p95.value() * 1e6,
-        lat_p99.value() * 1e6,
-        lat_hist.mean().value() * 1e6,
-        lat_hist.max().value() * 1e6,
+        lat_p50 * 1e6,
+        lat_p95 * 1e6,
+        lat_p99 * 1e6,
+        lat_hist.mean() * 1e6,
+        lat_hist.max() * 1e6,
         lat_fast.fast_accepts,
         lat_fast.fast_rejects,
         lat_fast.fallbacks,

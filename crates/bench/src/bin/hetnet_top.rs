@@ -3,7 +3,7 @@
 //! Starts a seeded shard-scale churn workload on the ring-partitioned
 //! engine in a background thread with periodic telemetry enabled, then
 //! polls the engine's shared telemetry ring and redraws a one-screen
-//! dashboard from the newest OpenMetrics frame until the run finishes.
+//! dashboard from the newest registry snapshot until the run finishes.
 //! This is the "watch a 220k-request run live" path: the run itself is
 //! untouched — the dashboard only reads registry snapshots the
 //! committer already cut on simulated-time boundaries.
@@ -110,7 +110,7 @@ fn main() {
         if let Some(frame) = telemetry.snapshot().last() {
             if frame.at > last_at {
                 last_at = frame.at;
-                let dash = render_frame(frame.at, &frame.text);
+                let dash = render_frame(frame.at, &frame.snapshot);
                 if plain {
                     println!("{dash}");
                 } else {
@@ -127,7 +127,7 @@ fn main() {
 
     // Final state: the last frame the run cut, then the run summary.
     if let Some(frame) = done.telemetry.last() {
-        let dash = render_frame(frame.at, &frame.text);
+        let dash = render_frame(frame.at, &frame.snapshot);
         if plain {
             println!("{dash}");
         } else {

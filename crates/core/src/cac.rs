@@ -169,49 +169,6 @@ impl From<CacConfig> for AdmissionOptions {
     }
 }
 
-/// One completed admission decision, as seen by a
-/// [`DecisionObserver`].
-#[derive(Debug)]
-pub struct DecisionRecord<'a> {
-    /// 0-based sequence number (counts every completed
-    /// [`NetworkState::admit`], admitted or rejected).
-    pub seq: u64,
-    /// The state's logical clock at decision time
-    /// ([`NetworkState::set_clock`]); `Seconds::ZERO` if never set.
-    pub at: Seconds,
-    /// The request that was decided.
-    pub spec: &'a ConnectionSpec,
-    /// The verdict.
-    pub decision: &'a Decision,
-    /// Evaluator cache statistics of this decision's line searches
-    /// (all-zero for fixed-allocation admissions, which run a single
-    /// uncached evaluation).
-    pub cache: CacheStats,
-    /// Fast-ladder probe counters of this decision's β search
-    /// (all-zero when the fast path is off or the allocation is fixed).
-    pub fast_path: FastPathStats,
-    /// The decision's structured explanation — present iff
-    /// [`NetworkState::set_decision_tracing`] is on.
-    pub trace: Option<&'a DecisionTrace>,
-}
-
-/// Callback invoked after every completed admission decision — the
-/// metrics hook the service layer builds its audit log on. Observers
-/// see rejections too; errors (`Err` from [`NetworkState::admit`])
-/// produce no record because no decision was reached.
-pub trait DecisionObserver: Send {
-    /// Called once per decision, in decision order.
-    fn on_decision(&mut self, record: &DecisionRecord<'_>);
-
-    /// Called once per completed [`NetworkState::reconfigure`], which
-    /// consumes one decision sequence number (`seq`) like an admission
-    /// does — observers tracking the gap-free sequence advance here
-    /// too. The default does nothing.
-    fn on_reconfig(&mut self, seq: u64, report: &ReconfigReport) {
-        let _ = (seq, report);
-    }
-}
-
 /// Why a request was rejected.
 #[derive(Clone, Debug, PartialEq)]
 #[non_exhaustive]
@@ -380,11 +337,10 @@ pub struct NetworkState {
     /// Components currently marked down by fault injection; requests
     /// whose path crosses one are rejected without evaluation.
     down: BTreeSet<Component>,
-    /// Logical event clock stamped onto [`DecisionRecord`]s.
+    /// Logical event clock stamped onto [`DecisionTrace`]s.
     clock: Seconds,
     /// Completed decisions (admit or reject) so far.
     decision_seq: u64,
-    observer: Option<Box<dyn DecisionObserver>>,
     /// Whether [`NetworkState::admit`] assembles a [`DecisionTrace`]
     /// per decision. Off by default: the hot path stays allocation-free.
     trace_decisions: bool,
@@ -492,7 +448,6 @@ impl fmt::Debug for NetworkState {
             .field("down", &self.down)
             .field("clock", &self.clock)
             .field("decision_seq", &self.decision_seq)
-            .field("observer", &self.observer.as_ref().map(|_| "<hook>"))
             .field("trace_decisions", &self.trace_decisions)
             .finish()
     }
@@ -528,7 +483,6 @@ impl NetworkState {
             down: BTreeSet::new(),
             clock: Seconds::ZERO,
             decision_seq: 0,
-            observer: None,
             trace_decisions: false,
             last_trace: None,
         }
@@ -536,9 +490,8 @@ impl NetworkState {
 
     /// Turns per-decision [`DecisionTrace`] assembly on or off. When
     /// on, every completed [`NetworkState::admit`] stores its trace
-    /// ([`NetworkState::last_decision_trace`]) and hands it to the
-    /// installed [`DecisionObserver`]; when off (the default) the
-    /// admission path builds nothing.
+    /// ([`NetworkState::last_decision_trace`]); when off (the default)
+    /// the admission path builds nothing.
     pub fn set_decision_tracing(&mut self, enabled: bool) {
         self.trace_decisions = enabled;
         if !enabled {
@@ -554,7 +507,7 @@ impl NetworkState {
     }
 
     /// Sets the logical clock stamped onto subsequent
-    /// [`DecisionRecord`]s. Event-driven callers (the service layer)
+    /// [`DecisionTrace`]s. Event-driven callers (the service layer)
     /// advance this to the event timestamp before each
     /// [`NetworkState::admit`]; it has no effect on decisions.
     pub fn set_clock(&mut self, now: Seconds) {
@@ -572,19 +525,6 @@ impl NetworkState {
     #[must_use]
     pub fn decisions(&self) -> u64 {
         self.decision_seq
-    }
-
-    /// Installs (or clears) the per-decision metrics callback. The
-    /// observer sees every completed decision in order; it cannot
-    /// influence them.
-    pub fn set_observer(&mut self, observer: Option<Box<dyn DecisionObserver>>) {
-        self.observer = observer;
-    }
-
-    /// Removes and returns the installed observer, if any.
-    #[must_use]
-    pub fn take_observer(&mut self) -> Option<Box<dyn DecisionObserver>> {
-        self.observer.take()
     }
 
     /// Enables (or disables) carrying the evaluator's caches across
@@ -627,9 +567,10 @@ impl NetworkState {
         self.fast_path
     }
 
-    /// Fast-path probe counters of the most recent β-search
+    /// Fast-path probe counters of the most recent
     /// [`NetworkState::admit`] call (`None` before the first; all-zero
-    /// when the fast path is disabled).
+    /// when the fast path is disabled, for a fixed allocation, and for
+    /// a reject decided before the search).
     #[must_use]
     pub fn last_fast_path_stats(&self) -> Option<FastPathStats> {
         self.last_fast_stats
@@ -645,7 +586,9 @@ impl NetworkState {
     }
 
     /// Cache hit/miss counters of the evaluator used by the most recent
-    /// β-search [`NetworkState::admit`] call (`None` before the first).
+    /// [`NetworkState::admit`] call (`None` before the first; all-zero
+    /// for a fixed allocation and for a reject decided before the
+    /// search).
     /// Benchmarks and the experiment harness use this to report how much
     /// of each admission's line search was served incrementally.
     #[must_use]
@@ -753,8 +696,10 @@ impl NetworkState {
     /// point subsuming the legacy [`NetworkState::request`] (β-search)
     /// and [`NetworkState::request_fixed`] (fixed pair) split. On
     /// admission, the allocations are recorded and the connection
-    /// becomes active; the installed [`DecisionObserver`], if any, sees
-    /// the decision either way.
+    /// becomes active. Either way the decision's evaluator statistics
+    /// ([`NetworkState::last_cache_stats`],
+    /// [`NetworkState::last_fast_path_stats`]) and, with tracing on,
+    /// its [`DecisionTrace`] describe this decision afterwards.
     ///
     /// # Errors
     ///
@@ -767,9 +712,6 @@ impl NetworkState {
         opts: &AdmissionOptions,
     ) -> Result<Decision, CacError> {
         let _admit_span = obs::span("admit");
-        // Keep a (cheap: Arc + copies) clone of the spec for the
-        // observer; the impls consume `spec` on admission.
-        let observed_spec = self.observer.is_some().then(|| spec.clone());
         let result = match opts.allocation {
             AllocationPolicy::BetaSearch => self.admit_beta(spec, &opts.cac),
             AllocationPolicy::Fixed { h_s, h_r } => self.admit_fixed(spec, h_s, h_r, &opts.cac),
@@ -783,14 +725,6 @@ impl NetworkState {
         };
         let seq = self.decision_seq;
         self.decision_seq += 1;
-        let cache = match opts.allocation {
-            AllocationPolicy::BetaSearch => self.last_cache_stats.unwrap_or_default(),
-            AllocationPolicy::Fixed { .. } => CacheStats::default(),
-        };
-        let fast_path = match opts.allocation {
-            AllocationPolicy::BetaSearch => self.last_fast_stats.unwrap_or_default(),
-            AllocationPolicy::Fixed { .. } => FastPathStats::default(),
-        };
         // `parts` is `Some` iff tracing is on, so a disabled state never
         // retains a stale trace.
         self.last_trace = parts.map(|p| DecisionTrace {
@@ -801,8 +735,8 @@ impl NetworkState {
             allocation: p.allocation,
             connections: p.connections,
             binding: p.binding,
-            cache,
-            fast_path,
+            cache: self.last_cache_stats.unwrap_or_default(),
+            fast_path: self.last_fast_stats.unwrap_or_default(),
         });
         obs::event(
             "decision",
@@ -820,20 +754,6 @@ impl NetworkState {
                 ),
             ],
         );
-        if let Some(spec) = observed_spec {
-            if let Some(mut hook) = self.observer.take() {
-                hook.on_decision(&DecisionRecord {
-                    seq,
-                    at: self.clock,
-                    spec: &spec,
-                    decision: &decision,
-                    cache,
-                    fast_path,
-                    trace: self.last_trace.as_ref(),
-                });
-                self.observer = Some(hook);
-            }
-        }
         Ok(decision)
     }
 
@@ -843,6 +763,11 @@ impl NetworkState {
         spec: ConnectionSpec,
         cfg: &CacConfig,
     ) -> Result<(Decision, Option<TraceParts>), CacError> {
+        // This decision's evaluator work starts at zero: an early reject
+        // (and every fixed allocation, which runs no cached search)
+        // reports none rather than the previous decision's.
+        self.last_cache_stats = Some(CacheStats::default());
+        self.last_fast_stats = Some(FastPathStats::default());
         self.validate_spec(&spec)?;
         let scope = closure_of(&self.members, &self.net, &self.active, &spec)?;
         self.last_closure_len = Some(scope.len());
@@ -1329,6 +1254,11 @@ impl NetworkState {
         h_r: SyncBandwidth,
         cfg: &CacConfig,
     ) -> Result<(Decision, Option<TraceParts>), CacError> {
+        // This decision's evaluator work starts at zero: an early reject
+        // (and every fixed allocation, which runs no cached search)
+        // reports none rather than the previous decision's.
+        self.last_cache_stats = Some(CacheStats::default());
+        self.last_fast_stats = Some(FastPathStats::default());
         self.validate_spec(&spec)?;
         let scope = closure_of(&self.members, &self.net, &self.active, &spec)?;
         self.last_closure_len = Some(scope.len());
@@ -1656,8 +1586,8 @@ impl NetworkState {
     /// [`NetworkState::reconfigure`]), the rings are retuned to match
     /// before the tables are rebuilt, so recovery lands on the
     /// reconfigured timing. The evaluator cache and last-decision trace
-    /// are cleared (both are decision-neutral); the installed observer
-    /// and tracing flag are left untouched.
+    /// are cleared (both are decision-neutral); the tracing flag is
+    /// left untouched.
     ///
     /// # Errors
     ///
@@ -1768,10 +1698,8 @@ impl NetworkState {
     /// The incremental fast-path state is rebuilt empty and then
     /// delta-maintained through the renegotiations; the evaluator cache
     /// is dropped wholesale (its keys do not span ring parameters). The
-    /// reconfiguration consumes one decision sequence number and
-    /// reaches the observer via
-    /// [`DecisionObserver::on_reconfig`], so audit logs built on the
-    /// sequence stay gap-free.
+    /// reconfiguration consumes one decision sequence number, so audit
+    /// logs built on the sequence stay gap-free.
     ///
     /// # Errors
     ///
@@ -1858,10 +1786,6 @@ impl NetworkState {
                 ("dropped", obs::FieldValue::U64(report.dropped.len() as u64)),
             ],
         );
-        if let Some(mut hook) = self.observer.take() {
-            hook.on_reconfig(seq, &report);
-            self.observer = Some(hook);
-        }
         Ok(report)
     }
 
@@ -2401,39 +2325,67 @@ mod tests {
     }
 
     #[test]
-    fn observer_sees_every_decision_with_clock_and_seq() {
-        use std::sync::Mutex;
-        struct Recorder(Arc<Mutex<Vec<(u64, f64, bool)>>>);
-        impl DecisionObserver for Recorder {
-            fn on_decision(&mut self, r: &DecisionRecord<'_>) {
-                self.0
-                    .lock()
-                    .unwrap()
-                    .push((r.seq, r.at.value(), r.decision.is_admitted()));
-            }
-        }
-        let seen = Arc::new(Mutex::new(Vec::new()));
+    fn traces_carry_every_decisions_clock_and_seq() {
         let mut s = state();
         let cfg = CacConfig::fast();
-        s.set_observer(Some(Box::new(Recorder(Arc::clone(&seen)))));
+        s.set_decision_tracing(true);
         s.set_clock(Seconds::new(1.5));
         assert!(s
             .admit(spec((0, 0), (1, 0), 100.0), &cfg.clone().into())
             .unwrap()
             .is_admitted());
+        let t = s.last_decision_trace().expect("tracing is on");
+        assert_eq!((t.seq, t.at.value(), t.admitted), (0, 1.5, true));
         s.set_clock(Seconds::new(2.5));
         assert!(!s
             .admit(spec((0, 1), (1, 1), 1.0), &cfg.clone().into())
             .unwrap()
             .is_admitted());
+        let t = s.last_decision_trace().expect("tracing is on");
+        assert_eq!((t.seq, t.at.value(), t.admitted), (1, 2.5, false));
         assert_eq!(s.decisions(), 2);
         assert_eq!(s.clock(), Seconds::new(2.5));
-        let _obs = s.take_observer().expect("installed above");
-        assert!(s.take_observer().is_none());
-        let seen = seen.lock().unwrap();
-        assert_eq!(seen.len(), 2);
-        assert_eq!(seen[0], (0, 1.5, true));
-        assert_eq!(seen[1], (1, 2.5, false));
+    }
+
+    #[test]
+    fn early_rejects_report_no_evaluator_work() {
+        let mut s = state();
+        s.set_fast_path(true).unwrap();
+        s.set_decision_tracing(true);
+        let opts: AdmissionOptions = CacConfig::fast().into();
+        assert!(s
+            .admit(spec((0, 0), (1, 0), 100.0), &opts)
+            .unwrap()
+            .is_admitted());
+        let searched = s.last_cache_stats().expect("a search ran");
+        assert!(searched.stage1_misses > 0, "{searched:?}");
+        s.set_component_down(Component::Ring(RingId(2))).unwrap();
+        let d = s.admit(spec((2, 0), (1, 1), 100.0), &opts).unwrap();
+        assert!(matches!(
+            d,
+            Decision::Rejected(RejectReason::ComponentUnavailable { .. })
+        ));
+        assert_eq!(s.last_cache_stats(), Some(CacheStats::default()));
+        assert_eq!(s.last_fast_path_stats(), Some(FastPathStats::default()));
+        let t = s.last_decision_trace().expect("tracing is on");
+        assert_eq!(t.cache, CacheStats::default());
+        assert_eq!(t.fast_path, FastPathStats::default());
+
+        // A fixed allocation after a search reports no search work.
+        s.set_component_up(Component::Ring(RingId(2))).unwrap();
+        assert!(s
+            .admit(spec((1, 1), (2, 0), 100.0), &opts)
+            .unwrap()
+            .is_admitted());
+        assert!(s.last_cache_stats().expect("a search ran").stage1_misses > 0);
+        let min = SyncBandwidth::new(Seconds::from_millis(0.5));
+        s.admit(
+            spec((0, 1), (2, 1), 100.0),
+            &AdmissionOptions::fixed(CacConfig::fast(), min, min),
+        )
+        .unwrap();
+        assert_eq!(s.last_cache_stats(), Some(CacheStats::default()));
+        assert_eq!(s.last_fast_path_stats(), Some(FastPathStats::default()));
     }
 
     #[test]
@@ -2567,34 +2519,21 @@ mod tests {
     }
 
     #[test]
-    fn observer_receives_the_trace_when_tracing() {
-        use std::sync::Mutex;
-        type Seen = Arc<Mutex<Vec<(u64, bool, Option<String>)>>>;
-        struct Recorder(Seen);
-        impl DecisionObserver for Recorder {
-            fn on_decision(&mut self, r: &DecisionRecord<'_>) {
-                self.0.lock().unwrap().push((
-                    r.seq,
-                    r.trace.is_some(),
-                    r.trace
-                        .and_then(|t| t.binding.as_ref())
-                        .map(|b| b.kind().to_string()),
-                ));
-            }
-        }
-        let seen = Arc::new(Mutex::new(Vec::new()));
+    fn traces_are_recorded_only_while_tracing() {
         let mut s = state();
         let cfg = CacConfig::fast();
-        s.set_observer(Some(Box::new(Recorder(Arc::clone(&seen)))));
         s.admit(spec((0, 0), (1, 0), 100.0), &cfg.clone().into())
             .unwrap();
+        assert!(s.last_decision_trace().is_none());
         s.set_decision_tracing(true);
         s.admit(spec((0, 1), (1, 1), 1.0), &cfg.clone().into())
             .unwrap();
-        let seen = seen.lock().unwrap();
-        assert_eq!(seen.len(), 2);
-        assert_eq!(seen[0], (0, false, None));
-        assert_eq!(seen[1], (1, true, Some("deadline".into())));
+        let t = s.last_decision_trace().expect("tracing is on");
+        assert_eq!(t.seq, 1);
+        assert_eq!(
+            t.binding.as_ref().map(BindingConstraint::kind),
+            Some("deadline")
+        );
     }
 
     #[test]

@@ -609,6 +609,27 @@ impl CacheStats {
             self.screen_hits as f64 / total as f64
         }
     }
+
+    /// Delay analyses actually computed (the paper's dominant cost):
+    /// cache misses at all three stages.
+    #[must_use]
+    pub fn evals(&self) -> u64 {
+        self.stage1_misses + self.mux_misses + self.receive_misses
+    }
+
+    /// Hit rate across the three cached stages, or 0 with no lookups.
+    /// Screening is not a lookup and is reported by
+    /// [`Self::screen_hit_rate`] instead.
+    #[must_use]
+    pub fn hit_rate(&self) -> f64 {
+        let hits = self.stage1_hits + self.mux_hits + self.receive_hits;
+        let total = hits + self.evals();
+        if total == 0 {
+            0.0
+        } else {
+            hits as f64 / total as f64
+        }
+    }
 }
 
 /// A reusable, caching end-to-end delay evaluator.
@@ -1864,6 +1885,33 @@ mod tests {
             ..CacheStats::default()
         };
         assert_eq!(misses_only.mux_hit_rate(), 0.0);
+        assert_eq!(stats.hit_rate(), 0.0);
+    }
+
+    /// `evals` counts the three cached stages' misses; the overall hit
+    /// rate covers those stages and leaves screening out.
+    #[test]
+    fn evals_and_overall_hit_rate_accumulate() {
+        let mut total = CacheStats {
+            stage1_hits: 3,
+            stage1_misses: 1,
+            mux_hits: 10,
+            mux_misses: 2,
+            receive_hits: 4,
+            receive_misses: 1,
+            screen_hits: 7,
+            ..CacheStats::default()
+        };
+        total.merge(&CacheStats {
+            stage1_hits: 1,
+            stage1_misses: 1,
+            mux_misses: 2,
+            receive_misses: 1,
+            screen_misses: 5,
+            ..CacheStats::default()
+        });
+        assert_eq!(total.evals(), 8);
+        assert!((total.hit_rate() - 18.0 / 26.0).abs() < 1e-12);
     }
 
     /// The evaluator narrates its cache behaviour: one `stage1` event

@@ -233,8 +233,8 @@ impl fmt::Display for BindingConstraint {
 /// The full explanation of one admission decision.
 #[derive(Clone, Debug)]
 pub struct DecisionTrace {
-    /// Decision sequence number (matches
-    /// [`crate::cac::DecisionRecord::seq`]).
+    /// Decision sequence number (counts every completed
+    /// [`crate::cac::NetworkState::admit`], admitted or rejected).
     pub seq: u64,
     /// The state's logical clock at decision time.
     pub at: Seconds,

@@ -262,6 +262,28 @@ mod tests {
     }
 
     #[test]
+    fn tail_quantiles_stay_within_one_bucket_of_the_max() {
+        let mut h = GeometricHistogram::new();
+        for i in 1..=10 {
+            h.record(1e-5 * f64::from(i));
+        }
+        let growth = 2.0_f64.powf(1.0 / PER_OCTAVE);
+        assert!(h.quantile(0.95) >= 100e-6 * 0.999);
+        assert!(h.quantile(0.99) <= 100e-6 * growth);
+    }
+
+    #[test]
+    fn single_value_quantiles_are_tight() {
+        let mut h = GeometricHistogram::new();
+        h.record(3.3e-4);
+        let growth = 2.0_f64.powf(1.0 / PER_OCTAVE);
+        for q in [0.01, 0.5, 0.99, 1.0] {
+            let v = h.quantile(q);
+            assert!((3.3e-4..=3.3e-4 * growth).contains(&v), "q={q}: {v}");
+        }
+    }
+
+    #[test]
     fn empty_and_overflow() {
         let mut h = GeometricHistogram::new();
         assert_eq!(h.quantile(0.99), 0.0);

@@ -420,6 +420,30 @@ impl RegistrySnapshot {
             .find(|s| s.labels == want)
             .map(|s| &s.value)
     }
+
+    /// Sum of `name`'s counter series whose labels include every pair
+    /// of `subset` (an empty subset sums the whole family); 0 when
+    /// nothing matches. This is how a total is read back from the
+    /// labelled series that are its parts.
+    #[must_use]
+    pub fn counter_sum(&self, name: &str, subset: &[(&str, &str)]) -> u64 {
+        let Some(family) = self.families.iter().find(|f| f.name == name) else {
+            return 0;
+        };
+        family
+            .series
+            .iter()
+            .filter(|s| {
+                subset
+                    .iter()
+                    .all(|(k, v)| s.labels.iter().any(|(lk, lv)| lk == k && lv == v))
+            })
+            .map(|s| match s.value {
+                SeriesValue::Counter(v) => v,
+                _ => 0,
+            })
+            .sum()
+    }
 }
 
 #[cfg(test)]
@@ -488,6 +512,26 @@ mod tests {
         }
         assert!(snap.find("c_total", &[("a", "1")]).is_none());
         assert!(snap.find("missing", &[]).is_none());
+    }
+
+    #[test]
+    fn counter_sum_adds_every_series_carrying_the_subset() {
+        let reg = MetricsRegistry::new();
+        reg.counter("d_total", "h", &[("outcome", "admit")]).add(4);
+        for (class, n) in [("deadline", 2), ("bandwidth", 3)] {
+            reg.counter("d_total", "h", &[("outcome", "reject"), ("class", class)])
+                .add(n);
+        }
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter_sum("d_total", &[("outcome", "reject")]), 5);
+        assert_eq!(snap.counter_sum("d_total", &[("outcome", "admit")]), 4);
+        assert_eq!(snap.counter_sum("d_total", &[]), 9);
+        assert_eq!(
+            snap.counter_sum("d_total", &[("outcome", "reject"), ("class", "deadline")]),
+            2
+        );
+        assert_eq!(snap.counter_sum("d_total", &[("outcome", "other")]), 0);
+        assert_eq!(snap.counter_sum("missing", &[]), 0);
     }
 
     #[test]

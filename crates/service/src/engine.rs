@@ -29,19 +29,16 @@
 //! decision is bit-identical to the recorded one.
 
 use crate::audit::{AuditEntry, AuditKind, AuditLog, AuditOutcome};
-use crate::metrics::{
-    CacheGauges, DecisionCounters, DelayAttribution, FastPathGauges, LatencyHistogram,
-    ReconfigMetrics, RecoveryMetrics, UtilizationSeries,
+use crate::metrics::{ReconfigMetrics, RecoveryMetrics, UtilizationSeries};
+use crate::observability::{
+    spans_to_json, DecisionFacts, EngineMetrics, ObsOptions, Telemetry, TelemetryFrame,
 };
-use crate::observability::{spans_to_json, EngineMetrics, ObsOptions, Telemetry, TelemetryFrame};
-use crate::report::{LatencySummary, ServiceReport, StageDelaySummary};
-use hetnet_cac::cac::{
-    AdmissionOptions, Decision, DecisionObserver, DecisionRecord, NetworkState, RejectReason,
-};
+use crate::report::{RunFacts, ServiceReport};
+use hetnet_cac::cac::{AdmissionOptions, Decision, NetworkState, RejectReason};
 use hetnet_cac::connection::{ConnectionId, ConnectionSpec};
 use hetnet_cac::error::CacError;
 use hetnet_cac::network::{Component, HetNetwork, LinkId, RingId, Scheduler};
-use hetnet_cac::reconfig::{ReconfigPlan, ReconfigReport};
+use hetnet_cac::reconfig::ReconfigPlan;
 use hetnet_cac::snapshot::StateSnapshot;
 use hetnet_obs::{FlightObservation, FlightRecorder, MetricsRegistry, SharedRing};
 use hetnet_sim::churn::{self, ChurnConfig, ChurnSchedule};
@@ -50,7 +47,7 @@ use hetnet_traffic::envelope::SharedEnvelope;
 use hetnet_traffic::units::Seconds;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// A scheduled live reconfiguration: at event-stream time `at`, apply
@@ -178,43 +175,6 @@ pub struct ServiceRun {
     pub telemetry: Vec<TelemetryFrame>,
 }
 
-/// Streaming metrics consumer installed as the state's
-/// [`DecisionObserver`]: accumulates evaluator-cache gauges and the
-/// delay-budget attribution, and checks the decision sequence stays
-/// gap-free.
-struct MetricsHook {
-    gauges: Arc<Mutex<CacheGauges>>,
-    fast: Arc<Mutex<FastPathGauges>>,
-    attribution: Arc<Mutex<DelayAttribution>>,
-    next_seq: u64,
-}
-
-impl DecisionObserver for MetricsHook {
-    fn on_decision(&mut self, record: &DecisionRecord<'_>) {
-        assert_eq!(record.seq, self.next_seq, "decision stream skipped a seq");
-        self.next_seq += 1;
-        self.gauges
-            .lock()
-            .expect("gauges mutex poisoned")
-            .absorb(record.cache);
-        self.fast
-            .lock()
-            .expect("fast-path mutex poisoned")
-            .absorb(record.fast_path);
-        if let Some(trace) = record.trace {
-            self.attribution
-                .lock()
-                .expect("attribution mutex poisoned")
-                .absorb(trace);
-        }
-    }
-
-    fn on_reconfig(&mut self, seq: u64, _report: &ReconfigReport) {
-        assert_eq!(seq, self.next_seq, "decision stream skipped a seq");
-        self.next_seq += 1;
-    }
-}
-
 /// A pending departure, min-ordered by `(time, connection id)`. Times
 /// are non-negative, so the IEEE-754 bit pattern orders like the value
 /// and gives the heap a total, deterministic order.
@@ -289,15 +249,10 @@ pub struct ServiceEngine {
     next_arrival: usize,
     next_fault: usize,
     next_reconfig: usize,
-    counters: DecisionCounters,
-    latency: LatencyHistogram,
     series: UtilizationSeries,
     audit: AuditLog,
     recovery: RecoveryMetrics,
     reconfig_metrics: ReconfigMetrics,
-    gauges: Arc<Mutex<CacheGauges>>,
-    fast: Arc<Mutex<FastPathGauges>>,
-    attribution: Arc<Mutex<DelayAttribution>>,
     registry: Arc<MetricsRegistry>,
     mx: EngineMetrics,
     flight: Arc<FlightRecorder>,
@@ -373,15 +328,6 @@ impl ServiceEngine {
         state.persist_eval_cache(cfg.persist_cache);
         state.set_fast_path(cfg.fast_path)?;
         state.set_decision_tracing(cfg.trace_decisions);
-        let gauges = Arc::new(Mutex::new(CacheGauges::default()));
-        let fast = Arc::new(Mutex::new(FastPathGauges::default()));
-        let attribution = Arc::new(Mutex::new(DelayAttribution::default()));
-        state.set_observer(Some(Box::new(MetricsHook {
-            gauges: Arc::clone(&gauges),
-            fast: Arc::clone(&fast),
-            attribution: Arc::clone(&attribution),
-            next_seq: 0,
-        })));
         let ring_caps: Vec<f64> = state
             .network()
             .rings()
@@ -390,7 +336,7 @@ impl ServiceEngine {
             .collect();
         let sample_period = cfg.sample_period;
         let registry = Arc::new(MetricsRegistry::new());
-        let mx = EngineMetrics::register(&registry);
+        let mx = EngineMetrics::register(&registry, cfg.trace_decisions, false);
         let flight = Arc::new(FlightRecorder::new(
             cfg.obs.flight_capacity,
             cfg.obs.flight_min_samples,
@@ -412,15 +358,10 @@ impl ServiceEngine {
             next_arrival: 0,
             next_fault: 0,
             next_reconfig: 0,
-            counters: DecisionCounters::default(),
-            latency: LatencyHistogram::new(),
             series: UtilizationSeries::new(sample_period),
             audit: AuditLog::new(),
             recovery: RecoveryMetrics::default(),
             reconfig_metrics: ReconfigMetrics::default(),
-            gauges,
-            fast,
-            attribution,
             registry,
             mx,
             flight,
@@ -482,14 +423,6 @@ impl ServiceEngine {
                 engine.cfg.options.cac.beta = beta;
             }
         }
-        // Reinstall the observer so the gap-free sequence check resumes
-        // at the snapshot's decision count.
-        engine.state.set_observer(Some(Box::new(MetricsHook {
-            gauges: Arc::clone(&engine.gauges),
-            fast: Arc::clone(&engine.fast),
-            attribution: Arc::clone(&engine.attribution),
-            next_seq: checkpoint.state.decision_seq,
-        })));
         engine.audit = AuditLog::starting_at(checkpoint.state.decision_seq);
         engine.departures = checkpoint.departures.iter().map(|&p| Reverse(p)).collect();
         engine.live = checkpoint
@@ -885,9 +818,9 @@ impl ServiceEngine {
         Ok(())
     }
 
-    /// One admission decision, with all its bookkeeping: latency,
-    /// counters, the departure heap, the live map, the audit log, and
-    /// the utilization series.
+    /// One admission decision, with all its bookkeeping: its single
+    /// metrics write, the flight recorder, the departure heap, the live
+    /// map, the audit log, and the utilization series.
     fn decide(
         &mut self,
         at: Seconds,
@@ -911,14 +844,15 @@ impl ServiceEngine {
             (self.state.admit(spec, &self.cfg.options)?, None)
         };
         let latency_seconds = t0.elapsed().as_secs_f64();
-        self.latency.record(Seconds::new(latency_seconds));
-        self.mx.on_decision(
-            matches!(decision, Decision::Admitted { .. }),
+        self.mx.on_decision(&DecisionFacts {
+            decision: &decision,
             latency_seconds,
-            self.state.last_closure_len().unwrap_or_default(),
-            &self.state.last_cache_stats().unwrap_or_default(),
-            &self.state.last_fast_path_stats().unwrap_or_default(),
-        );
+            closure: self.state.last_closure_len().unwrap_or_default(),
+            cache: self.state.last_cache_stats().unwrap_or_default(),
+            fast: self.state.last_fast_path_stats().unwrap_or_default(),
+            trace: self.state.last_decision_trace(),
+            commit: None,
+        });
         let outcome = AuditOutcome::from_decision(&decision);
         let correlation = self.state.decisions() - 1;
         let reject_class = match &outcome {
@@ -948,13 +882,9 @@ impl ServiceEngine {
         if captured.is_some() {
             self.mx.outlier_captured();
         }
-        match &decision {
-            Decision::Admitted { id, .. } => {
-                self.counters.admitted += 1;
-                self.departures.push(departure(departs, *id));
-                self.live.insert(id.0, (arrival, departs.value().to_bits()));
-            }
-            Decision::Rejected(reason) => self.counters.count_rejection(reason),
+        if let Decision::Admitted { id, .. } = &decision {
+            self.departures.push(departure(departs, *id));
+            self.live.insert(id.0, (arrival, departs.value().to_bits()));
         }
         self.audit.append(AuditEntry {
             seq: correlation,
@@ -987,7 +917,6 @@ impl ServiceEngine {
     fn into_run(mut self) -> ServiceRun {
         self.recovery.undrained = self.open_faults.len() as u64;
         let wall_seconds = self.started.elapsed().as_secs_f64();
-        self.state.set_observer(None);
         // The evaluator cache only accelerates this engine's next
         // decision; decisions never depend on it. A finished run does
         // not carry it: on paper-style churn it holds up to a thousand
@@ -995,40 +924,24 @@ impl ServiceEngine {
         // the run around would otherwise pin.
         let _ = self.state.take_eval_cache();
         self.telemetry.finish(self.last_event);
-        let cache = *self.gauges.lock().expect("gauges mutex poisoned");
-        let fast_path = *self.fast.lock().expect("fast-path mutex poisoned");
-        let delay_attribution = StageDelaySummary::from_attribution(
-            &self.attribution.lock().expect("attribution mutex poisoned"),
-        );
-        let ring_utilization = (0..self.ring_caps.len())
-            .map(|r| self.series.ring_summary(r))
-            .collect();
-        let counters = self.counters;
-        let report = ServiceReport {
-            requests: counters.total(),
-            counters,
-            latency: LatencySummary::from_histogram(&self.latency),
-            cache,
-            fast_path,
-            blocking_probability: counters.blocking_probability(),
-            requests_per_sec: if wall_seconds > 0.0 {
-                counters.total() as f64 / wall_seconds
-            } else {
-                0.0
+        let report = ServiceReport::from_registry(
+            &self.registry.snapshot(),
+            0,
+            RunFacts {
+                wall_seconds,
+                span: self.schedule.span(),
+                peak_active: self.peak_active,
+                final_active: self.state.active().len(),
+                ring_utilization: (0..self.ring_caps.len())
+                    .map(|r| self.series.ring_summary(r))
+                    .collect(),
+                audit_len: self.audit.len(),
+                topology: self.topology,
+                recovery: self.recovery,
+                reconfig: self.reconfig_metrics,
+                flight_recorder: self.flight.to_json(),
             },
-            wall_seconds,
-            span: self.schedule.span(),
-            peak_active: self.peak_active,
-            final_active: self.state.active().len(),
-            ring_utilization,
-            audit_len: self.audit.len(),
-            topology: self.topology,
-            delay_attribution,
-            recovery: self.recovery,
-            reconfig: self.reconfig_metrics,
-            shard_cache: Vec::new(),
-            flight_recorder: self.flight.to_json(),
-        };
+        );
         ServiceRun {
             report,
             audit: self.audit,
@@ -1168,6 +1081,7 @@ fn utilization(state: &NetworkState, caps: &[f64]) -> Vec<f64> {
 mod tests {
     use super::*;
     use hetnet_cac::cac::CacConfig;
+    use hetnet_cac::incremental::FastPathStats;
 
     fn smoke_cfg() -> ServiceConfig {
         // High enough rate to saturate the rings and force rejections.
@@ -1370,7 +1284,7 @@ mod tests {
             f.fast_accepts + f.fast_rejects > 0,
             "ladder decided nothing: {f:?}"
         );
-        assert_eq!(b.report.fast_path, FastPathGauges::default());
+        assert_eq!(b.report.fast_path, FastPathStats::default());
     }
 
     #[test]

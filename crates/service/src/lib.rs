@@ -11,10 +11,15 @@
 //!   [`hetnet_cac::snapshot::StateSnapshot`] and deterministically
 //!   recovering it against the audit-log tail
 //!   ([`engine::verify_recovery`]);
-//! * [`metrics`] — dependency-free structured metrics: decision
-//!   counters per reject class, a fixed-bucket HDR-style latency
-//!   histogram (p50/p95/p99), evaluator-cache gauges, and a sampled
-//!   ring-utilization time series;
+//! * [`observability`] — the run's metrics registry, the only store of
+//!   per-decision metrics: each engine writes every decision once
+//!   (outcome and rejection class, latency, closure size, evaluator
+//!   cache lookups, fast-ladder probes and their causes, and — when
+//!   tracing — the eq.-7 delay attribution), and the report, the
+//!   telemetry frames, and `hetnet-top` all read it back;
+//! * [`metrics`] — the report-side shapes read back from it, the fault
+//!   and reconfiguration accounting, and a sampled ring-utilization
+//!   time series;
 //! * [`audit`] — an append-only, decision-ordered audit log detailed
 //!   enough to replay the run and check bit-identical outcomes;
 //! * [`report`] — the aggregate [`report::ServiceReport`] with a
@@ -52,8 +57,8 @@ pub use engine::{
     ServiceEngine, ServiceRun,
 };
 pub use metrics::{
-    BindingCounters, CacheGauges, DecisionCounters, DelayAttribution, FastPathGauges,
-    LatencyHistogram, ReconfigMetrics, RecoveryMetrics, UtilizationSample, UtilizationSeries,
+    BindingCounters, DecisionCounters, ReconfigMetrics, RecoveryMetrics, UtilizationSample,
+    UtilizationSeries,
 };
 pub use observability::{ObsOptions, TelemetryFrame};
 pub use report::{LatencySummary, ServiceReport, StageDelaySummary};

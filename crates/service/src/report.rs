@@ -1,15 +1,21 @@
 //! The aggregate result of a service run, and its JSON rendering.
+//!
+//! Every per-decision figure in a [`ServiceReport`] is read back from
+//! the run's metrics registry ([`ServiceReport::from_registry`]); the
+//! report stores nothing the registry does not.
 
-use crate::metrics::{
-    BindingCounters, CacheGauges, DecisionCounters, DelayAttribution, FastPathGauges,
-    LatencyHistogram, ReconfigMetrics, RecoveryMetrics,
-};
+use crate::metrics::{BindingCounters, DecisionCounters, ReconfigMetrics, RecoveryMetrics};
+use crate::observability::{self as obs, INLINE_SHARD, SHARD_CACHE_LOOKUPS};
+use hetnet_cac::delay::CacheStats;
+use hetnet_cac::incremental::FastPathStats;
+use hetnet_cac::trace::ServerStage;
 use hetnet_obs::export::push_json_str;
+use hetnet_obs::{GeometricHistogram, RegistrySnapshot};
 use hetnet_traffic::units::Seconds;
 use serde::Serialize;
 use std::fmt::Write as _;
 
-/// Fixed latency percentiles extracted from the per-request histogram.
+/// Fixed latency percentiles extracted from a histogram.
 #[derive(Clone, Copy, Debug, Serialize)]
 pub struct LatencySummary {
     /// Number of recorded requests.
@@ -27,24 +33,23 @@ pub struct LatencySummary {
 }
 
 impl LatencySummary {
-    /// Summarizes a histogram.
+    /// Summarizes a histogram of seconds.
     #[must_use]
-    pub fn from_histogram(h: &LatencyHistogram) -> Self {
-        let (p50, p95, p99) = h.percentiles();
+    pub fn from_histogram(h: &GeometricHistogram) -> Self {
         Self {
             count: h.count(),
-            p50,
-            p95,
-            p99,
-            mean: h.mean(),
-            max: h.max(),
+            p50: Seconds::new(h.quantile(0.50)),
+            p95: Seconds::new(h.quantile(0.95)),
+            p99: Seconds::new(h.quantile(0.99)),
+            mean: Seconds::new(h.mean()),
+            max: Seconds::new(h.max()),
         }
     }
 }
 
 /// Percentile summaries of the per-server-stage delay histograms, plus
-/// the binding-constraint counters — the report-level view of a run's
-/// [`DelayAttribution`]. All counts are zero when decision tracing was
+/// the binding-constraint counters — the eq.-7 delay attribution of a
+/// run's decision traces. All counts are zero when decision tracing was
 /// disabled for the run.
 #[derive(Clone, Debug, Serialize)]
 pub struct StageDelaySummary {
@@ -71,20 +76,32 @@ pub struct StageDelaySummary {
 }
 
 impl StageDelaySummary {
-    /// Summarizes a run's accumulated attribution.
-    #[must_use]
-    pub fn from_attribution(a: &DelayAttribution) -> Self {
+    /// Reads the attribution families of `snap`; `decisions` is the
+    /// run's decision count.
+    fn read(snap: &RegistrySnapshot, decisions: u64) -> Self {
+        let summary = |name, labels: &[(&str, &str)]| {
+            LatencySummary::from_histogram(&obs::read_histogram(snap, name, labels))
+        };
+        let [fddi_s, id_s, atm, id_r, fddi_r] =
+            ServerStage::ALL.map(|s| summary(obs::STAGE_DELAY, &[("stage", s.name())]));
+        let bindings = obs::read_bindings(snap);
         Self {
-            traced: a.traced,
-            rejects_with_binding: a.rejects_with_binding,
-            bindings: a.bindings,
-            fddi_s: LatencySummary::from_histogram(&a.fddi_s),
-            id_s: LatencySummary::from_histogram(&a.id_s),
-            atm: LatencySummary::from_histogram(&a.atm),
-            id_r: LatencySummary::from_histogram(&a.id_r),
-            fddi_r: LatencySummary::from_histogram(&a.fddi_r),
-            total: LatencySummary::from_histogram(&a.total),
-            slack: LatencySummary::from_histogram(&a.slack),
+            // The attribution families exist iff the run traced, and a
+            // traced run traces every decision.
+            traced: if snap.find(obs::PATH_DELAY, &[]).is_some() {
+                decisions
+            } else {
+                0
+            },
+            rejects_with_binding: bindings.total(),
+            bindings,
+            fddi_s,
+            id_s,
+            atm,
+            id_r,
+            fddi_r,
+            total: summary(obs::PATH_DELAY, &[]),
+            slack: summary(obs::SLACK, &[]),
         }
     }
 
@@ -102,6 +119,21 @@ impl StageDelaySummary {
     }
 }
 
+/// What a run knows beyond its registry: timing, occupancy, the audit
+/// length, and the fault and reconfiguration accounting.
+pub(crate) struct RunFacts {
+    pub(crate) wall_seconds: f64,
+    pub(crate) span: Seconds,
+    pub(crate) peak_active: usize,
+    pub(crate) final_active: usize,
+    pub(crate) ring_utilization: Vec<(f64, f64)>,
+    pub(crate) audit_len: usize,
+    pub(crate) topology: String,
+    pub(crate) recovery: RecoveryMetrics,
+    pub(crate) reconfig: ReconfigMetrics,
+    pub(crate) flight_recorder: String,
+}
+
 /// Aggregate metrics of one churn run.
 #[derive(Clone, Debug, Serialize)]
 pub struct ServiceReport {
@@ -111,11 +143,11 @@ pub struct ServiceReport {
     pub counters: DecisionCounters,
     /// Per-request decision-latency summary.
     pub latency: LatencySummary,
-    /// Evaluator-cache gauges accumulated over the run.
-    pub cache: CacheGauges,
-    /// Fast-path decision-ladder gauges accumulated over the run
+    /// Evaluator-cache lookups of every committed decision.
+    pub cache: CacheStats,
+    /// Fast-path decision-ladder probes of every committed decision
     /// (all-zero when the fast path is disabled).
-    pub fast_path: FastPathGauges,
+    pub fast_path: FastPathStats,
     /// Fraction of requests rejected.
     pub blocking_probability: f64,
     /// Decision throughput against the wall clock.
@@ -143,16 +175,59 @@ pub struct ServiceReport {
     /// Live-reconfiguration accounting (all-zero when the run had no
     /// reconfiguration schedule).
     pub reconfig: ReconfigMetrics,
-    /// Per-shard evaluator-cache gauges (one per worker, in worker
-    /// order, then one final entry for committer-inline decisions).
+    /// Per-evaluator cache lookups of the sharded engine: one entry per
+    /// worker, in worker order (every speculation it ran, kept or
+    /// discarded), then one final entry for committer-inline decisions.
     /// Empty for the sequential engine.
-    pub shard_cache: Vec<CacheGauges>,
+    pub shard_cache: Vec<CacheStats>,
     /// The flight recorder's JSON rendering (`{"seen":...}`); see
     /// [`hetnet_obs::FlightRecorder::to_json`].
     pub flight_recorder: String,
 }
 
 impl ServiceReport {
+    /// Assembles a run's report: every per-decision figure from the
+    /// registry snapshot `snap`, the rest from `run`. `workers` is the
+    /// sharded engine's worker count (0 for the sequential engine).
+    pub(crate) fn from_registry(snap: &RegistrySnapshot, workers: usize, run: RunFacts) -> Self {
+        let counters = obs::read_counters(snap);
+        let requests = counters.total();
+        let shard_cache = if workers == 0 {
+            Vec::new()
+        } else {
+            (0..workers)
+                .map(|w| w.to_string())
+                .chain([INLINE_SHARD.to_string()])
+                .map(|shard| obs::read_cache(snap, SHARD_CACHE_LOOKUPS, &[("shard", &shard)]))
+                .collect()
+        };
+        Self {
+            requests,
+            counters,
+            latency: LatencySummary::from_histogram(&obs::read_histogram(snap, obs::LATENCY, &[])),
+            cache: obs::read_cache(snap, obs::CACHE_LOOKUPS, &[]),
+            fast_path: obs::read_fast_path(snap),
+            blocking_probability: counters.blocking_probability(),
+            requests_per_sec: if run.wall_seconds > 0.0 {
+                requests as f64 / run.wall_seconds
+            } else {
+                0.0
+            },
+            wall_seconds: run.wall_seconds,
+            span: run.span,
+            peak_active: run.peak_active,
+            final_active: run.final_active,
+            ring_utilization: run.ring_utilization,
+            audit_len: run.audit_len,
+            topology: run.topology,
+            delay_attribution: StageDelaySummary::read(snap, requests),
+            recovery: run.recovery,
+            reconfig: run.reconfig,
+            shard_cache,
+            flight_recorder: run.flight_recorder,
+        }
+    }
+
     /// Renders the report as one JSON object (hand-written — the
     /// workspace serde is an offline no-op shim).
     #[must_use]
@@ -317,8 +392,9 @@ impl ServiceReport {
     }
 }
 
-/// One cache-gauge set as a JSON object (used for the per-shard list).
-fn push_cache_json(out: &mut String, g: &CacheGauges) {
+/// One evaluator's cache lookups as a JSON object (used for the
+/// per-shard list).
+fn push_cache_json(out: &mut String, g: &CacheStats) {
     let _ = write!(
         out,
         "{{\"stage1_hits\":{},\"stage1_misses\":{},\"mux_hits\":{},\
@@ -357,125 +433,205 @@ fn push_stage_json(out: &mut String, name: &str, s: &LatencySummary) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observability::{CacheCounters, Commit, DecisionFacts, EngineMetrics};
+    use hetnet_cac::cac::{Decision, RejectReason};
+    use hetnet_cac::connection::ConnectionId;
+    use hetnet_cac::delay::PathReport;
+    use hetnet_cac::network::RingId;
+    use hetnet_cac::trace::{BindingConstraint, ConnectionTrace, DecisionTrace};
+    use hetnet_fddi::ring::SyncBandwidth;
+    use hetnet_obs::MetricsRegistry;
+    use hetnet_traffic::units::Bits;
+    use std::sync::Arc;
 
-    #[test]
-    fn report_renders_valid_shaped_json() {
-        use hetnet_cac::delay::CacheStats;
-        use hetnet_cac::trace::{BindingConstraint, DecisionTrace, ServerStage};
-
-        let mut h = LatencyHistogram::new();
-        h.record(Seconds::new(2e-5));
-        h.record(Seconds::new(4e-5));
-        // One traced rejection with a deadline binding but no evaluated
-        // paths (stage histograms stay empty).
-        let mut attribution = DelayAttribution::default();
-        attribution.absorb(&DecisionTrace {
-            seq: 1,
-            at: Seconds::new(1.0),
-            admitted: false,
+    fn trace(
+        seq: u64,
+        admitted: bool,
+        candidate: Option<([f64; 5], f64)>,
+        binding: Option<BindingConstraint>,
+    ) -> DecisionTrace {
+        let connections = candidate.map(|(terms, deadline_ms)| {
+            let [fddi_s, id_s, atm, id_r, fddi_r] = terms.map(Seconds::new);
+            let report = PathReport {
+                fddi_s,
+                id_s,
+                atm,
+                id_r,
+                fddi_r,
+                total: fddi_s + id_s + atm + id_r + fddi_r,
+                buffer_mac_s: Bits::new(1000.0),
+                buffer_mac_r: Bits::new(2000.0),
+            };
+            let id = admitted.then_some(ConnectionId(0));
+            ConnectionTrace::new(id, report, Seconds::from_millis(deadline_ms))
+        });
+        DecisionTrace {
+            seq,
+            at: Seconds::new(seq as f64),
+            admitted,
             scheduler: "fifo".into(),
             allocation: None,
-            connections: vec![],
-            binding: Some(BindingConstraint::DeadlineExceeded {
-                connection: None,
-                stage: ServerStage::Atm,
-                delay: Seconds::from_millis(94.0),
-                deadline: Seconds::from_millis(60.0),
-                excess: Seconds::from_millis(34.0),
-            }),
+            connections: connections.into_iter().collect(),
+            binding,
             cache: CacheStats::default(),
-            fast_path: hetnet_cac::incremental::FastPathStats::default(),
+            fast_path: FastPathStats::default(),
+        }
+    }
+
+    /// Three decisions written through `EngineMetrics` and read back:
+    /// an admit, a traced deadline reject, and a bandwidth reject that
+    /// never evaluated a path.
+    #[test]
+    fn report_reads_the_registry_and_renders_valid_shaped_json() {
+        let reg = Arc::new(MetricsRegistry::new());
+        let mx = EngineMetrics::register(&reg, true, true);
+        CacheCounters::register(&reg, SHARD_CACHE_LOOKUPS, &[("shard", "0")]).add(&CacheStats {
+            stage1_hits: 1,
+            stage1_misses: 1,
+            ..CacheStats::default()
         });
-        let report = ServiceReport {
-            requests: 2,
-            counters: DecisionCounters {
-                admitted: 1,
-                rejected_infeasible: 1,
-                ..Default::default()
-            },
-            latency: LatencySummary::from_histogram(&h),
-            cache: CacheGauges {
+        let h = SyncBandwidth::new(Seconds::from_millis(1.0));
+        let admit = Decision::Admitted {
+            id: ConnectionId(0),
+            h_s: h,
+            h_r: h,
+            delay_bound: Seconds::from_millis(54.0),
+        };
+        let mut fast = FastPathStats {
+            fast_accepts: 6,
+            fast_rejects: 2,
+            fallbacks: 2,
+            ..FastPathStats::default()
+        };
+        fast.fallback_causes[0] = 1;
+        fast.fallback_causes[6] = 1;
+        let admit_trace = trace(
+            0,
+            true,
+            Some(([0.01, 0.002, 0.03, 0.002, 0.01], 80.0)),
+            None,
+        );
+        mx.on_decision(&DecisionFacts {
+            decision: &admit,
+            latency_seconds: 2e-5,
+            closure: 3,
+            cache: CacheStats {
                 stage1_hits: 2,
                 stage1_misses: 2,
-                mux_hits: 0,
-                mux_misses: 0,
                 receive_hits: 1,
                 receive_misses: 1,
                 screen_hits: 3,
                 screen_misses: 1,
+                ..CacheStats::default()
             },
-            fast_path: {
-                let mut f = FastPathGauges {
-                    fast_accepts: 6,
-                    fast_rejects: 2,
-                    fallbacks: 2,
-                    no_context: 1,
-                    ..FastPathGauges::default()
-                };
-                f.fallback_causes[0] = 1;
-                f.fallback_causes[6] = 1;
-                f.skip_causes[2] = 1;
-                f
-            },
-            blocking_probability: 0.5,
-            requests_per_sec: 1000.0,
-            wall_seconds: 0.002,
-            span: Seconds::new(1.5),
-            peak_active: 1,
-            final_active: 1,
-            ring_utilization: vec![(0.25, 0.5), (0.0, 0.0)],
-            audit_len: 2,
-            topology: "3 rings x 4 hosts, 3 switches, 6 links".into(),
-            delay_attribution: StageDelaySummary::from_attribution(&attribution),
-            recovery: RecoveryMetrics {
-                faults_injected: 3,
-                components_downed: 1,
-                components_restored: 1,
-                connections_dropped: 2,
-                reclaimed_s: 1.5e-4,
-                reclaimed_r: 2.5e-4,
-                readmit_attempts: 2,
-                readmitted: 1,
-                expired_in_park: 0,
-                max_time_to_drain: 12.5,
-                undrained: 0,
-            },
-            reconfig: ReconfigMetrics {
-                reconfigs: 1,
-                renegotiated: 3,
-                unchanged: 1,
-                dropped: 1,
-                reclaimed_s: 2.0e-4,
-                reclaimed_r: 1.0e-4,
-            },
-            shard_cache: vec![
-                CacheGauges {
-                    stage1_hits: 1,
-                    stage1_misses: 1,
-                    ..CacheGauges::default()
-                },
-                CacheGauges::default(),
-            ],
-            flight_recorder: "{\"seen\":2,\"captured\":1,\"retained\":1,\"evicted\":0,\
-                              \"threshold_us\":40.000,\"by_cause\":{\"latency_p99\":1,\
-                              \"conflict_recompute\":0,\"class_transition\":0,\"reconfig\":0},\
-                              \"outliers\":[]}"
-                .into(),
+            fast,
+            trace: Some(&admit_trace),
+            commit: None,
+        });
+        let deadline = BindingConstraint::DeadlineExceeded {
+            connection: None,
+            stage: ServerStage::Atm,
+            delay: Seconds::from_millis(94.0),
+            deadline: Seconds::from_millis(60.0),
+            excess: Seconds::from_millis(34.0),
         };
+        let reject_trace = trace(
+            1,
+            false,
+            Some(([0.02, 0.002, 0.05, 0.002, 0.02], 60.0)),
+            Some(deadline),
+        );
+        let mut skipped = FastPathStats::default();
+        skipped.record_skip("non-feedforward");
+        mx.on_decision(&DecisionFacts {
+            decision: &Decision::Rejected(RejectReason::InfeasibleAtMaximum { detail: "x".into() }),
+            latency_seconds: 4e-5,
+            closure: 1,
+            cache: CacheStats::default(),
+            fast: skipped,
+            trace: Some(&reject_trace),
+            commit: Some(Commit {
+                speculated_at: None,
+                inline: true,
+            }),
+        });
+        let bare_trace = trace(
+            2,
+            false,
+            None,
+            Some(BindingConstraint::SourceBandwidth {
+                ring: RingId(0),
+                available: Seconds::from_millis(1.0),
+                required: Seconds::from_millis(2.0),
+            }),
+        );
+        mx.on_decision(&DecisionFacts {
+            decision: &Decision::Rejected(RejectReason::SourceBandwidthExhausted {
+                available: Seconds::from_millis(1.0),
+                required: Seconds::from_millis(2.0),
+            }),
+            latency_seconds: 3e-5,
+            closure: 0,
+            cache: CacheStats::default(),
+            fast: FastPathStats::default(),
+            trace: Some(&bare_trace),
+            commit: Some(Commit {
+                speculated_at: None,
+                inline: true,
+            }),
+        });
+
+        let report = ServiceReport::from_registry(
+            &reg.snapshot(),
+            1,
+            RunFacts {
+                wall_seconds: 0.003,
+                span: Seconds::new(1.5),
+                peak_active: 1,
+                final_active: 1,
+                ring_utilization: vec![(0.25, 0.5), (0.0, 0.0)],
+                audit_len: 3,
+                topology: "3 rings x 4 hosts, 3 switches, 6 links".into(),
+                recovery: RecoveryMetrics {
+                    faults_injected: 3,
+                    max_time_to_drain: 12.5,
+                    ..RecoveryMetrics::default()
+                },
+                reconfig: ReconfigMetrics {
+                    reconfigs: 1,
+                    renegotiated: 3,
+                    unchanged: 1,
+                    dropped: 1,
+                    ..ReconfigMetrics::default()
+                },
+                flight_recorder: "{\"seen\":3,\"captured\":1}".into(),
+            },
+        );
+        assert_eq!(report.counters.rejected_infeasible, 1);
+        assert_eq!(report.counters.rejected_source_exhausted, 1);
+        assert_eq!(report.fast_path.no_context, 1);
+        assert_eq!(report.fast_path.skip_causes, [0, 0, 1, 0]);
+        let d = &report.delay_attribution;
+        assert_eq!(d.bindings.total(), 2);
+        // Two candidates had paths; only the admit recorded slack.
+        assert_eq!((d.fddi_s.count, d.total.count, d.slack.count), (2, 2, 1));
+        assert!((d.atm.max.value() - 0.05).abs() < 1e-12);
+        assert!((d.slack.max.value() - (0.08 - 0.054)).abs() < 1e-12);
+
         let j = report.to_json();
         assert!(j.starts_with('{') && j.ends_with('}'));
         for needle in [
-            "\"requests\":2",
+            "\"requests\":3",
             "\"admitted\":1",
-            "\"rejected\":1",
-            "\"infeasible\":1",
-            "\"component_down\":0",
-            "\"blocking_probability\":0.5",
-            "\"p99_us\":",
+            "\"rejected\":2",
+            "\"source_exhausted\":1,\"dest_exhausted\":0,\"infeasible\":1,\"component_down\":0",
+            "\"blocking_probability\":0.666667",
+            "\"requests_per_sec\":1000.000",
+            "\"latency\":{\"count\":3,",
             "\"evals\":3",
             "\"screen_hits\":3,\"screen_misses\":1",
             "\"shard_cache\":[{\"stage1_hits\":1,\"stage1_misses\":1,",
-            "\"flight_recorder\":{\"seen\":2,",
+            "\"flight_recorder\":{\"seen\":3,",
             "\"fast_path\":{\"fast_accepts\":6,\"fast_rejects\":2,\"fallbacks\":2,\"hit_rate\":0.800000,\"no_context\":1,",
             "\"fallback_causes\":{\"mux-saturated\":1,\"mux-horizon\":0,\"mux-window\":0,\
              \"receive-saturated\":0,\"receive-horizon\":0,\"receive-buffer\":0,\"ambiguous\":1}",
@@ -483,11 +639,10 @@ mod tests {
              \"non-fifo-scheduler\":0}",
             "\"ring_utilization\":[{\"mean\":0.25",
             "\"topology\":\"3 rings x 4 hosts, 3 switches, 6 links\"",
-            "\"delay_attribution\":{\"traced\":1,\"rejects_with_binding\":1,",
-            "\"bindings\":{\"source_bandwidth\":0,\"dest_bandwidth\":0,\"deadline\":1,",
-            "\"stages\":{\"fddi_s\":{\"count\":0,",
-            "\"atm\":{\"count\":0,",
-            "\"slack\":{\"count\":0,",
+            "\"delay_attribution\":{\"traced\":3,\"rejects_with_binding\":2,",
+            "\"bindings\":{\"source_bandwidth\":1,\"dest_bandwidth\":0,\"deadline\":1,",
+            "\"stages\":{\"fddi_s\":{\"count\":2,",
+            "\"slack\":{\"count\":1,",
             "\"recovery\":{\"faults_injected\":3,",
             "\"max_time_to_drain_s\":12.500000",
             "\"undrained\":0",
@@ -498,5 +653,24 @@ mod tests {
         // Balanced braces / brackets — cheap structural sanity.
         assert_eq!(j.matches('{').count(), j.matches('}').count());
         assert_eq!(j.matches('[').count(), j.matches(']').count());
+    }
+
+    #[test]
+    fn untraced_runs_report_an_empty_attribution() {
+        let reg = Arc::new(MetricsRegistry::new());
+        let mx = EngineMetrics::register(&reg, false, false);
+        mx.on_decision(&DecisionFacts {
+            decision: &Decision::Rejected(RejectReason::InfeasibleAtMaximum { detail: "x".into() }),
+            latency_seconds: 1e-5,
+            closure: 0,
+            cache: CacheStats::default(),
+            fast: FastPathStats::default(),
+            trace: None,
+            commit: None,
+        });
+        let snap = reg.snapshot();
+        assert!(snap.find(obs::STAGE_DELAY, &[("stage", "atm")]).is_none());
+        let d = StageDelaySummary::read(&snap, 1);
+        assert_eq!((d.traced, d.rejects_with_binding, d.total.count), (0, 0, 0));
     }
 }

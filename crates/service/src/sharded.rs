@@ -31,12 +31,12 @@
 
 use crate::audit::{AuditEntry, AuditKind, AuditLog, AuditOutcome};
 use crate::engine::{departure, entries_equivalent, EngineCheckpoint, ServiceConfig, ServiceRun};
-use crate::metrics::{
-    CacheGauges, DecisionCounters, DelayAttribution, FastPathGauges, LatencyHistogram,
-    RecoveryMetrics, UtilizationSeries,
+use crate::metrics::{RecoveryMetrics, UtilizationSeries};
+use crate::observability::{
+    self as obs, spans_to_json, CacheCounters, Commit, DecisionFacts, EngineMetrics, SpanPhase,
+    Telemetry, TelemetryFrame,
 };
-use crate::observability::{spans_to_json, EngineMetrics, SpanPhase, Telemetry, TelemetryFrame};
-use crate::report::{LatencySummary, ServiceReport, StageDelaySummary};
+use crate::report::{RunFacts, ServiceReport};
 use hetnet_cac::cac::{Decision, EvalCacheCaps, NetworkState, RejectReason};
 use hetnet_cac::connection::{ConnectionId, ConnectionSpec};
 use hetnet_cac::delay::CacheStats;
@@ -46,8 +46,9 @@ use hetnet_cac::network::{Component, HetNetwork, LinkId, RingId};
 use hetnet_cac::shard::{Footprint, ShardedState};
 use hetnet_cac::snapshot::StateSnapshot;
 use hetnet_cac::trace::DecisionTrace;
-use hetnet_obs::registry::{Counter, Gauge};
-use hetnet_obs::{FlightObservation, FlightRecorder, MetricsRegistry, SharedRing, Trace};
+use hetnet_obs::{
+    FlightObservation, FlightRecorder, MetricsRegistry, RegistrySnapshot, SharedRing, Trace,
+};
 use hetnet_sim::churn::{self, ChurnArrival, ChurnSchedule};
 use hetnet_sim::fault::{generate_faults, FaultEvent, FaultKind};
 use hetnet_traffic::envelope::SharedEnvelope;
@@ -88,6 +89,19 @@ pub struct ShardingStats {
 }
 
 impl ShardingStats {
+    /// Reads a run's stats back from its registry snapshot.
+    fn read(snap: &RegistrySnapshot, workers: usize) -> Self {
+        let closures = obs::read_histogram(snap, obs::CLOSURE, &[]);
+        Self {
+            workers,
+            speculated: snap.counter_sum(obs::SPECULATIONS, &[]),
+            conflicts: snap.counter_sum(obs::CONFLICTS, &[]),
+            inline_decisions: snap.counter_sum(obs::INLINE, &[]),
+            peak_closure: closures.max() as usize,
+            closure_sum: closures.sum() as u64,
+        }
+    }
+
     /// Conflict-retry rate: conflicts per speculated decision.
     #[must_use]
     pub fn conflict_rate(&self) -> f64 {
@@ -165,8 +179,8 @@ struct Measured {
     /// Worker shard the request was routed to (`None` for committer-
     /// inline readmits).
     shard: Option<u32>,
-    /// Whether the speculation was invalidated and recomputed.
-    conflict: bool,
+    /// How the committer obtained the decision.
+    commit: Commit,
     /// The discarded speculation's span timeline (conflicts only).
     spec_spans: Option<Trace>,
     /// The committed decision's span timeline.
@@ -248,20 +262,14 @@ struct Committer<'a> {
     open_faults: BTreeMap<Component, u64>,
     next_arrival: usize,
     next_fault: usize,
-    counters: DecisionCounters,
-    latency: LatencyHistogram,
     series: UtilizationSeries,
     audit: AuditLog,
     recovery: RecoveryMetrics,
-    gauges: CacheGauges,
-    fast: FastPathGauges,
-    attribution: DelayAttribution,
     peak_active: usize,
     ring_caps: Vec<f64>,
     /// Per-ring allocated synchronous time, maintained by delta for the
     /// utilization series (metrics only; never read by a decision).
     held: Vec<f64>,
-    stats: ShardingStats,
     /// The committer's own carried evaluator cache, for inline
     /// (conflict-retry and readmit) decisions.
     inline_cache: Option<hetnet_cac::delay::EvalCache>,
@@ -276,15 +284,6 @@ struct Committer<'a> {
     /// Canonical metric families, registered into the run's shared
     /// registry (the same registry the workers register into).
     mx: EngineMetrics,
-    /// Per-shard evaluator-cache gauges: one entry per worker (all work
-    /// that worker's speculations did, kept or discarded), plus one
-    /// final entry for committer-inline decisions (conflict recomputes
-    /// and readmits).
-    shard_gauges: Vec<CacheGauges>,
-    conflicts_total: Counter,
-    inline_total: Counter,
-    /// Ledger version most recently validated by the committer.
-    ledger_version: Gauge,
     flight: Arc<FlightRecorder>,
     telemetry: Telemetry,
 }
@@ -473,10 +472,6 @@ impl Committer<'_> {
 
     fn decide_inline(&mut self, spec: &ConnectionSpec, at: Seconds) -> Result<Measured, CacError> {
         let (msg, ()) = decide_scoped(self.shared, self.cfg, spec, at, &mut self.inline_cache)?;
-        self.stats.inline_decisions += 1;
-        self.inline_total.inc();
-        let last = self.shard_gauges.len() - 1;
-        self.shard_gauges[last].absorb(msg.cache);
         Ok(Measured {
             decision: msg.decision,
             latency: msg.latency,
@@ -486,7 +481,10 @@ impl Committer<'_> {
             closure: msg.closure,
             version: msg.version,
             shard: None,
-            conflict: false,
+            commit: Commit {
+                speculated_at: None,
+                inline: true,
+            },
             spec_spans: None,
             spans: msg.spans,
         })
@@ -501,9 +499,6 @@ impl Committer<'_> {
             .expect("worker hung up mid-schedule")?;
         debug_assert_eq!(msg.idx, idx, "worker stream out of order");
         self.advance_to(a.at)?;
-        self.stats.speculated += 1;
-        self.shard_gauges[w].absorb(msg.cache);
-        self.ledger_version.set(msg.version as f64);
         let conflicted = {
             let guard = self.shared.read().expect("sharded state lock poisoned");
             guard.conflicts(msg.version, &msg.footprint)
@@ -515,12 +510,10 @@ impl Committer<'_> {
             .deadline(a.deadline)
             .build()?;
         let measured = if conflicted {
-            self.stats.conflicts += 1;
-            self.conflicts_total.inc();
             let spec_spans = msg.spans;
             let mut measured = self.decide_inline(&spec, a.at)?;
             measured.shard = Some(w as u32);
-            measured.conflict = true;
+            measured.commit.speculated_at = Some(msg.version);
             measured.spec_spans = spec_spans;
             measured
         } else {
@@ -533,7 +526,10 @@ impl Committer<'_> {
                 closure: msg.closure,
                 version: msg.version,
                 shard: Some(w as u32),
-                conflict: false,
+                commit: Commit {
+                    speculated_at: Some(msg.version),
+                    inline: false,
+                },
                 spec_spans: None,
                 spans: msg.spans,
             }
@@ -571,19 +567,13 @@ impl Committer<'_> {
             closure,
             version,
             shard,
-            conflict,
+            commit,
             spec_spans,
             spans,
         } = measured;
+        // A speculation the committer had to recompute.
+        let conflict = commit.inline && commit.speculated_at.is_some();
         self.clock = at;
-        self.latency.record(latency);
-        self.gauges.absorb(cache);
-        self.fast.absorb(fast);
-        if let Some(trace) = &trace {
-            self.attribution.absorb(trace);
-        }
-        self.stats.peak_closure = self.stats.peak_closure.max(closure);
-        self.stats.closure_sum += closure as u64;
         let decision = match decided {
             Decision::Admitted {
                 h_s,
@@ -598,7 +588,6 @@ impl Committer<'_> {
                     .commit_admit(spec, h_s, h_r, delay_bound)?;
                 self.held[spec.source.ring] += h_s.per_rotation().value();
                 self.held[spec.dest.ring] += h_r.per_rotation().value();
-                self.counters.admitted += 1;
                 self.departures.push(departure(departs, id));
                 self.live.insert(id.0, (arrival, departs.value().to_bits()));
                 Decision::Admitted {
@@ -608,19 +597,18 @@ impl Committer<'_> {
                     delay_bound,
                 }
             }
-            Decision::Rejected(reason) => {
-                self.counters.count_rejection(&reason);
-                Decision::Rejected(reason)
-            }
+            rejected @ Decision::Rejected(_) => rejected,
         };
-        let outcome = AuditOutcome::from_decision(&decision);
-        self.mx.on_decision(
-            matches!(decision, Decision::Admitted { .. }),
-            latency.value(),
+        self.mx.on_decision(&DecisionFacts {
+            decision: &decision,
+            latency_seconds: latency.value(),
             closure,
-            &cache,
-            &fast,
-        );
+            cache,
+            fast,
+            trace: trace.as_ref(),
+            commit: Some(commit),
+        });
+        let outcome = AuditOutcome::from_decision(&decision);
         let reject_class = match &outcome {
             AuditOutcome::Rejected { class, .. } => Some(*class),
             _ => None,
@@ -935,8 +923,6 @@ impl ShardedEngine {
                 .map_or_else(BTreeMap::new, |c| c.open_faults.iter().copied().collect()),
             next_arrival: start_arrival,
             next_fault: self.resume.as_ref().map_or(0, |c| c.next_fault),
-            counters: DecisionCounters::default(),
-            latency: LatencyHistogram::new(),
             series: UtilizationSeries::new(self.cfg.sample_period),
             audit: if start_seq == 0 {
                 AuditLog::new()
@@ -944,36 +930,13 @@ impl ShardedEngine {
                 AuditLog::starting_at(start_seq)
             },
             recovery: RecoveryMetrics::default(),
-            gauges: CacheGauges::default(),
-            fast: FastPathGauges::default(),
-            attribution: DelayAttribution::default(),
             peak_active: 0,
             ring_caps,
             held,
-            stats: ShardingStats {
-                workers,
-                ..ShardingStats::default()
-            },
             inline_cache: None,
             spec_rx,
             ack_tx: ack_txs,
-            mx: EngineMetrics::register(&self.registry),
-            shard_gauges: vec![CacheGauges::default(); workers + 1],
-            conflicts_total: self.registry.counter(
-                "hetnet_commit_conflicts_total",
-                "Speculations invalidated at commit and recomputed inline.",
-                &[],
-            ),
-            inline_total: self.registry.counter(
-                "hetnet_inline_decisions_total",
-                "Decisions computed inline by the committer (conflicts and readmits).",
-                &[],
-            ),
-            ledger_version: self.registry.gauge(
-                "hetnet_ledger_version",
-                "Ledger version most recently validated by the committer.",
-                &[],
-            ),
+            mx: EngineMetrics::register(&self.registry, self.cfg.trace_decisions, true),
             flight: Arc::clone(&self.flight),
             telemetry: Telemetry::new(
                 &self.cfg.obs,
@@ -997,13 +960,18 @@ impl ShardedEngine {
                     // own thread.
                     let shard = w.to_string();
                     let speculations = registry.counter(
-                        "hetnet_shard_speculations_total",
+                        obs::SPECULATIONS,
                         "Speculative admissions evaluated, per worker shard.",
                         &[("shard", &shard)],
                     );
                     let spec_latency = registry.histogram(
                         "hetnet_shard_speculation_latency_seconds",
                         "Worker-side speculation wall time, per shard.",
+                        &[("shard", &shard)],
+                    );
+                    let lookups = CacheCounters::register(
+                        &registry,
+                        obs::SHARD_CACHE_LOOKUPS,
                         &[("shard", &shard)],
                     );
                     let mut cache: Option<hetnet_cac::delay::EvalCache> = None;
@@ -1032,6 +1000,7 @@ impl ShardedEngine {
                                 msg.idx = idx;
                                 speculations.inc();
                                 spec_latency.observe(msg.latency.value());
+                                lookups.add(&msg.cache);
                                 if tx.send(Ok(msg)).is_err() {
                                     return;
                                 }
@@ -1070,42 +1039,32 @@ impl ShardedEngine {
             let guard = shared.read().expect("sharded state lock poisoned");
             guard.snapshot(committer.clock, committer.decision_seq)
         };
-        let ring_utilization = (0..committer.ring_caps.len())
-            .map(|r| committer.series.ring_summary(r))
-            .collect();
-        let counters = committer.counters;
-        let report = ServiceReport {
-            requests: counters.total(),
-            counters,
-            latency: LatencySummary::from_histogram(&committer.latency),
-            cache: committer.gauges,
-            fast_path: committer.fast,
-            blocking_probability: counters.blocking_probability(),
-            requests_per_sec: if wall_seconds > 0.0 {
-                counters.total() as f64 / wall_seconds
-            } else {
-                0.0
+        let snapshot = self.registry.snapshot();
+        let report = ServiceReport::from_registry(
+            &snapshot,
+            workers,
+            RunFacts {
+                wall_seconds,
+                span: self.schedule.span(),
+                peak_active: committer.peak_active,
+                final_active: final_snapshot.connections.len(),
+                ring_utilization: (0..committer.ring_caps.len())
+                    .map(|r| committer.series.ring_summary(r))
+                    .collect(),
+                audit_len: committer.audit.len(),
+                topology: self.net.summary().to_string(),
+                recovery: committer.recovery,
+                reconfig: crate::metrics::ReconfigMetrics::default(),
+                flight_recorder: self.flight.to_json(),
             },
-            wall_seconds,
-            span: self.schedule.span(),
-            peak_active: committer.peak_active,
-            final_active: final_snapshot.connections.len(),
-            ring_utilization,
-            audit_len: committer.audit.len(),
-            topology: self.net.summary().to_string(),
-            delay_attribution: StageDelaySummary::from_attribution(&committer.attribution),
-            recovery: committer.recovery,
-            reconfig: crate::metrics::ReconfigMetrics::default(),
-            shard_cache: committer.shard_gauges,
-            flight_recorder: self.flight.to_json(),
-        };
+        );
         Ok((
             ShardedRun {
                 report,
                 audit: committer.audit,
                 series: committer.series,
                 final_snapshot,
-                sharding: committer.stats,
+                sharding: ShardingStats::read(&snapshot, workers),
                 telemetry: self.telemetry_ring.drain(),
             },
             checkpoint_out,

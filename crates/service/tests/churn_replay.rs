@@ -8,13 +8,15 @@
 //! plus the regenerated schedules, and demand the recovered engine
 //! reproduce the recorded audit-log tail and final state bit for bit.
 
+#[path = "support/recovery.rs"]
+mod recovery;
+
 use hetnet_cac::cac::{AdmissionOptions, CacConfig, Decision, NetworkState};
 use hetnet_cac::connection::{ConnectionId, ConnectionSpec};
 use hetnet_cac::network::HetNetwork;
 use hetnet_service::audit::AuditOutcome;
-use hetnet_service::{run, verify_recovery, ServiceConfig, ServiceEngine};
+use hetnet_service::{run, ServiceConfig};
 use hetnet_sim::churn;
-use hetnet_sim::fault::FaultConfig;
 use hetnet_traffic::envelope::SharedEnvelope;
 use hetnet_traffic::units::Seconds;
 use proptest::prelude::*;
@@ -117,43 +119,8 @@ fn check_replay(mut cfg: ServiceConfig) {
 fn faulted_cfg(rate: f64, requests: usize, seed: u64) -> ServiceConfig {
     let mut cfg = ServiceConfig::paper_style(rate, requests, seed);
     cfg.options = AdmissionOptions::beta_search(CacConfig::fast());
-    cfg.faults = Some(FaultConfig {
-        mean_gap: Seconds::new(8.0),
-        mean_outage: Seconds::new(4.0),
-        max_outage: Seconds::new(8.0),
-        shrink_factor: Some(0.85),
-        seed: seed ^ 0x5eed,
-    });
+    cfg.faults = Some(recovery::dense_faults(seed));
     cfg
-}
-
-/// Runs the full faulted workload once, then checkpoints a second
-/// engine after `split` arrivals and verifies the recovery replays the
-/// rest of the run bit for bit: same audit tail, same final state.
-fn check_recovery(cfg: &ServiceConfig, split: usize) {
-    let full = run(HetNetwork::paper_topology(), cfg).expect("full run");
-    let mut engine = ServiceEngine::new(HetNetwork::paper_topology(), cfg).expect("engine");
-    for _ in 0..split {
-        assert!(
-            engine.step_arrival().expect("step"),
-            "split exceeds schedule"
-        );
-    }
-    let checkpoint = engine.checkpoint();
-    let seq0 = checkpoint.decision_seq() as usize;
-    drop(engine);
-
-    // The full run's log is gap-free from 0, so the tail starts at the
-    // checkpoint's decision sequence.
-    let tail = &full.audit.entries()[seq0..];
-    let recovered = verify_recovery(HetNetwork::paper_topology(), cfg, &checkpoint, tail)
-        .expect("recovery must replay the recorded tail");
-    assert_eq!(
-        recovered.state.snapshot().to_json(),
-        full.state.snapshot().to_json(),
-        "recovered final state must be bit-identical to the original"
-    );
-    assert_eq!(recovered.audit.start(), seq0 as u64);
 }
 
 proptest! {
@@ -178,7 +145,7 @@ proptest! {
         seed in 0u64..1_000_000,
         split in 10usize..50,
     ) {
-        check_recovery(&faulted_cfg(2.0, 60, seed), split);
+        recovery::check_recovery(&faulted_cfg(2.0, 60, seed), split);
     }
 }
 
@@ -197,7 +164,7 @@ fn replay_matches_on_pinned_heavy_seed() {
 #[test]
 fn recovery_matches_on_pinned_faulted_seed() {
     let mut cfg = faulted_cfg(2.0, 120, 20260805);
-    check_recovery(&cfg, 40);
+    recovery::check_recovery(&cfg, 40);
     cfg.persist_cache = false;
-    check_recovery(&cfg, 40);
+    recovery::check_recovery(&cfg, 40);
 }

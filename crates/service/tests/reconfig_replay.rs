@@ -5,15 +5,17 @@
 //! *just before* a reconfiguration must apply it as the recovered
 //! engine's very first event.
 
+#[path = "support/recovery.rs"]
+mod recovery;
+
 use hetnet_cac::cac::{AdmissionOptions, CacConfig};
-use hetnet_cac::network::HetNetwork;
 use hetnet_cac::reconfig::ReconfigPlan;
 use hetnet_service::audit::AuditKind;
-use hetnet_service::{run, verify_recovery, ReconfigEvent, ServiceConfig, ServiceEngine};
+use hetnet_service::{ReconfigEvent, ServiceConfig};
 use hetnet_sim::churn;
-use hetnet_sim::fault::FaultConfig;
 use hetnet_traffic::units::Seconds;
 use proptest::prelude::*;
+use recovery::check_recovery;
 
 /// A paper-style churn workload with two mid-run reconfigurations: a
 /// TTRT shrink to 5 ms a third of the way in, then a grow to 12 ms
@@ -33,57 +35,6 @@ fn reconfigured_cfg(rate: f64, requests: usize, seed: u64) -> ServiceConfig {
         },
     ];
     cfg
-}
-
-/// Runs the full workload once, checkpoints a second engine after
-/// `split` arrivals, and verifies recovery replays the recorded tail
-/// bit for bit. Returns the tail for scenario-specific assertions.
-fn check_recovery(cfg: &ServiceConfig, split: usize) -> Vec<AuditKind> {
-    let full = run(HetNetwork::paper_topology(), cfg).expect("full run");
-    // The log is gap-free across arrivals *and* reconfigurations: one
-    // sequence number per decision, no holes, so index == seq.
-    for (i, e) in full.audit.entries().iter().enumerate() {
-        assert_eq!(e.seq as usize, i, "audit log must be gap-free");
-    }
-    let count = |kind: AuditKind| {
-        full.audit
-            .entries()
-            .iter()
-            .filter(|e| e.kind == kind)
-            .count()
-    };
-    assert_eq!(
-        count(AuditKind::Arrival),
-        cfg.churn.requests,
-        "every scheduled arrival costs exactly one entry"
-    );
-    assert_eq!(
-        count(AuditKind::Reconfig),
-        cfg.reconfigs.len(),
-        "every reconfiguration costs exactly one entry"
-    );
-
-    let mut engine = ServiceEngine::new(HetNetwork::paper_topology(), cfg).expect("engine");
-    for _ in 0..split {
-        assert!(
-            engine.step_arrival().expect("step"),
-            "split exceeds schedule"
-        );
-    }
-    let checkpoint = engine.checkpoint();
-    let seq0 = checkpoint.decision_seq() as usize;
-    drop(engine);
-
-    let tail = &full.audit.entries()[seq0..];
-    let recovered = verify_recovery(HetNetwork::paper_topology(), cfg, &checkpoint, tail)
-        .expect("recovery must replay the recorded tail through the reconfigs");
-    assert_eq!(
-        recovered.state.snapshot().to_json(),
-        full.state.snapshot().to_json(),
-        "recovered final state must be bit-identical to the original"
-    );
-    assert_eq!(recovered.audit.start(), seq0 as u64);
-    tail.iter().map(|e| e.kind).collect()
 }
 
 proptest! {
@@ -108,13 +59,7 @@ proptest! {
 #[test]
 fn recovery_matches_on_pinned_faulted_reconfigured_seed() {
     let mut cfg = reconfigured_cfg(2.0, 100, 20260808);
-    cfg.faults = Some(FaultConfig {
-        mean_gap: Seconds::new(8.0),
-        mean_outage: Seconds::new(4.0),
-        max_outage: Seconds::new(8.0),
-        shrink_factor: Some(0.85),
-        seed: 20260808 ^ 0x5eed,
-    });
+    cfg.faults = Some(recovery::dense_faults(20260808));
     let kinds = check_recovery(&cfg, 30);
     assert!(
         kinds.contains(&AuditKind::Reconfig),

@@ -61,7 +61,6 @@ pub mod combinators;
 pub mod envelope;
 pub mod error;
 pub mod models;
-pub mod regulator;
 pub mod service;
 pub mod units;
 

@@ -38,6 +38,9 @@ test_stage() {
 
     echo "==> observability gate (sharded runs with full tracing stay decision-identical)"
     cargo test --release -p hetnet-service --test sharded_replay -q
+
+    echo "==> metrics single-source gate (reports equal their registry snapshot and the audit log)"
+    cargo test --release -p hetnet-service --test metrics_single_source -q
 }
 
 reconfig() {
@@ -67,6 +70,16 @@ lint() {
         exit 1
     fi
     echo "ok: no deprecated-API escapes"
+
+    echo "==> single-metrics-store gate (per-decision metrics live only in the registry)"
+    # Each decision is written once, to the metrics registry; the
+    # parallel stores it replaced must not come back.
+    if grep -rnE "DecisionObserver|CacheGauges|FastPathGauges|LatencyHistogram" --include="*.rs" \
+        crates src tests examples; then
+        echo "FAIL: a second per-decision metrics store reintroduced"
+        exit 1
+    fi
+    echo "ok: one metrics store"
 }
 
 bench() {

@@ -13,14 +13,27 @@
 //! (`crates/service/tests/closure_oracle.rs`) on a grid with
 //! neighbour-ring traffic, so a wrong dependency closure fails plain
 //! `cargo test` too.
+//!
+//! The last two recover a faulted paper-style run from a mid-run
+//! checkpoint — once plain, once through a live reconfiguration — and
+//! demand the recorded audit tail and final state bit for bit
+//! (`crates/service/tests/churn_replay.rs` and `reconfig_replay.rs`
+//! hold the same certification over random seeds).
 
 #[path = "../crates/service/tests/support/closure.rs"]
 mod closure;
 #[path = "../crates/service/tests/support/dense.rs"]
 mod dense;
+#[path = "../crates/service/tests/support/recovery.rs"]
+mod recovery;
 
+use hetnet_cac::cac::{AdmissionOptions, CacConfig};
 use hetnet_cac::network::HetNetwork;
+use hetnet_cac::reconfig::ReconfigPlan;
+use hetnet_service::audit::AuditKind;
+use hetnet_service::{ReconfigEvent, ServiceConfig};
 use hetnet_sim::churn::TrafficPattern;
+use hetnet_traffic::units::Seconds;
 use std::path::Path;
 
 const ARRIVALS: usize = 40;
@@ -53,5 +66,37 @@ fn grid_decisions_match_the_full_network_oracle() {
     assert!(
         checked.narrowed > 0,
         "no admission was decided over less than the whole network"
+    );
+}
+
+/// 60 paper-style arrivals at 2/s under the dense fault schedule.
+fn faulted_cfg(seed: u64) -> ServiceConfig {
+    let mut cfg = ServiceConfig::paper_style(2.0, 60, seed);
+    cfg.options = AdmissionOptions::beta_search(CacConfig::fast());
+    cfg.faults = Some(recovery::dense_faults(seed));
+    cfg
+}
+
+#[test]
+fn faulted_checkpoint_recovery_replays_the_tail() {
+    let kinds = recovery::check_recovery(&faulted_cfg(20260805), 25);
+    assert!(
+        kinds.contains(&AuditKind::Readmit),
+        "the tail must exercise fault re-admission"
+    );
+}
+
+#[test]
+fn faulted_reconfigured_recovery_replays_the_tail() {
+    let mut cfg = faulted_cfg(20260808);
+    // Half-way through the ~30 s run: retune TTRT and move β.
+    cfg.reconfigs = vec![ReconfigEvent {
+        at: Seconds::new(15.0),
+        plan: ReconfigPlan::uniform_ttrt(Seconds::from_millis(12.0)).with_beta(0.3),
+    }];
+    let kinds = recovery::check_recovery(&cfg, 20);
+    assert!(
+        kinds.contains(&AuditKind::Reconfig),
+        "the checkpoint must precede the reconfiguration"
     );
 }
