@@ -46,12 +46,13 @@
 //! [`StateSnapshot`] form — equal, string for string, to the snapshot
 //! the flat state would produce.
 
-use crate::cac::{NetworkState, TeardownReport};
+use crate::cac::{AdmissionOptions, NetworkState, TeardownReport};
 use crate::connection::{ActiveConnection, ConnectionId, ConnectionSpec};
 use crate::delay::MuxKey;
 use crate::error::CacError;
 use crate::incremental::Membership;
 use crate::network::{Component, HetNetwork, HostId};
+use crate::reconfig::{ReconfigPlan, ReconfigReport};
 use crate::snapshot::{ConnectionSnapshot, StateSnapshot, SNAPSHOT_VERSION};
 use hetnet_fddi::ring::RingConfig;
 use hetnet_traffic::units::Seconds;
@@ -513,6 +514,33 @@ impl ShardedState {
         Ok(state)
     }
 
+    /// Applies a live reconfiguration as a barrier: the admitted set
+    /// round-trips through the flat state, whose
+    /// [`NetworkState::reconfigure`] renegotiates it, and the shards
+    /// and ledger are rebuilt from the result. The ledger version stays
+    /// monotone across the rebuild and the barrier is raised past every
+    /// version read before it, so no speculation made under the old
+    /// ring parameters or β can commit.
+    ///
+    /// # Errors
+    ///
+    /// As for [`NetworkState::reconfigure`]; the state is unchanged on
+    /// error.
+    pub fn reconfigure(
+        &mut self,
+        plan: &ReconfigPlan,
+        opts: &AdmissionOptions,
+    ) -> Result<ReconfigReport, CacError> {
+        let mut flat = NetworkState::new_shared(Arc::clone(&self.net));
+        flat.restore(&self.snapshot(Seconds::ZERO, 0))?;
+        let report = flat.reconfigure(plan, opts)?;
+        let floor = self.ledger.version;
+        *self = Self::from_snapshot(Arc::clone(flat.shared_network()), &flat.snapshot())?;
+        self.ledger.version = self.ledger.version.max(floor);
+        self.ledger.raise_barrier();
+        Ok(report)
+    }
+
     /// Captures the partitioned state as per-shard snapshots plus a
     /// consistent ledger cut (taken at one version, under the
     /// committer's exclusive access — in-flight speculations don't
@@ -786,6 +814,38 @@ mod tests {
             )
             .unwrap();
         assert_eq!(all.closure_len(), 2, "only the 2↔3 flows are dependencies");
+    }
+
+    /// A reconfiguration through the partitioned state lands on the
+    /// flat state's bits and report, and acts as a barrier: the ledger
+    /// version stays monotone and a speculation read before it
+    /// conflicts.
+    #[test]
+    fn reconfigure_mirrors_the_flat_state_behind_a_barrier() {
+        let specs: Vec<ConnectionSpec> = (0..12)
+            .map(|i| spec((i % 3, i % 4), ((i + 1) % 3, (i + 2) % 4), 8.0))
+            .collect();
+        let (mut flat, mut sharded, _) = run_both(HetNetwork::paper_topology(), &specs);
+        let host = |ring| HostId { ring, station: 0 };
+        let before = sharded.speculate(host(0), host(1)).unwrap();
+        let plan = ReconfigPlan::uniform_ttrt(Seconds::from_millis(5.0)).with_beta(0.3);
+        let opts = AdmissionOptions::beta_search(CacConfig::default());
+        let want = flat.reconfigure(&plan, &opts).unwrap();
+        let got = sharded.reconfigure(&plan, &opts).unwrap();
+        assert_eq!(got.summary(), want.summary());
+        assert!(!want.renegotiated.is_empty(), "the retune must renegotiate");
+        assert_eq!(
+            sharded.snapshot(flat.clock(), flat.decisions()).to_json(),
+            flat.snapshot().to_json()
+        );
+        assert!(
+            sharded.version() > before.version,
+            "version must stay monotone"
+        );
+        assert!(
+            sharded.conflicts(before.version, &before.footprint()),
+            "a speculation read before the reconfiguration must conflict"
+        );
     }
 
     fn sync(ms: f64) -> hetnet_fddi::ring::SyncBandwidth {

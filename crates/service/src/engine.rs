@@ -1,12 +1,11 @@
-//! The event-driven admission engine, with fault injection and
-//! snapshot-based recovery.
+//! The sequential admission engine: the shared event loop deciding on
+//! one flat [`NetworkState`].
 //!
-//! [`ServiceEngine`] consumes a churn schedule as a merged stream of
-//! connect/disconnect/fault events in time order: before each arrival
-//! is decided, every departure and fault due at or before it is
-//! processed (ties resolve departure < fault < arrival, matching the
-//! connection-level semantics that a released allocation is available
-//! to a simultaneous request). Each arrival becomes one
+//! [`ServiceEngine`] is [`EventCore`] over the [`Flat`] decider. The
+//! core consumes the churn schedule as a merged stream of departure,
+//! fault, reconfiguration and arrival events in time order (ties:
+//! departure < fault < reconfig < arrival, so a released allocation is
+//! available to a simultaneous request). Each arrival becomes one
 //! [`NetworkState::admit`] call under the configured
 //! [`AdmissionOptions`], so a service run is — by construction —
 //! decision-for-decision identical to driving the bare state machine in
@@ -16,9 +15,10 @@
 //! component failure tears down every connection crossing it (the CAC
 //! reclaims its synchronous bandwidth), a repair optionally re-admits
 //! the torn-down connections greedily, and a deadline shrink evicts
-//! connections whose admission-time bound no longer fits. Every
-//! fault-driven decision lands in the same gap-free audit log as the
-//! scheduled arrivals, tagged [`AuditKind::Readmit`].
+//! connections whose admission-time bound no longer fits. Scheduled
+//! [`ReconfigEvent`]s retune the rings live and renegotiate the
+//! admitted set. Every fault-driven decision lands in the same gap-free
+//! audit log as the scheduled arrivals, tagged [`AuditKind::Readmit`].
 //!
 //! Because the churn and fault schedules are pure functions of the
 //! config, the whole run is reproducible from `(config, seed)` — and,
@@ -27,27 +27,26 @@
 //! [`verify_recovery`] replays the remainder of a run from a checkpoint
 //! and fails with [`CacError::SnapshotMismatch`] unless every replayed
 //! decision is bit-identical to the recorded one.
+//!
+//! [`StateSnapshot`]: hetnet_cac::snapshot::StateSnapshot
+//! [`AuditKind::Readmit`]: crate::audit::AuditKind::Readmit
 
-use crate::audit::{AuditEntry, AuditKind, AuditLog, AuditOutcome};
-use crate::metrics::{ReconfigMetrics, RecoveryMetrics, UtilizationSeries};
-use crate::observability::{
-    spans_to_json, DecisionFacts, EngineMetrics, ObsOptions, Telemetry, TelemetryFrame,
-};
-use crate::report::{RunFacts, ServiceReport};
-use hetnet_cac::cac::{AdmissionOptions, Decision, NetworkState, RejectReason};
-use hetnet_cac::connection::{ConnectionId, ConnectionSpec};
+use crate::audit::{AuditEntry, AuditLog, AuditOutcome};
+use crate::event::{admit_observed, Decided, Decider, EngineCheckpoint, EventCore, Request};
+use crate::metrics::UtilizationSeries;
+use crate::observability::{spans_to_json, ObsOptions, TelemetryFrame};
+use crate::report::ServiceReport;
+use hetnet_cac::cac::{AdmissionOptions, NetworkState, TeardownReport};
+use hetnet_cac::connection::{ActiveConnection, ConnectionId};
 use hetnet_cac::error::CacError;
-use hetnet_cac::network::{Component, HetNetwork, LinkId, RingId, Scheduler};
-use hetnet_cac::reconfig::ReconfigPlan;
+use hetnet_cac::network::{Component, HetNetwork, Scheduler};
+use hetnet_cac::reconfig::{ReconfigPlan, ReconfigReport};
 use hetnet_cac::snapshot::StateSnapshot;
-use hetnet_obs::{FlightObservation, FlightRecorder, MetricsRegistry, SharedRing};
-use hetnet_sim::churn::{self, ChurnConfig, ChurnSchedule};
-use hetnet_sim::fault::{generate_faults, FaultConfig, FaultEvent, FaultKind};
-use hetnet_traffic::envelope::SharedEnvelope;
+use hetnet_cac::trace::DecisionTrace;
+use hetnet_obs::Trace;
+use hetnet_sim::churn::ChurnConfig;
+use hetnet_sim::fault::FaultConfig;
 use hetnet_traffic::units::Seconds;
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// A scheduled live reconfiguration: at event-stream time `at`, apply
@@ -175,97 +174,103 @@ pub struct ServiceRun {
     pub telemetry: Vec<TelemetryFrame>,
 }
 
-/// A pending departure, min-ordered by `(time, connection id)`. Times
-/// are non-negative, so the IEEE-754 bit pattern orders like the value
-/// and gives the heap a total, deterministic order.
-pub(crate) type Departure = Reverse<(u64, u64)>;
-
-pub(crate) fn departure(at: Seconds, id: ConnectionId) -> Departure {
-    Reverse((at.value().to_bits(), id.0))
-}
-
-/// A connection torn down by a fault, waiting for a repair to attempt
-/// re-admission. The spec is re-derived from the churn schedule by
-/// arrival index, so parking carries no envelope state.
-#[derive(Clone, Copy, Debug)]
-struct Parked {
-    arrival: usize,
-    departs_bits: u64,
-}
-
-/// A resumable engine position: the [`StateSnapshot`] of the network
-/// plus the engine's scheduling state (pending departures, parked
-/// connections, open faults, and stream cursors). Everything else —
-/// the churn and fault schedules — is regenerated from the config, so
-/// a checkpoint is small and fully deterministic.
-#[derive(Clone, Debug)]
-pub struct EngineCheckpoint {
-    pub(crate) state: StateSnapshot,
-    pub(crate) departures: Vec<(u64, u64)>,
-    pub(crate) live: Vec<(u64, usize, u64)>,
-    pub(crate) parked: Vec<(usize, u64)>,
-    pub(crate) open_faults: Vec<(Component, u64)>,
-    pub(crate) next_arrival: usize,
-    pub(crate) next_fault: usize,
-    pub(crate) next_reconfig: usize,
-}
-
-impl EngineCheckpoint {
-    /// The network snapshot the checkpoint carries.
-    #[must_use]
-    pub fn state(&self) -> &StateSnapshot {
-        &self.state
-    }
-
-    /// Decisions made before the checkpoint — the audit-log offset a
-    /// recovered engine resumes at.
-    #[must_use]
-    pub fn decision_seq(&self) -> u64 {
-        self.state.decision_seq
-    }
-}
-
-/// The stepwise admission engine: [`ServiceEngine::new`] positions it
-/// at the start of the schedule, [`ServiceEngine::step_arrival`]
-/// processes one arrival (plus every departure and fault due before
-/// it), and [`ServiceEngine::finish`] runs to completion and assembles
-/// the [`ServiceRun`]. The free function [`run`] does all three.
+/// The sequential engine's [`Decider`]: one flat [`NetworkState`],
+/// deciding each request over the candidate's dependency closure.
 #[derive(Debug)]
-pub struct ServiceEngine {
-    cfg: ServiceConfig,
+pub struct Flat {
     state: NetworkState,
-    schedule: ChurnSchedule,
-    faults: Vec<FaultEvent>,
-    /// The reconfiguration schedule, sorted by time (stable, so equal
-    /// times keep the config order).
-    reconfigs: Vec<ReconfigEvent>,
-    envelope: SharedEnvelope,
-    departures: BinaryHeap<Departure>,
-    /// Live connection id → (schedule arrival index, departure bits).
-    live: BTreeMap<u64, (usize, u64)>,
-    parked: Vec<Parked>,
-    /// Component → down-time bits, for time-to-drain accounting.
-    open_faults: BTreeMap<Component, u64>,
-    next_arrival: usize,
-    next_fault: usize,
-    next_reconfig: usize,
-    series: UtilizationSeries,
-    audit: AuditLog,
-    recovery: RecoveryMetrics,
-    reconfig_metrics: ReconfigMetrics,
-    registry: Arc<MetricsRegistry>,
-    mx: EngineMetrics,
-    flight: Arc<FlightRecorder>,
-    telemetry_ring: Arc<SharedRing<TelemetryFrame>>,
-    telemetry: Telemetry,
-    /// Simulated time of the last processed event, for the final
-    /// telemetry frame.
-    last_event: f64,
-    peak_active: usize,
-    ring_caps: Vec<f64>,
-    topology: String,
-    started: Instant,
+    /// The last decision's span timeline, when spans are collected.
+    spans: Option<Trace>,
 }
+
+impl Decider for Flat {
+    fn workers(&self) -> usize {
+        0
+    }
+
+    fn set_clock(&mut self, at: Seconds) {
+        self.state.set_clock(at);
+    }
+
+    fn active_count(&self) -> usize {
+        self.state.active().len()
+    }
+
+    fn filter_active<T>(&self, f: impl FnMut(&ActiveConnection) -> Option<T>) -> Vec<T> {
+        self.state.active().iter().filter_map(f).collect()
+    }
+
+    fn ring_load(&self, caps: &[f64]) -> Vec<f64> {
+        caps.iter()
+            .enumerate()
+            .map(|(r, &cap)| cap - self.state.available_on(r).value())
+            .collect()
+    }
+
+    fn release(&mut self, id: ConnectionId) -> Result<(), CacError> {
+        self.state.release(id)
+    }
+
+    fn set_component_down(&mut self, component: Component) -> Result<TeardownReport, CacError> {
+        self.state.set_component_down(component)
+    }
+
+    fn set_component_up(&mut self, component: Component) -> Result<bool, CacError> {
+        self.state.set_component_up(component)
+    }
+
+    fn reconfigure(
+        &mut self,
+        plan: &ReconfigPlan,
+        options: &AdmissionOptions,
+    ) -> Result<ReconfigReport, CacError> {
+        self.state.reconfigure(plan, options)
+    }
+
+    fn snapshot(&self, _decision_seq: u64) -> StateSnapshot {
+        // The flat state counts its own decisions.
+        self.state.snapshot()
+    }
+
+    fn restore(&mut self, snap: &StateSnapshot) -> Result<(), CacError> {
+        self.state.restore(snap)
+    }
+
+    fn decide(&mut self, req: Request<'_>) -> Result<Decided, CacError> {
+        let t0 = Instant::now();
+        let (decision, spans) =
+            admit_observed(&mut self.state, req.spec, &req.cfg.options, &req.cfg.obs)?;
+        let latency_seconds = t0.elapsed().as_secs_f64();
+        self.spans = spans;
+        Ok(Decided {
+            decision,
+            latency_seconds,
+            closure: self.state.last_closure_len().unwrap_or_default(),
+            cache: self.state.last_cache_stats().unwrap_or_default(),
+            fast: self.state.last_fast_path_stats().unwrap_or_default(),
+            commit: None,
+            shard: None,
+        })
+    }
+
+    fn last_trace(&self) -> Option<&DecisionTrace> {
+        self.state.last_decision_trace()
+    }
+
+    fn spans_json(&self) -> String {
+        self.spans.as_ref().map_or_else(
+            || "[]".to_string(),
+            |t| spans_to_json(&[("decide", None, t)], None),
+        )
+    }
+}
+
+/// The stepwise sequential engine: [`ServiceEngine::new`] positions it
+/// at the start of the schedule, [`ServiceEngine::step_arrival`]
+/// processes one arrival (plus every event due before it), and
+/// [`ServiceEngine::finish`] runs to completion and assembles the
+/// [`ServiceRun`]. The free function [`run`] does all three.
+pub type ServiceEngine = EventCore<Flat>;
 
 impl ServiceEngine {
     /// Builds an engine positioned before the first event of `cfg`'s
@@ -274,113 +279,24 @@ impl ServiceEngine {
     /// # Errors
     ///
     /// Returns [`CacError::InvalidRequest`] if the churn shape does not
-    /// match the network.
+    /// match the network, or the scheduler, class count or a
+    /// reconfiguration plan is invalid.
     pub fn new(network: HetNetwork, cfg: &ServiceConfig) -> Result<Self, CacError> {
-        let shape = cfg.churn.shape;
-        if shape.rings != network.rings().len() || shape.hosts_per_ring != network.hosts_per_ring()
-        {
-            return Err(CacError::InvalidRequest(format!(
-                "churn shape {}x{} does not match network {}x{}",
-                shape.rings,
-                shape.hosts_per_ring,
-                network.rings().len(),
-                network.hosts_per_ring()
-            )));
-        }
-        let network = match &cfg.scheduler {
-            Some(s) => {
-                s.validate()
-                    .map_err(|e| CacError::InvalidRequest(format!("scheduler: {e}")))?;
-                if let Some(map) = s.weight_map() {
-                    if usize::from(cfg.classes.max(1)) > map.len() {
-                        return Err(CacError::InvalidRequest(format!(
-                            "classes {} exceed the {} classes mapped by scheduler {s}",
-                            cfg.classes,
-                            map.len()
-                        )));
-                    }
-                }
-                network.with_scheduler(s.clone())
-            }
-            None => network,
-        };
-        let schedule = churn::generate(&cfg.churn);
-        let envelope: SharedEnvelope = Arc::new(schedule.source);
-        let faults = match &cfg.faults {
-            Some(f) if !schedule.arrivals.is_empty() => generate_faults(
-                f,
-                network.rings().len(),
-                network.backbone().link_count(),
-                schedule.span(),
-            ),
-            _ => Vec::new(),
-        };
-        for e in &cfg.reconfigs {
-            e.plan
-                .validate(network.rings().len())
-                .map_err(|err| CacError::InvalidRequest(format!("reconfig schedule: {err}")))?;
-        }
-        let mut reconfigs = cfg.reconfigs.clone();
-        reconfigs.sort_by_key(|e| e.at.value().to_bits());
-
-        let topology = network.summary().to_string();
-        let mut state = NetworkState::new(network);
-        state.persist_eval_cache(cfg.persist_cache);
-        state.set_fast_path(cfg.fast_path)?;
-        state.set_decision_tracing(cfg.trace_decisions);
-        let ring_caps: Vec<f64> = state
-            .network()
-            .rings()
-            .iter()
-            .map(|r| r.allocatable().value())
-            .collect();
-        let sample_period = cfg.sample_period;
-        let registry = Arc::new(MetricsRegistry::new());
-        let mx = EngineMetrics::register(&registry, cfg.trace_decisions, false);
-        let flight = Arc::new(FlightRecorder::new(
-            cfg.obs.flight_capacity,
-            cfg.obs.flight_min_samples,
-        ));
-        let telemetry_ring = Arc::new(SharedRing::new(cfg.obs.telemetry_capacity));
-        let telemetry =
-            Telemetry::new(&cfg.obs, Arc::clone(&registry), Arc::clone(&telemetry_ring));
-        Ok(Self {
-            cfg: cfg.clone(),
-            state,
-            schedule,
-            faults,
-            reconfigs,
-            envelope,
-            departures: BinaryHeap::new(),
-            live: BTreeMap::new(),
-            parked: Vec::new(),
-            open_faults: BTreeMap::new(),
-            next_arrival: 0,
-            next_fault: 0,
-            next_reconfig: 0,
-            series: UtilizationSeries::new(sample_period),
-            audit: AuditLog::new(),
-            recovery: RecoveryMetrics::default(),
-            reconfig_metrics: ReconfigMetrics::default(),
-            registry,
-            mx,
-            flight,
-            telemetry_ring,
-            telemetry,
-            last_event: 0.0,
-            peak_active: 0,
-            ring_caps,
-            topology,
-            started: Instant::now(),
+        Self::build(network, cfg, |network| {
+            let mut state = NetworkState::new(network);
+            state.persist_eval_cache(cfg.persist_cache);
+            state.set_fast_path(cfg.fast_path)?;
+            state.set_decision_tracing(cfg.trace_decisions);
+            Ok(Flat { state, spans: None })
         })
     }
 
-    /// Rebuilds an engine mid-run from a checkpoint: the network state
-    /// is restored bit-for-bit from the snapshot, the churn and fault
-    /// schedules are regenerated from `cfg`, and the scheduling state
-    /// (departures, parked connections, cursors) comes from the
-    /// checkpoint. Stepping the result reproduces the original run's
-    /// remaining decisions exactly.
+    /// Rebuilds an engine mid-run from a checkpoint taken by either
+    /// engine: the network state is restored bit-for-bit from the
+    /// snapshot, the churn and fault schedules are regenerated from
+    /// `cfg`, and the scheduling state (departures, parked connections,
+    /// cursors) comes from the checkpoint. Stepping the result
+    /// reproduces the original run's remaining decisions exactly.
     ///
     /// Metrics (counters, latency, utilization, recovery) restart at
     /// zero and cover only the post-checkpoint segment; the audit log
@@ -390,160 +306,31 @@ impl ServiceEngine {
     ///
     /// Returns [`CacError::SnapshotMismatch`] if the snapshot does not
     /// fit the network or the cursors exceed the regenerated schedules,
-    /// and [`CacError::InvalidRequest`] on a churn-shape mismatch.
+    /// plus anything [`ServiceEngine::new`] can return.
     pub fn recover(
         network: HetNetwork,
         cfg: &ServiceConfig,
         checkpoint: &EngineCheckpoint,
     ) -> Result<Self, CacError> {
-        let mut engine = Self::new(network, cfg)?;
-        if checkpoint.next_arrival > engine.schedule.arrivals.len()
-            || checkpoint.next_fault > engine.faults.len()
-            || checkpoint.next_reconfig > engine.reconfigs.len()
-        {
-            return Err(CacError::SnapshotMismatch(
-                "checkpoint cursors exceed the regenerated schedules".into(),
-            ));
-        }
-        engine.state.restore(&checkpoint.state)?;
-        // The snapshot's ring parameters were adopted by the restore;
-        // utilization must be measured against the *restored* budgets.
-        engine.ring_caps = engine
-            .state
-            .network()
-            .rings()
-            .iter()
-            .map(|r| r.allocatable().value())
-            .collect();
-        // A reconfiguration's β outlives it via the admission options;
-        // replay the pre-checkpoint prefix so post-recovery admissions
-        // run under the same β as the original run's.
-        for e in &engine.reconfigs[..checkpoint.next_reconfig] {
-            if let Some(beta) = e.plan.beta {
-                engine.cfg.options.cac.beta = beta;
-            }
-        }
-        engine.audit = AuditLog::starting_at(checkpoint.state.decision_seq);
-        engine.departures = checkpoint.departures.iter().map(|&p| Reverse(p)).collect();
-        engine.live = checkpoint
-            .live
-            .iter()
-            .map(|&(id, arrival, departs)| (id, (arrival, departs)))
-            .collect();
-        engine.parked = checkpoint
-            .parked
-            .iter()
-            .map(|&(arrival, departs_bits)| Parked {
-                arrival,
-                departs_bits,
-            })
-            .collect();
-        engine.open_faults = checkpoint.open_faults.iter().copied().collect();
-        engine.next_arrival = checkpoint.next_arrival;
-        engine.next_fault = checkpoint.next_fault;
-        engine.next_reconfig = checkpoint.next_reconfig;
-        Ok(engine)
-    }
-
-    /// Captures the engine's position between arrivals.
-    #[must_use]
-    pub fn checkpoint(&self) -> EngineCheckpoint {
-        let mut departures: Vec<(u64, u64)> = self.departures.iter().map(|&Reverse(p)| p).collect();
-        departures.sort_unstable();
-        EngineCheckpoint {
-            state: self.state.snapshot(),
-            departures,
-            live: self
-                .live
-                .iter()
-                .map(|(&id, &(arrival, departs))| (id, arrival, departs))
-                .collect(),
-            parked: self
-                .parked
-                .iter()
-                .map(|p| (p.arrival, p.departs_bits))
-                .collect(),
-            open_faults: self.open_faults.iter().map(|(&c, &b)| (c, b)).collect(),
-            next_arrival: self.next_arrival,
-            next_fault: self.next_fault,
-            next_reconfig: self.next_reconfig,
-        }
+        Self::new(network, cfg)?.resume(checkpoint)
     }
 
     /// The network state as of the last processed event.
     #[must_use]
     pub fn state(&self) -> &NetworkState {
-        &self.state
+        &self.decider.state
     }
 
-    /// The audit log so far.
-    #[must_use]
-    pub fn audit(&self) -> &AuditLog {
-        &self.audit
-    }
-
-    /// Arrivals not yet processed.
-    #[must_use]
-    pub fn pending_arrivals(&self) -> usize {
-        self.schedule.arrivals.len() - self.next_arrival
-    }
-
-    /// The shared metrics registry this engine updates. Snapshot it
-    /// from any thread to watch the run live.
-    #[must_use]
-    pub fn registry(&self) -> Arc<MetricsRegistry> {
-        Arc::clone(&self.registry)
-    }
-
-    /// The always-on outlier flight recorder.
-    #[must_use]
-    pub fn flight_recorder(&self) -> Arc<FlightRecorder> {
-        Arc::clone(&self.flight)
-    }
-
-    /// The shared ring periodic telemetry frames land in (empty unless
-    /// [`ObsOptions::telemetry_period`] is set). Poll it from another
-    /// thread for a `hetnet-top`-style live view.
-    #[must_use]
-    pub fn telemetry_ring(&self) -> Arc<SharedRing<TelemetryFrame>> {
-        Arc::clone(&self.telemetry_ring)
-    }
-
-    /// Backbone traffic class for a churn connection, derived from the
-    /// source host (`(ring + station) % classes`) so the class mix is
-    /// deterministic without perturbing the churn RNG stream.
-    fn class_of(&self, source: (usize, usize)) -> u8 {
-        if self.cfg.classes > 1 {
-            ((source.0 + source.1) % usize::from(self.cfg.classes)) as u8
-        } else {
-            0
-        }
-    }
-
-    /// Processes the next scheduled arrival, after every departure and
-    /// fault due at or before it (ties: departure < fault < arrival).
-    /// Returns `false` when the schedule is exhausted.
+    /// Processes the next scheduled arrival, after every departure,
+    /// fault and reconfiguration due at or before it. Returns `false`
+    /// when the schedule is exhausted.
     ///
     /// # Errors
     ///
     /// Propagates any [`CacError`] from the underlying admissions and
     /// releases (rejections are outcomes, not errors).
     pub fn step_arrival(&mut self) -> Result<bool, CacError> {
-        let Some(&a) = self.schedule.arrivals.get(self.next_arrival) else {
-            return Ok(false);
-        };
-        self.advance_to(a.at)?;
-        let spec = ConnectionSpec::builder()
-            .source(a.source)
-            .dest(a.dest)
-            .envelope(Arc::clone(&self.envelope))
-            .deadline(a.deadline)
-            .class(self.class_of(a.source))
-            .build()?;
-        let idx = self.next_arrival;
-        self.decide(a.at, AuditKind::Arrival, idx, spec, a.at + a.holding)?;
-        self.next_arrival += 1;
-        Ok(true)
+        self.step()
     }
 
     /// Runs every remaining event and assembles the [`ServiceRun`].
@@ -552,403 +339,20 @@ impl ServiceEngine {
     ///
     /// Propagates any [`CacError`] from the remaining events.
     pub fn finish(mut self) -> Result<ServiceRun, CacError> {
-        while self.step_arrival()? {}
-        // Drain faults and reconfigurations scheduled past the last
-        // arrival. The generated fault schedules end well inside the
-        // horizon, so the first loop is normally a no-op, but it keeps
-        // `undrained` honest for hand-built ones; reconfig schedules
-        // are hand-built and routinely outlive the arrivals.
-        while let Some(e) = self.faults.get(self.next_fault).copied() {
-            self.advance_to(e.at)?;
-        }
-        while let Some(at) = self.reconfigs.get(self.next_reconfig).map(|e| e.at) {
-            self.advance_to(at)?;
-        }
-        Ok(self.into_run())
-    }
-
-    /// Processes every departure, fault, and reconfiguration due at or
-    /// before `t`, in time order (ties: departure < fault <
-    /// reconfig).
-    fn advance_to(&mut self, t: Seconds) -> Result<(), CacError> {
-        loop {
-            let dep_at = self
-                .departures
-                .peek()
-                .map(|&Reverse((bits, _))| f64::from_bits(bits));
-            let fault_at = self.faults.get(self.next_fault).map(|e| e.at.value());
-            let rec_at = self.reconfigs.get(self.next_reconfig).map(|e| e.at.value());
-            let dep_due = dep_at.is_some_and(|at| at <= t.value());
-            let fault_due = fault_at.is_some_and(|at| at <= t.value());
-            let rec_due = rec_at.is_some_and(|at| at <= t.value());
-            if dep_due && (!fault_due || dep_at <= fault_at) && (!rec_due || dep_at <= rec_at) {
-                self.pop_departure()?;
-            } else if fault_due && (!rec_due || fault_at <= rec_at) {
-                let e = self.faults[self.next_fault];
-                self.next_fault += 1;
-                self.apply_fault(e)?;
-            } else if rec_due {
-                let e = self.reconfigs[self.next_reconfig].clone();
-                self.next_reconfig += 1;
-                self.apply_reconfig(&e)?;
-            } else {
-                return Ok(());
-            }
-        }
-    }
-
-    /// Applies one scheduled reconfiguration: renegotiates the admitted
-    /// set at the new parameters, parks victims for greedy
-    /// re-admission, persists the plan's β into the run's admission
-    /// options, and records the event in the audit log (one decision
-    /// sequence number, kind [`AuditKind::Reconfig`]).
-    fn apply_reconfig(&mut self, e: &ReconfigEvent) -> Result<(), CacError> {
-        self.state.set_clock(e.at);
-        let t0 = Instant::now();
-        let report = self.state.reconfigure(&e.plan, &self.cfg.options)?;
-        let latency_seconds = t0.elapsed().as_secs_f64();
-        if let Some(beta) = e.plan.beta {
-            self.cfg.options.cac.beta = beta;
-        }
-        // The allocatable budgets changed: utilization is measured
-        // against the new ones from here on.
-        self.ring_caps = self
-            .state
-            .network()
-            .rings()
-            .iter()
-            .map(|r| r.allocatable().value())
-            .collect();
-        for conn in &report.dropped {
-            if let Some((arrival, departs_bits)) = self.live.remove(&conn.id.0) {
-                self.parked.push(Parked {
-                    arrival,
-                    departs_bits,
-                });
-            }
-        }
-        self.reconfig_metrics.absorb(&report);
-        let seq = self.state.decisions() - 1;
-        let observation = FlightObservation {
-            correlation: seq,
-            shard: None,
-            at_seconds: e.at.value(),
-            latency_seconds,
-            conflict: false,
-            reconfig: true,
-            reject_class: None,
-        };
-        if self
-            .flight
-            .observe(&observation, || ("null".into(), "[]".into()))
-            .is_some()
-        {
-            self.mx.outlier_captured();
-        }
-        self.audit.append(AuditEntry {
-            seq,
-            at: e.at,
-            kind: AuditKind::Reconfig,
-            arrival: self.next_reconfig - 1,
-            source: (0, 0),
-            dest: (0, 0),
-            deadline: 0.0,
-            outcome: AuditOutcome::Reconfigured {
-                renegotiated: report.renegotiated.len() as u64,
-                dropped: report.dropped.len() as u64,
-                unchanged: report.unchanged.len() as u64,
-            },
-        });
-        self.offer_sample(e.at);
-        if self.cfg.readmit {
-            self.readmit_parked(e.at)?;
-        }
-        Ok(())
-    }
-
-    /// Pops one departure. Connections already torn down by a fault
-    /// left their heap entry behind; popping it is a no-op.
-    fn pop_departure(&mut self) -> Result<(), CacError> {
-        let Reverse((at_bits, id)) = self.departures.pop().expect("caller peeked a departure");
-        if self.live.remove(&id).is_none() {
-            return Ok(());
-        }
-        let at = Seconds::new(f64::from_bits(at_bits));
-        self.state.set_clock(at);
-        self.state.release(ConnectionId(id))?;
-        self.offer_sample(at);
-        Ok(())
-    }
-
-    /// Applies one fault event at its scheduled time.
-    fn apply_fault(&mut self, e: FaultEvent) -> Result<(), CacError> {
-        self.state.set_clock(e.at);
-        self.recovery.faults_injected += 1;
-        match e.kind {
-            FaultKind::LinkDown(i) => self.component_down(e.at, Component::Link(LinkId(i))),
-            FaultKind::RingDown(i) => self.component_down(e.at, Component::Ring(RingId(i))),
-            FaultKind::IfDevDown(i) => self.component_down(e.at, Component::IfDev(RingId(i))),
-            FaultKind::LinkUp(i) => self.component_up(e.at, Component::Link(LinkId(i))),
-            FaultKind::RingUp(i) => self.component_up(e.at, Component::Ring(RingId(i))),
-            FaultKind::IfDevUp(i) => self.component_up(e.at, Component::IfDev(RingId(i))),
-            FaultKind::DeadlineShrink { factor } => self.deadline_shrink(e.at, factor),
-            // `FaultKind` is non_exhaustive; unknown events are inert.
-            _ => Ok(()),
-        }
-    }
-
-    /// A component fails: the CAC tears down every connection crossing
-    /// it and reclaims their synchronous bandwidth; the engine parks
-    /// the victims for re-admission at repair time.
-    fn component_down(&mut self, at: Seconds, component: Component) -> Result<(), CacError> {
-        let report = self.state.set_component_down(component)?;
-        if !report.already_down {
-            self.recovery.components_downed += 1;
-            self.open_faults.insert(component, at.value().to_bits());
-        }
-        self.recovery.connections_dropped += report.torn.len() as u64;
-        self.recovery.reclaimed_s += report.reclaimed_s.value();
-        self.recovery.reclaimed_r += report.reclaimed_r.value();
-        for torn in &report.torn {
-            if let Some((arrival, departs_bits)) = self.live.remove(&torn.id.0) {
-                self.parked.push(Parked {
-                    arrival,
-                    departs_bits,
-                });
-            }
-        }
-        self.offer_sample(at);
-        Ok(())
-    }
-
-    /// A component is repaired: record the drain time and (when
-    /// configured) greedily re-admit the parked connections.
-    fn component_up(&mut self, at: Seconds, component: Component) -> Result<(), CacError> {
-        let was_down = self.state.set_component_up(component)?;
-        if was_down {
-            self.recovery.components_restored += 1;
-            if let Some(bits) = self.open_faults.remove(&component) {
-                let drain = at.value() - f64::from_bits(bits);
-                if drain > self.recovery.max_time_to_drain {
-                    self.recovery.max_time_to_drain = drain;
-                }
-            }
-        }
-        if self.cfg.readmit {
-            self.readmit_parked(at)?;
-        }
-        Ok(())
-    }
-
-    /// The network shrinks every admitted connection's effective
-    /// deadline to `deadline * factor` for this instant: connections
-    /// whose admission-time bound exceeds it are evicted and (when
-    /// configured) immediately re-admitted at a fresh allocation.
-    fn deadline_shrink(&mut self, at: Seconds, factor: f64) -> Result<(), CacError> {
-        let victims: Vec<(ConnectionId, f64, f64)> = self
-            .state
-            .active()
-            .iter()
-            .filter(|c| c.delay_bound.value() > c.spec.deadline.value() * factor)
-            .map(|c| {
-                (
-                    c.id,
-                    c.h_s.per_rotation().value(),
-                    c.h_r.per_rotation().value(),
-                )
-            })
-            .collect();
-        for (id, h_s, h_r) in victims {
-            self.state.release(id)?;
-            self.recovery.connections_dropped += 1;
-            self.recovery.reclaimed_s += h_s;
-            self.recovery.reclaimed_r += h_r;
-            if let Some((arrival, departs_bits)) = self.live.remove(&id.0) {
-                self.parked.push(Parked {
-                    arrival,
-                    departs_bits,
-                });
-            }
-        }
-        self.offer_sample(at);
-        if self.cfg.readmit {
-            self.readmit_parked(at)?;
-        }
-        Ok(())
-    }
-
-    /// Attempts to re-admit every parked connection whose holding time
-    /// has not yet expired. Successes rejoin the departure heap at
-    /// their original departure time; connections still blocked by a
-    /// down component stay parked for the next repair; all other
-    /// rejections abandon the connection.
-    fn readmit_parked(&mut self, now: Seconds) -> Result<(), CacError> {
-        let parked = std::mem::take(&mut self.parked);
-        for p in parked {
-            let departs = f64::from_bits(p.departs_bits);
-            if departs <= now.value() {
-                self.recovery.expired_in_park += 1;
-                continue;
-            }
-            let a = self.schedule.arrivals[p.arrival];
-            let spec = ConnectionSpec::builder()
-                .source(a.source)
-                .dest(a.dest)
-                .envelope(Arc::clone(&self.envelope))
-                .deadline(a.deadline)
-                .class(self.class_of(a.source))
-                .build()?;
-            self.recovery.readmit_attempts += 1;
-            let decision = self.decide(
-                now,
-                AuditKind::Readmit,
-                p.arrival,
-                spec,
-                Seconds::new(departs),
-            )?;
-            match &decision {
-                Decision::Admitted { .. } => self.recovery.readmitted += 1,
-                Decision::Rejected(RejectReason::ComponentUnavailable { .. }) => {
-                    // The path is still blocked: wait for the next repair.
-                    self.parked.push(p);
-                }
-                Decision::Rejected(_) => {}
-            }
-        }
-        Ok(())
-    }
-
-    /// One admission decision, with all its bookkeeping: its single
-    /// metrics write, the flight recorder, the departure heap, the live
-    /// map, the audit log, and the utilization series.
-    fn decide(
-        &mut self,
-        at: Seconds,
-        kind: AuditKind,
-        arrival: usize,
-        spec: ConnectionSpec,
-        departs: Seconds,
-    ) -> Result<Decision, CacError> {
-        let source = (spec.source.ring, spec.source.station);
-        let dest = (spec.dest.ring, spec.dest.station);
-        let deadline = spec.deadline.value();
-        self.state.set_clock(at);
-        let t0 = Instant::now();
-        let (decision, spans) = if self.cfg.obs.spans && hetnet_obs::is_enabled() {
-            let state = &mut self.state;
-            let options = &self.cfg.options;
-            let (decision, trace) =
-                hetnet_obs::collect(self.cfg.obs.span_capacity, || state.admit(spec, options));
-            (decision?, Some(trace))
-        } else {
-            (self.state.admit(spec, &self.cfg.options)?, None)
-        };
-        let latency_seconds = t0.elapsed().as_secs_f64();
-        self.mx.on_decision(&DecisionFacts {
-            decision: &decision,
-            latency_seconds,
-            closure: self.state.last_closure_len().unwrap_or_default(),
-            cache: self.state.last_cache_stats().unwrap_or_default(),
-            fast: self.state.last_fast_path_stats().unwrap_or_default(),
-            trace: self.state.last_decision_trace(),
-            commit: None,
-        });
-        let outcome = AuditOutcome::from_decision(&decision);
-        let correlation = self.state.decisions() - 1;
-        let reject_class = match &outcome {
-            AuditOutcome::Rejected { class, .. } => Some(*class),
-            _ => None,
-        };
-        let observation = FlightObservation {
-            correlation,
-            shard: None,
-            at_seconds: at.value(),
-            latency_seconds,
-            conflict: false,
-            reconfig: false,
-            reject_class,
-        };
-        let state = &self.state;
-        let captured = self.flight.observe(&observation, || {
-            let trace_json = state
-                .last_decision_trace()
-                .map_or_else(|| "null".to_string(), |t| t.to_json_line());
-            let spans_json = spans.as_ref().map_or_else(
-                || "[]".to_string(),
-                |t| spans_to_json(&[("decide", None, t)], None),
-            );
-            (trace_json, spans_json)
-        });
-        if captured.is_some() {
-            self.mx.outlier_captured();
-        }
-        if let Decision::Admitted { id, .. } = &decision {
-            self.departures.push(departure(departs, *id));
-            self.live.insert(id.0, (arrival, departs.value().to_bits()));
-        }
-        self.audit.append(AuditEntry {
-            seq: correlation,
-            at,
-            kind,
-            arrival,
-            source,
-            dest,
-            deadline,
-            outcome,
-        });
-        self.offer_sample(at);
-        Ok(decision)
-    }
-
-    /// Offers a post-event utilization sample, tracks the peak, and
-    /// cuts any telemetry frames due at or before `at`.
-    fn offer_sample(&mut self, at: Seconds) {
-        let active = self.state.active().len();
-        self.peak_active = self.peak_active.max(active);
-        let state = &self.state;
-        let caps = &self.ring_caps;
-        self.series.offer(at, active, || utilization(state, caps));
-        self.mx.set_active(active);
-        self.last_event = self.last_event.max(at.value());
-        self.telemetry.offer(at.value());
-    }
-
-    /// Assembles the final [`ServiceRun`].
-    fn into_run(mut self) -> ServiceRun {
-        self.recovery.undrained = self.open_faults.len() as u64;
-        let wall_seconds = self.started.elapsed().as_secs_f64();
+        self.run_to_end()?;
         // The evaluator cache only accelerates this engine's next
         // decision; decisions never depend on it. A finished run does
         // not carry it: on paper-style churn it holds up to a thousand
         // flattened stage-1 envelopes (tens of MiB) that whoever keeps
         // the run around would otherwise pin.
-        let _ = self.state.take_eval_cache();
-        self.telemetry.finish(self.last_event);
-        let report = ServiceReport::from_registry(
-            &self.registry.snapshot(),
-            0,
-            RunFacts {
-                wall_seconds,
-                span: self.schedule.span(),
-                peak_active: self.peak_active,
-                final_active: self.state.active().len(),
-                ring_utilization: (0..self.ring_caps.len())
-                    .map(|r| self.series.ring_summary(r))
-                    .collect(),
-                audit_len: self.audit.len(),
-                topology: self.topology,
-                recovery: self.recovery,
-                reconfig: self.reconfig_metrics,
-                flight_recorder: self.flight.to_json(),
-            },
-        );
-        ServiceRun {
-            report,
+        let _ = self.decider.state.take_eval_cache();
+        Ok(ServiceRun {
+            report: self.close(),
             audit: self.audit,
             series: self.series,
-            state: self.state,
+            state: self.decider.state,
             telemetry: self.telemetry_ring.drain(),
-        }
+        })
     }
 }
 
@@ -1012,7 +416,6 @@ pub fn verify_recovery(
 /// decision-equivalence checks use.
 #[must_use]
 pub fn entries_equivalent(a: &AuditEntry, b: &AuditEntry) -> bool {
-    use crate::audit::AuditOutcome;
     let context_matches = a.seq == b.seq
         && a.at.value().to_bits() == b.at.value().to_bits()
         && a.kind == b.kind
@@ -1062,24 +465,11 @@ pub fn entries_equivalent(a: &AuditEntry, b: &AuditEntry) -> bool {
     }
 }
 
-/// Per-ring utilization: allocated fraction of allocatable time.
-fn utilization(state: &NetworkState, caps: &[f64]) -> Vec<f64> {
-    caps.iter()
-        .enumerate()
-        .map(|(r, &cap)| {
-            let available = state.available_on(r).value();
-            if cap > 0.0 {
-                ((cap - available) / cap).clamp(0.0, 1.0)
-            } else {
-                0.0
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::audit::AuditKind;
+    use crate::metrics::RecoveryMetrics;
     use hetnet_cac::cac::CacConfig;
     use hetnet_cac::incremental::FastPathStats;
 
@@ -1467,7 +857,10 @@ mod tests {
             assert!(engine.step_arrival().unwrap());
         }
         let checkpoint = engine.checkpoint();
-        assert_eq!(checkpoint.next_reconfig, 0, "reconfig must still be ahead");
+        assert_eq!(
+            checkpoint.pos.next_reconfig, 0,
+            "reconfig must still be ahead"
+        );
         let seq0 = checkpoint.decision_seq() as usize;
         let full = engine.finish().unwrap();
         let tail = &full.audit.entries()[seq0..];
@@ -1489,11 +882,11 @@ mod tests {
     fn checkpoint_after_a_reconfig_resumes_at_the_new_parameters() {
         let cfg = reconfigured_cfg(140, 43);
         let mut engine = ServiceEngine::new(HetNetwork::paper_topology(), &cfg).unwrap();
-        while engine.next_reconfig == 0 {
+        while engine.pos.next_reconfig == 0 {
             assert!(engine.step_arrival().unwrap(), "reconfig never fired");
         }
         let checkpoint = engine.checkpoint();
-        assert_eq!(checkpoint.next_reconfig, 1);
+        assert_eq!(checkpoint.pos.next_reconfig, 1);
         let seq0 = checkpoint.decision_seq() as usize;
         let full = engine.finish().unwrap();
         let tail = &full.audit.entries()[seq0..];

@@ -5,12 +5,16 @@
 //! teardowns. This crate closes that gap:
 //!
 //! * [`engine`] — consumes a seeded churn schedule
-//!   ([`hetnet_sim::churn`]) as a merged connect/disconnect/fault
-//!   event stream, driving one [`hetnet_cac::cac::NetworkState`] with
-//!   a persistent evaluator cache; supports checkpointing a run to a
+//!   ([`hetnet_sim::churn`]) as a merged connect/disconnect/fault/
+//!   reconfigure event stream, driving one
+//!   [`hetnet_cac::cac::NetworkState`] with a persistent evaluator
+//!   cache; supports checkpointing a run to a
 //!   [`hetnet_cac::snapshot::StateSnapshot`] and deterministically
 //!   recovering it against the audit-log tail
 //!   ([`engine::verify_recovery`]);
+//! * [`sharded`] — the same event loop ([`event`]) deciding through
+//!   worker threads that speculate over a ring-partitioned state,
+//!   validated and committed in event order;
 //! * [`observability`] — the run's metrics registry, the only store of
 //!   per-decision metrics: each engine writes every decision once
 //!   (outcome and rejection class, latency, closure size, evaluator
@@ -46,6 +50,7 @@
 
 pub mod audit;
 pub mod engine;
+pub mod event;
 pub mod metrics;
 pub mod observability;
 pub mod report;
@@ -53,9 +58,10 @@ pub mod sharded;
 
 pub use audit::{AuditEntry, AuditKind, AuditLog, AuditOutcome};
 pub use engine::{
-    entries_equivalent, run, verify_recovery, EngineCheckpoint, ReconfigEvent, ServiceConfig,
-    ServiceEngine, ServiceRun,
+    entries_equivalent, run, verify_recovery, ReconfigEvent, ServiceConfig, ServiceEngine,
+    ServiceRun,
 };
+pub use event::EngineCheckpoint;
 pub use metrics::{
     BindingCounters, DecisionCounters, ReconfigMetrics, RecoveryMetrics, UtilizationSample,
     UtilizationSeries,

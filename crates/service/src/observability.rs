@@ -31,6 +31,7 @@
 //! merges into one coherent causal trace.
 
 use crate::audit::reason_class;
+use crate::event::Decided;
 use crate::metrics::{BindingCounters, DecisionCounters};
 use hetnet_cac::cac::Decision;
 use hetnet_cac::delay::CacheStats;
@@ -245,18 +246,6 @@ struct CommitMetrics {
     ledger_version: Gauge,
 }
 
-/// How the sharded committer obtained a decision.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct Commit {
-    /// Ledger version a worker speculated the decision at (`None` for
-    /// a re-admission, which never speculates).
-    pub(crate) speculated_at: Option<u64>,
-    /// Whether the committer computed the decision itself: a
-    /// re-admission, or a speculation invalidated by a conflicting
-    /// commit and recomputed.
-    pub(crate) inline: bool,
-}
-
 /// The eq.-7 attribution families, registered only when the run traces
 /// decisions.
 #[derive(Debug)]
@@ -289,22 +278,6 @@ pub(crate) struct EngineMetrics {
     trace: Option<TraceMetrics>,
     active: Gauge,
     outliers: Counter,
-}
-
-/// One committed decision, as [`EngineMetrics::on_decision`] records
-/// it.
-pub(crate) struct DecisionFacts<'a> {
-    pub(crate) decision: &'a Decision,
-    pub(crate) latency_seconds: f64,
-    /// Active connections the decision read (its dependency closure).
-    pub(crate) closure: usize,
-    pub(crate) cache: CacheStats,
-    pub(crate) fast: FastPathStats,
-    /// The decision's trace; present iff the run traces decisions.
-    pub(crate) trace: Option<&'a DecisionTrace>,
-    /// The sharded engine's commit path (`None` for the sequential
-    /// engine).
-    pub(crate) commit: Option<Commit>,
 }
 
 impl EngineMetrics {
@@ -398,10 +371,10 @@ impl EngineMetrics {
         }
     }
 
-    /// Records one committed decision: the engine's only per-decision
-    /// metrics write.
-    pub(crate) fn on_decision(&self, d: &DecisionFacts<'_>) {
-        match d.decision {
+    /// Records one committed decision, with its trace when the run
+    /// traces decisions: the engine's only per-decision metrics write.
+    pub(crate) fn on_decision(&self, d: &Decided, trace: Option<&DecisionTrace>) {
+        match &d.decision {
             Decision::Admitted { .. } => self.admitted.inc(),
             Decision::Rejected(reason) => {
                 let class = reason_class(reason);
@@ -432,7 +405,7 @@ impl EngineMetrics {
         for (c, n) in self.skips.iter().zip(d.fast.skip_causes) {
             c.add(&self.registry, n);
         }
-        if let (Some(tm), Some(trace)) = (&self.trace, d.trace) {
+        if let (Some(tm), Some(trace)) = (&self.trace, trace) {
             if let Some(c) = trace.candidate() {
                 for (h, stage) in tm.stages.iter().zip(ServerStage::ALL) {
                     h.observe(stage.of(&c.report).value());
@@ -667,36 +640,42 @@ mod tests {
             ..FastPathStats::default()
         };
         fast.fallback_causes[1] = 1;
-        mx.on_decision(&DecisionFacts {
-            decision: &Decision::Admitted {
-                id: ConnectionId(0),
-                h_s: h,
-                h_r: h,
-                delay_bound: Seconds::from_millis(5.0),
+        mx.on_decision(
+            &Decided {
+                decision: Decision::Admitted {
+                    id: ConnectionId(0),
+                    h_s: h,
+                    h_r: h,
+                    delay_bound: Seconds::from_millis(5.0),
+                },
+                latency_seconds: 1e-4,
+                closure: 18,
+                cache: CacheStats {
+                    stage1_hits: 2,
+                    stage1_misses: 1,
+                    screen_hits: 3,
+                    ..CacheStats::default()
+                },
+                fast,
+                commit: None,
+                shard: None,
             },
-            latency_seconds: 1e-4,
-            closure: 18,
-            cache: CacheStats {
-                stage1_hits: 2,
-                stage1_misses: 1,
-                screen_hits: 3,
-                ..CacheStats::default()
+            None,
+        );
+        mx.on_decision(
+            &Decided {
+                decision: Decision::Rejected(RejectReason::ComponentUnavailable {
+                    component: hetnet_cac::network::Component::Ring(hetnet_cac::network::RingId(0)),
+                }),
+                latency_seconds: 2e-4,
+                closure: 3,
+                cache: CacheStats::default(),
+                fast: FastPathStats::default(),
+                commit: None,
+                shard: None,
             },
-            fast,
-            trace: None,
-            commit: None,
-        });
-        mx.on_decision(&DecisionFacts {
-            decision: &Decision::Rejected(RejectReason::ComponentUnavailable {
-                component: hetnet_cac::network::Component::Ring(hetnet_cac::network::RingId(0)),
-            }),
-            latency_seconds: 2e-4,
-            closure: 3,
-            cache: CacheStats::default(),
-            fast: FastPathStats::default(),
-            trace: None,
-            commit: None,
-        });
+            None,
+        );
         mx.set_active(5);
         let text = reg.to_openmetrics();
         assert!(text.contains("hetnet_decisions_total{outcome=\"admit\"} 1"));
@@ -764,17 +743,20 @@ mod tests {
                 cache: CacheStats::default(),
                 fast_path: FastPathStats::default(),
             };
-            mx.on_decision(&DecisionFacts {
-                decision: &Decision::Rejected(RejectReason::InfeasibleAtMaximum {
-                    detail: "x".into(),
-                }),
-                latency_seconds: 1e-5,
-                closure: 0,
-                cache: CacheStats::default(),
-                fast: FastPathStats::default(),
-                trace: Some(&trace),
-                commit: None,
-            });
+            mx.on_decision(
+                &Decided {
+                    decision: Decision::Rejected(RejectReason::InfeasibleAtMaximum {
+                        detail: "x".into(),
+                    }),
+                    latency_seconds: 1e-5,
+                    closure: 0,
+                    cache: CacheStats::default(),
+                    fast: FastPathStats::default(),
+                    commit: None,
+                    shard: None,
+                },
+                Some(&trace),
+            );
         }
         let b = read_bindings(&reg.snapshot());
         assert_eq!(

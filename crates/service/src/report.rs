@@ -433,7 +433,8 @@ fn push_stage_json(out: &mut String, name: &str, s: &LatencySummary) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::observability::{CacheCounters, Commit, DecisionFacts, EngineMetrics};
+    use crate::event::{Commit, Decided};
+    use crate::observability::{CacheCounters, EngineMetrics};
     use hetnet_cac::cac::{Decision, RejectReason};
     use hetnet_cac::connection::ConnectionId;
     use hetnet_cac::delay::PathReport;
@@ -511,23 +512,26 @@ mod tests {
             Some(([0.01, 0.002, 0.03, 0.002, 0.01], 80.0)),
             None,
         );
-        mx.on_decision(&DecisionFacts {
-            decision: &admit,
-            latency_seconds: 2e-5,
-            closure: 3,
-            cache: CacheStats {
-                stage1_hits: 2,
-                stage1_misses: 2,
-                receive_hits: 1,
-                receive_misses: 1,
-                screen_hits: 3,
-                screen_misses: 1,
-                ..CacheStats::default()
+        mx.on_decision(
+            &Decided {
+                decision: admit.clone(),
+                latency_seconds: 2e-5,
+                closure: 3,
+                cache: CacheStats {
+                    stage1_hits: 2,
+                    stage1_misses: 2,
+                    receive_hits: 1,
+                    receive_misses: 1,
+                    screen_hits: 3,
+                    screen_misses: 1,
+                    ..CacheStats::default()
+                },
+                fast,
+                commit: None,
+                shard: None,
             },
-            fast,
-            trace: Some(&admit_trace),
-            commit: None,
-        });
+            Some(&admit_trace),
+        );
         let deadline = BindingConstraint::DeadlineExceeded {
             connection: None,
             stage: ServerStage::Atm,
@@ -543,18 +547,23 @@ mod tests {
         );
         let mut skipped = FastPathStats::default();
         skipped.record_skip("non-feedforward");
-        mx.on_decision(&DecisionFacts {
-            decision: &Decision::Rejected(RejectReason::InfeasibleAtMaximum { detail: "x".into() }),
-            latency_seconds: 4e-5,
-            closure: 1,
-            cache: CacheStats::default(),
-            fast: skipped,
-            trace: Some(&reject_trace),
-            commit: Some(Commit {
-                speculated_at: None,
-                inline: true,
-            }),
-        });
+        mx.on_decision(
+            &Decided {
+                decision: Decision::Rejected(RejectReason::InfeasibleAtMaximum {
+                    detail: "x".into(),
+                }),
+                latency_seconds: 4e-5,
+                closure: 1,
+                cache: CacheStats::default(),
+                fast: skipped,
+                commit: Some(Commit {
+                    speculated_at: None,
+                    inline: true,
+                }),
+                shard: None,
+            },
+            Some(&reject_trace),
+        );
         let bare_trace = trace(
             2,
             false,
@@ -565,21 +574,24 @@ mod tests {
                 required: Seconds::from_millis(2.0),
             }),
         );
-        mx.on_decision(&DecisionFacts {
-            decision: &Decision::Rejected(RejectReason::SourceBandwidthExhausted {
-                available: Seconds::from_millis(1.0),
-                required: Seconds::from_millis(2.0),
-            }),
-            latency_seconds: 3e-5,
-            closure: 0,
-            cache: CacheStats::default(),
-            fast: FastPathStats::default(),
-            trace: Some(&bare_trace),
-            commit: Some(Commit {
-                speculated_at: None,
-                inline: true,
-            }),
-        });
+        mx.on_decision(
+            &Decided {
+                decision: Decision::Rejected(RejectReason::SourceBandwidthExhausted {
+                    available: Seconds::from_millis(1.0),
+                    required: Seconds::from_millis(2.0),
+                }),
+                latency_seconds: 3e-5,
+                closure: 0,
+                cache: CacheStats::default(),
+                fast: FastPathStats::default(),
+                commit: Some(Commit {
+                    speculated_at: None,
+                    inline: true,
+                }),
+                shard: None,
+            },
+            Some(&bare_trace),
+        );
 
         let report = ServiceReport::from_registry(
             &reg.snapshot(),
@@ -659,15 +671,20 @@ mod tests {
     fn untraced_runs_report_an_empty_attribution() {
         let reg = Arc::new(MetricsRegistry::new());
         let mx = EngineMetrics::register(&reg, false, false);
-        mx.on_decision(&DecisionFacts {
-            decision: &Decision::Rejected(RejectReason::InfeasibleAtMaximum { detail: "x".into() }),
-            latency_seconds: 1e-5,
-            closure: 0,
-            cache: CacheStats::default(),
-            fast: FastPathStats::default(),
-            trace: None,
-            commit: None,
-        });
+        mx.on_decision(
+            &Decided {
+                decision: Decision::Rejected(RejectReason::InfeasibleAtMaximum {
+                    detail: "x".into(),
+                }),
+                latency_seconds: 1e-5,
+                closure: 0,
+                cache: CacheStats::default(),
+                fast: FastPathStats::default(),
+                commit: None,
+                shard: None,
+            },
+            None,
+        );
         let snap = reg.snapshot();
         assert!(snap.find(obs::STAGE_DELAY, &[("stage", "atm")]).is_none());
         let d = StageDelaySummary::read(&snap, 1);

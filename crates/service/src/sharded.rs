@@ -1,62 +1,62 @@
-//! The sharded admission engine: a thread-per-shard front end over the
-//! ring-partitioned [`ShardedState`], committing through its backbone
-//! ledger.
+//! The sharded admission engine: the shared event loop, deciding
+//! through worker speculations over the ring-partitioned
+//! [`ShardedState`] and committing through its backbone ledger.
 //!
-//! [`crate::engine::ServiceEngine`] drives one flat
-//! [`hetnet_cac::cac::NetworkState`] and pays O(active) per decision.
-//! This engine partitions the event stream instead: arrivals are routed
-//! to a worker by source ring (`ring % workers`), each worker
+//! [`ShardedEngine`] is [`EventCore`] over the [`Sharded`] decider, so
+//! departures, faults, parking, reconfigurations, the audit log and
+//! checkpoints run exactly as in [`crate::ServiceEngine`]. What this
+//! engine adds is *how arrivals are decided*. Arrivals are routed to a
+//! worker thread by source ring (`ring % workers`); each worker
 //! *speculates* its decisions over the candidate's dependency closure
 //! (a scoped state of typically a few hundred connections, not the
-//! whole network), and a single **committer** walks the merged event
-//! stream in global order, validating each speculation against the
-//! ledger's commit log and applying it — or recomputing it inline when
-//! a conflicting commit landed since the speculation was read
-//! (optimistic concurrency, validate-then-commit). Departures and
-//! faults are applied by the committer at their event slots, exactly
-//! where the sequential engine applies them.
+//! whole network) and sends them to the committer — the thread running
+//! the event loop. The committer validates each speculation against
+//! the ledger's commit log and commits it, or recomputes it inline
+//! when a conflicting commit landed since the speculation was read
+//! (optimistic concurrency, validate-then-commit). Re-admissions never
+//! speculate; the committer decides them inline.
+//!
+//! A live reconfiguration is a barrier: [`ShardedState::reconfigure`]
+//! renegotiates the admitted set through the flat state and raises the
+//! ledger barrier past every outstanding version, so any speculation
+//! read under the old ring parameters or the old β conflicts and is
+//! recomputed under the new ones.
 //!
 //! Because commits happen strictly in event order and conflicted
 //! speculations are recomputed sequentially, the committed decision
 //! stream — ids, allocations, delay bounds, rejection classes, audit
 //! sequence — is the sequential engine's stream (`DESIGN.md` §12 gives
-//! the argument; `tests/sharded_replay.rs` holds it over random churn
-//! and fault schedules, and [`runs_equivalent`] is the certifying
-//! predicate). The audit log is appended only at commit time, so it
-//! stays gap-free without any cross-thread ordering protocol.
+//! the argument; `tests/sharded_replay.rs` holds it over random churn,
+//! fault and reconfiguration schedules, and [`runs_equivalent`] is the
+//! certifying predicate).
 //!
 //! A run with one worker is the same algorithm minus parallelism —
 //! useful both as the conflict-free baseline and for certifying that
 //! worker count does not leak into decisions.
 
-use crate::audit::{AuditEntry, AuditKind, AuditLog, AuditOutcome};
-use crate::engine::{departure, entries_equivalent, EngineCheckpoint, ServiceConfig, ServiceRun};
-use crate::metrics::{RecoveryMetrics, UtilizationSeries};
-use crate::observability::{
-    self as obs, spans_to_json, CacheCounters, Commit, DecisionFacts, EngineMetrics, SpanPhase,
-    Telemetry, TelemetryFrame,
+use crate::audit::{AuditKind, AuditLog};
+use crate::engine::{entries_equivalent, ServiceConfig, ServiceRun};
+use crate::event::{
+    admit_observed, arrival_spec, Commit, Decided, Decider, EngineCheckpoint, EventCore, Request,
 };
-use crate::report::{RunFacts, ServiceReport};
-use hetnet_cac::cac::{Decision, EvalCacheCaps, NetworkState, RejectReason};
-use hetnet_cac::connection::{ConnectionId, ConnectionSpec};
-use hetnet_cac::delay::CacheStats;
+use crate::metrics::UtilizationSeries;
+use crate::observability::{self as obs, spans_to_json, CacheCounters, SpanPhase, TelemetryFrame};
+use crate::report::ServiceReport;
+use hetnet_cac::cac::{AdmissionOptions, Decision, EvalCacheCaps, TeardownReport};
+use hetnet_cac::connection::{ActiveConnection, ConnectionId, ConnectionSpec};
+use hetnet_cac::delay::EvalCache;
 use hetnet_cac::error::CacError;
-use hetnet_cac::incremental::FastPathStats;
-use hetnet_cac::network::{Component, HetNetwork, LinkId, RingId};
+use hetnet_cac::network::{Component, HetNetwork};
+use hetnet_cac::reconfig::{ReconfigPlan, ReconfigReport};
 use hetnet_cac::shard::{Footprint, ShardedState};
 use hetnet_cac::snapshot::StateSnapshot;
 use hetnet_cac::trace::DecisionTrace;
-use hetnet_obs::{
-    FlightObservation, FlightRecorder, MetricsRegistry, RegistrySnapshot, SharedRing, Trace,
-};
-use hetnet_sim::churn::{self, ChurnArrival, ChurnSchedule};
-use hetnet_sim::fault::{generate_faults, FaultEvent, FaultKind};
+use hetnet_obs::{MetricsRegistry, RegistrySnapshot, Trace};
+use hetnet_sim::churn::ChurnArrival;
 use hetnet_traffic::envelope::SharedEnvelope;
 use hetnet_traffic::units::Seconds;
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
-use std::sync::mpsc::{Receiver, SyncSender};
-use std::sync::{mpsc, Arc, RwLock};
+use std::sync::mpsc::{self, Receiver, SyncSender};
+use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
 
 /// Worker-side evaluator-cache caps: generous enough that one large
@@ -135,583 +135,342 @@ pub struct ShardedRun {
     pub telemetry: Vec<TelemetryFrame>,
 }
 
-impl ShardedRun {
-    /// Materializes the final snapshot as a flat [`NetworkState`] over
-    /// `net` (for callers that want to keep driving it).
-    ///
-    /// # Errors
-    ///
-    /// As for [`NetworkState::restore`].
-    pub fn final_state(&self, net: Arc<HetNetwork>) -> Result<NetworkState, CacError> {
-        let mut state = NetworkState::new_shared(net);
-        state.restore(&self.final_snapshot)?;
-        Ok(state)
-    }
+/// What the committer and the workers share: the partitioned state,
+/// the admission options in force, and the reconfiguration epoch.
+#[derive(Debug)]
+struct Shared {
+    state: ShardedState,
+    /// The options speculations decide under (a reconfiguration's β
+    /// replaces the configured one).
+    options: Arc<AdmissionOptions>,
+    /// Reconfigurations applied so far: an evaluator cache carried
+    /// across one is stale (its keys do not span ring parameters).
+    epoch: u64,
 }
 
-/// What a worker hands the committer for one speculated arrival.
+/// Only the committer writes, so a poisoned lock means the committer
+/// panicked mid-update and the state may be torn.
+fn read(shared: &RwLock<Shared>) -> RwLockReadGuard<'_, Shared> {
+    shared.read().expect("sharded state lock poisoned")
+}
+
+fn write(shared: &RwLock<Shared>) -> RwLockWriteGuard<'_, Shared> {
+    shared.write().expect("sharded state lock poisoned")
+}
+
+/// One evaluation of a request over its dependency closure: what a
+/// worker hands the committer for a speculated arrival, and what the
+/// committer computes itself for an inline decision.
 struct SpecMsg {
     /// Index into the churn schedule's arrivals.
     idx: usize,
-    decision: Decision,
+    /// The decision and its measurements (the commit path and shard are
+    /// filled in at commit).
+    decided: Decided,
+    /// Ledger version the closure was read at.
     version: u64,
     footprint: Footprint,
-    latency: Seconds,
-    cache: CacheStats,
-    fast: FastPathStats,
     trace: Option<DecisionTrace>,
-    /// Span timeline collected around the speculation (worker thread),
-    /// when [`crate::observability::ObsOptions::spans`] is on.
+    /// Span timeline collected around the evaluation, when
+    /// [`crate::observability::ObsOptions::spans`] is on.
     spans: Option<Trace>,
-    closure: usize,
 }
 
-/// One decision's worth of measurement, wherever it was computed.
-struct Measured {
-    decision: Decision,
-    latency: Seconds,
-    cache: CacheStats,
-    fast: FastPathStats,
-    trace: Option<DecisionTrace>,
-    closure: usize,
-    /// Ledger version the deciding evaluation speculated at.
-    version: u64,
-    /// Worker shard the request was routed to (`None` for committer-
-    /// inline readmits).
-    shard: Option<u32>,
-    /// How the committer obtained the decision.
-    commit: Commit,
-    /// The discarded speculation's span timeline (conflicts only).
-    spec_spans: Option<Trace>,
-    /// The committed decision's span timeline.
-    spans: Option<Trace>,
-}
+/// An evaluator cache carried from one evaluation to the next, tagged
+/// with the reconfiguration epoch it was built in.
+type CarriedCache = Option<(u64, EvalCache)>;
 
 /// Decides `spec` over its dependency closure of `shared`, carrying
-/// `cache` across calls. This is the one decision procedure both
+/// `carried` across calls. This is the one decision procedure both
 /// workers and the committer run — they differ only in *when* the
 /// closure is read and whether the result must be validated.
 fn decide_scoped(
-    shared: &RwLock<ShardedState>,
+    shared: &RwLock<Shared>,
     cfg: &ServiceConfig,
+    idx: usize,
     spec: &ConnectionSpec,
     at: Seconds,
-    cache: &mut Option<hetnet_cac::delay::EvalCache>,
-) -> Result<(SpecMsg, ()), CacError> {
-    let view = shared
-        .read()
-        .expect("sharded state lock poisoned")
-        .speculate(spec.source, spec.dest)?;
+    carried: &mut CarriedCache,
+) -> Result<SpecMsg, CacError> {
+    let (view, options, epoch) = {
+        let guard = read(shared);
+        let view = guard.state.speculate(spec.source, spec.dest)?;
+        (view, Arc::clone(&guard.options), guard.epoch)
+    };
     let t0 = Instant::now();
     let mut scoped = view.state()?;
     scoped.set_cache_caps(WORKER_CACHE_CAPS);
     scoped.persist_eval_cache(cfg.persist_cache);
-    if let Some(c) = cache.take() {
-        scoped.inject_eval_cache(c);
+    if let Some((_, cache)) = carried.take().filter(|(e, _)| *e == epoch) {
+        scoped.inject_eval_cache(cache);
     }
     scoped.set_fast_path(cfg.fast_path)?;
     scoped.set_decision_tracing(cfg.trace_decisions);
     scoped.set_clock(at);
-    let (decision, spans) = if cfg.obs.spans && hetnet_obs::is_enabled() {
-        let (decision, trace) = hetnet_obs::collect(cfg.obs.span_capacity, || {
-            scoped.admit(spec.clone(), &cfg.options)
-        });
-        (decision?, Some(trace))
-    } else {
-        (scoped.admit(spec.clone(), &cfg.options)?, None)
-    };
-    let latency = Seconds::new(t0.elapsed().as_secs_f64());
-    *cache = scoped.take_eval_cache();
-    Ok((
-        SpecMsg {
-            idx: 0,
+    let (decision, spans) = admit_observed(&mut scoped, spec.clone(), &options, &cfg.obs)?;
+    let latency_seconds = t0.elapsed().as_secs_f64();
+    *carried = scoped.take_eval_cache().map(|cache| (epoch, cache));
+    Ok(SpecMsg {
+        idx,
+        decided: Decided {
             decision,
-            version: view.version,
-            footprint: view.footprint(),
-            latency,
+            latency_seconds,
+            closure: view.closure_len(),
             cache: scoped.last_cache_stats().unwrap_or_default(),
             fast: scoped.last_fast_path_stats().unwrap_or_default(),
-            trace: scoped.last_decision_trace().cloned(),
-            spans,
-            closure: view.closure_len(),
+            commit: None,
+            shard: None,
         },
-        (),
-    ))
+        version: view.version,
+        footprint: view.footprint(),
+        trace: scoped.last_decision_trace().cloned(),
+        spans,
+    })
 }
 
-/// A connection torn down by a fault, waiting for a repair.
-#[derive(Clone, Copy, Debug)]
-struct Parked {
-    arrival: usize,
-    departs_bits: u64,
+/// The committer's ends of one worker's channels.
+#[derive(Debug)]
+struct WorkerLink {
+    specs: Receiver<Result<SpecMsg, CacError>>,
+    /// A worker may speculate its next arrival only after its previous
+    /// one committed (without this, consecutive same-shard arrivals
+    /// would conflict essentially always).
+    acks: SyncSender<()>,
 }
 
-/// The committer: owns every piece of sequential bookkeeping the flat
-/// engine has, but decides arrivals by consuming worker speculations.
-struct Committer<'a> {
-    cfg: &'a ServiceConfig,
-    shared: &'a RwLock<ShardedState>,
-    schedule: &'a ChurnSchedule,
-    faults: &'a [FaultEvent],
-    envelope: SharedEnvelope,
+/// The sharded engine's [`Decider`]: validates worker speculations
+/// against the ledger, recomputes conflicted ones inline, and commits.
+#[derive(Debug)]
+pub struct Sharded {
+    workers: usize,
+    shared: Arc<RwLock<Shared>>,
+    /// Logical clock of the event being processed, for snapshots.
     clock: Seconds,
-    decision_seq: u64,
-    departures: BinaryHeap<Reverse<(u64, u64)>>,
-    live: BTreeMap<u64, (usize, u64)>,
-    parked: Vec<Parked>,
-    open_faults: BTreeMap<Component, u64>,
-    next_arrival: usize,
-    next_fault: usize,
-    series: UtilizationSeries,
-    audit: AuditLog,
-    recovery: RecoveryMetrics,
-    peak_active: usize,
-    ring_caps: Vec<f64>,
-    /// Per-ring allocated synchronous time, maintained by delta for the
-    /// utilization series (metrics only; never read by a decision).
-    held: Vec<f64>,
     /// The committer's own carried evaluator cache, for inline
     /// (conflict-retry and readmit) decisions.
-    inline_cache: Option<hetnet_cac::delay::EvalCache>,
-    /// Receivers of the per-worker speculation streams, indexed by
-    /// worker; `None` when running without workers (recovery replay of
-    /// fault-only tails).
-    spec_rx: Vec<Receiver<Result<SpecMsg, CacError>>>,
-    /// Per-worker acks: a worker may speculate its next arrival only
-    /// after its previous one committed (without this, consecutive
-    /// same-shard arrivals would conflict essentially always).
-    ack_tx: Vec<SyncSender<()>>,
-    /// Canonical metric families, registered into the run's shared
-    /// registry (the same registry the workers register into).
-    mx: EngineMetrics,
-    flight: Arc<FlightRecorder>,
-    telemetry: Telemetry,
-}
-
-impl Committer<'_> {
-    fn worker_of(&self, idx: usize) -> usize {
-        let workers = self.spec_rx.len();
-        self.schedule.arrivals[idx].source.0 % workers.max(1)
-    }
-
-    /// Processes every departure and fault due at or before `t`
-    /// (departures first on ties), mirroring the sequential engine.
-    fn advance_to(&mut self, t: Seconds) -> Result<(), CacError> {
-        loop {
-            let dep_at = self
-                .departures
-                .peek()
-                .map(|&Reverse((bits, _))| f64::from_bits(bits));
-            let fault_at = self.faults.get(self.next_fault).map(|e| e.at.value());
-            let dep_due = dep_at.is_some_and(|at| at <= t.value());
-            let fault_due = fault_at.is_some_and(|at| at <= t.value());
-            if dep_due && (!fault_due || dep_at <= fault_at) {
-                self.pop_departure()?;
-            } else if fault_due {
-                let e = self.faults[self.next_fault];
-                self.next_fault += 1;
-                self.apply_fault(e)?;
-            } else {
-                return Ok(());
-            }
-        }
-    }
-
-    fn pop_departure(&mut self) -> Result<(), CacError> {
-        let Reverse((at_bits, id)) = self.departures.pop().expect("caller peeked a departure");
-        if self.live.remove(&id).is_none() {
-            return Ok(());
-        }
-        let at = Seconds::new(f64::from_bits(at_bits));
-        self.clock = at;
-        let conn = self
-            .shared
-            .write()
-            .expect("sharded state lock poisoned")
-            .release(ConnectionId(id))?;
-        self.held[conn.spec.source.ring] -= conn.h_s.per_rotation().value();
-        self.held[conn.spec.dest.ring] -= conn.h_r.per_rotation().value();
-        self.offer_sample(at);
-        Ok(())
-    }
-
-    fn apply_fault(&mut self, e: FaultEvent) -> Result<(), CacError> {
-        self.clock = e.at;
-        self.recovery.faults_injected += 1;
-        match e.kind {
-            FaultKind::LinkDown(i) => self.component_down(e.at, Component::Link(LinkId(i))),
-            FaultKind::RingDown(i) => self.component_down(e.at, Component::Ring(RingId(i))),
-            FaultKind::IfDevDown(i) => self.component_down(e.at, Component::IfDev(RingId(i))),
-            FaultKind::LinkUp(i) => self.component_up(e.at, Component::Link(LinkId(i))),
-            FaultKind::RingUp(i) => self.component_up(e.at, Component::Ring(RingId(i))),
-            FaultKind::IfDevUp(i) => self.component_up(e.at, Component::IfDev(RingId(i))),
-            FaultKind::DeadlineShrink { factor } => self.deadline_shrink(e.at, factor),
-            _ => Ok(()),
-        }
-    }
-
-    fn component_down(&mut self, at: Seconds, component: Component) -> Result<(), CacError> {
-        let report = self
-            .shared
-            .write()
-            .expect("sharded state lock poisoned")
-            .set_component_down(component)?;
-        if !report.already_down {
-            self.recovery.components_downed += 1;
-            self.open_faults.insert(component, at.value().to_bits());
-        }
-        self.recovery.connections_dropped += report.torn.len() as u64;
-        self.recovery.reclaimed_s += report.reclaimed_s.value();
-        self.recovery.reclaimed_r += report.reclaimed_r.value();
-        for torn in &report.torn {
-            self.held[torn.spec.source.ring] -= torn.h_s.per_rotation().value();
-            self.held[torn.spec.dest.ring] -= torn.h_r.per_rotation().value();
-            if let Some((arrival, departs_bits)) = self.live.remove(&torn.id.0) {
-                self.parked.push(Parked {
-                    arrival,
-                    departs_bits,
-                });
-            }
-        }
-        self.offer_sample(at);
-        Ok(())
-    }
-
-    fn component_up(&mut self, at: Seconds, component: Component) -> Result<(), CacError> {
-        let was_down = self
-            .shared
-            .write()
-            .expect("sharded state lock poisoned")
-            .set_component_up(component)?;
-        if was_down {
-            self.recovery.components_restored += 1;
-            if let Some(bits) = self.open_faults.remove(&component) {
-                let drain = at.value() - f64::from_bits(bits);
-                if drain > self.recovery.max_time_to_drain {
-                    self.recovery.max_time_to_drain = drain;
-                }
-            }
-        }
-        if self.cfg.readmit {
-            self.readmit_parked(at)?;
-        }
-        Ok(())
-    }
-
-    fn deadline_shrink(&mut self, at: Seconds, factor: f64) -> Result<(), CacError> {
-        let victims: Vec<ConnectionId> = {
-            let guard = self.shared.read().expect("sharded state lock poisoned");
-            guard
-                .active_iter()
-                .filter(|c| c.delay_bound.value() > c.spec.deadline.value() * factor)
-                .map(|c| c.id)
-                .collect()
-        };
-        for id in victims {
-            let conn = self
-                .shared
-                .write()
-                .expect("sharded state lock poisoned")
-                .release(id)?;
-            self.recovery.connections_dropped += 1;
-            self.recovery.reclaimed_s += conn.h_s.per_rotation().value();
-            self.recovery.reclaimed_r += conn.h_r.per_rotation().value();
-            self.held[conn.spec.source.ring] -= conn.h_s.per_rotation().value();
-            self.held[conn.spec.dest.ring] -= conn.h_r.per_rotation().value();
-            if let Some((arrival, departs_bits)) = self.live.remove(&id.0) {
-                self.parked.push(Parked {
-                    arrival,
-                    departs_bits,
-                });
-            }
-        }
-        self.offer_sample(at);
-        if self.cfg.readmit {
-            self.readmit_parked(at)?;
-        }
-        Ok(())
-    }
-
-    /// Re-admission attempts are inherently sequential (they follow a
-    /// barrier-raising repair), so the committer decides them inline.
-    fn readmit_parked(&mut self, now: Seconds) -> Result<(), CacError> {
-        let parked = std::mem::take(&mut self.parked);
-        for p in parked {
-            let departs = f64::from_bits(p.departs_bits);
-            if departs <= now.value() {
-                self.recovery.expired_in_park += 1;
-                continue;
-            }
-            let a = self.schedule.arrivals[p.arrival];
-            let spec = ConnectionSpec::builder()
-                .source(a.source)
-                .dest(a.dest)
-                .envelope(Arc::clone(&self.envelope))
-                .deadline(a.deadline)
-                .build()?;
-            self.recovery.readmit_attempts += 1;
-            let measured = self.decide_inline(&spec, now)?;
-            let decision = self.commit(
-                now,
-                AuditKind::Readmit,
-                p.arrival,
-                &spec,
-                Seconds::new(departs),
-                measured,
-            )?;
-            match &decision {
-                Decision::Admitted { .. } => self.recovery.readmitted += 1,
-                Decision::Rejected(RejectReason::ComponentUnavailable { .. }) => {
-                    self.parked.push(p);
-                }
-                Decision::Rejected(_) => {}
-            }
-        }
-        Ok(())
-    }
-
-    fn decide_inline(&mut self, spec: &ConnectionSpec, at: Seconds) -> Result<Measured, CacError> {
-        let (msg, ()) = decide_scoped(self.shared, self.cfg, spec, at, &mut self.inline_cache)?;
-        Ok(Measured {
-            decision: msg.decision,
-            latency: msg.latency,
-            cache: msg.cache,
-            fast: msg.fast,
-            trace: msg.trace,
-            closure: msg.closure,
-            version: msg.version,
-            shard: None,
-            commit: Commit {
-                speculated_at: None,
-                inline: true,
-            },
-            spec_spans: None,
-            spans: msg.spans,
-        })
-    }
-
-    /// Consumes one worker speculation for `idx`, validates it against
-    /// the ledger, recomputing inline on conflict, and commits.
-    fn commit_arrival(&mut self, idx: usize, a: ChurnArrival) -> Result<(), CacError> {
-        let w = self.worker_of(idx);
-        let msg = self.spec_rx[w]
-            .recv()
-            .expect("worker hung up mid-schedule")?;
-        debug_assert_eq!(msg.idx, idx, "worker stream out of order");
-        self.advance_to(a.at)?;
-        let conflicted = {
-            let guard = self.shared.read().expect("sharded state lock poisoned");
-            guard.conflicts(msg.version, &msg.footprint)
-        };
-        let spec = ConnectionSpec::builder()
-            .source(a.source)
-            .dest(a.dest)
-            .envelope(Arc::clone(&self.envelope))
-            .deadline(a.deadline)
-            .build()?;
-        let measured = if conflicted {
-            let spec_spans = msg.spans;
-            let mut measured = self.decide_inline(&spec, a.at)?;
-            measured.shard = Some(w as u32);
-            measured.commit.speculated_at = Some(msg.version);
-            measured.spec_spans = spec_spans;
-            measured
-        } else {
-            Measured {
-                decision: msg.decision,
-                latency: msg.latency,
-                cache: msg.cache,
-                fast: msg.fast,
-                trace: msg.trace,
-                closure: msg.closure,
-                version: msg.version,
-                shard: Some(w as u32),
-                commit: Commit {
-                    speculated_at: Some(msg.version),
-                    inline: false,
-                },
-                spec_spans: None,
-                spans: msg.spans,
-            }
-        };
-        self.commit(
-            a.at,
-            AuditKind::Arrival,
-            idx,
-            &spec,
-            a.at + a.holding,
-            measured,
-        )?;
-        let _ = self.ack_tx[w].send(());
-        Ok(())
-    }
-
-    /// Applies one decided request: ledger commit, id reassignment (the
-    /// ledger's counter is authoritative — it equals the sequential
-    /// engine's), bookkeeping, and the audit append.
-    fn commit(
-        &mut self,
-        at: Seconds,
-        kind: AuditKind,
-        arrival: usize,
-        spec: &ConnectionSpec,
-        departs: Seconds,
-        measured: Measured,
-    ) -> Result<Decision, CacError> {
-        let Measured {
-            decision: decided,
-            latency,
-            cache,
-            fast,
-            trace,
-            closure,
-            version,
-            shard,
-            commit,
-            spec_spans,
-            spans,
-        } = measured;
-        // A speculation the committer had to recompute.
-        let conflict = commit.inline && commit.speculated_at.is_some();
-        self.clock = at;
-        let decision = match decided {
-            Decision::Admitted {
-                h_s,
-                h_r,
-                delay_bound,
-                ..
-            } => {
-                let id = self
-                    .shared
-                    .write()
-                    .expect("sharded state lock poisoned")
-                    .commit_admit(spec, h_s, h_r, delay_bound)?;
-                self.held[spec.source.ring] += h_s.per_rotation().value();
-                self.held[spec.dest.ring] += h_r.per_rotation().value();
-                self.departures.push(departure(departs, id));
-                self.live.insert(id.0, (arrival, departs.value().to_bits()));
-                Decision::Admitted {
-                    id,
-                    h_s,
-                    h_r,
-                    delay_bound,
-                }
-            }
-            rejected @ Decision::Rejected(_) => rejected,
-        };
-        self.mx.on_decision(&DecisionFacts {
-            decision: &decision,
-            latency_seconds: latency.value(),
-            closure,
-            cache,
-            fast,
-            trace: trace.as_ref(),
-            commit: Some(commit),
-        });
-        let outcome = AuditOutcome::from_decision(&decision);
-        let reject_class = match &outcome {
-            AuditOutcome::Rejected { class, .. } => Some(*class),
-            _ => None,
-        };
-        let observation = FlightObservation {
-            correlation: self.decision_seq,
-            shard,
-            at_seconds: at.value(),
-            latency_seconds: latency.value(),
-            conflict,
-            reconfig: false,
-            reject_class,
-        };
-        let captured = self.flight.observe(&observation, || {
-            let trace_json = trace
-                .as_ref()
-                .map_or_else(|| "null".to_string(), DecisionTrace::to_json_line);
-            let mut phases: Vec<SpanPhase<'_>> = Vec::new();
-            if conflict {
-                if let Some(t) = &spec_spans {
-                    phases.push(("speculate", shard, t));
-                }
-                if let Some(t) = &spans {
-                    phases.push(("recompute", None, t));
-                }
-            } else if let Some(t) = &spans {
-                phases.push((
-                    if shard.is_some() {
-                        "speculate"
-                    } else {
-                        "inline"
-                    },
-                    shard,
-                    t,
-                ));
-            }
-            (trace_json, spans_to_json(&phases, Some(version)))
-        });
-        if captured.is_some() {
-            self.mx.outlier_captured();
-        }
-        self.audit.append(AuditEntry {
-            seq: self.decision_seq,
-            at,
-            kind,
-            arrival,
-            source: (spec.source.ring, spec.source.station),
-            dest: (spec.dest.ring, spec.dest.station),
-            deadline: spec.deadline.value(),
-            outcome,
-        });
-        self.decision_seq += 1;
-        self.offer_sample(at);
-        Ok(decision)
-    }
-
-    fn offer_sample(&mut self, at: Seconds) {
-        let active = self
-            .shared
-            .read()
-            .expect("sharded state lock poisoned")
-            .active_count();
-        self.peak_active = self.peak_active.max(active);
-        self.mx.set_active(active);
-        self.telemetry.offer(at.value());
-        let caps = &self.ring_caps;
-        let held = &self.held;
-        self.series.offer(at, active, || {
-            caps.iter()
-                .zip(held)
-                .map(|(&cap, &h)| {
-                    if cap > 0.0 {
-                        (h / cap).clamp(0.0, 1.0)
-                    } else {
-                        0.0
-                    }
-                })
-                .collect()
-        });
-    }
-}
-
-/// The sharded engine's one-shot driver. See [`run_sharded`].
-#[derive(Debug)]
-pub struct ShardedEngine {
-    cfg: ServiceConfig,
-    workers: usize,
-    net: Arc<HetNetwork>,
-    schedule: ChurnSchedule,
-    faults: Vec<FaultEvent>,
-    envelope: SharedEnvelope,
-    /// Checkpoint to resume from, if recovering.
-    resume: Option<EngineCheckpoint>,
-    /// If set, capture a checkpoint after this many arrivals.
+    inline_cache: CarriedCache,
+    /// One link per worker, installed by [`ShardedEngine::run`] for
+    /// the life of its worker scope.
+    links: Vec<WorkerLink>,
+    /// Capture a checkpoint after this many arrivals.
     checkpoint_after: Option<usize>,
-    /// The run's shared metrics registry. Created at construction so a
-    /// live viewer can hold a clone and poll while `run` is going.
-    registry: Arc<MetricsRegistry>,
-    /// Outlier flight recorder shared with the committer.
-    flight: Arc<FlightRecorder>,
-    /// Ring of periodic telemetry frames, pollable from any thread.
-    telemetry_ring: Arc<SharedRing<TelemetryFrame>>,
+    /// The last committed decision's trace, span phases, and the ledger
+    /// version its deciding evaluation read.
+    trace: Option<DecisionTrace>,
+    phases: Vec<(&'static str, Option<u32>, Trace)>,
+    version: u64,
 }
+
+impl Decider for Sharded {
+    fn workers(&self) -> usize {
+        self.workers
+    }
+
+    fn set_clock(&mut self, at: Seconds) {
+        self.clock = at;
+    }
+
+    fn active_count(&self) -> usize {
+        read(&self.shared).state.active_count()
+    }
+
+    fn filter_active<T>(&self, f: impl FnMut(&ActiveConnection) -> Option<T>) -> Vec<T> {
+        read(&self.shared)
+            .state
+            .active_iter()
+            .filter_map(f)
+            .collect()
+    }
+
+    fn ring_load(&self, caps: &[f64]) -> Vec<f64> {
+        let mut load = vec![0.0; caps.len()];
+        for c in read(&self.shared).state.active_iter() {
+            load[c.spec.source.ring] += c.h_s.per_rotation().value();
+            load[c.spec.dest.ring] += c.h_r.per_rotation().value();
+        }
+        load
+    }
+
+    fn release(&mut self, id: ConnectionId) -> Result<(), CacError> {
+        write(&self.shared).state.release(id).map(drop)
+    }
+
+    fn set_component_down(&mut self, component: Component) -> Result<TeardownReport, CacError> {
+        write(&self.shared).state.set_component_down(component)
+    }
+
+    fn set_component_up(&mut self, component: Component) -> Result<bool, CacError> {
+        write(&self.shared).state.set_component_up(component)
+    }
+
+    fn reconfigure(
+        &mut self,
+        plan: &ReconfigPlan,
+        options: &AdmissionOptions,
+    ) -> Result<ReconfigReport, CacError> {
+        let mut shared = write(&self.shared);
+        let report = shared.state.reconfigure(plan, options)?;
+        shared.options = Arc::new(options.clone());
+        shared.epoch += 1;
+        Ok(report)
+    }
+
+    fn snapshot(&self, decision_seq: u64) -> StateSnapshot {
+        read(&self.shared).state.snapshot(self.clock, decision_seq)
+    }
+
+    fn restore(&mut self, snap: &StateSnapshot) -> Result<(), CacError> {
+        let mut shared = write(&self.shared);
+        shared.state = ShardedState::from_snapshot(Arc::clone(shared.state.net()), snap)?;
+        self.clock = snap.clock;
+        Ok(())
+    }
+
+    /// Consumes the worker speculation for an arrival and validates it
+    /// against the ledger, recomputing inline on conflict (a
+    /// re-admission is always decided inline), then commits: the
+    /// ledger assigns the id, which equals the sequential engine's.
+    fn decide(&mut self, req: Request<'_>) -> Result<Decided, CacError> {
+        let speculated = if req.kind == AuditKind::Arrival {
+            let w = req.spec.source.ring % self.workers;
+            let hung_up =
+                || CacError::Substrate(format!("speculation worker {w} hung up mid-schedule"));
+            let link = self.links.get(w).ok_or_else(hung_up)?;
+            let msg = link.specs.recv().map_err(|_| hung_up())??;
+            debug_assert_eq!(msg.idx, req.arrival, "worker stream out of order");
+            Some((w as u32, msg))
+        } else {
+            None
+        };
+        let shard = speculated.as_ref().map(|(w, _)| *w);
+        let speculated_at = speculated.as_ref().map(|(_, m)| m.version);
+        let (msg, inline, discarded) = match speculated {
+            Some((_, msg))
+                if !read(&self.shared)
+                    .state
+                    .conflicts(msg.version, &msg.footprint) =>
+            {
+                (msg, false, None)
+            }
+            speculated => {
+                let msg = decide_scoped(
+                    &self.shared,
+                    req.cfg,
+                    req.arrival,
+                    &req.spec,
+                    req.at,
+                    &mut self.inline_cache,
+                )?;
+                (msg, true, speculated.and_then(|(_, m)| m.spans))
+            }
+        };
+        let mut decided = msg.decided;
+        if let Decision::Admitted {
+            id,
+            h_s,
+            h_r,
+            delay_bound,
+        } = &mut decided.decision
+        {
+            *id = write(&self.shared)
+                .state
+                .commit_admit(&req.spec, *h_s, *h_r, *delay_bound)?;
+        }
+        if let Some(w) = shard {
+            // A worker whose arrivals are all committed has exited.
+            let _ = self.links[w as usize].acks.send(());
+        }
+        let (phase, phase_shard) = match (inline, shard) {
+            (false, _) => ("speculate", shard),
+            (true, Some(_)) => ("recompute", None),
+            (true, None) => ("inline", None),
+        };
+        self.phases = discarded
+            .map(|t| ("speculate", shard, t))
+            .into_iter()
+            .chain(msg.spans.map(|t| (phase, phase_shard, t)))
+            .collect();
+        self.trace = msg.trace;
+        self.version = msg.version;
+        decided.commit = Some(Commit {
+            speculated_at,
+            inline,
+        });
+        decided.shard = shard;
+        Ok(decided)
+    }
+
+    fn last_trace(&self) -> Option<&DecisionTrace> {
+        self.trace.as_ref()
+    }
+
+    fn spans_json(&self) -> String {
+        let phases: Vec<SpanPhase<'_>> = self.phases.iter().map(|(p, s, t)| (*p, *s, t)).collect();
+        spans_to_json(&phases, Some(self.version))
+    }
+}
+
+/// One speculation worker's inputs: the arrivals routed to its shard
+/// and what deciding them needs.
+struct Worker {
+    shard: usize,
+    /// Indices of its arrivals, in schedule order.
+    indices: Vec<usize>,
+    arrivals: Arc<Vec<ChurnArrival>>,
+    envelope: SharedEnvelope,
+    shared: Arc<RwLock<Shared>>,
+    cfg: ServiceConfig,
+    registry: Arc<MetricsRegistry>,
+}
+
+impl Worker {
+    /// Speculates each arrival once the previous one committed, until
+    /// its arrivals run out or the committer hangs up.
+    fn run(self, specs: &SyncSender<Result<SpecMsg, CacError>>, acks: &Receiver<()>) {
+        // Each worker registers its own shard-labelled families into
+        // the one shared registry, from its own thread.
+        let shard = self.shard.to_string();
+        let speculations = self.registry.counter(
+            obs::SPECULATIONS,
+            "Speculative admissions evaluated, per worker shard.",
+            &[("shard", &shard)],
+        );
+        let latency = self.registry.histogram(
+            "hetnet_shard_speculation_latency_seconds",
+            "Worker-side speculation wall time, per shard.",
+            &[("shard", &shard)],
+        );
+        let lookups = CacheCounters::register(
+            &self.registry,
+            obs::SHARD_CACHE_LOOKUPS,
+            &[("shard", &shard)],
+        );
+        let mut cache = None;
+        for (n, &idx) in self.indices.iter().enumerate() {
+            if n > 0 && acks.recv().is_err() {
+                return;
+            }
+            let a = &self.arrivals[idx];
+            let msg = arrival_spec(a, &self.envelope, self.cfg.classes).and_then(|spec| {
+                decide_scoped(&self.shared, &self.cfg, idx, &spec, a.at, &mut cache)
+            });
+            if let Ok(m) = &msg {
+                speculations.inc();
+                latency.observe(m.decided.latency_seconds);
+                lookups.add(&m.decided.cache);
+            }
+            let failed = msg.is_err();
+            if specs.send(msg).is_err() || failed {
+                return;
+            }
+        }
+    }
+}
+
+/// The sharded engine: [`ShardedEngine::new`] positions it at the
+/// start of the schedule and [`ShardedEngine::run`] runs it to
+/// completion. See [`run_sharded`].
+pub type ShardedEngine = EventCore<Sharded>;
 
 impl ShardedEngine {
     /// Builds an engine over `network` with `workers` worker threads
@@ -719,79 +478,26 @@ impl ShardedEngine {
     ///
     /// # Errors
     ///
-    /// Returns [`CacError::InvalidRequest`] if the churn shape does not
-    /// match the network.
+    /// As for [`crate::ServiceEngine::new`].
     pub fn new(network: HetNetwork, cfg: &ServiceConfig, workers: usize) -> Result<Self, CacError> {
-        let shape = cfg.churn.shape;
-        if shape.rings != network.rings().len() || shape.hosts_per_ring != network.hosts_per_ring()
-        {
-            return Err(CacError::InvalidRequest(format!(
-                "churn shape {}x{} does not match network {}x{}",
-                shape.rings,
-                shape.hosts_per_ring,
-                network.rings().len(),
-                network.hosts_per_ring()
-            )));
-        }
-        if !cfg.reconfigs.is_empty() {
-            return Err(CacError::InvalidRequest(
-                "the sharded engine does not support live reconfiguration; \
-                 use the sequential engine for reconfig schedules"
-                    .into(),
-            ));
-        }
-        let schedule = churn::generate(&cfg.churn);
-        let envelope: SharedEnvelope = Arc::new(schedule.source);
-        let faults = match &cfg.faults {
-            Some(f) if !schedule.arrivals.is_empty() => generate_faults(
-                f,
-                network.rings().len(),
-                network.backbone().link_count(),
-                schedule.span(),
-            ),
-            _ => Vec::new(),
-        };
-        let registry = Arc::new(MetricsRegistry::new());
-        let flight = Arc::new(FlightRecorder::new(
-            cfg.obs.flight_capacity,
-            cfg.obs.flight_min_samples,
-        ));
-        let telemetry_ring = Arc::new(SharedRing::new(cfg.obs.telemetry_capacity));
-        Ok(Self {
-            cfg: cfg.clone(),
-            workers: workers.max(1),
-            net: Arc::new(network),
-            schedule,
-            faults,
-            envelope,
-            resume: None,
-            checkpoint_after: None,
-            registry,
-            flight,
-            telemetry_ring,
+        Self::build(network, cfg, |network| {
+            let shared = Shared {
+                state: ShardedState::new(Arc::new(network)),
+                options: Arc::new(cfg.options.clone()),
+                epoch: 0,
+            };
+            Ok(Sharded {
+                workers: workers.max(1),
+                shared: Arc::new(RwLock::new(shared)),
+                clock: Seconds::ZERO,
+                inline_cache: None,
+                links: Vec::new(),
+                checkpoint_after: None,
+                trace: None,
+                phases: Vec::new(),
+                version: 0,
+            })
         })
-    }
-
-    /// The run's shared metrics registry. Clone the `Arc` before
-    /// calling [`ShardedEngine::run`] to watch the run from another
-    /// thread (this is what `hetnet-top` does).
-    #[must_use]
-    pub fn registry(&self) -> Arc<MetricsRegistry> {
-        Arc::clone(&self.registry)
-    }
-
-    /// The run's outlier flight recorder (see
-    /// [`hetnet_obs::FlightRecorder`]).
-    #[must_use]
-    pub fn flight_recorder(&self) -> Arc<FlightRecorder> {
-        Arc::clone(&self.flight)
-    }
-
-    /// The ring periodic telemetry frames are pushed into when
-    /// [`ObsOptions::telemetry_period`](crate::ObsOptions) is set.
-    #[must_use]
-    pub fn telemetry_ring(&self) -> Arc<SharedRing<TelemetryFrame>> {
-        Arc::clone(&self.telemetry_ring)
     }
 
     /// Resumes from a checkpoint taken by either engine (the formats
@@ -801,25 +507,14 @@ impl ShardedEngine {
     ///
     /// # Errors
     ///
-    /// As for [`ShardedEngine::new`], plus
-    /// [`CacError::SnapshotMismatch`] if the snapshot does not fit the
-    /// network or the cursors exceed the regenerated schedules.
+    /// As for [`crate::ServiceEngine::recover`].
     pub fn recover(
         network: HetNetwork,
         cfg: &ServiceConfig,
         workers: usize,
         checkpoint: &EngineCheckpoint,
     ) -> Result<Self, CacError> {
-        let mut engine = Self::new(network, cfg, workers)?;
-        if checkpoint.next_arrival > engine.schedule.arrivals.len()
-            || checkpoint.next_fault > engine.faults.len()
-        {
-            return Err(CacError::SnapshotMismatch(
-                "checkpoint cursors exceed the regenerated schedules".into(),
-            ));
-        }
-        engine.resume = Some(checkpoint.clone());
-        Ok(engine)
+        Self::new(network, cfg, workers)?.resume(checkpoint)
     }
 
     /// Requests a checkpoint capture after `arrivals` more arrivals
@@ -829,7 +524,7 @@ impl ShardedEngine {
     /// committer mutates.
     #[must_use]
     pub fn checkpoint_after(mut self, arrivals: usize) -> Self {
-        self.checkpoint_after = Some(arrivals);
+        self.decider.checkpoint_after = Some(arrivals);
         self
     }
 
@@ -839,270 +534,65 @@ impl ShardedEngine {
     /// # Errors
     ///
     /// Propagates any [`CacError`] from the underlying admissions and
-    /// releases (rejections are outcomes, not errors).
-    #[allow(clippy::too_many_lines)]
-    pub fn run(self) -> Result<(ShardedRun, Option<EngineCheckpoint>), CacError> {
-        let started = Instant::now();
-        let workers = self.workers;
-        let sharded = match &self.resume {
-            None => ShardedState::new(Arc::clone(&self.net)),
-            Some(ckpt) => ShardedState::from_snapshot(Arc::clone(&self.net), &ckpt.state)?,
-        };
-        let shared = RwLock::new(sharded);
-        let ring_caps: Vec<f64> = self
-            .net
-            .rings()
-            .iter()
-            .map(|r| r.allocatable().value())
-            .collect();
-        // Rebuild the per-ring held totals for the utilization series.
-        let mut held = vec![0.0f64; ring_caps.len()];
-        {
-            let guard = shared.read().expect("sharded state lock poisoned");
-            for c in guard.active_iter() {
-                held[c.spec.source.ring] += c.h_s.per_rotation().value();
-                held[c.spec.dest.ring] += c.h_r.per_rotation().value();
-            }
-        }
-        let start_arrival = self.resume.as_ref().map_or(0, |c| c.next_arrival);
-        let start_seq = self.resume.as_ref().map_or(0, |c| c.state.decision_seq);
-
-        // Partition the remaining arrivals by worker (source ring mod
-        // workers), preserving schedule order within each worker.
+    /// releases (rejections are outcomes, not errors), and reports a
+    /// worker that hung up mid-schedule as one.
+    pub fn run(mut self) -> Result<(ShardedRun, Option<EngineCheckpoint>), CacError> {
+        self.started = Instant::now();
+        let workers = self.decider.workers;
+        // A recovered run replayed its reconfigurations' β.
+        write(&self.decider.shared).options = Arc::new(self.cfg.options.clone());
+        let checkpoint_at = self
+            .decider
+            .checkpoint_after
+            .map(|n| self.pos.next_arrival + n);
         let mut owned: Vec<Vec<usize>> = vec![Vec::new(); workers];
-        for (idx, a) in self
-            .schedule
-            .arrivals
-            .iter()
-            .enumerate()
-            .skip(start_arrival)
-        {
+        for (idx, a) in self.arrivals.iter().enumerate().skip(self.pos.next_arrival) {
             owned[a.source.0 % workers].push(idx);
         }
-
-        let mut spec_rx = Vec::with_capacity(workers);
-        let mut ack_txs = Vec::with_capacity(workers);
-        let mut worker_inputs = Vec::with_capacity(workers);
-        for indices in owned {
-            let (tx, rx) = mpsc::sync_channel::<Result<SpecMsg, CacError>>(1);
-            let (ack_tx, ack_rx) = mpsc::sync_channel::<()>(1);
-            spec_rx.push(rx);
-            ack_txs.push(ack_tx);
-            worker_inputs.push((indices, tx, ack_rx));
-        }
-
-        let mut committer = Committer {
-            cfg: &self.cfg,
-            shared: &shared,
-            schedule: &self.schedule,
-            faults: &self.faults,
-            envelope: Arc::clone(&self.envelope),
-            clock: Seconds::ZERO,
-            decision_seq: start_seq,
-            departures: self.resume.as_ref().map_or_else(BinaryHeap::new, |c| {
-                c.departures.iter().map(|&p| Reverse(p)).collect()
-            }),
-            live: self.resume.as_ref().map_or_else(BTreeMap::new, |c| {
-                c.live
-                    .iter()
-                    .map(|&(id, arrival, departs)| (id, (arrival, departs)))
-                    .collect()
-            }),
-            parked: self.resume.as_ref().map_or_else(Vec::new, |c| {
-                c.parked
-                    .iter()
-                    .map(|&(arrival, departs_bits)| Parked {
-                        arrival,
-                        departs_bits,
-                    })
-                    .collect()
-            }),
-            open_faults: self
-                .resume
-                .as_ref()
-                .map_or_else(BTreeMap::new, |c| c.open_faults.iter().copied().collect()),
-            next_arrival: start_arrival,
-            next_fault: self.resume.as_ref().map_or(0, |c| c.next_fault),
-            series: UtilizationSeries::new(self.cfg.sample_period),
-            audit: if start_seq == 0 {
-                AuditLog::new()
-            } else {
-                AuditLog::starting_at(start_seq)
-            },
-            recovery: RecoveryMetrics::default(),
-            peak_active: 0,
-            ring_caps,
-            held,
-            inline_cache: None,
-            spec_rx,
-            ack_tx: ack_txs,
-            mx: EngineMetrics::register(&self.registry, self.cfg.trace_decisions, true),
-            flight: Arc::clone(&self.flight),
-            telemetry: Telemetry::new(
-                &self.cfg.obs,
-                Arc::clone(&self.registry),
-                Arc::clone(&self.telemetry_ring),
-            ),
-        };
-
-        let mut checkpoint_out: Option<EngineCheckpoint> = None;
-        let checkpoint_at = self.checkpoint_after.map(|n| start_arrival + n);
-        let result: Result<(), CacError> = std::thread::scope(|scope| {
-            for (w, (indices, tx, ack_rx)) in worker_inputs.into_iter().enumerate() {
-                let cfg = &self.cfg;
-                let schedule = &self.schedule;
-                let envelope = Arc::clone(&self.envelope);
-                let shared_ref = &shared;
-                let registry = Arc::clone(&self.registry);
-                scope.spawn(move || {
-                    // Each worker registers its own shard-labelled
-                    // families into the one shared registry, from its
-                    // own thread.
-                    let shard = w.to_string();
-                    let speculations = registry.counter(
-                        obs::SPECULATIONS,
-                        "Speculative admissions evaluated, per worker shard.",
-                        &[("shard", &shard)],
-                    );
-                    let spec_latency = registry.histogram(
-                        "hetnet_shard_speculation_latency_seconds",
-                        "Worker-side speculation wall time, per shard.",
-                        &[("shard", &shard)],
-                    );
-                    let lookups = CacheCounters::register(
-                        &registry,
-                        obs::SHARD_CACHE_LOOKUPS,
-                        &[("shard", &shard)],
-                    );
-                    let mut cache: Option<hetnet_cac::delay::EvalCache> = None;
-                    let mut first = true;
-                    for idx in indices {
-                        if !first && ack_rx.recv().is_err() {
-                            return; // committer gone (error path)
-                        }
-                        first = false;
-                        let a = schedule.arrivals[idx];
-                        let spec = match ConnectionSpec::builder()
-                            .source(a.source)
-                            .dest(a.dest)
-                            .envelope(Arc::clone(&envelope))
-                            .deadline(a.deadline)
-                            .build()
-                        {
-                            Ok(s) => s,
-                            Err(e) => {
-                                let _ = tx.send(Err(e));
-                                return;
-                            }
-                        };
-                        match decide_scoped(shared_ref, cfg, &spec, a.at, &mut cache) {
-                            Ok((mut msg, ())) => {
-                                msg.idx = idx;
-                                speculations.inc();
-                                spec_latency.observe(msg.latency.value());
-                                lookups.add(&msg.cache);
-                                if tx.send(Ok(msg)).is_err() {
-                                    return;
-                                }
-                            }
-                            Err(e) => {
-                                let _ = tx.send(Err(e));
-                                return;
-                            }
-                        }
-                    }
-                });
+        let (mut core, checkpoint) = std::thread::scope(move |scope| {
+            // The core owns every committer-side channel end, so on any
+            // exit from this closure they drop before the scope joins
+            // the workers, and a worker blocked on its channel returns.
+            let mut core = self;
+            for (shard, indices) in owned.into_iter().enumerate() {
+                let (spec_tx, specs) = mpsc::sync_channel(1);
+                let (acks, ack_rx) = mpsc::sync_channel(1);
+                core.decider.links.push(WorkerLink { specs, acks });
+                let worker = Worker {
+                    shard,
+                    indices,
+                    arrivals: Arc::clone(&core.arrivals),
+                    envelope: Arc::clone(&core.envelope),
+                    shared: Arc::clone(&core.decider.shared),
+                    cfg: core.cfg.clone(),
+                    registry: core.registry(),
+                };
+                scope.spawn(move || worker.run(&spec_tx, &ack_rx));
             }
-
-            while let Some(&a) = self.schedule.arrivals.get(committer.next_arrival) {
-                if checkpoint_at == Some(committer.next_arrival) && checkpoint_out.is_none() {
-                    checkpoint_out = Some(committer.take_checkpoint());
+            let mut checkpoint = None;
+            loop {
+                if checkpoint_at == Some(core.pos.next_arrival) {
+                    checkpoint = Some(core.checkpoint());
                 }
-                let idx = committer.next_arrival;
-                committer.commit_arrival(idx, a)?;
-                committer.next_arrival += 1;
+                if !core.step()? {
+                    break;
+                }
             }
-            if checkpoint_at == Some(committer.next_arrival) && checkpoint_out.is_none() {
-                checkpoint_out = Some(committer.take_checkpoint());
-            }
-            while let Some(e) = committer.faults.get(committer.next_fault).copied() {
-                committer.advance_to(e.at)?;
-            }
-            Ok(())
-        });
-        result?;
-
-        committer.telemetry.finish(committer.clock.value());
-        committer.recovery.undrained = committer.open_faults.len() as u64;
-        let wall_seconds = started.elapsed().as_secs_f64();
-        let final_snapshot = {
-            let guard = shared.read().expect("sharded state lock poisoned");
-            guard.snapshot(committer.clock, committer.decision_seq)
-        };
-        let snapshot = self.registry.snapshot();
-        let report = ServiceReport::from_registry(
-            &snapshot,
-            workers,
-            RunFacts {
-                wall_seconds,
-                span: self.schedule.span(),
-                peak_active: committer.peak_active,
-                final_active: final_snapshot.connections.len(),
-                ring_utilization: (0..committer.ring_caps.len())
-                    .map(|r| committer.series.ring_summary(r))
-                    .collect(),
-                audit_len: committer.audit.len(),
-                topology: self.net.summary().to_string(),
-                recovery: committer.recovery,
-                reconfig: crate::metrics::ReconfigMetrics::default(),
-                flight_recorder: self.flight.to_json(),
-            },
-        );
+            core.run_to_end()?;
+            core.decider.links.clear();
+            Ok::<_, CacError>((core, checkpoint))
+        })?;
         Ok((
             ShardedRun {
-                report,
-                audit: committer.audit,
-                series: committer.series,
-                final_snapshot,
-                sharding: ShardingStats::read(&snapshot, workers),
-                telemetry: self.telemetry_ring.drain(),
+                final_snapshot: core.decider.snapshot(core.next_seq()),
+                sharding: ShardingStats::read(&core.registry.snapshot(), workers),
+                report: core.close(),
+                audit: core.audit,
+                series: core.series,
+                telemetry: core.telemetry_ring.drain(),
             },
-            checkpoint_out,
+            checkpoint,
         ))
-    }
-}
-
-impl Committer<'_> {
-    /// Captures a checkpoint between arrivals, in the sequential
-    /// engine's format (the two engines' checkpoints interchange).
-    fn take_checkpoint(&self) -> EngineCheckpoint {
-        let mut departures: Vec<(u64, u64)> = self.departures.iter().map(|&Reverse(p)| p).collect();
-        departures.sort_unstable();
-        let state = self
-            .shared
-            .read()
-            .expect("sharded state lock poisoned")
-            .snapshot(self.clock, self.decision_seq);
-        EngineCheckpoint {
-            state,
-            departures,
-            live: self
-                .live
-                .iter()
-                .map(|(&id, &(arrival, departs))| (id, arrival, departs))
-                .collect(),
-            parked: self
-                .parked
-                .iter()
-                .map(|p| (p.arrival, p.departs_bits))
-                .collect(),
-            open_faults: self.open_faults.iter().map(|(&c, &b)| (c, b)).collect(),
-            next_arrival: self.next_arrival,
-            next_fault: self.next_fault,
-            // The sharded engine refuses reconfig schedules, so a
-            // checkpoint it takes always sits before the first one.
-            next_reconfig: 0,
-        }
     }
 }
 
@@ -1127,13 +617,7 @@ pub fn run_sharded(
 /// and final states bit-identical by snapshot JSON.
 #[must_use]
 pub fn runs_equivalent(sharded: &ShardedRun, sequential: &ServiceRun) -> bool {
-    sharded.audit.len() == sequential.audit.len()
-        && sharded
-            .audit
-            .entries()
-            .iter()
-            .zip(sequential.audit.entries())
-            .all(|(a, b)| entries_equivalent(a, b))
+    audits_equivalent(&sharded.audit, &sequential.audit)
         && sharded.final_snapshot.to_json() == sequential.state.snapshot().to_json()
 }
 
@@ -1141,13 +625,17 @@ pub fn runs_equivalent(sharded: &ShardedRun, sequential: &ServiceRun) -> bool {
 /// counts over the same config).
 #[must_use]
 pub fn sharded_runs_equivalent(a: &ShardedRun, b: &ShardedRun) -> bool {
-    a.audit.len() == b.audit.len()
-        && a.audit
-            .entries()
-            .iter()
-            .zip(b.audit.entries())
-            .all(|(x, y)| entries_equivalent(x, y))
+    audits_equivalent(&a.audit, &b.audit)
         && a.final_snapshot.to_json() == b.final_snapshot.to_json()
+}
+
+/// Audit logs equal in length and pairwise [`entries_equivalent`].
+fn audits_equivalent(a: &AuditLog, b: &AuditLog) -> bool {
+    a.len() == b.len()
+        && a.entries()
+            .iter()
+            .zip(b.entries())
+            .all(|(x, y)| entries_equivalent(x, y))
 }
 
 #[cfg(test)]
@@ -1252,6 +740,43 @@ mod tests {
         let b = run_sharded(HetNetwork::paper_topology(), &cfg, 3).unwrap();
         assert!(sharded_runs_equivalent(&a, &b));
         assert_eq!(a.report.counters, b.report.counters);
+    }
+
+    /// A run that fails mid-schedule returns the error instead of
+    /// hanging on workers blocked on their channels. The checkpoint
+    /// carries a due departure for a connection the state never
+    /// admitted: the sequential engine reports it, and so must the
+    /// sharded one, within a watchdog's timeout.
+    #[test]
+    fn mid_run_error_is_returned_not_hung() {
+        use hetnet_cac::connection::ConnectionId;
+        use std::time::Duration;
+        let cfg = smoke_cfg(60, 17);
+        let mut engine = ServiceEngine::new(HetNetwork::paper_topology(), &cfg).unwrap();
+        for _ in 0..20 {
+            assert!(engine.step_arrival().unwrap());
+        }
+        let mut ckpt = engine.checkpoint();
+        let due = ckpt.state.clock.value().to_bits();
+        ckpt.pos.departures.push(std::cmp::Reverse((due, 999_999)));
+        ckpt.pos.live.insert(999_999, (0, due));
+        let unknown = CacError::UnknownConnection(ConnectionId(999_999));
+        let sequential = ServiceEngine::recover(HetNetwork::paper_topology(), &cfg, &ckpt)
+            .unwrap()
+            .finish();
+        assert_eq!(sequential.unwrap_err(), unknown);
+
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let run = ShardedEngine::recover(HetNetwork::paper_topology(), &cfg, 3, &ckpt)
+                .and_then(ShardedEngine::run)
+                .map(|_| ());
+            let _ = tx.send(run);
+        });
+        let sharded = rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the sharded run hung instead of returning its error");
+        assert_eq!(sharded.unwrap_err(), unknown);
     }
 
     #[test]

@@ -4,14 +4,23 @@
 //! `Reconfig` entries), same final state — and a checkpoint taken
 //! *just before* a reconfiguration must apply it as the recovered
 //! engine's very first event.
+//!
+//! The sharded engine applies the same reconfigurations as a ledger
+//! barrier. Its runs must certify against the sequential engine's, and
+//! a checkpoint it takes on either side of a reconfiguration, with
+//! workers still speculating, must resume on both engines.
 
 #[path = "support/recovery.rs"]
 mod recovery;
 
 use hetnet_cac::cac::{AdmissionOptions, CacConfig};
+use hetnet_cac::network::HetNetwork;
 use hetnet_cac::reconfig::ReconfigPlan;
 use hetnet_service::audit::AuditKind;
-use hetnet_service::{ReconfigEvent, ServiceConfig};
+use hetnet_service::{
+    entries_equivalent, run, runs_equivalent, verify_recovery, ReconfigEvent, ServiceConfig,
+    ShardedEngine,
+};
 use hetnet_sim::churn;
 use hetnet_traffic::units::Seconds;
 use proptest::prelude::*;
@@ -35,6 +44,52 @@ fn reconfigured_cfg(rate: f64, requests: usize, seed: u64) -> ServiceConfig {
         },
     ];
     cfg
+}
+
+/// Runs `cfg` through both engines and certifies the sharded run
+/// against the sequential one; then resumes the checkpoint the sharded
+/// run took after `split` arrivals on both engines and demands the
+/// recorded tail and the final state. Returns how many
+/// reconfigurations the tail replays.
+fn check_sharded(cfg: &ServiceConfig, workers: usize, split: usize) -> usize {
+    let sequential = run(HetNetwork::paper_topology(), cfg).expect("sequential run");
+    let (sharded, ckpt) = ShardedEngine::new(HetNetwork::paper_topology(), cfg, workers)
+        .expect("sharded engine")
+        .checkpoint_after(split)
+        .run()
+        .expect("sharded run");
+    assert!(
+        runs_equivalent(&sharded, &sequential),
+        "workers={workers}: sharded run diverged from sequential"
+    );
+    assert_eq!(sharded.report.reconfig, sequential.report.reconfig);
+    let ckpt = ckpt.expect("requested checkpoint must be captured");
+    let tail = &sequential.audit.entries()[ckpt.decision_seq() as usize..];
+    let resumed = verify_recovery(HetNetwork::paper_topology(), cfg, &ckpt, tail)
+        .expect("the sequential engine must resume the sharded cut");
+    assert_eq!(
+        resumed.state.snapshot().to_json(),
+        sharded.final_snapshot.to_json()
+    );
+    let (rest, _) = ShardedEngine::recover(HetNetwork::paper_topology(), cfg, workers, &ckpt)
+        .expect("sharded recover")
+        .run()
+        .expect("sharded resume");
+    assert_eq!(rest.audit.len(), tail.len(), "sharded resume: tail length");
+    for (got, want) in rest.audit.entries().iter().zip(tail) {
+        assert!(
+            entries_equivalent(got, want),
+            "sharded resume diverged at seq {}: {got:?} vs {want:?}",
+            want.seq
+        );
+    }
+    assert_eq!(
+        rest.final_snapshot.to_json(),
+        sharded.final_snapshot.to_json()
+    );
+    tail.iter()
+        .filter(|e| e.kind == AuditKind::Reconfig)
+        .count()
 }
 
 proptest! {
@@ -93,4 +148,31 @@ fn reconfigure_fires_first_after_recover() {
         Some(&AuditKind::Reconfig),
         "the reconfiguration must be the first entry the recovered engine replays"
     );
+}
+
+/// The sharded engine over the reconfigured workload: checkpoints
+/// before both reconfigurations, between them, and after both, with
+/// one and three workers, and with faults layered on top.
+#[test]
+fn sharded_engine_replays_reconfigured_runs() {
+    let mut cfg = reconfigured_cfg(2.0, 60, 20260808);
+    for (split, reconfigs_ahead) in [(10, 2), (30, 1), (50, 0)] {
+        for workers in [1, 3] {
+            assert_eq!(check_sharded(&cfg, workers, split), reconfigs_ahead);
+        }
+    }
+    cfg.faults = Some(recovery::dense_faults(20260808));
+    assert_eq!(check_sharded(&cfg, 2, 30), 1);
+}
+
+/// A sharded checkpoint taken immediately before a reconfiguration:
+/// both engines apply it as their first event after resuming.
+#[test]
+fn sharded_checkpoint_just_before_a_reconfiguration() {
+    let (rate, requests, split) = (2.0, 60, 20);
+    let arrivals = churn::generate(&ServiceConfig::paper_style(rate, requests, 777).churn).arrivals;
+    let mut cfg = reconfigured_cfg(rate, requests, 777);
+    cfg.reconfigs[0].at =
+        Seconds::new((arrivals[split - 1].at.value() + arrivals[split].at.value()) / 2.0);
+    assert_eq!(check_sharded(&cfg, 2, split), 2);
 }

@@ -14,7 +14,8 @@
 //! final state, replaying the same audit tail.
 
 use hetnet_cac::cac::{AdmissionOptions, CacConfig};
-use hetnet_cac::network::HetNetwork;
+use hetnet_cac::error::CacError;
+use hetnet_cac::network::{HetNetwork, Scheduler};
 use hetnet_service::{
     entries_equivalent, run, runs_equivalent, sharded_runs_equivalent, ServiceConfig,
     ServiceEngine, ShardedEngine,
@@ -358,4 +359,51 @@ fn sharded_replay_pinned_grid() {
         sharded.sharding.peak_closure,
         sequential.report.peak_active
     );
+}
+
+/// The backbone scheduler and traffic classes reach the sharded
+/// engine: under IWRR with two classes its runs must still certify
+/// against the sequential engine's, and a connection of the second
+/// class must be admitted.
+#[test]
+fn sharded_replay_honours_scheduler_and_classes() {
+    let iwrr = |rate| {
+        base_cfg(rate, 40, 7).with_scheduler(
+            Scheduler::Iwrr {
+                weights: vec![2, 1],
+            },
+            2,
+        )
+    };
+    check_sharded_matches_sequential(HetNetwork::paper_topology, &iwrr(2.0));
+    let cfg = iwrr(0.5);
+    check_sharded_matches_sequential(HetNetwork::paper_topology, &cfg);
+    let (sharded, _) = ShardedEngine::new(HetNetwork::paper_topology(), &cfg, 2)
+        .expect("sharded engine")
+        .run()
+        .expect("sharded run");
+    assert!(
+        sharded
+            .final_snapshot
+            .connections
+            .iter()
+            .any(|c| c.class == 1),
+        "a class-1 connection must be admitted"
+    );
+}
+
+/// The sharded engine validates the scheduler exactly as the
+/// sequential engine does.
+#[test]
+fn sharded_engine_rejects_an_invalid_scheduler() {
+    let cfg = base_cfg(2.0, 40, 7).with_scheduler(Scheduler::Iwrr { weights: vec![] }, 1);
+    for err in [
+        ServiceEngine::new(HetNetwork::paper_topology(), &cfg).unwrap_err(),
+        ShardedEngine::new(HetNetwork::paper_topology(), &cfg, 2).unwrap_err(),
+    ] {
+        assert!(
+            matches!(err, CacError::InvalidRequest(ref m) if m.contains("scheduler")),
+            "{err}"
+        );
+    }
 }

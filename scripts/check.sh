@@ -80,6 +80,20 @@ lint() {
         exit 1
     fi
     echo "ok: one metrics store"
+
+    echo "==> one-event-loop gate (both engines run the one EventCore)"
+    # The event order, faults, parking, reconfiguration and sampling are
+    # written once, in the shared core; a second copy of the event loop
+    # must not come back.
+    for f in advance_to pop_departure apply_fault component_down component_up \
+        deadline_shrink readmit_parked offer_sample apply_reconfig; do
+        n=$( (grep -rE "fn $f[(<]" --include="*.rs" crates/service/src || true) | wc -l)
+        if [ "$n" -ne 1 ]; then
+            echo "FAIL: fn $f is defined $n times under crates/service/src (want 1)"
+            exit 1
+        fi
+    done
+    echo "ok: one event loop"
 }
 
 bench() {

@@ -14,11 +14,16 @@
 //! neighbour-ring traffic, so a wrong dependency closure fails plain
 //! `cargo test` too.
 //!
-//! The last two recover a faulted paper-style run from a mid-run
+//! The next two recover a faulted paper-style run from a mid-run
 //! checkpoint — once plain, once through a live reconfiguration — and
 //! demand the recorded audit tail and final state bit for bit
 //! (`crates/service/tests/churn_replay.rs` and `reconfig_replay.rs`
 //! hold the same certification over random seeds).
+//!
+//! The last two run the same faulted workloads through the sharded
+//! engine and certify its decisions and final state against the
+//! sequential engine's (`crates/service/tests/sharded_replay.rs` and
+//! `reconfig_replay.rs` hold that over random schedules).
 
 #[path = "../crates/service/tests/support/closure.rs"]
 mod closure;
@@ -31,7 +36,7 @@ use hetnet_cac::cac::{AdmissionOptions, CacConfig};
 use hetnet_cac::network::HetNetwork;
 use hetnet_cac::reconfig::ReconfigPlan;
 use hetnet_service::audit::AuditKind;
-use hetnet_service::{ReconfigEvent, ServiceConfig};
+use hetnet_service::{run, run_sharded, runs_equivalent, ReconfigEvent, ServiceConfig};
 use hetnet_sim::churn::TrafficPattern;
 use hetnet_traffic::units::Seconds;
 use std::path::Path;
@@ -86,17 +91,43 @@ fn faulted_checkpoint_recovery_replays_the_tail() {
     );
 }
 
-#[test]
-fn faulted_reconfigured_recovery_replays_the_tail() {
-    let mut cfg = faulted_cfg(20260808);
-    // Half-way through the ~30 s run: retune TTRT and move β.
+/// The faulted workload with a live reconfiguration half-way through
+/// the ~30 s run: retune TTRT and move β.
+fn reconfigured_cfg(seed: u64) -> ServiceConfig {
+    let mut cfg = faulted_cfg(seed);
     cfg.reconfigs = vec![ReconfigEvent {
         at: Seconds::new(15.0),
         plan: ReconfigPlan::uniform_ttrt(Seconds::from_millis(12.0)).with_beta(0.3),
     }];
-    let kinds = recovery::check_recovery(&cfg, 20);
+    cfg
+}
+
+#[test]
+fn faulted_reconfigured_recovery_replays_the_tail() {
+    let kinds = recovery::check_recovery(&reconfigured_cfg(20260808), 20);
     assert!(
         kinds.contains(&AuditKind::Reconfig),
         "the checkpoint must precede the reconfiguration"
     );
+}
+
+/// Sharded run vs sequential run of one config, two workers.
+fn assert_sharded_matches(cfg: &ServiceConfig) {
+    let sequential = run(HetNetwork::paper_topology(), cfg).expect("sequential run");
+    let sharded = run_sharded(HetNetwork::paper_topology(), cfg, 2).expect("sharded run");
+    assert!(
+        runs_equivalent(&sharded, &sequential),
+        "the sharded engine diverged from the sequential engine"
+    );
+    assert_eq!(sharded.report.recovery, sequential.report.recovery);
+}
+
+#[test]
+fn faulted_sharded_run_matches_the_sequential_engine() {
+    assert_sharded_matches(&faulted_cfg(20260805));
+}
+
+#[test]
+fn faulted_reconfigured_sharded_run_matches_the_sequential_engine() {
+    assert_sharded_matches(&reconfigured_cfg(20260808));
 }
