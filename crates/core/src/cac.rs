@@ -5,19 +5,25 @@
 //!
 //! 1. computes the maximum available allocations
 //!    `(H_S^{max_avai}, H_R^{max_avai})` from the rings' synchronous
-//!    budgets (eqs. 26–27);
+//!    budgets (eqs. 26–27) — `NetworkState::allocation_line`;
 //! 2. rejects if even the maximum allocation cannot satisfy every
-//!    deadline (eqs. 24–25);
+//!    deadline (eqs. 24–25) — `Scope::step2_screen_at_max`;
 //! 3. binary-searches along the line joining
 //!    `(H_S^{min_abs}, H_R^{min_abs})` and the maximum point for the
 //!    *minimum needed* allocation — the smallest point keeping all
-//!    deadlines satisfied;
+//!    deadlines satisfied — `Scope::step3_min_need`;
 //! 4. binary-searches the segment above it for the *maximum needed*
 //!    allocation — the smallest point at which every connection's delay
 //!    already equals its value at the maximum allocation (eqs. 31–33):
-//!    beyond it, extra bandwidth buys nothing;
+//!    beyond it, extra bandwidth buys nothing — `Scope::step4_max_useful`;
 //! 5. allocates `H = H^{min_need} + β (H^{max_need} − H^{min_need})`
-//!    (eqs. 35–36) and admits.
+//!    (eqs. 35–36), verifies every deadline there and admits —
+//!    `Scope::step5_verify`.
+//!
+//! One pipeline, `NetworkState::decide`, serves [`NetworkState::admit`]
+//! and [`NetworkState::reconfigure`]. A fixed pair is step 1 with the
+//! pair as the line's floor, then one dense `Scope::check` — the only
+//! all-deadlines check, which steps 2 and 5 share.
 //!
 //! Monotonicity along the search line — the requesting connection's
 //! delay is nonincreasing and existing connections' delays are
@@ -131,9 +137,8 @@ pub enum AllocationPolicy {
 /// Everything an admission request needs besides the
 /// [`ConnectionSpec`] itself: CAC tuning plus the allocation policy.
 ///
-/// This is the single entry point's option block —
-/// [`NetworkState::admit`] subsumes the legacy
-/// [`NetworkState::request`] / [`NetworkState::request_fixed`] pair.
+/// This is the option block of [`NetworkState::admit`], the single
+/// entry point for both policies.
 #[derive(Clone, Debug, Default)]
 pub struct AdmissionOptions {
     /// CAC tuning parameters (β, search depth, evaluation profile).
@@ -347,24 +352,68 @@ pub struct NetworkState {
     last_trace: Option<DecisionTrace>,
 }
 
-/// The trace ingredients an admission path hands back to
+/// The trace ingredients a decision hands back to
 /// [`NetworkState::admit`] (which stamps seq/clock/cache onto them).
 /// Built only when decision tracing is on.
 struct TraceParts {
-    allocation: Option<(SyncBandwidth, SyncBandwidth)>,
+    allocation: Option<Pair>,
     connections: Vec<ConnectionTrace>,
     binding: Option<BindingConstraint>,
 }
 
-/// What a fixed-allocation feasibility check found.
-enum FixedCheck {
-    /// Every deadline holds; per-connection reports, candidate last.
-    Feasible(Vec<PathReport>),
+/// An `(H_S, H_R)` allocation pair.
+type Pair = (SyncBandwidth, SyncBandwidth);
+
+/// The allocation line of §5.3, from the policy's floor to the maximum
+/// available pair (eqs. 26–27). A fixed pair's floor is the pair itself.
+#[derive(Clone, Copy)]
+struct Line {
+    min: Pair,
+    max: Pair,
+}
+
+impl Line {
+    /// The point a fraction `lambda` of the way from `min` to `max`.
+    fn at(&self, lambda: f64) -> Pair {
+        (
+            self.min.0.lerp(self.max.0, lambda),
+            self.min.1.lerp(self.max.1, lambda),
+        )
+    }
+}
+
+/// Why a decision stopped short of an admission.
+enum Stop {
+    /// A reject, with its trace ingredients when tracing is on.
+    Rejected(RejectReason, Option<TraceParts>),
+    /// A malformed request or broken bookkeeping.
+    Error(CacError),
+}
+
+impl From<CacError> for Stop {
+    fn from(e: CacError) -> Self {
+        Self::Error(e)
+    }
+}
+
+impl Stop {
+    fn into_decision(self) -> Result<(Decision, Option<TraceParts>), CacError> {
+        match self {
+            Self::Rejected(reason, parts) => Ok((Decision::Rejected(reason), parts)),
+            Self::Error(e) => Err(e),
+        }
+    }
+}
+
+/// Why the all-deadlines check failed at one allocation pair.
+enum Failed {
     /// No finite bound exists (some server unstable), verbatim detail.
     Unstable(String),
-    /// Bounds exist but a deadline is missed: `victim` indexes the
-    /// first violated active connection (`None` = the candidate).
-    DeadlineMiss {
+    /// A deadline is missed: `victim` indexes the first violated closure
+    /// connection (`None` = the candidate). `reports` holds every path's
+    /// report after the dense check, at most the candidate's after the
+    /// screened one.
+    Miss {
         victim: Option<usize>,
         reports: Vec<PathReport>,
     },
@@ -383,6 +432,34 @@ fn deadline_binding(
         deadline,
         excess: report.total - deadline,
     }
+}
+
+/// Reject detail for a deadline missed at the maximum allocation
+/// (step 2), naming the victim (`None` = the candidate).
+fn miss_at_max(victim: Option<ConnectionId>) -> String {
+    match victim {
+        Some(id) => format!("existing {id} would miss its deadline"),
+        None => "requesting connection misses its deadline at (H_S^max, H_R^max)".into(),
+    }
+}
+
+/// Bisects `[lo, 1]` for `iterations` rounds toward the smallest λ at
+/// which `holds` (assumed monotone) is true; returns the upper end.
+fn bisect(
+    mut lo: f64,
+    iterations: usize,
+    mut holds: impl FnMut(f64) -> Result<bool, CacError>,
+) -> Result<f64, CacError> {
+    let mut hi = 1.0_f64;
+    for _ in 0..iterations {
+        let mid = 0.5 * (lo + hi);
+        if holds(mid)? {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    Ok(hi)
 }
 
 /// The candidate's dependency closure in `active`, ascending id: every
@@ -416,23 +493,370 @@ fn path_inputs<'a>(conns: impl IntoIterator<Item = &'a ActiveConnection>) -> Vec
         .collect()
 }
 
-/// Trace entries for `reports` evaluated over `scope` plus the
-/// candidate as the last path (`candidate` is its id once committed).
-fn scope_traces(
-    scope: &[&ActiveConnection],
-    reports: &[PathReport],
-    candidate: Option<ConnectionId>,
-    spec: &ConnectionSpec,
-) -> Vec<ConnectionTrace> {
-    let mut v: Vec<ConnectionTrace> = scope
-        .iter()
-        .zip(reports)
-        .map(|(c, r)| ConnectionTrace::new(Some(c.id), *r, c.spec.deadline))
-        .collect();
-    if let Some(last) = reports.get(scope.len()) {
-        v.push(ConnectionTrace::new(candidate, *last, spec.deadline));
+/// Rebuilds the allocation tables of `connections` in their order — the
+/// order a fresh state admitting them would use, so the tables come out
+/// bit for bit. Ids must be strictly ascending below `next_id`.
+fn replay_tables(
+    net: &HetNetwork,
+    connections: &[ActiveConnection],
+    next_id: u64,
+) -> Result<Vec<SyncAllocationTable>, CacError> {
+    let mut tables = vec![SyncAllocationTable::new(); net.rings().len()];
+    for (i, c) in connections.iter().enumerate() {
+        if c.id.0 >= next_id || (i > 0 && connections[i - 1].id >= c.id) {
+            return Err(CacError::SnapshotMismatch(format!(
+                "{} not strictly id-ordered below next_id {next_id}",
+                c.id
+            )));
+        }
+        let key = AllocationKey(c.id.0);
+        for (ring, h) in [(c.spec.source.ring, c.h_s), (c.spec.dest.ring, c.h_r)] {
+            tables[ring]
+                .allocate(key, h, net.ring(ring))
+                .map_err(|e| CacError::SnapshotMismatch(format!("allocations do not fit: {e}")))?;
+        }
     }
-    v
+    Ok(tables)
+}
+
+/// One decision's working set: the candidate, its dependency closure,
+/// the allocation line, and the one evaluator every step shares, so the
+/// closure's sender-side analyses are computed once per request.
+struct Scope<'a> {
+    net: &'a HetNetwork,
+    spec: &'a ConnectionSpec,
+    closure: Vec<&'a ActiveConnection>,
+    line: Line,
+    /// The closure's evaluation inputs, then the candidate's, whose
+    /// allocation pair each evaluation rewrites in place.
+    inputs: Vec<PathInput>,
+    /// The closure's deadlines, in input order.
+    deadlines: Vec<Seconds>,
+    ev: Evaluator<'a>,
+    fast: FastPathStats,
+    tracing: bool,
+}
+
+impl<'a> Scope<'a> {
+    /// Places the candidate at `at` in the evaluation inputs.
+    fn place(&mut self, (h_s, h_r): Pair) {
+        let candidate = self.inputs.last_mut().expect("candidate slot");
+        candidate.h_s = h_s;
+        candidate.h_r = h_r;
+    }
+
+    /// The one all-deadlines check: does every closure deadline and the
+    /// candidate's own hold with the candidate at `at`? `dense` returns
+    /// every path's report. Otherwise existing paths go through the
+    /// screened check (exact cache → monotone screening bound → dense):
+    /// the accept set is identical, but only the candidate's report is
+    /// materialized, which is all an untraced decision reads.
+    fn check(
+        &mut self,
+        at: Pair,
+        dense: bool,
+    ) -> Result<Result<Vec<PathReport>, Failed>, CacError> {
+        self.place(at);
+        let (victim, reports) = if dense {
+            match self.ev.evaluate_full(&self.inputs)? {
+                EvalOutcome::Infeasible(detail) => return Ok(Err(Failed::Unstable(detail))),
+                EvalOutcome::Feasible(reports) => {
+                    let late = |(r, d): (&PathReport, &Seconds)| r.total > *d;
+                    (reports.iter().zip(&self.deadlines).position(late), reports)
+                }
+            }
+        } else {
+            match self.ev.evaluate_screened(&self.inputs, &self.deadlines)? {
+                ScreenedOutcome::Infeasible(detail) => return Ok(Err(Failed::Unstable(detail))),
+                ScreenedOutcome::DeadlineMiss { index, .. } => (Some(index), Vec::new()),
+                ScreenedOutcome::Feasible { candidate } => (None, vec![candidate]),
+            }
+        };
+        // An existing victim first, then the candidate's own deadline.
+        let miss = victim.map(Some).or_else(|| {
+            let candidate = reports.last().expect("candidate included");
+            (candidate.total > self.spec.deadline).then_some(None)
+        });
+        Ok(match miss {
+            None => Ok(reports),
+            Some(victim) => Err(Failed::Miss { victim, reports }),
+        })
+    }
+
+    /// [`Scope::check`] at `at`, turning a failure into its reject.
+    fn require(
+        &mut self,
+        at: Pair,
+        dense: bool,
+        miss_detail: impl FnOnce(Option<ConnectionId>) -> String,
+    ) -> Result<Vec<PathReport>, Stop> {
+        match self.check(at, dense)? {
+            Ok(reports) => Ok(reports),
+            Err(failed) => Err(self.reject(failed, at, miss_detail)),
+        }
+    }
+
+    /// The reject for a check that failed at `at`. `miss_detail` words a
+    /// missed deadline from its victim's id (`None` = the candidate).
+    fn reject(
+        &self,
+        failed: Failed,
+        at: Pair,
+        miss_detail: impl FnOnce(Option<ConnectionId>) -> String,
+    ) -> Stop {
+        let (victim, reports) = match failed {
+            Failed::Unstable(detail) => return self.unstable(at, &[], detail),
+            Failed::Miss { victim, reports } => (victim, reports),
+        };
+        let id = victim.map(|i| self.closure[i].id);
+        let parts = self.tracing.then(|| {
+            let (report, deadline) = match victim {
+                Some(i) => (&reports[i], self.closure[i].spec.deadline),
+                None => (
+                    reports.last().expect("candidate included"),
+                    self.spec.deadline,
+                ),
+            };
+            TraceParts {
+                allocation: Some(at),
+                connections: self.traces(&reports, None),
+                binding: Some(deadline_binding(id, report, deadline)),
+            }
+        });
+        Stop::Rejected(
+            RejectReason::InfeasibleAtMaximum {
+                detail: miss_detail(id),
+            },
+            parts,
+        )
+    }
+
+    /// The reject when no finite bound exists at `at` (or the search
+    /// failed to verify), tracing `reports`.
+    fn unstable(&self, at: Pair, reports: &[PathReport], detail: String) -> Stop {
+        let parts = self.tracing.then(|| TraceParts {
+            allocation: Some(at),
+            connections: self.traces(reports, None),
+            binding: Some(BindingConstraint::ServerUnstable {
+                detail: detail.clone(),
+            }),
+        });
+        Stop::Rejected(RejectReason::InfeasibleAtMaximum { detail }, parts)
+    }
+
+    /// Trace entries for `reports` over the closure plus the candidate
+    /// as the last path (`candidate` is its id once committed).
+    fn traces(
+        &self,
+        reports: &[PathReport],
+        candidate: Option<ConnectionId>,
+    ) -> Vec<ConnectionTrace> {
+        let mut v: Vec<ConnectionTrace> = self
+            .closure
+            .iter()
+            .zip(reports)
+            .map(|(c, r)| ConnectionTrace::new(Some(c.id), *r, c.spec.deadline))
+            .collect();
+        if let Some(last) = reports.get(self.closure.len()) {
+            v.push(ConnectionTrace::new(candidate, *last, self.spec.deadline));
+        }
+        v
+    }
+
+    /// The trace ingredients of an admission at `at` as connection `id`.
+    fn admitted(&self, at: Pair, reports: &[PathReport], id: ConnectionId) -> Option<TraceParts> {
+        self.tracing.then(|| TraceParts {
+            allocation: Some(at),
+            connections: self.traces(reports, Some(id)),
+            binding: None,
+        })
+    }
+
+    /// Candidate-only evaluation at `at`: the candidate's report and the
+    /// multiplexer-delay signature.
+    fn signature(&mut self, at: Pair) -> Result<CandidateOutcome, CacError> {
+        self.place(at);
+        self.ev.evaluate_candidate(&self.inputs)
+    }
+
+    /// The candidate-only probe at λ: its total and signature when its
+    /// own deadline holds there (existing deadlines are covered by step 2
+    /// and monotonicity).
+    fn probe(&mut self, lambda: f64) -> Result<Option<(Seconds, Vec<Seconds>)>, CacError> {
+        Ok(match self.signature(self.line.at(lambda))? {
+            CandidateOutcome::Feasible {
+                candidate,
+                mux_delays,
+            } if candidate.total <= self.spec.deadline => Some((candidate.total, mux_delays)),
+            _ => None,
+        })
+    }
+
+    /// Steps 2–5 of §5.3 along the line: the verified allocation and its
+    /// reports. `ladder` is the membership index when the fast path is on.
+    fn beta_search(
+        &mut self,
+        cfg: &CacConfig,
+        ladder: Option<&Membership>,
+    ) -> Result<(Pair, Vec<PathReport>), Stop> {
+        let at_max = self.step2_screen_at_max()?;
+        // Reference signature at the maximum, for the eq.-31/32 test.
+        // β = 0 never consumes it: λ* degenerates to λ_min, so the whole
+        // step-4 signature search (the dense-probe storm of a loaded
+        // closure) is skipped.
+        let reference = if cfg.beta == 0.0 {
+            None
+        } else {
+            match self.signature(self.line.max)? {
+                CandidateOutcome::Feasible {
+                    candidate,
+                    mux_delays,
+                } => Some((candidate.total, mux_delays)),
+                CandidateOutcome::Infeasible(detail) => {
+                    return Err(self.unstable(self.line.max, &at_max, detail));
+                }
+            }
+        };
+        let lambda_min = self.step3_min_need(cfg.search_iterations, ladder)?;
+        let lambda_max = match &reference {
+            None => lambda_min,
+            Some(reference) => self.step4_max_useful(cfg, lambda_min, reference)?,
+        };
+        // Eqs. 35–36: H = H^{min_need} + β (H^{max_need} − H^{min_need}).
+        let lambda_star = lambda_min + cfg.beta * (lambda_max - lambda_min);
+        self.step5_verify([lambda_star, lambda_max, 1.0], &at_max)
+    }
+
+    /// Step 2: the feasible region is empty unless the maximum works —
+    /// and because existing connections' delays are nondecreasing in the
+    /// newcomer's allocation, verifying them here covers every smaller
+    /// allocation the searches visit. Untraced, the check is screened.
+    fn step2_screen_at_max(&mut self) -> Result<Vec<PathReport>, Stop> {
+        self.require(self.line.max, self.tracing, miss_at_max)
+    }
+
+    /// Step 3: the minimum needed allocation — the smallest λ at which
+    /// the candidate meets its deadline. With `ladder`, the fast decision
+    /// ladder ([`crate::incremental`]) may decide a probe's boolean
+    /// outright, falling back to the dense probe when no rung is
+    /// decisive. Only these booleans ever come from the ladder — steps
+    /// 4–5 consume dense values — so sound rungs keep the bisection path,
+    /// and every committed number, bit-identical to the fast-off run.
+    fn step3_min_need(
+        &mut self,
+        iterations: usize,
+        ladder: Option<&Membership>,
+    ) -> Result<f64, CacError> {
+        let ctx = match ladder {
+            Some(members) => match FastContext::assemble(
+                &mut self.ev,
+                self.net,
+                members,
+                &self.closure,
+                self.spec.source,
+                self.spec.dest,
+            )? {
+                Ok(ctx) => Some(ctx),
+                Err(cause) => {
+                    // The whole decision runs densely; count it so a
+                    // depressed service-level hit rate is attributable
+                    // to its cause.
+                    self.fast.record_skip(cause);
+                    obs::event(
+                        "fast_path_skipped",
+                        &[("cause", obs::FieldValue::Str(cause))],
+                    );
+                    None
+                }
+            },
+            None => None,
+        };
+        let feasible = |s: &mut Self, lambda: f64| -> Result<bool, CacError> {
+            if let Some(ctx) = &ctx {
+                s.place(s.line.at(lambda));
+                let candidate = s.inputs.last().expect("candidate slot");
+                if let Some(decided) =
+                    ctx.probe(&mut s.ev, candidate, s.spec.deadline, &mut s.fast)?
+                {
+                    return Ok(decided);
+                }
+            }
+            Ok(s.probe(lambda)?.is_some())
+        };
+        if feasible(self, 0.0)? {
+            return Ok(0.0);
+        }
+        bisect(0.0, iterations, |lambda| feasible(self, lambda))
+    }
+
+    /// Step 4: the maximum useful allocation — the smallest λ whose delay
+    /// signature matches the `reference` taken at the maximum (eqs.
+    /// 31–33). The "excess" of a point is the delay performance it still
+    /// leaves on the table: the candidate's gap to its λ = 1 total plus
+    /// every multiplexer-bound shift (equal mux delays imply equal
+    /// existing-connection totals, since their sender sides are fixed and
+    /// their receive sides then see identical inputs). When delays
+    /// saturate the excess hits zero and this is the paper's exact
+    /// criterion; when they improve continuously the point realizing all
+    /// but `equality_tolerance` of the achievable improvement is taken.
+    fn step4_max_useful(
+        &mut self,
+        cfg: &CacConfig,
+        lambda_min: f64,
+        (ref_total, ref_mux): &(Seconds, Vec<Seconds>),
+    ) -> Result<f64, CacError> {
+        let excess = |total: Seconds, mux: &[Seconds]| -> f64 {
+            let mut e = (total.value() - ref_total.value()).abs();
+            if mux.len() == ref_mux.len() {
+                e += mux
+                    .iter()
+                    .zip(ref_mux)
+                    .map(|(a, b)| (a.value() - b.value()).abs())
+                    .sum::<f64>();
+            } else {
+                e += ref_total.value();
+            }
+            e
+        };
+        let at_min = self.probe(lambda_min)?;
+        let improvement_scale = at_min
+            .as_ref()
+            .map_or(0.0, |(total, mux)| excess(*total, mux))
+            .max(1.0e-9);
+        let equals_max = |probe: Option<(Seconds, Vec<Seconds>)>| {
+            probe.is_some_and(|(total, mux)| {
+                excess(total, &mux) <= cfg.equality_tolerance * improvement_scale
+            })
+        };
+        if equals_max(at_min) {
+            return Ok(lambda_min);
+        }
+        bisect(lambda_min, cfg.search_iterations, |lambda| {
+            Ok(equals_max(self.probe(lambda)?))
+        })
+    }
+
+    /// Step 5: verify every deadline at the chosen point. Monotonicity is
+    /// a theorem about the model, but numerics can chip at it, so the
+    /// check falls back through `lambdas` (toward the maximum) before
+    /// giving up. Untraced, the check is screened.
+    fn step5_verify(
+        &mut self,
+        lambdas: [f64; 3],
+        at_max: &[PathReport],
+    ) -> Result<(Pair, Vec<PathReport>), Stop> {
+        for lambda in lambdas {
+            let at = self.line.at(lambda);
+            if let Ok(reports) = self.check(at, self.tracing)? {
+                return Ok((at, reports));
+            }
+        }
+        Err(self.unstable(
+            self.line.max,
+            at_max,
+            "allocation search failed to verify (numerical)".into(),
+        ))
+    }
 }
 
 impl fmt::Debug for NetworkState {
@@ -656,46 +1080,9 @@ impl NetworkState {
         self.tables[ring.0].available(self.net.ring(ring))
     }
 
-    /// Evaluates all deadlines over `scope` with the candidate at
-    /// `(hs, hr)`, keeping enough detail to attribute a failure:
-    /// *which* path first missed its deadline, or why no bound exists
-    /// at all.
-    fn feasible_with(
-        &self,
-        scope: &[&ActiveConnection],
-        spec: &ConnectionSpec,
-        hs: SyncBandwidth,
-        hr: SyncBandwidth,
-        cfg: &CacConfig,
-    ) -> Result<FixedCheck, CacError> {
-        let mut inputs = path_inputs(scope.iter().copied());
-        inputs.push(PathInput::new(spec, hs, hr));
-        match evaluate_paths(&self.net, &inputs, &cfg.eval)? {
-            EvalOutcome::Infeasible(detail) => Ok(FixedCheck::Unstable(detail)),
-            EvalOutcome::Feasible(reports) => {
-                for (i, c) in scope.iter().enumerate() {
-                    if reports[i].total > c.spec.deadline {
-                        return Ok(FixedCheck::DeadlineMiss {
-                            victim: Some(i),
-                            reports,
-                        });
-                    }
-                }
-                if reports.last().expect("candidate included").total > spec.deadline {
-                    return Ok(FixedCheck::DeadlineMiss {
-                        victim: None,
-                        reports,
-                    });
-                }
-                Ok(FixedCheck::Feasible(reports))
-            }
-        }
-    }
-
     /// Decides one admission request under `opts` — the single entry
-    /// point subsuming the legacy [`NetworkState::request`] (β-search)
-    /// and [`NetworkState::request_fixed`] (fixed pair) split. On
-    /// admission, the allocations are recorded and the connection
+    /// point for both allocation policies (β-search and a fixed pair).
+    /// On admission, the allocations are recorded and the connection
     /// becomes active. Either way the decision's evaluator statistics
     /// ([`NetworkState::last_cache_stats`],
     /// [`NetworkState::last_fast_path_stats`]) and, with tracing on,
@@ -712,11 +1099,7 @@ impl NetworkState {
         opts: &AdmissionOptions,
     ) -> Result<Decision, CacError> {
         let _admit_span = obs::span("admit");
-        let result = match opts.allocation {
-            AllocationPolicy::BetaSearch => self.admit_beta(spec, &opts.cac),
-            AllocationPolicy::Fixed { h_s, h_r } => self.admit_fixed(spec, h_s, h_r, &opts.cac),
-        };
-        let (decision, parts) = match result {
+        let (decision, parts) = match self.decide(spec, &opts.allocation, &opts.cac) {
             Ok(pair) => pair,
             Err(e) => {
                 obs::event("admit_error", &[("kind", obs::FieldValue::Str(e.kind()))]);
@@ -757,10 +1140,14 @@ impl NetworkState {
         Ok(decision)
     }
 
-    /// The CAC of §5.3: β-search along the allocation line.
-    fn admit_beta(
+    /// The admission pipeline behind [`NetworkState::admit`] and
+    /// [`NetworkState::reconfigure`]: the shared front end (step 1), then
+    /// the β-search (steps 2–5) or a fixed pair's one dense check, then
+    /// the commit. The policies differ only in the line's floor.
+    fn decide(
         &mut self,
         spec: ConnectionSpec,
+        policy: &AllocationPolicy,
         cfg: &CacConfig,
     ) -> Result<(Decision, Option<TraceParts>), CacError> {
         // This decision's evaluator work starts at zero: an early reject
@@ -769,437 +1156,136 @@ impl NetworkState {
         self.last_cache_stats = Some(CacheStats::default());
         self.last_fast_stats = Some(FastPathStats::default());
         self.validate_spec(&spec)?;
-        let scope = closure_of(&self.members, &self.net, &self.active, &spec)?;
-        self.last_closure_len = Some(scope.len());
-        let tracing = self.trace_decisions;
-        if let Some(component) = self.down_on_path(&spec)? {
-            let parts = tracing.then(|| TraceParts {
-                allocation: None,
-                connections: Vec::new(),
-                binding: Some(BindingConstraint::ComponentDown { component }),
-            });
-            return Ok((
-                Decision::Rejected(RejectReason::ComponentUnavailable { component }),
-                parts,
-            ));
-        }
-        let ring_s = self.net.ring(spec.source.ring);
-        let ring_r = self.net.ring(spec.dest.ring);
-
-        // Step 1: bounds of the allocation line.
-        let min_s = frames::min_allocation(ring_s, cfg.min_frame_efficiency);
-        let min_r = frames::min_allocation(ring_r, cfg.min_frame_efficiency);
-        let avail_s = self.available_on(spec.source.ring);
-        let avail_r = self.available_on(spec.dest.ring);
-        if avail_s < min_s.per_rotation() {
-            let parts = tracing.then(|| TraceParts {
-                allocation: None,
-                connections: Vec::new(),
-                binding: Some(BindingConstraint::SourceBandwidth {
-                    ring: spec.source.ring.into(),
-                    available: avail_s,
-                    required: min_s.per_rotation(),
-                }),
-            });
-            return Ok((
-                Decision::Rejected(RejectReason::SourceBandwidthExhausted {
-                    available: avail_s,
-                    required: min_s.per_rotation(),
-                }),
-                parts,
-            ));
-        }
-        if avail_r < min_r.per_rotation() {
-            let parts = tracing.then(|| TraceParts {
-                allocation: None,
-                connections: Vec::new(),
-                binding: Some(BindingConstraint::DestBandwidth {
-                    ring: spec.dest.ring.into(),
-                    available: avail_r,
-                    required: min_r.per_rotation(),
-                }),
-            });
-            return Ok((
-                Decision::Rejected(RejectReason::DestBandwidthExhausted {
-                    available: avail_r,
-                    required: min_r.per_rotation(),
-                }),
-                parts,
-            ));
-        }
-        let max_s = SyncBandwidth::new(avail_s);
-        let max_r = SyncBandwidth::new(avail_r);
-        let at = |lambda: f64| -> (SyncBandwidth, SyncBandwidth) {
-            (min_s.lerp(max_s, lambda), min_r.lerp(max_r, lambda))
+        let closure = closure_of(&self.members, &self.net, &self.active, &spec)?;
+        self.last_closure_len = Some(closure.len());
+        let line = match self.allocation_line(&spec, policy, cfg) {
+            Ok(line) => line,
+            Err(stop) => return stop.into_decision(),
         };
-
-        // One evaluator for the whole request: the sender-side analyses
-        // of the closure's connections are computed once and reused
-        // across every search iteration.
-        let base_inputs = path_inputs(scope.iter().copied());
-        let mk_inputs = |hs: SyncBandwidth, hr: SyncBandwidth| -> Vec<PathInput> {
-            let mut v = base_inputs.clone();
-            v.push(PathInput::new(&spec, hs, hr));
-            v
-        };
-        let mut carried = self.eval_cache.take().unwrap_or_default();
-        // A persisted cache survives active-set changes (its keys are
-        // content-addressed), so bound its growth here instead.
-        if carried.stage1_entries() > self.cache_caps.stage1
-            || carried.mux_entries() > self.cache_caps.mux
-            || carried.receive_entries() > self.cache_caps.receive
-        {
-            carried.clear();
-        }
-        let mut ev = Evaluator::with_cache(&self.net, cfg.eval.clone(), carried);
-        let mut fast_stats = FastPathStats::default();
-
-        // Steps 2–5 run inside one closure so that the evaluator's cache
-        // statistics are recorded on *every* exit path (admit, reject,
-        // or error) before the evaluator is dropped.
-        enum Search {
-            Chosen(SyncBandwidth, SyncBandwidth, Vec<PathReport>),
-            Reject(RejectReason, Option<TraceParts>),
-        }
-        // Deadlines of the closure's connections, in scope (= input)
-        // order, for the screened evaluations below.
-        let deadlines: Vec<Seconds> = scope.iter().map(|c| c.spec.deadline).collect();
-        let searched: Result<Search, CacError> = (|| {
-            // Step 2: the feasible region is empty unless the maximum works —
-            // and because existing connections' delays are nondecreasing in
-            // the newcomer's allocation, verifying them here covers every
-            // smaller allocation the searches will visit.
-            //
-            // Without decision tracing nobody reads the per-connection
-            // reports, so existing paths go through the screened check
-            // (exact cache → monotone screening bound → dense): the
-            // accept/reject outcome is identical, only the reports are
-            // not materialized. `reports_at_max` stays empty then — it
-            // is only ever consumed inside `tracing.then` closures.
-            let reports_at_max = if !tracing {
-                match ev.evaluate_screened(&mk_inputs(max_s, max_r), &deadlines)? {
-                    ScreenedOutcome::Infeasible(detail) => {
-                        return Ok(Search::Reject(
-                            RejectReason::InfeasibleAtMaximum { detail },
-                            None,
-                        ));
-                    }
-                    ScreenedOutcome::DeadlineMiss { index, .. } => {
-                        return Ok(Search::Reject(
-                            RejectReason::InfeasibleAtMaximum {
-                                detail: format!(
-                                    "existing {} would miss its deadline",
-                                    scope[index].id
-                                ),
-                            },
-                            None,
-                        ));
-                    }
-                    ScreenedOutcome::Feasible { candidate } => {
-                        if candidate.total > spec.deadline {
-                            return Ok(Search::Reject(
-                                RejectReason::InfeasibleAtMaximum {
-                                    detail: "requesting connection misses its deadline at \
-                                             (H_S^max, H_R^max)"
-                                        .into(),
-                                },
-                                None,
-                            ));
-                        }
-                        Vec::new()
-                    }
-                }
-            } else {
-                let reports_at_max = match ev.evaluate_full(&mk_inputs(max_s, max_r))? {
-                    EvalOutcome::Infeasible(detail) => {
-                        let parts = tracing.then(|| TraceParts {
-                            allocation: Some((max_s, max_r)),
-                            connections: Vec::new(),
-                            binding: Some(BindingConstraint::ServerUnstable {
-                                detail: detail.clone(),
-                            }),
-                        });
-                        return Ok(Search::Reject(
-                            RejectReason::InfeasibleAtMaximum { detail },
-                            parts,
-                        ));
-                    }
-                    EvalOutcome::Feasible(reports) => reports,
-                };
-                for (i, c) in scope.iter().enumerate() {
-                    if reports_at_max[i].total > c.spec.deadline {
-                        let parts = tracing.then(|| TraceParts {
-                            allocation: Some((max_s, max_r)),
-                            connections: scope_traces(&scope, &reports_at_max, None, &spec),
-                            binding: Some(deadline_binding(
-                                Some(c.id),
-                                &reports_at_max[i],
-                                c.spec.deadline,
-                            )),
-                        });
-                        return Ok(Search::Reject(
-                            RejectReason::InfeasibleAtMaximum {
-                                detail: format!("existing {} would miss its deadline", c.id),
-                            },
-                            parts,
-                        ));
-                    }
-                }
-                let candidate_at_max = *reports_at_max.last().expect("candidate included");
-                if candidate_at_max.total > spec.deadline {
-                    let parts = tracing.then(|| TraceParts {
-                        allocation: Some((max_s, max_r)),
-                        connections: scope_traces(&scope, &reports_at_max, None, &spec),
-                        binding: Some(deadline_binding(None, &candidate_at_max, spec.deadline)),
-                    });
-                    return Ok(Search::Reject(
-                        RejectReason::InfeasibleAtMaximum {
-                            detail:
-                                "requesting connection misses its deadline at (H_S^max, H_R^max)"
-                                    .into(),
-                        },
-                        parts,
-                    ));
-                }
-                reports_at_max
-            };
-
-            // Reference signature at the maximum, for the eq.-31/32 test.
-            // β = 0 never consumes it: λ* degenerates to λ_min, so the
-            // whole step-4 signature search (the dense-probe storm of a
-            // loaded closure) is skipped below.
-            let ref_sig = if cfg.beta == 0.0 {
-                None
-            } else {
-                match ev.evaluate_candidate(&mk_inputs(max_s, max_r))? {
-                    CandidateOutcome::Feasible {
-                        candidate,
-                        mux_delays,
-                    } => Some((candidate.total, mux_delays)),
-                    CandidateOutcome::Infeasible(detail) => {
-                        let parts = tracing.then(|| TraceParts {
-                            allocation: Some((max_s, max_r)),
-                            connections: scope_traces(&scope, &reports_at_max, None, &spec),
-                            binding: Some(BindingConstraint::ServerUnstable {
-                                detail: detail.clone(),
-                            }),
-                        });
-                        return Ok(Search::Reject(
-                            RejectReason::InfeasibleAtMaximum { detail },
-                            parts,
-                        ));
-                    }
-                }
-            };
-
-            // Fast decision ladder for step 3's boolean probes (see
-            // `crate::incremental`): assembled per decision from the
-            // closure's memberships and the evaluator's cached stage-1
-            // summaries; `None` runs everything densely.
-            let fast_ctx = if self.fast_path {
-                match FastContext::assemble(
-                    &mut ev,
-                    &self.net,
-                    &self.members,
-                    &scope,
-                    spec.source,
-                    spec.dest,
-                )? {
-                    Ok(ctx) => Some(ctx),
-                    Err(cause) => {
-                        // The whole decision runs densely; count it so a
-                        // depressed service-level hit rate is
-                        // attributable to its cause.
-                        fast_stats.record_skip(cause);
-                        obs::event(
-                            "fast_path_skipped",
-                            &[("cause", obs::FieldValue::Str(cause))],
-                        );
-                        None
-                    }
-                }
-            } else {
-                None
-            };
-
-            // Candidate-only probe: feasibility is the newcomer's own
-            // deadline (existing ones are covered by Step 2 + monotonicity).
-            let probe = |ev: &mut Evaluator,
-                         lambda: f64|
-             -> Result<Option<(Seconds, Vec<Seconds>)>, CacError> {
-                let (hs, hr) = at(lambda);
-                match ev.evaluate_candidate(&mk_inputs(hs, hr))? {
-                    CandidateOutcome::Feasible {
-                        candidate,
-                        mux_delays,
-                    } if candidate.total <= spec.deadline => {
-                        Ok(Some((candidate.total, mux_delays)))
-                    }
-                    _ => Ok(None),
-                }
-            };
-
-            // Boolean wrapper for the step-3 bisection: the ladder may
-            // decide feasibility outright, falling back to the dense
-            // probe when no rung is decisive. Only these booleans ever
-            // come from the ladder — steps 4–5 consume dense *values* —
-            // so sound rungs keep the bisection path, and with it every
-            // committed number, bit-identical to the fast-off run.
-            let mut probe_hit = |ev: &mut Evaluator, lambda: f64| -> Result<bool, CacError> {
-                if let Some(ctx) = fast_ctx.as_ref() {
-                    let (hs, hr) = at(lambda);
-                    let cand = PathInput::new(&spec, hs, hr);
-                    if let Some(decided) = ctx.probe(ev, &cand, spec.deadline, &mut fast_stats)? {
-                        return Ok(decided);
-                    }
-                }
-                Ok(probe(ev, lambda)?.is_some())
-            };
-
-            // Step 3: minimum needed allocation along the line.
-            let lambda_min = if probe_hit(&mut ev, 0.0)? {
-                0.0
-            } else {
-                let (mut lo, mut hi) = (0.0_f64, 1.0_f64);
-                for _ in 0..cfg.search_iterations {
-                    let mid = 0.5 * (lo + hi);
-                    if probe_hit(&mut ev, mid)? {
-                        hi = mid;
-                    } else {
-                        lo = mid;
-                    }
-                }
-                hi
-            };
-
-            // Step 4: maximum needed allocation — the smallest point whose
-            // delay signature matches the maximum-allocation one (eqs.
-            // 31–33). The "excess" of a point is how much delay performance
-            // it still leaves on the table: the candidate's own gap to its
-            // λ = 1 delay plus every multiplexer-bound shift (equal mux
-            // delays imply equal existing-connection totals, since their
-            // sender sides are fixed and their receive sides then see
-            // identical inputs). When delays saturate the excess hits zero
-            // and this is the paper's exact criterion; when they improve
-            // continuously we accept the point realizing all but
-            // `equality_tolerance` of the achievable improvement.
-            let lambda_max = match &ref_sig {
-                // β = 0: λ* = λ_min regardless of λ_max, so don't search.
-                None => lambda_min,
-                Some((ref_total, ref_mux)) => {
-                    let excess = |total: Seconds, mux: &[Seconds]| -> f64 {
-                        let mut e = (total.value() - ref_total.value()).abs();
-                        if mux.len() == ref_mux.len() {
-                            e += mux
-                                .iter()
-                                .zip(ref_mux)
-                                .map(|(a, b)| (a.value() - b.value()).abs())
-                                .sum::<f64>();
-                        } else {
-                            e += ref_total.value();
-                        }
-                        e
-                    };
-                    let at_min = probe(&mut ev, lambda_min)?;
-                    let improvement_scale = at_min
-                        .as_ref()
-                        .map_or(0.0, |(total, mux)| excess(*total, mux))
-                        .max(1.0e-9);
-                    let equals_max = |total: Seconds, mux: &[Seconds]| {
-                        excess(total, mux) <= cfg.equality_tolerance * improvement_scale
-                    };
-                    match at_min {
-                        Some((total, ref mux)) if equals_max(total, mux) => lambda_min,
-                        _ => {
-                            let (mut lo, mut hi) = (lambda_min, 1.0_f64);
-                            for _ in 0..cfg.search_iterations {
-                                let mid = 0.5 * (lo + hi);
-                                match probe(&mut ev, mid)? {
-                                    Some((total, ref mux)) if equals_max(total, mux) => hi = mid,
-                                    _ => lo = mid,
-                                }
-                            }
-                            hi
-                        }
-                    }
-                }
-            };
-
-            // Step 5: H = H_min_need + beta * (H_max_need - H_min_need).
-            let lambda_star = lambda_min + cfg.beta * (lambda_max - lambda_min);
-            // Final verification is a *full* evaluation: monotonicity is a
-            // theorem about the model, but numerics can chip at it, so check
-            // everything at the chosen point and fall back toward the
-            // maximum on failure.
-            let mut chosen = None;
-            for lambda in [lambda_star, lambda_max, 1.0] {
-                let (hs, hr) = at(lambda);
-                if !tracing {
-                    // Screened twin of the dense arm below: identical
-                    // accept set (the screening bound only ever passes
-                    // paths the dense check would pass), but only the
-                    // candidate's report is materialized — which is the
-                    // only one the commit path reads.
-                    if let ScreenedOutcome::Feasible { candidate } =
-                        ev.evaluate_screened(&mk_inputs(hs, hr), &deadlines)?
-                    {
-                        if candidate.total <= spec.deadline {
-                            chosen = Some((hs, hr, vec![candidate]));
-                            break;
-                        }
-                    }
-                } else if let EvalOutcome::Feasible(reports) =
-                    ev.evaluate_full(&mk_inputs(hs, hr))?
-                {
-                    let all_ok = scope
-                        .iter()
-                        .enumerate()
-                        .all(|(i, c)| reports[i].total <= c.spec.deadline)
-                        && reports.last().expect("candidate").total <= spec.deadline;
-                    if all_ok {
-                        chosen = Some((hs, hr, reports));
-                        break;
-                    }
-                }
+        let searching = *policy == AllocationPolicy::BetaSearch;
+        let ev = if searching {
+            let mut carried = self.eval_cache.take().unwrap_or_default();
+            // A persisted cache survives active-set changes (its keys are
+            // content-addressed), so bound its growth here instead.
+            let caps = self.cache_caps;
+            if carried.stage1_entries() > caps.stage1
+                || carried.mux_entries() > caps.mux
+                || carried.receive_entries() > caps.receive
+            {
+                carried.clear();
             }
-            match chosen {
-                Some((h_s, h_r, reports)) => Ok(Search::Chosen(h_s, h_r, reports)),
-                None => {
-                    let parts = tracing.then(|| TraceParts {
-                        allocation: Some((max_s, max_r)),
-                        connections: scope_traces(&scope, &reports_at_max, None, &spec),
-                        binding: Some(BindingConstraint::ServerUnstable {
-                            detail: "allocation search failed to verify (numerical)".into(),
-                        }),
-                    });
-                    Ok(Search::Reject(
-                        RejectReason::InfeasibleAtMaximum {
-                            detail: "allocation search failed to verify (numerical)".into(),
-                        },
-                        parts,
-                    ))
-                }
-            }
-        })();
-        let stats = ev.cache_stats();
-        let cache = ev.into_cache();
-        self.last_cache_stats = Some(stats);
-        self.last_fast_stats = Some(fast_stats);
-        if self.persist_cache {
-            self.eval_cache = Some(cache);
-        }
-        let (h_s, h_r, reports) = match searched? {
-            Search::Chosen(h_s, h_r, reports) => (h_s, h_r, reports),
-            Search::Reject(reason, parts) => return Ok((Decision::Rejected(reason), parts)),
+            Evaluator::with_cache(&self.net, cfg.eval.clone(), carried)
+        } else {
+            // A fixed pair is one dense check on a fresh evaluator, and
+            // reports no search work.
+            Evaluator::new(&self.net, cfg.eval.clone())
         };
-
-        let parts = tracing.then(|| TraceParts {
-            allocation: Some((h_s, h_r)),
-            connections: scope_traces(&scope, &reports, Some(ConnectionId(self.next_id)), &spec),
-            binding: None,
+        let mut inputs = path_inputs(closure.iter().copied());
+        inputs.push(PathInput::new(&spec, line.min.0, line.min.1));
+        let mut scope = Scope {
+            net: &self.net,
+            spec: &spec,
+            deadlines: closure.iter().map(|c| c.spec.deadline).collect(),
+            closure,
+            line,
+            inputs,
+            ev,
+            fast: FastPathStats::default(),
+            tracing: self.trace_decisions,
+        };
+        let verdict = if searching {
+            scope.beta_search(cfg, self.fast_path.then_some(&self.members))
+        } else {
+            scope
+                .require(line.min, true, |_| {
+                    "deadline violated at the fixed allocation".into()
+                })
+                .map(|reports| (line.min, reports))
+        };
+        let id = ConnectionId(self.next_id);
+        let verdict = verdict.map(|(at, reports)| {
+            let delay_bound = reports.last().expect("candidate included").total;
+            (at, delay_bound, scope.admitted(at, &reports, id))
         });
-        let delay_bound = reports.last().expect("candidate included").total;
-        Ok((self.commit(spec, h_s, h_r, delay_bound)?, parts))
+        // Recorded on every exit — admit, reject or error.
+        if searching {
+            self.last_cache_stats = Some(scope.ev.cache_stats());
+            self.last_fast_stats = Some(scope.fast);
+            if self.persist_cache {
+                self.eval_cache = Some(scope.ev.into_cache());
+            }
+        }
+        match verdict {
+            Ok((at, delay_bound, parts)) => Ok((self.commit(spec, at, delay_bound)?, parts)),
+            Err(stop) => stop.into_decision(),
+        }
+    }
+
+    /// Step 1, shared by every policy: the allocation line from the
+    /// policy's floor — `H^{min_abs}` (§5.2) for the β-search, the pair
+    /// itself when fixed — to the maximum available pair, or the reject
+    /// when a component on the path is down or a ring cannot hold the
+    /// floor.
+    fn allocation_line(
+        &self,
+        spec: &ConnectionSpec,
+        policy: &AllocationPolicy,
+        cfg: &CacConfig,
+    ) -> Result<Line, Stop> {
+        let reject = |reason, binding| {
+            let parts = self.trace_decisions.then(|| TraceParts {
+                allocation: None,
+                connections: Vec::new(),
+                binding: Some(binding),
+            });
+            Err(Stop::Rejected(reason, parts))
+        };
+        if let Some(component) = self.down_on_path(spec)? {
+            return reject(
+                RejectReason::ComponentUnavailable { component },
+                BindingConstraint::ComponentDown { component },
+            );
+        }
+        let (ring_s, ring_r) = (spec.source.ring, spec.dest.ring);
+        let min = match *policy {
+            AllocationPolicy::BetaSearch => (
+                frames::min_allocation(self.net.ring(ring_s), cfg.min_frame_efficiency),
+                frames::min_allocation(self.net.ring(ring_r), cfg.min_frame_efficiency),
+            ),
+            AllocationPolicy::Fixed { h_s, h_r } => (h_s, h_r),
+        };
+        let (avail_s, avail_r) = (self.available_on(ring_s), self.available_on(ring_r));
+        let (required_s, required_r) = (min.0.per_rotation(), min.1.per_rotation());
+        if avail_s < required_s {
+            return reject(
+                RejectReason::SourceBandwidthExhausted {
+                    available: avail_s,
+                    required: required_s,
+                },
+                BindingConstraint::SourceBandwidth {
+                    ring: ring_s.into(),
+                    available: avail_s,
+                    required: required_s,
+                },
+            );
+        }
+        if avail_r < required_r {
+            return reject(
+                RejectReason::DestBandwidthExhausted {
+                    available: avail_r,
+                    required: required_r,
+                },
+                BindingConstraint::DestBandwidth {
+                    ring: ring_r.into(),
+                    available: avail_r,
+                    required: required_r,
+                },
+            );
+        }
+        Ok(Line {
+            min,
+            max: (SyncBandwidth::new(avail_s), SyncBandwidth::new(avail_r)),
+        })
     }
 
     /// Records an admitted connection: assigns its id, allocates both
@@ -1207,8 +1293,7 @@ impl NetworkState {
     fn commit(
         &mut self,
         spec: ConnectionSpec,
-        h_s: SyncBandwidth,
-        h_r: SyncBandwidth,
+        (h_s, h_r): Pair,
         delay_bound: Seconds,
     ) -> Result<Decision, CacError> {
         // A non-persisted cache dies with the active-set change; a
@@ -1245,121 +1330,22 @@ impl NetworkState {
         })
     }
 
-    /// Admits a connection at a *fixed* allocation if (and only if) all
-    /// deadlines hold there — no searching, no β.
-    fn admit_fixed(
-        &mut self,
-        spec: ConnectionSpec,
-        h_s: SyncBandwidth,
-        h_r: SyncBandwidth,
-        cfg: &CacConfig,
-    ) -> Result<(Decision, Option<TraceParts>), CacError> {
-        // This decision's evaluator work starts at zero: an early reject
-        // (and every fixed allocation, which runs no cached search)
-        // reports none rather than the previous decision's.
-        self.last_cache_stats = Some(CacheStats::default());
-        self.last_fast_stats = Some(FastPathStats::default());
-        self.validate_spec(&spec)?;
-        let scope = closure_of(&self.members, &self.net, &self.active, &spec)?;
-        self.last_closure_len = Some(scope.len());
-        let tracing = self.trace_decisions;
-        if let Some(component) = self.down_on_path(&spec)? {
-            let parts = tracing.then(|| TraceParts {
-                allocation: None,
-                connections: Vec::new(),
-                binding: Some(BindingConstraint::ComponentDown { component }),
-            });
-            return Ok((
-                Decision::Rejected(RejectReason::ComponentUnavailable { component }),
-                parts,
-            ));
+    /// Removes active connection `id`: releases both rings' allocations
+    /// and its multiplexer memberships. `active` is strictly id-ordered.
+    fn remove(&mut self, id: ConnectionId) -> Result<ActiveConnection, CacError> {
+        let idx = self
+            .active
+            .binary_search_by_key(&id, |c| c.id)
+            .map_err(|_| CacError::UnknownConnection(id))?;
+        let conn = self.active.remove(idx);
+        if !self.persist_cache {
+            self.eval_cache = None;
         }
-        let avail_s = self.available_on(spec.source.ring);
-        let avail_r = self.available_on(spec.dest.ring);
-        if h_s.per_rotation() > avail_s {
-            let parts = tracing.then(|| TraceParts {
-                allocation: None,
-                connections: Vec::new(),
-                binding: Some(BindingConstraint::SourceBandwidth {
-                    ring: spec.source.ring.into(),
-                    available: avail_s,
-                    required: h_s.per_rotation(),
-                }),
-            });
-            return Ok((
-                Decision::Rejected(RejectReason::SourceBandwidthExhausted {
-                    available: avail_s,
-                    required: h_s.per_rotation(),
-                }),
-                parts,
-            ));
+        self.members.release(id);
+        for ring in [conn.spec.source.ring, conn.spec.dest.ring] {
+            self.tables[ring].release(AllocationKey(id.0))?;
         }
-        if h_r.per_rotation() > avail_r {
-            let parts = tracing.then(|| TraceParts {
-                allocation: None,
-                connections: Vec::new(),
-                binding: Some(BindingConstraint::DestBandwidth {
-                    ring: spec.dest.ring.into(),
-                    available: avail_r,
-                    required: h_r.per_rotation(),
-                }),
-            });
-            return Ok((
-                Decision::Rejected(RejectReason::DestBandwidthExhausted {
-                    available: avail_r,
-                    required: h_r.per_rotation(),
-                }),
-                parts,
-            ));
-        }
-        let reports = match self.feasible_with(&scope, &spec, h_s, h_r, cfg)? {
-            FixedCheck::Feasible(reports) => reports,
-            FixedCheck::Unstable(detail) => {
-                let parts = tracing.then(|| TraceParts {
-                    allocation: Some((h_s, h_r)),
-                    connections: Vec::new(),
-                    binding: Some(BindingConstraint::ServerUnstable {
-                        detail: detail.clone(),
-                    }),
-                });
-                return Ok((
-                    Decision::Rejected(RejectReason::InfeasibleAtMaximum { detail }),
-                    parts,
-                ));
-            }
-            FixedCheck::DeadlineMiss { victim, reports } => {
-                let parts = tracing.then(|| {
-                    let binding = match victim {
-                        Some(i) => {
-                            deadline_binding(Some(scope[i].id), &reports[i], scope[i].spec.deadline)
-                        }
-                        None => deadline_binding(
-                            None,
-                            reports.last().expect("candidate included"),
-                            spec.deadline,
-                        ),
-                    };
-                    TraceParts {
-                        allocation: Some((h_s, h_r)),
-                        connections: scope_traces(&scope, &reports, None, &spec),
-                        binding: Some(binding),
-                    }
-                });
-                return Ok((
-                    Decision::Rejected(RejectReason::InfeasibleAtMaximum {
-                        detail: "deadline violated at the fixed allocation".into(),
-                    }),
-                    parts,
-                ));
-            }
-        };
-        let parts = tracing.then(|| TraceParts {
-            allocation: Some((h_s, h_r)),
-            connections: scope_traces(&scope, &reports, Some(ConnectionId(self.next_id)), &spec),
-            binding: None,
-        });
-        let delay_bound = reports.last().expect("candidate included").total;
-        Ok((self.commit(spec, h_s, h_r, delay_bound)?, parts))
+        Ok(conn)
     }
 
     /// Tears down an active connection, releasing its allocations.
@@ -1368,24 +1354,7 @@ impl NetworkState {
     ///
     /// Returns [`CacError::UnknownConnection`] if `id` is not active.
     pub fn release(&mut self, id: ConnectionId) -> Result<(), CacError> {
-        let idx = self
-            .active
-            .iter()
-            .position(|c| c.id == id)
-            .ok_or(CacError::UnknownConnection(id))?;
-        let conn = self.active.remove(idx);
-        if !self.persist_cache {
-            self.eval_cache = None;
-        }
-        self.members.release(id);
-        let key = AllocationKey(id.0);
-        self.tables[conn.spec.source.ring]
-            .release(key)
-            .map_err(CacError::from)?;
-        self.tables[conn.spec.dest.ring]
-            .release(key)
-            .map_err(CacError::from)?;
-        Ok(())
+        self.remove(id).map(drop)
     }
 
     /// Marks a component as failed, tearing down every active
@@ -1415,23 +1384,7 @@ impl NetworkState {
                 .map(|c| c.id)
                 .collect();
             for id in victims {
-                let idx = self
-                    .active
-                    .iter()
-                    .position(|c| c.id == id)
-                    .expect("victim is active");
-                let conn = self.active.remove(idx);
-                if !self.persist_cache {
-                    self.eval_cache = None;
-                }
-                self.members.release(id);
-                let key = AllocationKey(id.0);
-                self.tables[conn.spec.source.ring]
-                    .release(key)
-                    .map_err(CacError::from)?;
-                self.tables[conn.spec.dest.ring]
-                    .release(key)
-                    .map_err(CacError::from)?;
+                let conn = self.remove(id)?;
                 report.reclaimed_s += conn.h_s.per_rotation();
                 report.reclaimed_r += conn.h_r.per_rotation();
                 report.torn.push(conn);
@@ -1490,34 +1443,20 @@ impl NetworkState {
         if self.down.is_empty() {
             return Ok(None);
         }
-        let ordered = [
-            Component::Ring(RingId(spec.source.ring)),
-            Component::IfDev(RingId(spec.source.ring)),
-        ];
-        for c in ordered {
-            if self.down.contains(&c) {
-                return Ok(Some(c));
-            }
-        }
-        for link in self
-            .net
-            .route_between(spec.source.ring, spec.dest.ring)?
-            .iter()
+        let (src, dst) = (RingId(spec.source.ring), RingId(spec.dest.ring));
+        let down = |c: &Component| self.down.contains(c);
+        if let Some(c) = [Component::Ring(src), Component::IfDev(src)]
+            .into_iter()
+            .find(down)
         {
-            let c = Component::Link(*link);
-            if self.down.contains(&c) {
-                return Ok(Some(c));
-            }
+            return Ok(Some(c));
         }
-        for c in [
-            Component::IfDev(RingId(spec.dest.ring)),
-            Component::Ring(RingId(spec.dest.ring)),
-        ] {
-            if self.down.contains(&c) {
-                return Ok(Some(c));
-            }
-        }
-        Ok(None)
+        let route = self.net.route_between(spec.source.ring, spec.dest.ring)?;
+        Ok(route
+            .iter()
+            .map(|link| Component::Link(*link))
+            .chain([Component::IfDev(dst), Component::Ring(dst)])
+            .find(down))
     }
 
     /// Whether a spec's path crosses `component` (used to pick teardown
@@ -1618,50 +1557,25 @@ impl NetworkState {
                     })?,
             );
         }
-        let mut tables = vec![SyncAllocationTable::new(); self.net.rings().len()];
-        let mut active: Vec<ActiveConnection> = Vec::with_capacity(snap.connections.len());
-        for c in &snap.connections {
-            if c.id.0 >= snap.next_id {
-                return Err(CacError::SnapshotMismatch(format!(
-                    "{} not below next_id {}",
-                    c.id, snap.next_id
-                )));
-            }
-            if active.last().is_some_and(|p| p.id >= c.id) {
-                return Err(CacError::SnapshotMismatch(format!(
-                    "{} out of id order",
-                    c.id
-                )));
-            }
-            let key = AllocationKey(c.id.0);
-            let fit = |e: hetnet_fddi::FddiError| {
-                CacError::SnapshotMismatch(format!("snapshot allocations do not fit: {e}"))
-            };
-            tables[c.source.ring]
-                .allocate(key, c.h_s, self.net.ring(c.source.ring))
-                .map_err(fit)?;
-            tables[c.dest.ring]
-                .allocate(key, c.h_r, self.net.ring(c.dest.ring))
-                .map_err(fit)?;
-            active.push(ActiveConnection {
+        let active: Vec<ActiveConnection> = snap
+            .connections
+            .iter()
+            .map(|c| ActiveConnection {
                 id: c.id,
                 spec: c.spec(),
                 h_s: c.h_s,
                 h_r: c.h_r,
                 delay_bound: c.delay_bound,
-            });
-        }
-        self.tables = tables;
+            })
+            .collect();
+        self.tables = replay_tables(&self.net, &active, snap.next_id)?;
         self.active = active;
         self.down = snap.down.iter().copied().collect();
         self.next_id = snap.next_id;
         self.clock = snap.clock;
         self.decision_seq = snap.decision_seq;
         self.eval_cache = None;
-        self.last_cache_stats = None;
-        self.last_fast_stats = None;
-        self.last_trace = None;
-        self.last_closure_len = None;
+        self.forget_last_decision();
         self.members = Membership::rebuild(&self.net, &self.active)?;
         Ok(())
     }
@@ -1699,7 +1613,10 @@ impl NetworkState {
     /// delta-maintained through the renegotiations; the evaluator cache
     /// is dropped wholesale (its keys do not span ring parameters). The
     /// reconfiguration consumes one decision sequence number, so audit
-    /// logs built on the sequence stay gap-free.
+    /// logs built on the sequence stay gap-free. The renegotiations run
+    /// the admission pipeline, but the last-decision accessors
+    /// ([`NetworkState::last_cache_stats`] and the like) are cleared
+    /// afterwards: they describe [`NetworkState::admit`] calls only.
     ///
     /// # Errors
     ///
@@ -1726,36 +1643,25 @@ impl NetworkState {
         self.net = net;
         self.tables = vec![SyncAllocationTable::new(); self.net.rings().len()];
         self.eval_cache = None;
-        self.last_cache_stats = None;
-        self.last_fast_stats = None;
-        self.last_trace = None;
         self.members = Membership::default();
         let mut cac = opts.cac.clone();
         if let Some(beta) = plan.beta {
             cac.beta = beta;
         }
         for conn in survivors {
-            // Renegotiate through the regular admission paths, but with
+            // Renegotiate through the admission pipeline, but with
             // the id counter pinned to the connection's original id: the
             // commit then re-assigns exactly that id, and because the
             // survivors arrive in ascending id order the allocation
             // tables are rebuilt in the same summation order a fresh
             // engine would produce.
             self.next_id = conn.id.0;
-            let (decision, _parts) = match opts.allocation {
-                AllocationPolicy::BetaSearch => self.admit_beta(conn.spec.clone(), &cac)?,
-                AllocationPolicy::Fixed { h_s, h_r } => {
-                    self.admit_fixed(conn.spec.clone(), h_s, h_r, &cac)?
-                }
-            };
+            let (decision, _parts) = self.decide(conn.spec.clone(), &opts.allocation, &cac)?;
             match decision {
                 Decision::Admitted { id, h_s, h_r, .. } => {
                     debug_assert_eq!(id, conn.id, "renegotiation must keep the id");
-                    let identical = h_s.per_rotation().value().to_bits()
-                        == conn.h_s.per_rotation().value().to_bits()
-                        && h_r.per_rotation().value().to_bits()
-                            == conn.h_r.per_rotation().value().to_bits();
-                    if identical {
+                    let bits = |h: SyncBandwidth| h.per_rotation().value().to_bits();
+                    if (bits(h_s), bits(h_r)) == (bits(conn.h_s), bits(conn.h_r)) {
                         report.unchanged.push(id);
                     } else {
                         report.renegotiated.push(id);
@@ -1769,6 +1675,9 @@ impl NetworkState {
             }
         }
         self.next_id = saved_next_id;
+        // The accessors describe the last `admit` call, not the
+        // renegotiations.
+        self.forget_last_decision();
         let seq = self.decision_seq;
         self.decision_seq += 1;
         obs::event(
@@ -1819,31 +1728,20 @@ impl NetworkState {
         next_id: u64,
     ) -> Result<Self, CacError> {
         let mut state = Self::new_shared(net);
-        let mut prev: Option<u64> = None;
-        for c in &connections {
-            if c.id.0 >= next_id || prev.is_some_and(|p| p >= c.id.0) {
-                return Err(CacError::SnapshotMismatch(format!(
-                    "scoped subset not strictly id-ordered below next_id {next_id} at {}",
-                    c.id
-                )));
-            }
-            prev = Some(c.id.0);
-            let key = AllocationKey(c.id.0);
-            let fit = |e: hetnet_fddi::FddiError| {
-                CacError::SnapshotMismatch(format!("scoped allocations do not fit: {e}"))
-            };
-            state.tables[c.spec.source.ring]
-                .allocate(key, c.h_s, state.net.ring(c.spec.source.ring))
-                .map_err(fit)?;
-            state.tables[c.spec.dest.ring]
-                .allocate(key, c.h_r, state.net.ring(c.spec.dest.ring))
-                .map_err(fit)?;
-        }
+        state.tables = replay_tables(&state.net, &connections, next_id)?;
         state.members = Membership::rebuild(&state.net, &connections)?;
         state.active = connections;
         state.down = down;
         state.next_id = next_id;
         Ok(state)
+    }
+
+    /// Clears the last-decision accessors (stats, closure size, trace).
+    fn forget_last_decision(&mut self) {
+        self.last_cache_stats = None;
+        self.last_fast_stats = None;
+        self.last_closure_len = None;
+        self.last_trace = None;
     }
 
     /// Recomputes every active connection's *slack*: deadline minus the
@@ -2388,23 +2286,67 @@ mod tests {
         assert_eq!(s.last_fast_path_stats(), Some(FastPathStats::default()));
     }
 
+    /// `spec` with a source sending `c1_mbit` per 100 ms (and an eighth
+    /// of it per 10 ms) instead of 2 Mbit.
+    fn heavy(
+        src: (usize, usize),
+        dst: (usize, usize),
+        c1_mbit: f64,
+        deadline_ms: f64,
+    ) -> ConnectionSpec {
+        ConnectionSpec {
+            envelope: Arc::new(
+                DualPeriodicEnvelope::new(
+                    Bits::from_mbits(c1_mbit),
+                    Seconds::from_millis(100.0),
+                    Bits::from_mbits(c1_mbit / 8.0),
+                    Seconds::from_millis(10.0),
+                    BitsPerSec::from_mbps(100.0),
+                )
+                .unwrap(),
+            ),
+            ..spec(src, dst, deadline_ms)
+        }
+    }
+
+    /// Admits `sp` into `s` and into its untraced twin `u`. Tracing
+    /// swaps the screened checks for dense ones, which must not move a
+    /// decision: both must decide the same, bit for bit and reject
+    /// details included, and only `u` keeps no trace.
+    fn admit_twins(
+        s: &mut NetworkState,
+        u: &mut NetworkState,
+        sp: ConnectionSpec,
+        opts: &AdmissionOptions,
+    ) -> Decision {
+        let d = s.admit(sp.clone(), opts).unwrap();
+        assert_eq!(
+            format!("{d:?}"),
+            format!("{:?}", u.admit(sp, opts).unwrap())
+        );
+        assert!(u.last_decision_trace().is_none());
+        d
+    }
+
+    fn binding(s: &NetworkState) -> &BindingConstraint {
+        let t = s.last_decision_trace().expect("tracing is on");
+        t.binding.as_ref().expect("reject names a constraint")
+    }
+
     #[test]
     fn decision_tracing_explains_admits_and_rejects() {
         let mut s = state();
+        let mut u = state();
         let cfg = CacConfig::fast();
+        let opts: AdmissionOptions = cfg.clone().into();
         // Off by default: decisions leave no trace.
-        assert!(s
-            .admit(spec((0, 0), (1, 0), 100.0), &cfg.clone().into())
-            .unwrap()
-            .is_admitted());
+        assert!(admit_twins(&mut s, &mut u, spec((0, 0), (1, 0), 100.0), &opts).is_admitted());
         assert!(s.last_decision_trace().is_none());
 
         s.set_decision_tracing(true);
         // Admit: allocation recorded, candidate entry last with its id,
         // nonnegative slack, no binding constraint.
-        let d = s
-            .admit(spec((1, 0), (2, 0), 120.0), &cfg.clone().into())
-            .unwrap();
+        let d = admit_twins(&mut s, &mut u, spec((1, 0), (2, 0), 120.0), &opts);
         let Decision::Admitted {
             id,
             h_s,
@@ -2435,13 +2377,11 @@ mod tests {
 
         // Reject (deadline): the binding constraint names the candidate
         // (no id) and a dominant stage, with positive excess.
-        let d = s
-            .admit(spec((0, 1), (1, 1), 1.0), &cfg.clone().into())
-            .unwrap();
+        let d = admit_twins(&mut s, &mut u, spec((0, 1), (1, 1), 1.0), &opts);
         assert!(!d.is_admitted());
         let t = s.last_decision_trace().expect("trace recorded");
         assert!(!t.admitted);
-        match t.binding.as_ref().expect("reject names a constraint") {
+        match binding(&s) {
             BindingConstraint::DeadlineExceeded {
                 connection,
                 excess,
@@ -2459,6 +2399,46 @@ mod tests {
         assert!(t.candidate().unwrap().slack.is_negative());
         assert!(!t.to_json_line().is_empty());
 
+        // Reject (an existing deadline): β = 0 leaves connection 2 almost
+        // no slack, and a heavy newcomer into its receive ring binds it.
+        let tight: AdmissionOptions = cfg.clone().with_beta(0.0).into();
+        assert!(admit_twins(&mut s, &mut u, spec((2, 0), (0, 1), 70.0), &tight).is_admitted());
+        let d = admit_twins(&mut s, &mut u, heavy((1, 1), (0, 2), 2.0, 200.0), &opts);
+        assert!(matches!(
+            d,
+            Decision::Rejected(RejectReason::InfeasibleAtMaximum { ref detail })
+                if detail == "existing connection-2 would miss its deadline"
+        ));
+        assert!(matches!(
+            binding(&s),
+            BindingConstraint::DeadlineExceeded {
+                connection: Some(ConnectionId(2)),
+                ..
+            }
+        ));
+
+        // Reject (unstable): no finite bound exists even at the maximum.
+        let d = admit_twins(&mut s, &mut u, heavy((2, 2), (0, 3), 8.0, 100.0), &opts);
+        assert!(!d.is_admitted());
+        assert!(matches!(
+            binding(&s),
+            BindingConstraint::ServerUnstable { .. }
+        ));
+
+        // Reject (down component): decided before any evaluation.
+        for st in [&mut s, &mut u] {
+            st.set_component_down(Component::Ring(RingId(2))).unwrap();
+        }
+        let d = admit_twins(&mut s, &mut u, spec((2, 3), (1, 3), 100.0), &opts);
+        assert!(matches!(
+            d,
+            Decision::Rejected(RejectReason::ComponentUnavailable { .. })
+        ));
+        assert!(matches!(
+            binding(&s),
+            BindingConstraint::ComponentDown { .. }
+        ));
+
         // Disabling clears the stored trace.
         s.set_decision_tracing(false);
         assert!(s.last_decision_trace().is_none());
@@ -2468,35 +2448,43 @@ mod tests {
     fn fixed_rejects_carry_bindings_too() {
         let mut s = state();
         s.set_decision_tracing(true);
-        let cfg = CacConfig::default();
-        // Oversized: source-bandwidth binding.
-        let whole = SyncBandwidth::new(Seconds::from_millis(8.0));
-        let d = s
-            .admit(
-                spec((0, 0), (1, 0), 100.0),
-                &AdmissionOptions::fixed(cfg.clone(), whole, whole),
-            )
-            .unwrap();
+        let mut u = state();
+        let ms = |v: f64| SyncBandwidth::new(Seconds::from_millis(v));
+        // A fixed pair is one dense check on a fresh evaluator in either
+        // mode, so it reports no search work.
+        let mut fixed = |sp: ConnectionSpec, h_s: SyncBandwidth, h_r: SyncBandwidth| {
+            let opts = AdmissionOptions::fixed(CacConfig::default(), h_s, h_r);
+            let d = admit_twins(&mut s, &mut u, sp, &opts);
+            for st in [&s, &u] {
+                assert_eq!(st.last_cache_stats(), Some(CacheStats::default()));
+            }
+            let trace = s.last_decision_trace().expect("tracing is on").clone();
+            (d, trace)
+        };
+        // Oversized: source-bandwidth binding, then destination.
+        let (d, t) = fixed(spec((0, 0), (1, 0), 100.0), ms(8.0), ms(8.0));
         assert!(!d.is_admitted());
-        let t = s.last_decision_trace().unwrap();
         assert!(matches!(
             t.binding,
             Some(BindingConstraint::SourceBandwidth { .. })
         ));
         assert!(t.allocation.is_none());
+        let (d, t) = fixed(spec((0, 0), (1, 0), 100.0), ms(2.4), ms(8.0));
+        assert!(matches!(
+            d,
+            Decision::Rejected(RejectReason::DestBandwidthExhausted { .. })
+        ));
+        assert!(matches!(
+            t.binding,
+            Some(BindingConstraint::DestBandwidth { .. })
+        ));
 
         // Undersized: at 200 us per rotation the source MAC can't even
         // keep up with the arrival rate — the binding pinpoints the
         // unstable server rather than a bare "infeasible".
         let tiny = SyncBandwidth::new(Seconds::from_micros(200.0));
-        let d = s
-            .admit(
-                spec((0, 0), (1, 0), 100.0),
-                &AdmissionOptions::fixed(cfg.clone(), tiny, tiny),
-            )
-            .unwrap();
+        let (d, t) = fixed(spec((0, 0), (1, 0), 100.0), tiny, tiny);
         assert!(!d.is_admitted());
-        let t = s.last_decision_trace().unwrap();
         match t.binding.as_ref().expect("binding named") {
             BindingConstraint::ServerUnstable { detail } => {
                 assert!(detail.contains("unstable"), "{detail}");
@@ -2504,18 +2492,51 @@ mod tests {
             other => panic!("unexpected binding: {other:?}"),
         }
         // Fixed admissions trace too, with all-zero cache counters.
-        let h = SyncBandwidth::new(Seconds::from_millis(2.4));
-        let d = s
-            .admit(
-                spec((0, 0), (1, 0), 100.0),
-                &AdmissionOptions::fixed(cfg, h, h),
-            )
-            .unwrap();
+        let (d, t) = fixed(spec((0, 0), (1, 0), 60.0), ms(2.4), ms(2.4));
         assert!(d.is_admitted());
-        let t = s.last_decision_trace().unwrap();
         assert!(t.admitted && t.binding.is_none());
         assert_eq!(t.cache, CacheStats::default());
         assert!(t.candidate().unwrap().id.is_some());
+
+        // Deadline misses name their victim: the candidate's own, then
+        // connection 0's (55.5 ms of its 60) under a heavy newcomer.
+        for (sp, h_s, h_r, victim) in [
+            (spec((2, 2), (0, 1), 20.0), ms(2.4), ms(2.4), None),
+            (
+                heavy((2, 1), (1, 1), 2.0, 200.0),
+                ms(5.0),
+                ms(4.0),
+                Some(ConnectionId(0)),
+            ),
+        ] {
+            let (d, t) = fixed(sp, h_s, h_r);
+            assert!(matches!(
+                d,
+                Decision::Rejected(RejectReason::InfeasibleAtMaximum { ref detail })
+                    if detail == "deadline violated at the fixed allocation"
+            ));
+            assert!(matches!(
+                t.binding,
+                Some(BindingConstraint::DeadlineExceeded { connection, .. }) if connection == victim
+            ));
+        }
+    }
+
+    #[test]
+    fn reconfigure_forgets_the_last_decision() {
+        let mut s = state();
+        s.set_decision_tracing(true);
+        let opts: AdmissionOptions = CacConfig::fast().into();
+        for sp in [spec((0, 0), (1, 0), 100.0), spec((1, 1), (2, 0), 90.0)] {
+            assert!(s.admit(sp, &opts).unwrap().is_admitted());
+        }
+        assert!(s.last_closure_len().is_some() && s.last_decision_trace().is_some());
+        s.reconfigure(&ReconfigPlan::default(), &opts).unwrap();
+        // The accessors describe `admit` calls, not the renegotiations.
+        assert_eq!(s.last_closure_len(), None);
+        assert_eq!(s.last_cache_stats(), None);
+        assert_eq!(s.last_fast_path_stats(), None);
+        assert!(s.last_decision_trace().is_none());
     }
 
     #[test]

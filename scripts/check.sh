@@ -94,6 +94,23 @@ lint() {
         fi
     done
     echo "ok: one event loop"
+
+    echo "==> one-deadline-check gate (every admission decision runs the one pipeline)"
+    # Both policies, β-search steps 2 and 5 and reconfiguration share one
+    # all-deadlines check, `Scope::check`; a second copy of the check or
+    # of the per-policy admission paths must not come back.
+    for f in "evaluate_screened(" "evaluate_full("; do
+        n=$(grep -cF "$f" crates/core/src/cac.rs || true)
+        if [ "$n" -ne 1 ]; then
+            echo "FAIL: $f appears $n times in crates/core/src/cac.rs (want 1)"
+            exit 1
+        fi
+    done
+    if grep -rnE "fn admit_beta|fn admit_fixed|fn feasible_with|FixedCheck" --include="*.rs" crates; then
+        echo "FAIL: a per-policy admission path reintroduced"
+        exit 1
+    fi
+    echo "ok: one deadline check"
 }
 
 bench() {
