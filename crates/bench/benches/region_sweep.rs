@@ -1,15 +1,14 @@
-//! Benchmarks of the feasible-region solvers: the sequential dense
-//! baseline against the parallel sweep and the frontier tracer, on a
-//! mid-size grid and on the 17×17-with-8-background configuration
-//! reported in `BENCH_region.json` (see `bench_json` for the JSON
-//! emitter).
+//! Benchmarks of the feasible-region solvers: the dense sweep against
+//! the frontier tracer, on a mid-size grid and on the
+//! 17×17-with-8-background configuration reported in
+//! `BENCH_region.json` (see `bench_json` for the JSON emitter).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use hetnet_cac::cac::CacConfig;
 use hetnet_cac::connection::ConnectionSpec;
 use hetnet_cac::delay::PathInput;
 use hetnet_cac::network::{HetNetwork, HostId};
-use hetnet_cac::region::{sample_region_frontier, sample_region_threads};
+use hetnet_cac::region::{sample_region, sample_region_seq};
 use hetnet_fddi::ring::SyncBandwidth;
 use hetnet_traffic::envelope::SharedEnvelope;
 use hetnet_traffic::models::DualPeriodicEnvelope;
@@ -69,35 +68,25 @@ fn bench_region_sweep(c: &mut Criterion) {
     let spec = candidate();
     let active: Vec<PathInput> = (0..8).map(background).collect();
     let avail = Seconds::from_millis(7.2);
-    let threads = std::thread::available_parallelism().map_or(1, usize::from);
 
-    let mut run = |name: &str, grid: usize, workers: usize| {
-        c.bench_function(name, |b| {
+    for grid in [9, 17] {
+        c.bench_function(&format!("region_sweep_{grid}x{grid}_seq"), |b| {
             b.iter(|| {
                 black_box(
-                    sample_region_threads(&net, &active, &spec, avail, avail, grid, &cfg, workers)
+                    sample_region_seq(&net, &active, &spec, avail, avail, grid, &cfg)
                         .expect("well-formed"),
                 )
             })
         });
-    };
-    run("region_sweep_9x9_seq", 9, 1);
-    run("region_sweep_9x9_par", 9, threads);
-    run("region_sweep_17x17_seq", 17, 1);
-    run("region_sweep_17x17_par", 17, threads);
-
-    let mut run_frontier = |name: &str, grid: usize| {
-        c.bench_function(name, |b| {
+        c.bench_function(&format!("region_frontier_{grid}x{grid}"), |b| {
             b.iter(|| {
                 black_box(
-                    sample_region_frontier(&net, &active, &spec, avail, avail, grid, &cfg)
+                    sample_region(&net, &active, &spec, avail, avail, grid, &cfg)
                         .expect("well-formed"),
                 )
             })
         });
-    };
-    run_frontier("region_frontier_9x9", 9);
-    run_frontier("region_frontier_17x17", 17);
+    }
 }
 
 criterion_group!(

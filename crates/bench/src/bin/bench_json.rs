@@ -1,20 +1,17 @@
-//! Machine-readable benchmark of the feasible-region solvers and the
-//! churn-driven admission service. The region part times the
-//! sequential dense baseline, the parallel dense sweep, and the
-//! frontier tracer on a 17×17 grid with 8 active background
-//! connections, verifying all three produce bit-identical maps; the
-//! churn part runs a seeded Poisson connect/disconnect workload
-//! through the service layer and reports throughput, decision-latency
-//! percentiles, and blocking probability. Everything lands in one
-//! JSON file (cells/sec, evals per cell, speedups, cache hit rates,
-//! a `churn` section, a `scheduler_compare` section re-running the
-//! churn workload under FIFO/IWRR/DRR with a cell-level DES soundness
-//! certificate per discipline, an `obs` section measuring the
-//! decision-tracing layer's cost with tracing disabled and enabled,
-//! a `reconfig` section driving a live TTRT shrink/grow schedule
-//! through the service engine with a recovery-replay certificate, and
-//! an `autotune` section sweeping TTRT×β against seeded offered
-//! loads).
+//! Machine-readable benchmark: it measures, and leaves every
+//! correctness certificate to the test suite. The region part times the
+//! dense sweep and the frontier tracer on a 17×17 grid with 8 active
+//! background connections (asserting the two maps are bit-identical);
+//! the rest times the admission service: a `scheduler_compare` section
+//! re-running a fixed-seed churn workload under FIFO/IWRR/DRR
+//! (admission probability and latency per discipline), a
+//! `decision_latency` section (warm single-decision latency), an `obs`
+//! section measuring the decision-tracing layer's cost with tracing
+//! disabled and enabled, an `obs_sharded` section doing the same for
+//! the sharded engine's observability stack, a `shard_scale` section
+//! running the sharded engine at scale against the sequential one, and
+//! an `autotune` section sweeping TTRT×β against seeded offered loads.
+//! Everything lands in one JSON file.
 //!
 //! ```text
 //! cargo run --release -p hetnet-bench --bin bench_json            # full run -> BENCH_region.json
@@ -22,28 +19,21 @@
 //!     --quick --out target/BENCH_region.quick.json                # CI smoke run
 //! ```
 
-use hetnet_atm::topology::Backbone;
-use hetnet_atm::{LinkConfig, SwitchConfig};
 use hetnet_bench::retune::{campaign, campaign_json};
 use hetnet_cac::cac::{AdmissionOptions, CacConfig, Decision, NetworkState};
 use hetnet_cac::connection::ConnectionSpec;
-use hetnet_cac::delay::{CacheStats, PathInput};
+use hetnet_cac::delay::PathInput;
 use hetnet_cac::incremental::FastPathStats;
 use hetnet_cac::network::{HetNetwork, HostId, Scheduler};
-use hetnet_cac::reconfig::ReconfigPlan;
-use hetnet_cac::region::{sample_region_frontier, sample_region_threads, RegionSample};
-use hetnet_fddi::ring::{RingConfig, SyncBandwidth};
-use hetnet_ifdev::IfDevConfig;
+use hetnet_cac::region::{sample_region, sample_region_seq, RegionSample};
+use hetnet_fddi::ring::SyncBandwidth;
 use hetnet_obs::GeometricHistogram;
 use hetnet_service::{
-    entries_equivalent, run as run_service, run_sharded, sharded_runs_equivalent, verify_recovery,
-    ObsOptions, ReconfigEvent, ServiceConfig, ServiceEngine, ShardedEngine,
+    entries_equivalent, run as run_service, run_sharded, sharded_runs_equivalent, ObsOptions,
+    ServiceConfig, ShardedEngine,
 };
 use hetnet_sim::autotune::SweepGrid;
 use hetnet_sim::churn::{ChurnConfig, TopologyShape, TrafficPattern};
-use hetnet_sim::fault::FaultConfig;
-use hetnet_sim::netsim::{run as run_netsim, E2eScenario, SimConnection};
-use hetnet_sim::source::GreedyDualPeriodic;
 use hetnet_traffic::envelope::SharedEnvelope;
 use hetnet_traffic::models::DualPeriodicEnvelope;
 use hetnet_traffic::units::{Bits, BitsPerSec, Seconds};
@@ -81,12 +71,11 @@ fn background(k: usize) -> PathInput {
     }
 }
 
-/// One timed configuration: best-of-`reps` wall clock plus the cache
-/// statistics and evaluation count of a single representative run.
+/// One timed configuration: best-of-`reps` wall clock plus a single
+/// representative run (its cache statistics and evaluation count).
 struct Measured {
     seconds: f64,
     cells_per_sec: f64,
-    stats: CacheStats,
     sample: RegionSample,
 }
 
@@ -103,129 +92,29 @@ fn measure(run: impl Fn() -> RegionSample, grid: usize, reps: usize) -> Measured
     Measured {
         seconds: best,
         cells_per_sec: (grid * grid) as f64 / best,
-        stats: sample.stats,
         sample,
     }
 }
 
-fn json_measured(m: &Measured, grid: usize, threads: usize) -> String {
+fn json_measured(m: &Measured, grid: usize) -> String {
     format!(
         concat!(
-            "{{\"threads\": {}, \"seconds\": {:.6}, \"cells_per_sec\": {:.2}, ",
+            "{{\"seconds\": {:.6}, \"cells_per_sec\": {:.2}, ",
             "\"evals\": {}, \"evals_per_cell\": {:.4}, ",
             "\"stage1_hits\": {}, \"stage1_misses\": {}, \"stage1_hit_rate\": {:.4}, ",
             "\"mux_hits\": {}, \"mux_misses\": {}, \"mux_hit_rate\": {:.4}}}"
         ),
-        threads,
         m.seconds,
         m.cells_per_sec,
         m.sample.evals,
         m.sample.evals as f64 / (grid * grid) as f64,
-        m.stats.stage1_hits,
-        m.stats.stage1_misses,
-        m.stats.stage1_hit_rate(),
-        m.stats.mux_hits,
-        m.stats.mux_misses,
-        m.stats.mux_hit_rate(),
+        m.sample.stats.stage1_hits,
+        m.sample.stats.stage1_misses,
+        m.sample.stats.stage1_hit_rate(),
+        m.sample.stats.mux_hits,
+        m.sample.stats.mux_misses,
+        m.sample.stats.mux_hit_rate(),
     )
-}
-
-/// Admits a small paper-style mix under `scheduler` and replays the
-/// admitted configuration in the cell-level simulator with greedy
-/// (envelope-maximal) sources: returns whether every observed delay
-/// stayed at or below its analytic bound. This is the soundness
-/// certificate the bench gate pins for every discipline in the
-/// `scheduler_compare` section.
-fn scheduler_des_validated(scheduler: &Scheduler, quick: bool) -> bool {
-    let model = DualPeriodicEnvelope::new(
-        Bits::from_mbits(2.0),
-        Seconds::from_millis(100.0),
-        Bits::from_mbits(0.25),
-        Seconds::from_millis(10.0),
-        BitsPerSec::from_mbps(100.0),
-    )
-    .expect("valid paper-style source");
-    let net = HetNetwork::paper_topology().with_scheduler(scheduler.clone());
-    let mut state = NetworkState::new(net);
-    let opts = AdmissionOptions::beta_search(CacConfig::default());
-    let classes = scheduler.weight_map().map_or(1, <[u32]>::len);
-    let pairs = [
-        ((0, 0), (1, 0)),
-        ((1, 0), (2, 0)),
-        ((2, 0), (0, 0)),
-        ((0, 1), (2, 1)),
-    ];
-    let mut admitted = Vec::new();
-    for (i, (src, dst)) in pairs.iter().enumerate() {
-        let class = (i % classes) as u8;
-        let spec = ConnectionSpec {
-            source: HostId {
-                ring: src.0,
-                station: src.1,
-            },
-            dest: HostId {
-                ring: dst.0,
-                station: dst.1,
-            },
-            envelope: Arc::new(model),
-            deadline: Seconds::from_millis(140.0),
-            class,
-        };
-        if let Decision::Admitted { id, h_s, h_r, .. } =
-            state.admit(spec, &opts).expect("well-formed request")
-        {
-            admitted.push((id.0, *src, dst.0, h_s, h_r, class));
-        }
-    }
-    if admitted.len() < 2 {
-        return false;
-    }
-    let Ok(bounds) = state.current_delays(&opts.cac) else {
-        return false;
-    };
-    let link = LinkConfig::oc3(Seconds::from_micros(5.0));
-    let phases: &[f64] = if quick { &[0.0] } else { &[0.0, 1.7] };
-    for &phase_step_ms in phases {
-        let scenario = E2eScenario {
-            rings: vec![RingConfig::standard(); 3],
-            hosts_per_ring: 4,
-            ifdev: IfDevConfig::typical(),
-            backbone: Backbone::fully_meshed(3, SwitchConfig::typical(), link),
-            access_link: link,
-            connections: admitted
-                .iter()
-                .enumerate()
-                .map(|(k, (id, src, dest_ring, h_s, h_r, class))| SimConnection {
-                    id: *id,
-                    source_ring: src.0,
-                    source_station: src.1,
-                    dest_ring: *dest_ring,
-                    h_s: *h_s,
-                    h_r: *h_r,
-                    source: GreedyDualPeriodic::new(model, Bits::from_kbits(8.0)),
-                    phase: Seconds::from_millis(k as f64 * phase_step_ms),
-                    class: *class,
-                })
-                .collect(),
-            duration: Seconds::from_millis(if quick { 250.0 } else { 400.0 }),
-            drain: Seconds::from_millis(300.0),
-            scheduler: scheduler.clone(),
-        };
-        let report = run_netsim(&scenario);
-        for obs in &report.connections {
-            let Some(bound) = bounds
-                .iter()
-                .find(|(cid, _)| cid.0 == obs.id)
-                .map(|(_, d)| *d)
-            else {
-                return false;
-            };
-            if obs.chunks_sent != obs.chunks_delivered || obs.max_delay > bound {
-                return false;
-            }
-        }
-    }
-    true
 }
 
 fn main() {
@@ -260,79 +149,55 @@ fn main() {
     let (grid, reps) = if quick { (9, 1) } else { (17, 3) };
     let threads = std::thread::available_parallelism().map_or(1, usize::from);
 
-    let dense = |threads: usize| {
-        sample_region_threads(&net, &active, &spec, avail, avail, grid, &cfg, threads)
-            .expect("well-formed request")
-    };
-    let frontier = || {
-        sample_region_frontier(&net, &active, &spec, avail, avail, grid, &cfg)
-            .expect("well-formed request")
-    };
-
-    eprintln!(
-        "region sweep: grid {grid}x{grid}, {} active, {threads} hw threads",
-        active.len()
+    eprintln!("region sweep: grid {grid}x{grid}, {} active", active.len());
+    let seq = measure(
+        || {
+            sample_region_seq(&net, &active, &spec, avail, avail, grid, &cfg)
+                .expect("well-formed request")
+        },
+        grid,
+        reps,
     );
-    let seq = measure(|| dense(1), grid, reps);
     eprintln!(
-        "  dense sequential: {:.3} s ({:.1} cells/s, {} evals)",
+        "  dense:    {:.3} s ({:.1} cells/s, {} evals)",
         seq.seconds, seq.cells_per_sec, seq.sample.evals
     );
-    let par = measure(|| dense(threads), grid, reps);
-    eprintln!(
-        "  dense parallel:   {:.3} s ({:.1} cells/s, {} evals)",
-        par.seconds, par.cells_per_sec, par.sample.evals
+    let fro = measure(
+        || {
+            sample_region(&net, &active, &spec, avail, avail, grid, &cfg)
+                .expect("well-formed request")
+        },
+        grid,
+        reps,
     );
-    let fro = measure(frontier, grid, reps);
     eprintln!(
-        "  frontier:         {:.3} s ({:.1} cells/s, {} evals, fell_back: {})",
+        "  frontier: {:.3} s ({:.1} cells/s, {} evals, fell_back: {})",
         fro.seconds, fro.cells_per_sec, fro.sample.evals, fro.sample.fell_back
     );
 
-    let identical = seq.sample.map.cells() == par.sample.map.cells()
-        && seq.sample.map.cells() == fro.sample.map.cells();
-    assert!(identical, "solvers diverged from the sequential baseline");
-    let speedup = seq.seconds / par.seconds;
+    let identical = seq.sample.map.cells() == fro.sample.map.cells();
+    assert!(identical, "frontier map diverged from the dense sweep");
     let frontier_speedup = seq.seconds / fro.seconds;
     let eval_reduction = seq.sample.evals as f64 / fro.sample.evals.max(1) as f64;
     eprintln!(
-        "  parallel speedup: {speedup:.2}x, frontier speedup: {frontier_speedup:.2}x \
-         ({eval_reduction:.1}x fewer evals), maps identical: {identical}"
+        "  frontier speedup: {frontier_speedup:.2}x ({eval_reduction:.1}x fewer evals), \
+         maps identical: {identical}"
     );
 
-    // Churn workload through the service layer: a seeded Poisson
-    // connect/disconnect stream on the paper topology. The seed is
-    // fixed so decisions (and thus blocking probability) are exactly
-    // reproducible; only wall-clock numbers vary between machines.
+    // The fixed-seed churn workload of the scheduler comparison: a
+    // seeded Poisson connect/disconnect stream on the paper topology.
     // 0.1 req/s against ~100 s mean holding offers ~10 concurrent
     // connections to a network that fits ~4: enough pressure for a
-    // meaningful blocking probability, enough departures for real
+    // meaningful admission probability, enough departures for real
     // connect/disconnect churn.
     let churn_requests = if quick { 80 } else { 400 };
-    let mut service_cfg = ServiceConfig::paper_style(0.1, churn_requests, 42);
-    service_cfg.options = AdmissionOptions::beta_search(CacConfig::fast());
-    eprintln!("churn service: {churn_requests} requests at 0.1/s (seed 42, beta-search fast)");
-    let churn = run_service(HetNetwork::paper_topology(), &service_cfg)
-        .expect("churn run is well-formed")
-        .report;
-    eprintln!(
-        "  {:.0} req/s, p99 {:.1} us, blocking {:.3} ({} admitted / {} rejected)",
-        churn.requests_per_sec,
-        churn.latency.p99.value() * 1e6,
-        churn.blocking_probability,
-        churn.counters.admitted,
-        churn.counters.rejected(),
-    );
 
     // Scheduler comparison campaign: the identical fixed-seed churn
-    // workload re-run under each backbone discipline, plus a greedy
-    // cell-level DES replay per discipline certifying the analytic
-    // bounds stay sound. FIFO is the baseline — its decisions must
-    // match the plain churn run above exactly (the scheduler plumbing
-    // is the identity for FIFO) — while the weighted disciplines trade
-    // FIFO's aggregate coupling for a per-class rate share plus a
-    // round-robin latency term, which can move admission probability
-    // in either direction depending on the class mix.
+    // workload run under each backbone discipline. FIFO is the baseline;
+    // the weighted disciplines trade FIFO's aggregate coupling for a
+    // per-class rate share plus a round-robin latency term, which can
+    // move admission probability in either direction depending on the
+    // class mix.
     let sched_arms: [(&str, Scheduler, u8); 3] = [
         ("fifo", Scheduler::Fifo, 1),
         (
@@ -353,27 +218,19 @@ fn main() {
         let arm = run_service(HetNetwork::paper_topology(), &arm_cfg)
             .expect("scheduler arm run is well-formed")
             .report;
-        let des_validated = scheduler_des_validated(&scheduler, quick);
         let p99_us = arm.latency.p99.value() * 1e6;
         let admission_probability = arm.counters.admitted as f64 / arm.requests as f64;
         eprintln!(
             "  {name:>4}: admission probability {admission_probability:.3} \
-             ({} admitted / {} rejected), p99 {p99_us:.1} us, DES validated: {des_validated}",
+             ({} admitted / {} rejected), p99 {p99_us:.1} us",
             arm.counters.admitted,
             arm.counters.rejected(),
         );
-        let fifo_cert = if name == "fifo" {
-            let matches = arm.counters.admitted == churn.counters.admitted
-                && arm.counters.rejected() == churn.counters.rejected();
-            format!(", \"matches_default_engine\": {matches}")
-        } else {
-            String::new()
-        };
         sched_jsons.push(format!(
             concat!(
                 "\"{}\": {{\"scheduler\": \"{}\", \"classes\": {}, \"requests\": {}, ",
                 "\"admitted\": {}, \"rejected\": {}, \"admission_probability\": {:.6}, ",
-                "\"p50_us\": {:.3}, \"p99_us\": {:.3}, \"des_validated\": {}{}}}"
+                "\"p50_us\": {:.3}, \"p99_us\": {:.3}}}"
             ),
             name,
             scheduler,
@@ -384,8 +241,6 @@ fn main() {
             admission_probability,
             arm.latency.p50.value() * 1e6,
             p99_us,
-            des_validated,
-            fifo_cert,
         ));
     }
     let scheduler_compare_json = format!(
@@ -864,148 +719,6 @@ fn main() {
         audits_identical,
     );
 
-    // Fault injection and recovery: a fixed-seed faulted churn run
-    // (component failures, repairs, deadline shrinks), checkpointed
-    // mid-stream and recovered. The gate checks every fault drained,
-    // torn-down bandwidth was reclaimed (the engine's own tests pin the
-    // per-ring accounting), the audit log stayed gap-free through the
-    // fault-driven re-admissions, and the recovered run reproduced the
-    // original's final state bit for bit.
-    let fault_requests = if quick { 120 } else { 300 };
-    let mut fault_cfg = ServiceConfig::paper_style(2.0, fault_requests, 42);
-    fault_cfg.options = AdmissionOptions::beta_search(CacConfig::fast());
-    fault_cfg.faults = Some(FaultConfig {
-        mean_gap: Seconds::new(8.0),
-        mean_outage: Seconds::new(4.0),
-        max_outage: Seconds::new(8.0),
-        shrink_factor: Some(0.85),
-        seed: 4242,
-    });
-    eprintln!("fault injection: {fault_requests} requests at 2.0/s (seed 42, faults seed 4242)");
-    let faulted =
-        run_service(HetNetwork::paper_topology(), &fault_cfg).expect("faulted run is well-formed");
-    let split = fault_requests / 3;
-    let mut engine =
-        ServiceEngine::new(HetNetwork::paper_topology(), &fault_cfg).expect("faulted engine");
-    for _ in 0..split {
-        assert!(
-            engine.step_arrival().expect("step"),
-            "split exceeds schedule"
-        );
-    }
-    let checkpoint = engine.checkpoint();
-    let tail = &faulted.audit.entries()[checkpoint.decision_seq() as usize..];
-    drop(engine);
-    let recovered = verify_recovery(HetNetwork::paper_topology(), &fault_cfg, &checkpoint, tail)
-        .expect("recovery must replay the recorded audit tail");
-    let recovery_bit_identical =
-        recovered.state.snapshot().to_json() == faulted.state.snapshot().to_json();
-    let audit_gap_free = faulted
-        .audit
-        .entries()
-        .iter()
-        .enumerate()
-        .all(|(i, e)| e.seq == i as u64);
-    let rec = &faulted.report.recovery;
-    eprintln!(
-        "  {} faults, {} dropped, {} readmitted, undrained {}, \
-         recovered bit-identical: {recovery_bit_identical}",
-        rec.faults_injected, rec.connections_dropped, rec.readmitted, rec.undrained,
-    );
-    let faults_json = format!(
-        concat!(
-            "{{\"requests\": {}, \"checkpoint_at\": {}, \"tail_decisions\": {}, ",
-            "\"recovery_bit_identical\": {}, \"audit_gap_free\": {}, \"report\": {}}}"
-        ),
-        fault_requests,
-        checkpoint.decision_seq(),
-        tail.len(),
-        recovery_bit_identical,
-        audit_gap_free,
-        faulted.report.to_json(),
-    );
-
-    // Live reconfiguration: the fixed-seed churn workload re-run with
-    // a two-event reconfig schedule — a mid-run TTRT shrink that
-    // renegotiates every survivor under the tightened budget (parking
-    // victims when the shrunk budget no longer fits them), then a grow
-    // back past the default with a β change. As for faults, the run is
-    // checkpointed before the first event and recovered against the
-    // audit tail, which must replay both reconfigurations and land on
-    // a bit-identical final state.
-    let rc_requests = if quick { 100 } else { 300 };
-    let rc_span = rc_requests as f64 / 2.0;
-    let mut rc_cfg = ServiceConfig::paper_style(2.0, rc_requests, 42);
-    rc_cfg.options = AdmissionOptions::beta_search(CacConfig::fast());
-    rc_cfg = rc_cfg.with_reconfigs(vec![
-        ReconfigEvent {
-            at: Seconds::new(0.3 * rc_span),
-            plan: ReconfigPlan::uniform_ttrt(Seconds::from_millis(5.0)),
-        },
-        ReconfigEvent {
-            at: Seconds::new(0.65 * rc_span),
-            plan: ReconfigPlan::uniform_ttrt(Seconds::from_millis(12.0)).with_beta(0.3),
-        },
-    ]);
-    eprintln!(
-        "reconfig: {rc_requests} requests at 2.0/s (seed 42), shrink at {:.0} s, grow at {:.0} s",
-        0.3 * rc_span,
-        0.65 * rc_span
-    );
-    let reconfigured = run_service(HetNetwork::paper_topology(), &rc_cfg)
-        .expect("reconfigured run is well-formed");
-    let rc_split = rc_requests / 6;
-    let mut rc_engine =
-        ServiceEngine::new(HetNetwork::paper_topology(), &rc_cfg).expect("reconfigured engine");
-    for _ in 0..rc_split {
-        assert!(
-            rc_engine.step_arrival().expect("step"),
-            "split exceeds schedule"
-        );
-    }
-    let rc_checkpoint = rc_engine.checkpoint();
-    let rc_tail = &reconfigured.audit.entries()[rc_checkpoint.decision_seq() as usize..];
-    drop(rc_engine);
-    let rc_recovered = verify_recovery(
-        HetNetwork::paper_topology(),
-        &rc_cfg,
-        &rc_checkpoint,
-        rc_tail,
-    )
-    .expect("recovery must replay the recorded audit tail through both reconfigs");
-    let rc_bit_identical =
-        rc_recovered.state.snapshot().to_json() == reconfigured.state.snapshot().to_json();
-    let rc_gap_free = reconfigured
-        .audit
-        .entries()
-        .iter()
-        .enumerate()
-        .all(|(i, e)| e.seq == i as u64);
-    let rc = &reconfigured.report.reconfig;
-    eprintln!(
-        "  {} reconfigs: {} renegotiated, {} dropped, {} unchanged, audit len {}, \
-         recovered bit-identical: {rc_bit_identical}",
-        rc.reconfigs,
-        rc.renegotiated,
-        rc.dropped,
-        rc.unchanged,
-        reconfigured.audit.len(),
-    );
-    let reconfig_json = format!(
-        concat!(
-            "{{\"requests\": {}, \"events\": 2, \"audit_len\": {}, \"checkpoint_at\": {}, ",
-            "\"tail_decisions\": {}, \"replay_bit_identical\": {}, \"audit_gap_free\": {}, ",
-            "\"report\": {}}}"
-        ),
-        rc_requests,
-        reconfigured.audit.len(),
-        rc_checkpoint.decision_seq(),
-        rc_tail.len(),
-        rc_bit_identical,
-        rc_gap_free,
-        reconfigured.report.to_json(),
-    );
-
     // TTRT/β autotune: the in-bench slice of the campaign the
     // standalone `autotune` binary runs at full size. Two offered
     // loads straddling the knee, each swept over a TTRT×β grid that
@@ -1053,48 +766,36 @@ fn main() {
             "  \"grid\": {},\n",
             "  \"active_connections\": {},\n",
             "  \"reps\": {},\n",
-            "  \"hw_threads\": {},\n",
             "  \"sequential\": {},\n",
-            "  \"parallel\": {},\n",
             "  \"frontier\": {},\n",
-            "  \"speedup\": {:.3},\n",
             "  \"frontier_speedup\": {:.3},\n",
             "  \"dense_evals\": {},\n",
             "  \"frontier_evals\": {},\n",
             "  \"frontier_fell_back\": {},\n",
             "  \"maps_identical\": {},\n",
-            "  \"churn\": {},\n",
             "  \"scheduler_compare\": {},\n",
             "  \"decision_latency\": {},\n",
             "  \"obs\": {},\n",
             "  \"obs_sharded\": {},\n",
             "  \"shard_scale\": {},\n",
-            "  \"faults\": {},\n",
-            "  \"reconfig\": {},\n",
             "  \"autotune\": {}\n",
             "}}\n"
         ),
         grid,
         active.len(),
         reps,
-        threads,
-        json_measured(&seq, grid, 1),
-        json_measured(&par, grid, threads),
-        json_measured(&fro, grid, 1),
-        speedup,
+        json_measured(&seq, grid),
+        json_measured(&fro, grid),
         frontier_speedup,
         seq.sample.evals,
         fro.sample.evals,
         fro.sample.fell_back,
         identical,
-        churn.to_json(),
         scheduler_compare_json,
         decision_latency_json,
         obs_json,
         obs_sharded_json,
         shard_scale_json,
-        faults_json,
-        reconfig_json,
         autotune_json,
     );
     if let Some(dir) = std::path::Path::new(&out).parent() {

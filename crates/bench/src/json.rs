@@ -6,10 +6,16 @@
 //! instead. It covers exactly what the hand-written emitters produce
 //! (objects, arrays, strings with `\"`/`\\`/`\uXXXX` escapes, numbers
 //! including exponent form, booleans, null) and fails loudly on
-//! anything else.
+//! anything else — with an error, never a panic: nesting deeper than
+//! [`MAX_DEPTH`] is refused rather than recursed into.
 
 use std::collections::BTreeMap;
 use std::fmt;
+
+/// Deepest nesting of arrays and objects [`Json::parse`] accepts. The
+/// parser recurses once per level, so unbounded nesting would overflow
+/// the stack instead of returning an error.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -39,6 +45,7 @@ impl Json {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -129,6 +136,8 @@ impl fmt::Display for Json {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -167,8 +176,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -180,6 +189,20 @@ impl Parser<'_> {
                 self.pos
             )),
         }
+    }
+
+    /// Parses one array or object with `parse`, one level deeper.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<Json, String> {
@@ -328,6 +351,7 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn parses_scalars() {
@@ -428,5 +452,43 @@ mod tests {
         assert!(Json::parse("{\"a\":1} extra").is_err());
         assert!(Json::parse("\"unterminated").is_err());
         assert!(Json::parse("nul").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let err = Json::parse(&"[".repeat(200_000)).unwrap_err();
+        assert_eq!(
+            err,
+            format!("nesting deeper than {MAX_DEPTH} at byte {MAX_DEPTH}")
+        );
+        let err = Json::parse(&"{\"a\":".repeat(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.starts_with("nesting deeper than"), "{err}");
+        // Nesting up to the cap still parses.
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_cap).is_ok());
+    }
+
+    /// Bytes JSON syntax is made of, so random documents get past the
+    /// first token often enough to reach the nested and escaped paths.
+    const JSON_BYTES: &[u8] = b"[]{}\":,\\/u0123456789abcdefABCDEF.eE+-truefalsenl \t\n";
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn parse_never_panics_on_arbitrary_bytes(
+            bytes in proptest::collection::vec(0_u32..256, 0..256),
+        ) {
+            let bytes: Vec<u8> = bytes.into_iter().map(|b| b as u8).collect();
+            let _ = Json::parse(&String::from_utf8_lossy(&bytes));
+        }
+
+        #[test]
+        fn parse_never_panics_on_json_shaped_bytes(
+            picks in proptest::collection::vec(0_usize..JSON_BYTES.len(), 0..512),
+        ) {
+            let text: String = picks.into_iter().map(|i| JSON_BYTES[i] as char).collect();
+            let _ = Json::parse(&text);
+        }
     }
 }

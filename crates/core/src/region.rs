@@ -11,24 +11,24 @@
 //! `feasible_region` example (the paper's Figure 6 as ASCII art) and
 //! the empirical convexity tests backing the CAC's binary searches.
 //!
-//! Two solvers produce the same map:
+//! Two public solvers produce the same map, evaluating cells through
+//! one shared feasibility check:
 //!
-//! * the **dense sweep** ([`sample_region_seq`],
-//!   [`sample_region_threads`]) evaluates all `G²` cells, optionally
-//!   split across worker threads — the exhaustive baseline;
-//! * the **frontier tracer** ([`sample_region_frontier`], the default
-//!   behind [`sample_region`]) exploits the region's structure: each
-//!   row is a single run of feasible cells whose endpoints move
-//!   monotonically row to row (the staircase Theorems 3–4 guarantee),
-//!   so per row it finds one feasible pivot seeded from the previous
-//!   row's run and bisects both endpoints — `O(G log G)` evaluations
-//!   instead of `G²`. Every evaluation is memoized and the traced map
-//!   is certified afterwards (recorded evaluations must match the
-//!   reconstruction, feasible rows must form one contiguous band
-//!   reaching the top row, and the runs must widen monotonically); any
-//!   witnessed violation discards the trace and re-runs the dense
-//!   sweep with the same warm evaluator, so the returned map is
-//!   bit-identical to [`sample_region_seq`]'s.
+//! * the **frontier tracer** ([`sample_region`]) exploits the region's
+//!   structure: each row is a single run of feasible cells whose
+//!   endpoints move monotonically row to row (the staircase Theorems
+//!   3–4 guarantee), so per row it finds one feasible pivot seeded from
+//!   the previous row's run and bisects both endpoints — `O(G log G)`
+//!   evaluations instead of `G²`. Every evaluation is memoized and the
+//!   traced map is certified afterwards (recorded evaluations must
+//!   match the reconstruction, feasible rows must form one contiguous
+//!   band reaching the top row, and the runs must widen monotonically);
+//!   any witnessed violation discards the trace and completes the map
+//!   with the dense loop through the same memo and warm evaluator;
+//! * the **dense sweep** ([`sample_region_seq`]) runs that same dense
+//!   loop from an empty memo: all `G²` cells, one evaluator, row-major —
+//!   the exhaustive oracle the tracer is tested against. The frontier
+//!   map is bit-identical to it.
 
 use crate::cac::CacConfig;
 use crate::connection::ConnectionSpec;
@@ -211,8 +211,7 @@ fn grid_convexity_violations(cells: &[bool], rows: usize, cols: usize) -> usize 
 }
 
 /// A sampled region plus how the sweep earned it: the evaluator's cache
-/// statistics (summed over every worker's evaluator when the sweep is
-/// parallel) and the number of candidate evaluations performed.
+/// statistics and the number of candidate evaluations performed.
 #[derive(Clone, Debug)]
 pub struct RegionSample {
     /// The sampled feasibility map.
@@ -220,11 +219,11 @@ pub struct RegionSample {
     /// Cache hit/miss counters accumulated by the sweep.
     pub stats: CacheStats,
     /// Calls to `Evaluator::evaluate_candidate` the sweep performed
-    /// (`grid²` for dense sweeps; typically a few per row for the
+    /// (`grid²` for the dense sweep; typically a few per row for the
     /// frontier tracer).
     pub evals: u64,
     /// Whether a frontier trace failed certification and the map was
-    /// recomputed by the dense sweep (always `false` for dense sweeps).
+    /// recomputed by the dense sweep (always `false` for the dense sweep).
     pub fell_back: bool,
 }
 
@@ -232,10 +231,10 @@ pub struct RegionSample {
 /// connections on a `grid × grid` lattice spanning
 /// `[min_abs, max_avail]` on both axes.
 ///
-/// Uses the frontier tracer ([`sample_region_frontier`]): `O(G log G)`
-/// evaluations on the staircase regions the analysis produces, with a
-/// certified fallback to the dense sweep, so the result is always
-/// bit-identical to [`sample_region_seq`].
+/// Uses the frontier tracer: `O(G log G)` evaluations on the staircase
+/// regions the analysis produces, certified afterwards, with a fallback
+/// to the dense sweep through the same warm evaluator — so the map is
+/// always bit-identical to [`sample_region_seq`]'s.
 ///
 /// # Errors
 ///
@@ -250,13 +249,14 @@ pub fn sample_region(
     available_r: Seconds,
     grid: usize,
     cfg: &CacConfig,
-) -> Result<RegionMap, CacError> {
-    Ok(sample_region_frontier(net, active, spec, available_s, available_r, grid, cfg)?.map)
+) -> Result<RegionSample, CacError> {
+    let _span = obs::span("sample_region");
+    sweep(net, active, spec, available_s, available_r, grid, cfg, true)
 }
 
-/// Sequential dense sweep: one evaluator, all `grid²` cells in
-/// row-major order. The exhaustive baseline every other solver is
-/// measured (and bit-compared) against.
+/// Dense sweep: one evaluator, all `grid²` cells in row-major order.
+/// The exhaustive oracle the frontier tracer falls back to and is
+/// bit-compared against.
 ///
 /// # Errors
 ///
@@ -269,18 +269,24 @@ pub fn sample_region_seq(
     available_r: Seconds,
     grid: usize,
     cfg: &CacConfig,
-) -> Result<RegionMap, CacError> {
-    Ok(sample_region_threads(net, active, spec, available_s, available_r, grid, cfg, 1)?.map)
+) -> Result<RegionSample, CacError> {
+    sweep(
+        net,
+        active,
+        spec,
+        available_s,
+        available_r,
+        grid,
+        cfg,
+        false,
+    )
 }
 
-/// Axis samples plus the input vector whose last slot is the
-/// candidate's (rewritten per cell) — what [`sweep_setup`] hands every
-/// solver.
-type SweepSetup = (Vec<SyncBandwidth>, Vec<SyncBandwidth>, Vec<PathInput>);
-
-/// The shared sweep setup: axis samples and the input vector whose last
-/// slot is the candidate's (rewritten per cell).
-fn sweep_setup(
+/// The sweep both solvers share: axis samples, an input vector whose
+/// last slot is the candidate's (rewritten per cell), one evaluator, and
+/// the one cell-feasibility check, handed to [`region_map`].
+#[allow(clippy::too_many_arguments)]
+fn sweep(
     net: &HetNetwork,
     active: &[PathInput],
     spec: &ConnectionSpec,
@@ -288,7 +294,8 @@ fn sweep_setup(
     available_r: Seconds,
     grid: usize,
     cfg: &CacConfig,
-) -> Result<SweepSetup, CacError> {
+    trace: bool,
+) -> Result<RegionSample, CacError> {
     if grid < 2 {
         return Err(CacError::InvalidRequest(format!(
             "region grid must be at least 2x2, got {grid}x{grid}"
@@ -309,8 +316,8 @@ fn sweep_setup(
     let h_s = axis(min_s, max_s);
     let h_r = axis(min_r, max_r);
 
-    let mut base: Vec<PathInput> = active.to_vec();
-    base.push(PathInput {
+    let mut inputs: Vec<PathInput> = active.to_vec();
+    inputs.push(PathInput {
         source: spec.source,
         dest: spec.dest,
         envelope: Arc::clone(&spec.envelope),
@@ -318,129 +325,24 @@ fn sweep_setup(
         h_r: h_r[0],
         class: spec.class,
     });
-    Ok((h_s, h_r, base))
-}
-
-/// Dense sweep with an explicit worker count, returning the sweep's
-/// cache statistics alongside the map.
-///
-/// The `grid × grid` cells are split into `threads` contiguous
-/// row-major chunks, one scoped worker thread per chunk, each with its
-/// own [`Evaluator`]. Because every cell's evaluation is independent of
-/// the others (caches only short-circuit recomputation; hits return the
-/// values the miss path would compute), the stitched result is
-/// bit-identical for every `threads` value. `threads` is clamped to
-/// `[1, grid²]`.
-///
-/// # Errors
-///
-/// Identical to [`sample_region`].
-#[allow(clippy::too_many_arguments)]
-pub fn sample_region_threads(
-    net: &HetNetwork,
-    active: &[PathInput],
-    spec: &ConnectionSpec,
-    available_s: Seconds,
-    available_r: Seconds,
-    grid: usize,
-    cfg: &CacConfig,
-    threads: usize,
-) -> Result<RegionSample, CacError> {
-    let (h_s, h_r, base) = sweep_setup(net, active, spec, available_s, available_r, grid, cfg)?;
-
-    // Evaluates the row-major cells `range`, returning their
-    // feasibility bits and the worker evaluator's cache statistics.
-    let eval_range = |range: std::ops::Range<usize>| -> Result<(Vec<bool>, CacheStats), CacError> {
-        let mut ev = Evaluator::new(net, cfg.eval.clone());
-        let mut inputs = base.clone();
-        let mut bits = Vec::with_capacity(range.len());
-        for idx in range {
+    let mut ev = Evaluator::new(net, cfg.eval.clone());
+    let (flat, evals, fell_back) = region_map(
+        grid,
+        |r, c| {
             let cand = inputs.last_mut().expect("candidate slot present");
-            cand.h_s = h_s[idx % grid];
-            cand.h_r = h_r[idx / grid];
+            cand.h_s = h_s[c];
+            cand.h_r = h_r[r];
             // Candidate-only feasibility: existing deadlines are
             // monotone in the newcomer's allocation, so the caller
             // checks them once at the maximum corner (as the CAC does);
             // here we map the newcomer's own constraint (eq. 25).
-            let feasible = match ev.evaluate_candidate(&inputs)? {
+            Ok(match ev.evaluate_candidate(&inputs)? {
                 CandidateOutcome::Feasible { candidate, .. } => candidate.total <= spec.deadline,
                 CandidateOutcome::Infeasible(_) => false,
-            };
-            bits.push(feasible);
-        }
-        Ok((bits, ev.cache_stats()))
-    };
-
-    let total = grid * grid;
-    let workers = threads.clamp(1, total);
-    let mut flat = Vec::with_capacity(total);
-    let mut stats = CacheStats::default();
-    if workers == 1 {
-        let (bits, s) = eval_range(0..total)?;
-        flat = bits;
-        stats = s;
-    } else {
-        let chunk = total.div_ceil(workers);
-        let chunks: Vec<Result<(Vec<bool>, CacheStats), CacError>> = std::thread::scope(|scope| {
-            let eval_range = &eval_range;
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let lo = w * chunk;
-                    let hi = ((w + 1) * chunk).min(total);
-                    scope.spawn(move || eval_range(lo..hi.max(lo)))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("region worker panicked"))
-                .collect()
-        });
-        for c in chunks {
-            let (bits, s) = c?;
-            flat.extend(bits);
-            stats.merge(&s);
-        }
-    }
-    debug_assert_eq!(flat.len(), total);
-    Ok(RegionSample {
-        map: RegionMap::new(h_s, h_r, flat),
-        stats,
-        evals: total as u64,
-        fell_back: false,
-    })
-}
-
-/// Frontier-tracing sweep: binary-searches each row's feasible run,
-/// seeded from the previous row (see the module docs), then certifies
-/// the trace and falls back to the dense sweep — reusing the same warm
-/// evaluator, so the result is still bit-identical — if any recorded
-/// evaluation contradicts the traced staircase.
-///
-/// # Errors
-///
-/// Identical to [`sample_region`].
-pub fn sample_region_frontier(
-    net: &HetNetwork,
-    active: &[PathInput],
-    spec: &ConnectionSpec,
-    available_s: Seconds,
-    available_r: Seconds,
-    grid: usize,
-    cfg: &CacConfig,
-) -> Result<RegionSample, CacError> {
-    let _span = obs::span("sample_region_frontier");
-    let (h_s, h_r, mut inputs) =
-        sweep_setup(net, active, spec, available_s, available_r, grid, cfg)?;
-    let mut ev = Evaluator::new(net, cfg.eval.clone());
-    let (flat, evals, fell_back) = frontier_map(grid, |r, c| {
-        let cand = inputs.last_mut().expect("candidate slot present");
-        cand.h_s = h_s[c];
-        cand.h_r = h_r[r];
-        Ok(match ev.evaluate_candidate(&inputs)? {
-            CandidateOutcome::Feasible { candidate, .. } => candidate.total <= spec.deadline,
-            CandidateOutcome::Infeasible(_) => false,
-        })
-    })?;
+            })
+        },
+        trace,
+    )?;
     Ok(RegionSample {
         map: RegionMap::new(h_s, h_r, flat),
         stats: ev.cache_stats(),
@@ -665,17 +567,25 @@ fn certify(grid: usize, runs: &[(usize, usize)], memo: &[Option<bool>]) -> Optio
     Some(flat)
 }
 
-/// Runs the frontier tracer against `oracle` and certifies the result;
-/// on failure, completes the map densely through the same memo (cells
-/// already evaluated are not re-evaluated, and a deterministic oracle
-/// makes the outcome identical to a pure dense sweep). Returns the flat
-/// map, the number of oracle evaluations, and whether it fell back.
-fn frontier_map(grid: usize, mut oracle: impl Oracle) -> Result<(Vec<bool>, u64, bool), CacError> {
+/// Fills the map through `oracle`. With `trace`, the frontier tracer
+/// runs first and its certified map is returned; otherwise — or when
+/// certification fails — the dense row-major loop completes the map
+/// through the same memo (cells already evaluated are not re-evaluated,
+/// and a deterministic oracle makes the outcome identical to a pure
+/// dense sweep). Returns the flat map, the number of oracle
+/// evaluations, and whether a trace fell back.
+fn region_map(
+    grid: usize,
+    mut oracle: impl Oracle,
+    trace: bool,
+) -> Result<(Vec<bool>, u64, bool), CacError> {
     let mut memo = vec![None; grid * grid];
     let mut evals = 0u64;
-    let runs = trace_frontier(&mut memo, &mut evals, &mut oracle, grid)?;
-    if let Some(flat) = certify(grid, &runs, &memo) {
-        return Ok((flat, evals, false));
+    if trace {
+        let runs = trace_frontier(&mut memo, &mut evals, &mut oracle, grid)?;
+        if let Some(flat) = certify(grid, &runs, &memo) {
+            return Ok((flat, evals, false));
+        }
     }
     let mut flat = vec![false; grid * grid];
     for r in 0..grid {
@@ -683,7 +593,7 @@ fn frontier_map(grid: usize, mut oracle: impl Oracle) -> Result<(Vec<bool>, u64,
             flat[r * grid + c] = eval_memo(&mut memo, &mut evals, &mut oracle, grid, r, c)?;
         }
     }
-    Ok((flat, evals, true))
+    Ok((flat, evals, trace))
 }
 
 #[cfg(test)]
@@ -731,6 +641,7 @@ mod tests {
             &cfg,
         )
         .unwrap()
+        .map
     }
 
     #[test]
@@ -777,43 +688,16 @@ mod tests {
         }
     }
 
-    #[test]
-    fn worker_count_does_not_change_the_map() {
-        let net = HetNetwork::paper_topology();
-        let cfg = CacConfig::fast();
-        let run = |threads| {
-            sample_region_threads(
-                &net,
-                &[],
-                &spec(60.0),
-                Seconds::from_millis(7.2),
-                Seconds::from_millis(7.2),
-                5,
-                &cfg,
-                threads,
-            )
-            .unwrap()
-        };
-        let seq = run(1);
-        for threads in [2, 3, 7, 64] {
-            let par = run(threads);
-            assert_eq!(par.map.cells(), seq.map.cells(), "threads {threads}");
-        }
-        // The sequential single evaluator reuses everything it can.
-        assert!(seq.stats.stage1_hits > 0);
-        assert!(seq.stats.mux_hits > 0);
-    }
-
     /// The frontier tracer narrates its work: one `frontier_row` event
     /// per row whose per-row eval counts sum to the sample's total, all
-    /// inside a `sample_region_frontier` span.
+    /// inside a `sample_region` span.
     #[test]
     fn frontier_emits_row_and_step_events() {
         let net = HetNetwork::paper_topology();
         let cfg = CacConfig::fast();
         let grid = 7;
         let (sample, trace) = obs::collect(1 << 16, || {
-            sample_region_frontier(
+            sample_region(
                 &net,
                 &[],
                 &spec(60.0),
@@ -849,7 +733,7 @@ mod tests {
         let span_started = trace
             .records()
             .iter()
-            .any(|r| r.kind == obs::RecordKind::SpanStart && r.name == "sample_region_frontier");
+            .any(|r| r.kind == obs::RecordKind::SpanStart && r.name == "sample_region");
         assert!(span_started);
         assert_eq!(trace.dropped(), 0);
     }
@@ -861,9 +745,9 @@ mod tests {
         for deadline_ms in [1.0, 60.0, 150.0] {
             let run = |frontier: bool| {
                 let f = if frontier {
-                    sample_region_frontier
+                    sample_region
                 } else {
-                    sample_region_seq_sample
+                    sample_region_seq
                 };
                 f(
                     &net,
@@ -894,18 +778,6 @@ mod tests {
         }
     }
 
-    fn sample_region_seq_sample(
-        net: &HetNetwork,
-        active: &[PathInput],
-        spec: &ConnectionSpec,
-        available_s: Seconds,
-        available_r: Seconds,
-        grid: usize,
-        cfg: &CacConfig,
-    ) -> Result<RegionSample, CacError> {
-        sample_region_threads(net, active, spec, available_s, available_r, grid, cfg, 1)
-    }
-
     /// Oracle over a fixed bit-grid, for exercising the tracer against
     /// shapes the physical analysis never produces.
     fn grid_oracle(cells: Vec<bool>, grid: usize) -> impl Oracle {
@@ -929,10 +801,14 @@ mod tests {
                 .map(|idx| shape(idx / grid, idx % grid))
                 .collect();
             let (flat, evals, fell_back) =
-                frontier_map(grid, grid_oracle(dense.clone(), grid)).unwrap();
+                region_map(grid, grid_oracle(dense.clone(), grid), true).unwrap();
             assert_eq!(flat, dense, "shape {i}");
             assert!(!fell_back, "shape {i}");
             assert!(evals <= (grid * grid) as u64, "shape {i}: {evals}");
+            // Untraced, the same loop is the dense sweep: every cell
+            // once, never a fallback.
+            let untraced = region_map(grid, grid_oracle(dense.clone(), grid), false).unwrap();
+            assert_eq!(untraced, (dense, (grid * grid) as u64, false), "shape {i}");
         }
     }
 
@@ -953,7 +829,7 @@ mod tests {
             })
             .collect();
         let (flat, evals, fell_back) =
-            frontier_map(grid, grid_oracle(dense.clone(), grid)).unwrap();
+            region_map(grid, grid_oracle(dense.clone(), grid), true).unwrap();
         assert!(fell_back);
         assert_eq!(flat, dense);
         assert_eq!(evals, (grid * grid) as u64);
@@ -970,7 +846,8 @@ mod tests {
                 r == 1 && c >= grid - 2
             })
             .collect();
-        let (flat, _, fell_back) = frontier_map(grid, grid_oracle(dense.clone(), grid)).unwrap();
+        let (flat, _, fell_back) =
+            region_map(grid, grid_oracle(dense.clone(), grid), true).unwrap();
         assert!(fell_back);
         assert_eq!(flat, dense);
     }

@@ -2,13 +2,15 @@
 //! scenarios — including infeasible/empty regions, tiny grids, and the
 //! benchmark configuration — the frontier map is bitwise identical to
 //! the dense sweep's, both cells and axes, while doing strictly fewer
-//! oracle evaluations whenever the grid is big enough to matter.
+//! oracle evaluations whenever the grid is big enough to matter. The
+//! benchmark configuration also holds the dense sweep's evaluator
+//! caches to earning their keep.
 
 use hetnet_cac::cac::CacConfig;
 use hetnet_cac::connection::ConnectionSpec;
 use hetnet_cac::delay::PathInput;
 use hetnet_cac::network::{HetNetwork, HostId};
-use hetnet_cac::region::{sample_region_frontier, sample_region_threads, RegionSample};
+use hetnet_cac::region::{sample_region, sample_region_seq, RegionSample};
 use hetnet_fddi::ring::SyncBandwidth;
 use hetnet_traffic::envelope::SharedEnvelope;
 use hetnet_traffic::models::DualPeriodicEnvelope;
@@ -71,7 +73,7 @@ fn dense(
     spec: &ConnectionSpec,
     grid: usize,
 ) -> RegionSample {
-    sample_region_threads(
+    sample_region_seq(
         net,
         active,
         spec,
@@ -79,7 +81,6 @@ fn dense(
         Seconds::from_millis(7.2),
         grid,
         &CacConfig::fast(),
-        1,
     )
     .expect("well-formed request")
 }
@@ -90,7 +91,7 @@ fn frontier(
     spec: &ConnectionSpec,
     grid: usize,
 ) -> RegionSample {
-    sample_region_frontier(
+    sample_region(
         net,
         active,
         spec,
@@ -182,6 +183,11 @@ fn frontier_matches_dense_on_benchmark_grid() {
         f.evals,
         d.evals
     );
+    // A 17×17 sweep revisits each column's wire envelope 17 times and
+    // every background-only mux every cell: the dense sweep's caches
+    // must be earning their keep.
+    assert!(d.stats.mux_hits > 0, "{:?}", d.stats);
+    assert!(d.stats.stage1_hit_rate() > 0.5, "{:?}", d.stats);
 }
 
 #[test]

@@ -50,7 +50,8 @@ proptest! {
             7,
             &CacConfig::fast(),
         )
-        .expect("well-formed request");
+        .expect("well-formed request")
+        .map;
         prop_assert_eq!(map.convexity_violations(), 0, "{}", map.ascii());
         // Monotone corners: if any point is feasible, the max corner is.
         if map.any_feasible() {

@@ -529,6 +529,24 @@ mod tests {
             .position(|&c| c == "non-fifo-scheduler")
             .expect("cause registered");
         assert!(fp.skip_causes[idx] > 0, "non-FIFO skip cause never fired");
+
+        // An explicit single-class FIFO is the default engine: the
+        // scheduler plumbing must be the identity for it.
+        let fifo = super::run(
+            HetNetwork::paper_topology(),
+            &smoke_cfg().with_scheduler(Scheduler::Fifo, 1),
+        )
+        .unwrap();
+        let default = super::run(HetNetwork::paper_topology(), &smoke_cfg()).unwrap();
+        assert_eq!(fifo.audit.len(), default.audit.len());
+        for (a, b) in fifo.audit.entries().iter().zip(default.audit.entries()) {
+            assert!(entries_equivalent(a, b), "{a:?} vs {b:?}");
+        }
+        assert_eq!(
+            fifo.state.snapshot().to_json(),
+            default.state.snapshot().to_json(),
+            "explicit FIFO must end in the default engine's state"
+        );
     }
 
     #[test]
@@ -689,6 +707,10 @@ mod tests {
         assert!(rec.reclaimed_s > 0.0 && rec.reclaimed_r > 0.0);
         assert!(rec.max_time_to_drain > 0.0);
         assert!(rec.readmit_attempts >= rec.readmitted);
+        assert!(
+            rec.readmitted > 0,
+            "no torn-down connection came back: {rec:?}"
+        );
         assert_eq!(run.state.down_components(), vec![]);
         // Every decision — scheduled or fault-driven — is audited.
         assert_eq!(run.report.audit_len as u64, run.report.requests);

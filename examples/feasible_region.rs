@@ -12,7 +12,7 @@
 use hetnet::cac::cac::CacConfig;
 use hetnet::cac::connection::ConnectionSpec;
 use hetnet::cac::network::{HetNetwork, HostId};
-use hetnet::cac::region::sample_region_frontier;
+use hetnet::cac::region::sample_region;
 use hetnet::traffic::models::DualPeriodicEnvelope;
 use hetnet::traffic::units::{Bits, BitsPerSec, Seconds};
 use std::error::Error;
@@ -44,7 +44,7 @@ fn main() -> Result<(), Box<dyn Error>> {
             class: 0,
         };
         let grid = 25;
-        let sample = sample_region_frontier(
+        let sample = sample_region(
             &net,
             &[],
             &spec,

@@ -111,6 +111,22 @@ lint() {
         exit 1
     fi
     echo "ok: one deadline check"
+
+    echo "==> one-region-solver gate (frontier tracer + dense oracle; bench_json only measures)"
+    # The region module keeps two solvers over one dense loop, single-
+    # threaded; bench_json leaves the correctness certificates to the
+    # test suite. Neither the threaded sweep nor the re-run certificates
+    # and their gates may come back.
+    if grep -rnE "fn (sample_region_threads|sample_region_frontier|scheduler_des_validated|fault_gates|reconfig_gates)\b" \
+        --include="*.rs" crates; then
+        echo "FAIL: a retired region solver or bench certificate reintroduced"
+        exit 1
+    fi
+    if grep -nF "std::thread" crates/core/src/region.rs; then
+        echo "FAIL: crates/core/src/region.rs spawns threads again"
+        exit 1
+    fi
+    echo "ok: one region solver"
 }
 
 bench() {
@@ -118,11 +134,11 @@ bench() {
     cargo run --release -p hetnet-bench --bin bench_json -- \
         --quick --out target/BENCH_region.quick.json
 
-    echo "==> bench gate (maps identical, frontier cheaper, churn + obs + obs_sharded + fault-recovery smoke)"
+    echo "==> bench gate (maps identical, frontier cheaper, scheduler compare + decision latency + obs + obs_sharded + shard scale + autotune)"
     cargo run --release -p hetnet-bench --bin bench_gate -- \
         quick target/BENCH_region.quick.json
 
-    echo "==> committed-benchmark gate (BENCH_region.json: obs + sharded-tracing overhead ceilings + fault recovery)"
+    echo "==> committed-benchmark gate (BENCH_region.json: obs + sharded-tracing overhead ceilings + shard scale)"
     cargo run --release -p hetnet-bench --bin bench_gate -- \
         committed BENCH_region.json
 
