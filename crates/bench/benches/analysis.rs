@@ -1,14 +1,18 @@
 //! Microbenchmarks of the analytic building blocks: envelope evaluation,
-//! the Theorem-1 guaranteed-server analysis, the FIFO multiplexer bound,
+//! the Theorem-1 guaranteed-server analysis, the stage-1 wire table every
+//! β-search probe builds for its candidate, the FIFO multiplexer bound,
 //! and a full end-to-end path evaluation.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use hetnet_atm::{analyze_mux, LinkConfig};
 use hetnet_cac::delay::{evaluate_paths, EvalConfig, PathInput};
 use hetnet_cac::network::{HetNetwork, HostId};
+use hetnet_fddi::frames;
 use hetnet_fddi::mac::analyze_fddi_mac;
 use hetnet_fddi::ring::{RingConfig, SyncBandwidth};
+use hetnet_ifdev::segment_envelope;
 use hetnet_traffic::analysis::AnalysisConfig;
+use hetnet_traffic::combinators::Sampled;
 use hetnet_traffic::envelope::{Envelope, SharedEnvelope};
 use hetnet_traffic::models::DualPeriodicEnvelope;
 use hetnet_traffic::units::{Bits, BitsPerSec, Seconds};
@@ -49,6 +53,34 @@ fn bench_mac_analysis(c: &mut Criterion) {
     });
 }
 
+/// Stage 1 of a path evaluation under `EvalConfig::fast`'s settings:
+/// Theorem 1 at the source MAC, the output flattened over 0.6 s with one
+/// guard subdivision, Theorem 2's segmentation, and the wire envelope
+/// flattened again — at three allocations.
+fn bench_stage1_wire_table(c: &mut Criterion) {
+    let net = HetNetwork::paper_topology();
+    let ring = net.ring(0);
+    let env: SharedEnvelope = Arc::new(paper_source());
+    let horizon = Seconds::new(0.6);
+    let cfg = AnalysisConfig {
+        guard_subdivisions: 1,
+        max_horizon: horizon,
+        ..AnalysisConfig::default()
+    };
+    let allocations = [2.0, 2.4, 3.2].map(|ms| SyncBandwidth::new(Seconds::from_millis(ms)));
+    c.bench_function("stage1_wire_table", |b| {
+        b.iter(|| {
+            for h in allocations {
+                let mac = analyze_fddi_mac(Arc::clone(&env), ring, h, net.host_buffer(), &cfg)
+                    .expect("stable");
+                let flat = Arc::new(Sampled::flatten(mac.output, horizon, 1));
+                let seg = segment_envelope(flat, frames::frame_size(ring, h), net.ifdev());
+                black_box(Sampled::flatten(seg.output_wire, horizon, 1));
+            }
+        })
+    });
+}
+
 fn bench_mux_analysis(c: &mut Criterion) {
     let cfg = AnalysisConfig::default();
     let link = LinkConfig::oc3(Seconds::ZERO);
@@ -85,6 +117,7 @@ fn bench_path_evaluation(c: &mut Criterion) {
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_envelope_eval, bench_mac_analysis, bench_mux_analysis, bench_path_evaluation
+    targets = bench_envelope_eval, bench_mac_analysis, bench_stage1_wire_table, bench_mux_analysis,
+        bench_path_evaluation
 );
 criterion_main!(benches);

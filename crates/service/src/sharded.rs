@@ -259,6 +259,10 @@ pub struct Sharded {
     trace: Option<DecisionTrace>,
     phases: Vec<(&'static str, Option<u32>, Trace)>,
     version: u64,
+    /// The arrival index at which its worker panics, to test how a
+    /// worker panic surfaces.
+    #[cfg(test)]
+    panic_at: Option<usize>,
 }
 
 impl Decider for Sharded {
@@ -421,6 +425,8 @@ struct Worker {
     shared: Arc<RwLock<Shared>>,
     cfg: ServiceConfig,
     registry: Arc<MetricsRegistry>,
+    #[cfg(test)]
+    panic_at: Option<usize>,
 }
 
 impl Worker {
@@ -449,6 +455,10 @@ impl Worker {
         for (n, &idx) in self.indices.iter().enumerate() {
             if n > 0 && acks.recv().is_err() {
                 return;
+            }
+            #[cfg(test)]
+            if self.panic_at == Some(idx) {
+                panic!("injected at arrival {idx}");
             }
             let a = &self.arrivals[idx];
             let msg = arrival_spec(a, &self.envelope, self.cfg.classes).and_then(|spec| {
@@ -496,6 +506,8 @@ impl ShardedEngine {
                 trace: None,
                 phases: Vec::new(),
                 version: 0,
+                #[cfg(test)]
+                panic_at: None,
             })
         })
     }
@@ -535,7 +547,7 @@ impl ShardedEngine {
     ///
     /// Propagates any [`CacError`] from the underlying admissions and
     /// releases (rejections are outcomes, not errors), and reports a
-    /// worker that hung up mid-schedule as one.
+    /// worker that hung up mid-schedule or panicked as one.
     pub fn run(mut self) -> Result<(ShardedRun, Option<EngineCheckpoint>), CacError> {
         self.started = Instant::now();
         let workers = self.decider.workers;
@@ -550,10 +562,8 @@ impl ShardedEngine {
             owned[a.source.0 % workers].push(idx);
         }
         let (mut core, checkpoint) = std::thread::scope(move |scope| {
-            // The core owns every committer-side channel end, so on any
-            // exit from this closure they drop before the scope joins
-            // the workers, and a worker blocked on its channel returns.
             let mut core = self;
+            let mut handles = Vec::with_capacity(workers);
             for (shard, indices) in owned.into_iter().enumerate() {
                 let (spec_tx, specs) = mpsc::sync_channel(1);
                 let (acks, ack_rx) = mpsc::sync_channel(1);
@@ -566,21 +576,40 @@ impl ShardedEngine {
                     shared: Arc::clone(&core.decider.shared),
                     cfg: core.cfg.clone(),
                     registry: core.registry(),
+                    #[cfg(test)]
+                    panic_at: core.decider.panic_at,
                 };
-                scope.spawn(move || worker.run(&spec_tx, &ack_rx));
+                handles.push(scope.spawn(move || worker.run(&spec_tx, &ack_rx)));
             }
-            let mut checkpoint = None;
-            loop {
-                if checkpoint_at == Some(core.pos.next_arrival) {
-                    checkpoint = Some(core.checkpoint());
+            let mut commit = || {
+                let mut checkpoint = None;
+                loop {
+                    if checkpoint_at == Some(core.pos.next_arrival) {
+                        checkpoint = Some(core.checkpoint());
+                    }
+                    if !core.step()? {
+                        break;
+                    }
                 }
-                if !core.step()? {
-                    break;
-                }
-            }
-            core.run_to_end()?;
+                core.run_to_end()?;
+                Ok::<_, CacError>(checkpoint)
+            };
+            let committed = commit();
+            // The links are the committer's channel ends: dropping them
+            // lets a worker blocked on its channel return. Joining the
+            // workers here, not in the scope, turns a worker's panic
+            // into the run's error (it is the cause of any "hung up").
             core.decider.links.clear();
-            Ok::<_, CacError>((core, checkpoint))
+            let mut panicked = None;
+            for (shard, handle) in handles.into_iter().enumerate() {
+                if let Err(payload) = handle.join() {
+                    panicked.get_or_insert_with(|| worker_panic(shard, payload.as_ref()));
+                }
+            }
+            match panicked {
+                Some(e) => Err(e),
+                None => committed.map(|checkpoint| (core, checkpoint)),
+            }
         })?;
         Ok((
             ShardedRun {
@@ -594,6 +623,17 @@ impl ShardedEngine {
             checkpoint,
         ))
     }
+}
+
+/// The error for speculation worker `shard` having panicked with
+/// `payload`.
+fn worker_panic(shard: usize, payload: &(dyn std::any::Any + Send)) -> CacError {
+    let what = payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string payload");
+    CacError::Substrate(format!("speculation worker {shard} panicked: {what}"))
 }
 
 /// Runs the churn workload of `cfg` against `network` with the sharded
@@ -777,6 +817,34 @@ mod tests {
             .recv_timeout(Duration::from_secs(30))
             .expect("the sharded run hung instead of returning its error");
         assert_eq!(sharded.unwrap_err(), unknown);
+    }
+
+    /// A worker that panics mid-run makes the run return an error that
+    /// names its shard; the panic does not unwind the caller's thread.
+    #[test]
+    fn worker_panic_is_returned_as_an_error() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use std::time::Duration;
+        let cfg = smoke_cfg(60, 17);
+        let mut engine = ShardedEngine::new(HetNetwork::paper_topology(), &cfg, 3).unwrap();
+        let idx = 30;
+        let shard = engine.arrivals[idx].source.0 % 3;
+        engine.decider.panic_at = Some(idx);
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let run = catch_unwind(AssertUnwindSafe(|| engine.run().map(drop)));
+            let _ = tx.send(run);
+        });
+        let run = rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the sharded run hung instead of returning")
+            .expect("the worker's panic unwound through run()");
+        assert_eq!(
+            run.unwrap_err(),
+            CacError::Substrate(format!(
+                "speculation worker {shard} panicked: injected at arrival {idx}"
+            ))
+        );
     }
 
     #[test]

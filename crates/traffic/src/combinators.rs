@@ -440,7 +440,23 @@ pub struct Sampled {
     /// envelope's corners, keeping candidate sets from compounding.
     natural: Vec<f64>,
     horizon: f64,
+    /// Whether the table is a valid envelope's: finite, `ts` strictly
+    /// increasing, `vals` nonnegative and nondecreasing. Only then is the
+    /// served function monotone, which the closed-form inversion needs.
+    nondecreasing: bool,
 }
+
+/// Relative margin by which the sample below a level must stay under
+/// it: far above the ulp or two by which an interpolated value may
+/// overshoot the sample ending its segment.
+pub(crate) const KNOT_MARGIN: f64 = 1.0e-12;
+/// The smallest crossing, as a share of the search bracket, that 80
+/// halvings from `[0, max_horizon]` certainly narrow down to adjacent
+/// floats (20 halvings to reach its scale, 53 for its mantissa).
+pub(crate) const CONVERGED_SHARE: f64 = 1.0 / 1_048_576.0;
+/// The most ulps the closed-form estimate may be walked before the
+/// inversion falls back to bisection.
+pub(crate) const MAX_ULP_WALK: usize = 64;
 
 impl Sampled {
     /// Flattens `inner` over `[0, horizon]`, sampling at its candidate
@@ -486,12 +502,17 @@ impl Sampled {
             }
         }
         natural.dedup_by(|a, b| approx::approx_eq(*a, *b));
+        let nondecreasing = ts.iter().chain(&vals).all(|x| x.is_finite())
+            && vals.first().is_some_and(|&v| v >= 0.0)
+            && ts.windows(2).all(|w| w[0] < w[1])
+            && vals.windows(2).all(|w| w[0] <= w[1]);
         Self {
             inner,
             ts,
             vals,
             natural,
             horizon: horizon.value(),
+            nondecreasing,
         }
     }
 
@@ -539,6 +560,49 @@ impl Sampled {
             }
         }
     }
+
+    /// The smallest float `I` in `[0, max_horizon]` with `A(I) ≥ level`,
+    /// solved inside the one table segment that straddles `level`, or
+    /// `None` where that is not provably the converged bisection's
+    /// answer. See [`Envelope::min_interval`] on `Sampled` for the guards.
+    pub(crate) fn crossing(&self, level: f64, max_horizon: f64) -> Option<f64> {
+        if !self.nondecreasing || max_horizon > self.horizon {
+            return None;
+        }
+        let b = self.vals.partition_point(|&v| v < level);
+        if b == 0 || b == self.vals.len() || self.vals[b - 1] * (1.0 + KNOT_MARGIN) >= level {
+            return None;
+        }
+        let (t0, t1) = (self.ts[b - 1], self.ts[b]);
+        let (v0, v1) = (self.vals[b - 1], self.vals[b]);
+        // Inside `(t0, t1]` the lookup lands in segment `b` (or on its
+        // end sample), where the interpolation is monotone in `I`.
+        let reaches = |i: f64| self.interpolate(i, if i == t1 { Ok(b) } else { Err(b) }) >= level;
+        let (first, top) = (t0.next_up(), t1.min(max_horizon));
+        if first > top {
+            return None;
+        }
+        let mut i = (t0 + (level - v0) / (v1 - v0) * (t1 - t0)).clamp(first, top);
+        // Down while the float below still reaches (`t0` never does),
+        // or up until one does: at most `MAX_ULP_WALK` ulps either way.
+        let found = if reaches(i) {
+            (0..=MAX_ULP_WALK).find_map(|_| {
+                let below = i.next_down();
+                if below > t0 && reaches(below) {
+                    i = below;
+                    None
+                } else {
+                    Some(i)
+                }
+            })
+        } else {
+            (0..MAX_ULP_WALK).find_map(|_| {
+                i = i.next_up();
+                (i <= top && reaches(i)).then_some(i)
+            })
+        };
+        found.filter(|&i| i >= max_horizon * CONVERGED_SHARE)
+    }
 }
 
 impl Envelope for Sampled {
@@ -550,15 +614,40 @@ impl Envelope for Sampled {
         Bits::new(self.interpolate(i, self.ts.binary_search_by(|t| t.total_cmp(&i))))
     }
 
+    /// The generic bisection's answer, bit for bit, solved in closed
+    /// form where that is proven to equal it, and bisected otherwise.
+    ///
+    /// Within the table the served function is the linear interpolation
+    /// of the samples, so a level's crossing lies inside the segment
+    /// `(b − 1, b)` whose end sample `b` is the first to reach it. That
+    /// segment's interpolation is solved for the crossing, and the
+    /// estimate is walked ulp by ulp, with the lookup `arrivals` itself
+    /// uses, to the smallest float that reaches the level. On a predicate
+    /// monotone over `[0, max_horizon]` that float is where 80 halvings
+    /// converge, provided they do converge. The closed form is taken only
+    /// when all of these hold:
+    ///
+    /// * the table is nondecreasing (checked once, in [`Sampled::flatten`]);
+    /// * `vals[b−1]·(1 + 1e−12) < level ≤ vals[b]`: exactly one segment
+    ///   straddles the level, with margin for the interpolation's ulp
+    ///   overshoot at a knot, so no earlier query reaches it;
+    /// * `max_horizon` is within the table horizon, so every query is a
+    ///   table lookup;
+    /// * the crossing is at least `max_horizon·2⁻²⁰`, so the 80 halvings
+    ///   from `[0, max_horizon]` would reach adjacent floats;
+    /// * the smallest reaching float lies within 64 ulps of the estimate.
+    ///
+    /// Otherwise it bisects as [`min_interval_for`] does, each midpoint
+    /// looked up exactly as `arrivals` does but searched for only inside
+    /// the table range the current bracket already proves: a query's
+    /// position in the sorted table is monotone in the query, so a
+    /// midpoint's lies between its bracket ends'.
+    ///
+    /// [`min_interval_for`]: crate::envelope::min_interval_for
     fn min_interval(&self, bits: Bits, max_horizon: Seconds) -> Option<Seconds> {
-        // The generic bisection's midpoints, each looked up exactly as
-        // `arrivals` does, but searched for only inside the table range
-        // the current bracket already proves: a query's position in the
-        // sorted table is monotone in the query, so a midpoint's lies
-        // between its bracket ends'. Same branch, same interpolation,
-        // same bits — at a fraction of the search cost.
         let (mut lo_idx, mut hi_idx) = (0, self.ts.len());
-        min_interval_with(self, bits, max_horizon, |mid| {
+        let exact = || self.crossing(bits.value(), max_horizon.value());
+        min_interval_with(self, bits, max_horizon, exact, |mid| {
             let interval = Seconds::new(mid);
             let i = interval.clamp_min_zero().value();
             if i > self.horizon || self.ts.is_empty() {

@@ -296,19 +296,26 @@ pub fn min_interval_for<E: Envelope + ?Sized>(
     bits: Bits,
     max_horizon: Seconds,
 ) -> Option<Seconds> {
-    min_interval_with(env, bits, max_horizon, |mid| {
-        env.arrivals(Seconds::new(mid)) >= bits
-    })
+    min_interval_with(
+        env,
+        bits,
+        max_horizon,
+        || None,
+        |mid| env.arrivals(Seconds::new(mid)) >= bits,
+    )
 }
 
-/// [`min_interval_for`] with the bisection's test `A(mid) ≥ bits`
-/// supplied by the caller: the hook through which an envelope evaluates
-/// the same midpoints more cheaply. `reaches` must return exactly what
+/// [`min_interval_for`] with the search supplied by the caller: the hook
+/// through which an envelope reaches the same answer more cheaply.
+/// `exact` runs once the early returns have passed and may hand back the
+/// bisection's converged result directly, or `None` to bisect; `reaches`
+/// is the bisection's test and must return exactly what
 /// `env.arrivals(mid) >= bits` would.
 pub(crate) fn min_interval_with<E: Envelope + ?Sized>(
     env: &E,
     bits: Bits,
     max_horizon: Seconds,
+    exact: impl FnOnce() -> Option<f64>,
     reaches: impl FnMut(f64) -> bool,
 ) -> Option<Seconds> {
     if bits.value() <= 0.0 || approx::approx_le(bits.value(), env.burst().value()) {
@@ -316,6 +323,9 @@ pub(crate) fn min_interval_with<E: Envelope + ?Sized>(
     }
     if env.arrivals(max_horizon) < bits {
         return None;
+    }
+    if let Some(t) = exact() {
+        return Some(Seconds::new(t));
     }
     // Bisection on the nondecreasing function A. `lo = 0` was never
     // tested (only the burst was, approximately), so it starts untested.

@@ -2,12 +2,15 @@
 //!
 //! The kernels skip work that cannot change their results: bisections
 //! stop once converged, `RateCapped`/`MinOf` enumerate their inner
-//! envelopes once, and `Sampled` inverts itself with bracketed table
-//! searches. Each test pins one shortcut, bit for bit, against the
+//! envelopes once, and `Sampled` inverts itself in closed form where
+//! its guards prove that exact, with bracketed table searches where
+//! they do not. Each test pins one shortcut, bit for bit, against the
 //! straightforward code it replaced, kept here as the reference.
 
 use crate::approx;
-use crate::combinators::{Delayed, MinOf, RateCapped, Sampled};
+use crate::combinators::{
+    Delayed, MinOf, Quantized, RateCapped, Sampled, CONVERGED_SHARE, KNOT_MARGIN, MAX_ULP_WALK,
+};
 use crate::envelope::{bisect, Envelope, SharedEnvelope};
 use crate::models::{ConstantRateEnvelope, DualPeriodicEnvelope, LeakyBucketEnvelope};
 use crate::units::{Bits, BitsPerSec, Seconds};
@@ -85,6 +88,24 @@ fn min_of_reference(a: &dyn Envelope, b: &dyn Envelope, horizon: Seconds) -> Vec
     b.breakpoints(horizon, &mut pts);
     switch_points_reference(pts, horizon, |i| a.arrivals(i) < b.arrivals(i), &mut out);
     bits_of(&out)
+}
+
+/// `Quantized::breakpoints` as it was: the inner envelope's corners,
+/// then every level inverted by the fixed 80-step bisection.
+fn quantized_reference(inner: &dyn Envelope, unit_in: Bits, horizon: Seconds) -> Vec<u64> {
+    let mut out = Vec::new();
+    inner.breakpoints(horizon, &mut out);
+    let mut pts = bits_of(&out);
+    let n_units = (inner.arrivals(horizon).value() / unit_in.value()).ceil() as u64;
+    for k in 1..=n_units.min(8192) {
+        if let Some(t) = min_interval_reference(inner, unit_in * k as f64, horizon) {
+            let t = f64::from_bits(t);
+            if t > 0.0 && t <= horizon.value() {
+                pts.push(t.to_bits());
+            }
+        }
+    }
+    pts
 }
 
 fn bits_of(pts: &[Seconds]) -> Vec<u64> {
@@ -166,6 +187,191 @@ fn level_for(env: &dyn Envelope, sel: usize, frac: f64, horizon: Seconds) -> Bit
             .max(1.0e-300),
         _ => top * (1.0 + frac) + 1.0,
     })
+}
+
+/// The piecewise-linear function through `(ts, vals)`, constant past the
+/// last knot. It need not be monotone (breaking the envelope contract on
+/// purpose): flattened, it yields `Sampled` tables of any shape.
+#[derive(Debug)]
+struct Knots {
+    ts: Vec<f64>,
+    vals: Vec<f64>,
+}
+
+impl Knots {
+    /// Knots at the running sums of `gaps` from 0, starting at `base` and
+    /// moving by `steps` (zero for a plateau, negative for a dip).
+    fn shared(base: f64, gaps: &[f64], steps: &[f64]) -> SharedEnvelope {
+        let (mut ts, mut vals) = (vec![0.0], vec![base]);
+        for (g, d) in gaps.iter().zip(steps) {
+            ts.push(ts.last().expect("non-empty") + g);
+            vals.push(vals.last().expect("non-empty") + d);
+        }
+        Arc::new(Self { ts, vals })
+    }
+}
+
+impl Envelope for Knots {
+    fn arrivals(&self, interval: Seconds) -> Bits {
+        let i = interval.value();
+        let k = self.ts.partition_point(|&t| t <= i);
+        Bits::new(if k == 0 {
+            self.vals[0]
+        } else if k == self.ts.len() {
+            self.vals[k - 1]
+        } else {
+            let (t0, t1, v0, v1) = (self.ts[k - 1], self.ts[k], self.vals[k - 1], self.vals[k]);
+            v0 + (i - t0) / (t1 - t0) * (v1 - v0)
+        })
+    }
+    fn sustained_rate(&self) -> BitsPerSec {
+        BitsPerSec::ZERO
+    }
+    fn peak_rate(&self) -> BitsPerSec {
+        BitsPerSec::new(f64::MAX)
+    }
+    fn breakpoints(&self, horizon: Seconds, out: &mut Vec<Seconds>) {
+        let h = horizon.value();
+        out.extend(
+            self.ts
+                .iter()
+                .filter(|&&t| t > 0.0 && t <= h)
+                .map(|&t| Seconds::new(t)),
+        );
+    }
+}
+
+/// `s.min_interval` and the fixed-count reference, as bits, asserted
+/// equal; returns whether the closed form answered.
+fn assert_inversion_exact(s: &Sampled, level: f64, max_horizon: f64) -> bool {
+    let (level, h) = (Bits::new(level), Seconds::new(max_horizon));
+    assert_eq!(
+        s.min_interval(level, h).map(|t| t.value().to_bits()),
+        min_interval_reference(s, level, h),
+        "level {level:?} within {max_horizon}"
+    );
+    s.crossing(level.value(), max_horizon).is_some()
+}
+
+/// The table sample at knot time `t` (flattening keeps the knots).
+fn sample_at(s: &Sampled, t: f64) -> f64 {
+    let (ts, vals) = s.samples();
+    vals[ts.iter().position(|&x| x == t).expect("knot sampled")]
+}
+
+#[test]
+fn non_monotone_tables_take_the_bisection() {
+    let gaps = [0.1, 0.1, 0.1, 0.1];
+    let rising = Sampled::flatten(
+        Knots::shared(0.0, &gaps, &[1.0e3, 1.0e3, 1.0e3, 1.0e3]),
+        Seconds::new(0.5),
+        1,
+    );
+    // The same table with a dip well past the crossing.
+    let dipping = Sampled::flatten(
+        Knots::shared(0.0, &gaps, &[1.0e3, 1.0e3, -5.0e2, 1.0e3]),
+        Seconds::new(0.5),
+        1,
+    );
+    for level in [250.0, 1_500.0] {
+        assert!(assert_inversion_exact(&rising, level, 0.5));
+        assert!(!assert_inversion_exact(&dipping, level, 0.5));
+    }
+}
+
+#[test]
+fn knot_margin_guard_holds_on_both_sides() {
+    let s = Sampled::flatten(
+        Knots::shared(0.0, &[0.1, 0.1, 0.1], &[1.0e3, 1.0e3, 1.0e3]),
+        Seconds::new(0.4),
+        0,
+    );
+    let v = sample_at(&s, 0.1);
+    let edge = v * (1.0 + KNOT_MARGIN);
+    // At the margin the sample below the level counts as reaching it…
+    assert!(!assert_inversion_exact(&s, edge, 0.4));
+    // …one ulp above it the level lies inside the next segment.
+    assert!(assert_inversion_exact(&s, edge.next_up(), 0.4));
+    // A level equal to a sample is that sample's segment's end.
+    assert!(assert_inversion_exact(&s, v, 0.4));
+}
+
+#[test]
+fn horizon_guard_holds_on_both_sides() {
+    let s = Sampled::flatten(
+        Knots::shared(0.0, &[0.1, 0.1, 0.1], &[1.0e3, 1.0e3, 1.0e3]),
+        Seconds::new(0.25),
+        1,
+    );
+    assert!(assert_inversion_exact(&s, 1_500.0, 0.25));
+    // One ulp past the table, queries may fall through to the inner
+    // envelope.
+    assert!(!assert_inversion_exact(&s, 1_500.0, 0.25_f64.next_up()));
+}
+
+#[test]
+fn convergence_guard_holds_on_both_sides() {
+    // A steep first segment: the crossing of a micro-bit sits near
+    // 2e-15 s.
+    let s = Sampled::flatten(
+        Knots::shared(0.0, &[1.0e-7, 0.5], &[50.0, 50.0]),
+        Seconds::new(0.6),
+        0,
+    );
+    let level = 1.0e-6;
+    let at = s.crossing(level, 1.0e-9).expect("converges within 1 ns");
+    // At the edge the crossing is a dyadic midpoint of the bracket; one
+    // ulp below it, it is not, and the halvings must still converge.
+    let edge = at / CONVERGED_SHARE;
+    assert!(edge < 0.6);
+    assert!(assert_inversion_exact(&s, level, edge.next_down()));
+    assert!(assert_inversion_exact(&s, level, edge));
+    assert!(!assert_inversion_exact(&s, level, edge.next_up()));
+    // Far below the share, 80 halvings stop short of the crossing: the
+    // bisection's answer is not the smallest reaching float, and the
+    // inversion must return the bisection's.
+    let wide = at * 2.0_f64.powi(45) * 1.37;
+    assert!(wide < 0.6);
+    assert!(!assert_inversion_exact(&s, level, wide));
+    let bisected = min_interval_reference(&s, Bits::new(level), Seconds::new(wide));
+    assert_ne!(bisected, Some(at.to_bits()));
+}
+
+#[test]
+fn walk_bound_holds_on_both_sides() {
+    // Nearly flat segments high above zero: one ulp of the value spans
+    // tens to hundreds of ulps of the interval, so the first reaching
+    // float sits that far from the solved crossing.
+    let (mut near, mut far) = (0, 0);
+    for slope in [4.0e3, 8.0e3, 1.6e4, 3.2e4, 6.4e4] {
+        let s = Sampled::flatten(
+            Knots::shared(1.0e6, &[0.3, 0.1, 0.1], &[0.0, slope * 0.1, 0.0]),
+            Seconds::new(0.5),
+            0,
+        );
+        let (ts, vals) = s.samples();
+        let b = ts.iter().position(|&t| t > 0.35).expect("segment end");
+        let (t0, t1, v0, v1) = (ts[b - 1], ts[b], vals[b - 1], vals[b]);
+        for k in 1..40 {
+            let level = v0 + (v1 - v0) * k as f64 / 40.0;
+            let exact = assert_inversion_exact(&s, level, 0.5);
+            let want =
+                min_interval_reference(&s, Bits::new(level), Seconds::new(0.5)).expect("reachable");
+            // The estimate `crossing` starts its walk from.
+            let estimate = (t0 + (level - v0) / (v1 - v0) * (t1 - t0)).clamp(t0.next_up(), t1);
+            let ulps = want.abs_diff(estimate.to_bits());
+            assert_eq!(exact, ulps <= MAX_ULP_WALK as u64, "{ulps} ulps");
+            if exact {
+                near += usize::from(ulps > MAX_ULP_WALK as u64 / 2);
+            } else {
+                far += usize::from(ulps <= 2 * MAX_ULP_WALK as u64);
+            }
+        }
+    }
+    assert!(
+        near > 0 && far > 0,
+        "walks near the bound: {near} in, {far} out"
+    );
 }
 
 #[test]
@@ -361,6 +567,76 @@ proptest! {
             s.min_interval(level, h).map(|t| t.value().to_bits()),
             min_interval_reference(&s, level, h)
         );
+    }
+
+    /// The closed-form `Sampled` inversion matches the fixed 80-step
+    /// bisection on tables with plateaus and dips, for levels at a
+    /// sample, within ±4 ulps of one, inside the first gap, at the
+    /// search horizon, and anywhere between, with the search horizon
+    /// inside the table and past it. Non-monotone tables never take
+    /// the closed form.
+    #[test]
+    fn sampled_closed_form_matches_fixed_count_reference(
+        base in 0.0_f64..1.0e4,
+        gaps in proptest::collection::vec(1.0e-4_f64..0.2, 1..10),
+        // One step per gap; the surplus is ignored.
+        steps in proptest::collection::vec((0_usize..4, 0.0_f64..1.0), 10..11),
+        (dips, subdivisions) in (0_usize..2, 0_usize..3),
+        (sel, pick, ulps, frac) in (0_usize..5, 0.0_f64..1.0, -4_i64..5, 0.0_f64..1.0),
+        (flat_share, horizon_share) in (0.5_f64..1.2, 0.01_f64..1.5),
+    ) {
+        let steps: Vec<f64> = steps
+            .iter()
+            .map(|&(kind, x)| match kind {
+                0 => 0.0,
+                1 => 1.0e3 * x,
+                2 => 1.0e6 * x,
+                _ if dips == 1 => -1.0e5 * x,
+                _ => 1.0e-3 * x,
+            })
+            .collect();
+        let span: f64 = gaps.iter().sum();
+        let knots = Knots::shared(base, &gaps, &steps);
+        let s = Sampled::flatten(knots, Seconds::new(span * flat_share), subdivisions);
+        let h = s.horizon() * horizon_share;
+        let (ts, vals) = s.samples();
+        // Mostly levels the search horizon reaches.
+        let within = ts.partition_point(|&t| t <= h).max(1);
+        let at = ((within - 1) as f64 * pick) as usize;
+        let top = s.arrivals(Seconds::new(h)).value();
+        let level = match sel {
+            0 => vals[at],
+            1 => f64::from_bits(vals[at].to_bits().saturating_add_signed(ulps)),
+            2 => vals[0] + frac * (vals[1] - vals[0]),
+            3 => top,
+            _ => vals[0] + frac * (top - vals[0]),
+        };
+        let exact = assert_inversion_exact(&s, level, h);
+        let monotone = vals.windows(2).all(|w| w[0] <= w[1]);
+        prop_assert!(monotone || !exact, "a non-monotone table took the closed form");
+    }
+
+    /// `Quantized` over a flattened envelope — the shape of every
+    /// stage-1 wire table — reports the jump points the per-level
+    /// fixed-count bisection finds.
+    #[test]
+    fn quantized_over_sampled_matches_per_level_reference(
+        kind in 0_usize..5,
+        a in 0.0_f64..1.0,
+        b in 0.0_f64..1.0,
+        c in 0.0_f64..1.0,
+        (units, flat_horizon, share) in (2.0_f64..400.0, 0.05_f64..1.0, 0.1_f64..1.2),
+        subdivisions in 0_usize..3,
+    ) {
+        let flat = Arc::new(Sampled::flatten(
+            monotone_envelope(kind, a, b, c),
+            Seconds::new(flat_horizon),
+            subdivisions,
+        ));
+        let h = Seconds::new(flat_horizon * share);
+        let unit_in = Bits::new((flat.arrivals(h).value() / units).max(1.0e-3));
+        let q = Quantized::new(Arc::clone(&flat) as SharedEnvelope, unit_in, unit_in * 1.1);
+        prop_assert_eq!(breakpoint_bits(&q, h), quantized_reference(&*flat, unit_in, h));
     }
 
     /// One enumeration, shared side evaluations and early-exit
