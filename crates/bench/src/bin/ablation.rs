@@ -5,139 +5,68 @@
 //! ring "may not be applied directly" in a heterogeneous network: a rule
 //! that is efficient for one segment ignores the disturbance its choice
 //! creates on the backbone and the far ring. This binary quantifies the
-//! claim by running the same Poisson workload under:
+//! claim by running the same seeded churn workload under:
 //!
 //! * the β-CAC at β ∈ {0, 0.5, 1};
+//! * the §5.3 strawman that grabs everything available on both rings;
 //! * local proportional-to-rate allocation with head-room factors 1.3
 //!   and 2.0 (no end-to-end search — the per-ring rule fixes H and the
 //!   connection is admitted iff deadlines happen to hold).
 //!
+//! Every policy is an [`AllocationPolicy`] run through the shared
+//! experiment driver.
+//!
 //! Run with: `cargo run --release -p hetnet-bench --bin ablation`
 
-use hetnet_bench::{write_csv, REQUESTS_PER_RUN};
-use hetnet_cac::baselines::{request_with_policy, Policy};
-use hetnet_cac::cac::{CacConfig, Decision, NetworkState};
-use hetnet_cac::connection::ConnectionSpec;
-use hetnet_cac::experiment::Workload;
-use hetnet_cac::network::{HetNetwork, HostId};
+use hetnet_bench::{measure_ap, write_csv, REPLICATIONS, REQUESTS_PER_RUN};
+use hetnet_cac::cac::{AdmissionOptions, AllocationPolicy, CacConfig};
 use hetnet_fddi::schemes::AllocationScheme;
-use hetnet_sim::rng::{exponential, pick_index, poisson_interarrival};
-use hetnet_traffic::units::Seconds;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::collections::BinaryHeap;
-use std::sync::Arc;
-
-/// Runs the §6 workload under an arbitrary policy (the library driver is
-/// specialized to the β-CAC; this mirrors it for any [`Policy`]).
-fn run_policy(utilization: f64, policy: Policy, seed: u64) -> f64 {
-    let net = HetNetwork::paper_topology();
-    let workload = Workload::paper_style(utilization, REQUESTS_PER_RUN, seed);
-    let lambda = workload.arrival_rate(&net);
-    let cfg = CacConfig::fast();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut state = NetworkState::new(net);
-
-    #[derive(PartialEq)]
-    struct Dep {
-        at: f64,
-        id: hetnet_cac::connection::ConnectionId,
-    }
-    impl Eq for Dep {}
-    impl PartialOrd for Dep {
-        fn partial_cmp(&self, o: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(o))
-        }
-    }
-    impl Ord for Dep {
-        fn cmp(&self, o: &Self) -> std::cmp::Ordering {
-            o.at.total_cmp(&self.at)
-        }
-    }
-
-    let mut deps: BinaryHeap<Dep> = BinaryHeap::new();
-    let (mut now, mut requests, mut admitted) = (0.0_f64, 0u64, 0u64);
-    while requests < workload.requests as u64 {
-        now += poisson_interarrival(&mut rng, lambda).value();
-        while deps.peek().is_some_and(|d| d.at <= now) {
-            let d = deps.pop().expect("peeked");
-            state.release(d.id).expect("active connection");
-        }
-        let free: Vec<HostId> = state
-            .network()
-            .hosts()
-            .filter(|h| !state.host_busy(*h))
-            .collect();
-        let Some(si) = pick_index(&mut rng, free.len()) else {
-            continue;
-        };
-        let source = free[si];
-        let dests: Vec<HostId> = state
-            .network()
-            .hosts()
-            .filter(|h| h.ring != source.ring)
-            .collect();
-        let dest = dests[pick_index(&mut rng, dests.len()).expect("non-empty")];
-        let deadline =
-            Seconds::new(rng.gen_range(workload.deadline.0.value()..=workload.deadline.1.value()));
-        let spec = ConnectionSpec {
-            source,
-            dest,
-            envelope: Arc::new(workload.source),
-            deadline,
-            class: 0,
-        };
-        requests += 1;
-        if let Decision::Admitted { id, .. } =
-            request_with_policy(&mut state, spec, policy, &cfg).expect("well-formed")
-        {
-            admitted += 1;
-            let life = exponential(&mut rng, workload.mean_lifetime).value();
-            deps.push(Dep { at: now + life, id });
-        }
-    }
-    admitted as f64 / requests as f64
-}
 
 fn main() {
-    let policies: Vec<(String, Policy)> = vec![
-        ("beta-CAC (beta=0)".into(), Policy::BetaCac { beta: 0.0 }),
-        ("beta-CAC (beta=0.5)".into(), Policy::BetaCac { beta: 0.5 }),
-        ("beta-CAC (beta=1)".into(), Policy::BetaCac { beta: 1.0 }),
-        ("grab everything".into(), Policy::GrabEverything),
-        (
-            "local proportional x1.3".into(),
-            Policy::LocalScheme {
-                scheme: AllocationScheme::ProportionalToRate,
-                headroom: 1.3,
-            },
-        ),
-        (
-            "local proportional x2.0".into(),
-            Policy::LocalScheme {
-                scheme: AllocationScheme::ProportionalToRate,
-                headroom: 2.0,
-            },
-        ),
+    let beta = |b: f64| AdmissionOptions::beta_search(CacConfig::fast().with_beta(b));
+    let baseline = |allocation| AdmissionOptions {
+        cac: CacConfig::fast(),
+        allocation,
+    };
+    let local = |headroom| {
+        baseline(AllocationPolicy::Local {
+            scheme: AllocationScheme::ProportionalToRate,
+            headroom,
+        })
+    };
+    let policies = [
+        ("beta-CAC (beta=0)", beta(0.0)),
+        ("beta-CAC (beta=0.5)", beta(0.5)),
+        ("beta-CAC (beta=1)", beta(1.0)),
+        ("grab everything", baseline(AllocationPolicy::GrabAvailable)),
+        ("local proportional x1.3", local(1.3)),
+        ("local proportional x2.0", local(2.0)),
     ];
     let loads = [0.3, 0.6, 0.9];
 
-    println!("Ablation: admission probability by policy ({REQUESTS_PER_RUN} requests/point)\n");
+    println!(
+        "Ablation: admission probability by policy ({REQUESTS_PER_RUN} requests x \
+         {REPLICATIONS} seeds pooled per point, Wilson 95% intervals)\n"
+    );
     print!("{:<26}", "policy");
     for u in loads {
-        print!(" | AP @ U={u:<4}");
+        print!(" | {:>19}", format!("AP @ U={u}"));
     }
     println!();
-    println!("{:-<26}{}", "", " | -----------".repeat(loads.len()));
+    println!(
+        "{:-<26}{}",
+        "",
+        format!(" | {:-<19}", "").repeat(loads.len())
+    );
 
     let mut rows = Vec::new();
-    for (name, policy) in &policies {
+    for (name, opts) in &policies {
         print!("{name:<26}");
         let mut cells = Vec::new();
         for &u in &loads {
-            let ap = run_policy(u, *policy, 4242);
-            print!(" | {ap:>11.3}");
-            cells.push(format!("{ap}"));
+            let p = measure_ap(u, opts, u);
+            print!(" | {:>19}", p.cell());
+            cells.push(format!("{}", p.ap()));
         }
         println!();
         rows.push(format!("{name},{}", cells.join(",")));

@@ -4,16 +4,16 @@
 //!
 //! The sweep's evaluation closure builds a fresh
 //! [`HetNetwork::paper_topology`] with every ring's TTRT replaced by
-//! the grid value, runs the seeded churn workload through the service
-//! engine at the grid β, and scores the point by admission
-//! probability. Everything is fixed-seed, so campaigns are exactly
-//! reproducible; the only machine-dependent numbers an autotune
-//! campaign emits are wall-clock asides on stderr.
+//! the grid value, runs the seeded churn workload through the shared
+//! experiment driver ([`churn_admissions`]) at the grid β, and scores
+//! the point by admission probability. Everything is fixed-seed, so
+//! campaigns are exactly reproducible; the only machine-dependent
+//! numbers an autotune campaign emits are wall-clock asides on stderr.
 
+use crate::churn_admissions;
 use hetnet_cac::cac::{AdmissionOptions, CacConfig};
 use hetnet_cac::network::HetNetwork;
 use hetnet_fddi::ring::RingConfig;
-use hetnet_service::{run as run_service, ServiceConfig};
 use hetnet_sim::autotune::{bisect_capacity, sweep, SweepGrid, SweepOutcome, SweepPoint};
 use hetnet_traffic::units::Seconds;
 
@@ -42,31 +42,18 @@ pub fn retuned_topology(ttrt_ms: f64) -> HetNetwork {
         .expect("grid TTRT must be a valid ring parameter")
 }
 
-/// Runs the seeded churn workload at `(rate, requests, seed)` on the
-/// paper topology retuned to `ttrt_ms`, admitting with the β-search at
-/// `beta`; returns `(admitted, requests)` — the sweep's evaluation
-/// closure. Decision tracing is off: the campaign measures admission
-/// outcomes, not the observability layer.
-///
-/// # Panics
-///
-/// Panics if the service run fails (the generated workloads are
-/// well-formed by construction).
-#[must_use]
-pub fn churn_admissions(
+/// The seeded churn workload at `(rate, requests, seed)` on the paper
+/// topology retuned to `ttrt_ms`, admitted by the β-search at `beta`:
+/// the sweep's evaluation closure, returning `(admitted, requests)`.
+fn retuned_admissions(
     rate: f64,
     requests: usize,
     seed: u64,
     ttrt_ms: f64,
     beta: f64,
 ) -> (u64, u64) {
-    let mut cfg = ServiceConfig::paper_style(rate, requests, seed);
-    cfg.options = AdmissionOptions::beta_search(CacConfig::fast().with_beta(beta));
-    cfg.trace_decisions = false;
-    let report = run_service(retuned_topology(ttrt_ms), &cfg)
-        .expect("autotune workload is well-formed")
-        .report;
-    (report.counters.admitted, report.requests)
+    let options = AdmissionOptions::beta_search(CacConfig::fast().with_beta(beta));
+    churn_admissions(retuned_topology(ttrt_ms), rate, requests, seed, options)
 }
 
 /// The sweep outcome at one offered-load point, with the baseline /
@@ -129,7 +116,7 @@ pub fn campaign(loads: &[f64], grid: &SweepGrid, requests: usize, seed: u64) -> 
         .iter()
         .map(|&rate| {
             let outcome = sweep(grid, |ttrt_ms, beta| {
-                churn_admissions(rate, requests, seed, ttrt_ms, beta)
+                retuned_admissions(rate, requests, seed, ttrt_ms, beta)
             });
             let ls = LoadSweep { rate, outcome };
             let best = ls.outcome.best().expect("non-empty campaign grid");
@@ -243,7 +230,7 @@ pub struct CapacityQuery {
 #[must_use]
 pub fn churn_capacity(ttrt_ms: f64, beta: f64, q: &CapacityQuery) -> f64 {
     bisect_capacity(q.lo, q.hi, q.iters, |rate| {
-        let (admitted, offered) = churn_admissions(rate, q.requests, q.seed, ttrt_ms, beta);
+        let (admitted, offered) = retuned_admissions(rate, q.requests, q.seed, ttrt_ms, beta);
         admitted as f64 / offered.max(1) as f64 >= q.floor
     })
 }

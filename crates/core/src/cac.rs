@@ -21,9 +21,10 @@
 //!    `Scope::step5_verify`.
 //!
 //! One pipeline, `NetworkState::decide`, serves [`NetworkState::admit`]
-//! and [`NetworkState::reconfigure`]. A fixed pair is step 1 with the
-//! pair as the line's floor, then one dense `Scope::check` — the only
-//! all-deadlines check, which steps 2 and 5 share.
+//! and [`NetworkState::reconfigure`]. A non-searching policy (a fixed
+//! pair, or a baseline's pair resolved at decision time) is step 1 with
+//! the pair as the line's floor, then one dense `Scope::check` — the
+//! only all-deadlines check, which steps 2 and 5 share.
 //!
 //! Monotonicity along the search line — the requesting connection's
 //! delay is nonincreasing and existing connections' delays are
@@ -46,7 +47,9 @@ use crate::trace::{BindingConstraint, ConnectionTrace, DecisionTrace, ServerStag
 use hetnet_fddi::alloc::{AllocationKey, SyncAllocationTable};
 use hetnet_fddi::frames;
 use hetnet_fddi::ring::SyncBandwidth;
+use hetnet_fddi::schemes::AllocationScheme;
 use hetnet_obs as obs;
+use hetnet_traffic::envelope::Envelope as _;
 use hetnet_traffic::units::Seconds;
 use std::collections::BTreeSet;
 use std::fmt;
@@ -124,13 +127,28 @@ pub enum AllocationPolicy {
     #[default]
     BetaSearch,
     /// Admit at exactly this allocation pair if (and only if) every
-    /// deadline holds there — no searching, no β. Used by the baseline
-    /// policies and by tests.
+    /// deadline holds there — no searching, no β.
     Fixed {
         /// Synchronous bandwidth to hold on the source ring.
         h_s: SyncBandwidth,
         /// Synchronous bandwidth to hold on the destination ring.
         h_r: SyncBandwidth,
+    },
+    /// The §5.3 strawman: hold `(H_S^{max_avai}, H_R^{max_avai})`
+    /// outright. The paper predicts "this will result in the rejection
+    /// of any future connection originated from or designated to these
+    /// two rings simply because no bandwidth is available."
+    GrabAvailable,
+    /// A stand-alone-FDDI rule (refs. [1], [24]) applied independently
+    /// on each ring — no end-to-end view — and scaled by `headroom`;
+    /// the connection is admitted iff every deadline happens to hold
+    /// there (the §5/§7 strawman).
+    Local {
+        /// Which classical rule computes each ring's allocation.
+        scheme: AllocationScheme,
+        /// Multiplier on the rule's output (local rules meet long-term
+        /// demand exactly; headroom > 1 leaves room for token latency).
+        headroom: f64,
     },
 }
 
@@ -138,12 +156,12 @@ pub enum AllocationPolicy {
 /// [`ConnectionSpec`] itself: CAC tuning plus the allocation policy.
 ///
 /// This is the option block of [`NetworkState::admit`], the single
-/// entry point for both policies.
+/// entry point for every policy.
 #[derive(Clone, Debug, Default)]
 pub struct AdmissionOptions {
     /// CAC tuning parameters (β, search depth, evaluation profile).
     pub cac: CacConfig,
-    /// Allocation policy: β-search or a fixed pair.
+    /// Allocation policy: β-search or one of the non-searching floors.
     pub allocation: AllocationPolicy,
 }
 
@@ -365,7 +383,8 @@ struct TraceParts {
 type Pair = (SyncBandwidth, SyncBandwidth);
 
 /// The allocation line of §5.3, from the policy's floor to the maximum
-/// available pair (eqs. 26–27). A fixed pair's floor is the pair itself.
+/// available pair (eqs. 26–27). A non-searching policy's floor is the
+/// pair it admits at.
 #[derive(Clone, Copy)]
 struct Line {
     min: Pair,
@@ -993,8 +1012,8 @@ impl NetworkState {
 
     /// Fast-path probe counters of the most recent
     /// [`NetworkState::admit`] call (`None` before the first; all-zero
-    /// when the fast path is disabled, for a fixed allocation, and for
-    /// a reject decided before the search).
+    /// when the fast path is disabled, for a non-searching policy, and
+    /// for a reject decided before the search).
     #[must_use]
     pub fn last_fast_path_stats(&self) -> Option<FastPathStats> {
         self.last_fast_stats
@@ -1011,9 +1030,9 @@ impl NetworkState {
 
     /// Cache hit/miss counters of the evaluator used by the most recent
     /// [`NetworkState::admit`] call (`None` before the first; all-zero
-    /// for a fixed allocation and for a reject decided before the
+    /// for a non-searching policy and for a reject decided before the
     /// search).
-    /// Benchmarks and the experiment harness use this to report how much
+    /// Benchmarks and the service engine use this to report how much
     /// of each admission's line search was served incrementally.
     #[must_use]
     pub fn last_cache_stats(&self) -> Option<CacheStats> {
@@ -1062,13 +1081,6 @@ impl NetworkState {
         &self.active
     }
 
-    /// Whether `host` currently originates a connection (§3.2 assumes at
-    /// most one per host).
-    #[must_use]
-    pub fn host_busy(&self, host: crate::network::HostId) -> bool {
-        self.active.iter().any(|c| c.spec.source == host)
-    }
-
     /// Synchronous time still allocatable on a ring.
     ///
     /// # Panics
@@ -1081,7 +1093,7 @@ impl NetworkState {
     }
 
     /// Decides one admission request under `opts` — the single entry
-    /// point for both allocation policies (β-search and a fixed pair).
+    /// point for every allocation policy.
     /// On admission, the allocations are recorded and the connection
     /// becomes active. Either way the decision's evaluator statistics
     /// ([`NetworkState::last_cache_stats`],
@@ -1142,8 +1154,9 @@ impl NetworkState {
 
     /// The admission pipeline behind [`NetworkState::admit`] and
     /// [`NetworkState::reconfigure`]: the shared front end (step 1), then
-    /// the β-search (steps 2–5) or a fixed pair's one dense check, then
-    /// the commit. The policies differ only in the line's floor.
+    /// the β-search (steps 2–5) or a non-searching policy's one dense
+    /// check, then the commit. The policies differ only in the line's
+    /// floor.
     fn decide(
         &mut self,
         spec: ConnectionSpec,
@@ -1151,7 +1164,7 @@ impl NetworkState {
         cfg: &CacConfig,
     ) -> Result<(Decision, Option<TraceParts>), CacError> {
         // This decision's evaluator work starts at zero: an early reject
-        // (and every fixed allocation, which runs no cached search)
+        // (and every non-searching policy, which runs no cached search)
         // reports none rather than the previous decision's.
         self.last_cache_stats = Some(CacheStats::default());
         self.last_fast_stats = Some(FastPathStats::default());
@@ -1162,7 +1175,7 @@ impl NetworkState {
             Ok(line) => line,
             Err(stop) => return stop.into_decision(),
         };
-        let searching = *policy == AllocationPolicy::BetaSearch;
+        let searching = matches!(policy, AllocationPolicy::BetaSearch);
         let ev = if searching {
             let mut carried = self.eval_cache.take().unwrap_or_default();
             // A persisted cache survives active-set changes (its keys are
@@ -1176,8 +1189,8 @@ impl NetworkState {
             }
             Evaluator::with_cache(&self.net, cfg.eval.clone(), carried)
         } else {
-            // A fixed pair is one dense check on a fresh evaluator, and
-            // reports no search work.
+            // A non-searching policy is one dense check on a fresh
+            // evaluator, and reports no search work.
             Evaluator::new(&self.net, cfg.eval.clone())
         };
         let mut inputs = path_inputs(closure.iter().copied());
@@ -1223,9 +1236,10 @@ impl NetworkState {
 
     /// Step 1, shared by every policy: the allocation line from the
     /// policy's floor — `H^{min_abs}` (§5.2) for the β-search, the pair
-    /// itself when fixed — to the maximum available pair, or the reject
-    /// when a component on the path is down or a ring cannot hold the
-    /// floor.
+    /// itself when fixed, everything available when grabbing, the
+    /// scaled per-ring rule when local — to the maximum available pair,
+    /// or the reject when a component on the path is down or a ring
+    /// cannot hold the floor.
     fn allocation_line(
         &self,
         spec: &ConnectionSpec,
@@ -1247,14 +1261,31 @@ impl NetworkState {
             );
         }
         let (ring_s, ring_r) = (spec.source.ring, spec.dest.ring);
+        let (avail_s, avail_r) = (self.available_on(ring_s), self.available_on(ring_r));
         let min = match *policy {
             AllocationPolicy::BetaSearch => (
                 frames::min_allocation(self.net.ring(ring_s), cfg.min_frame_efficiency),
                 frames::min_allocation(self.net.ring(ring_r), cfg.min_frame_efficiency),
             ),
             AllocationPolicy::Fixed { h_s, h_r } => (h_s, h_r),
+            // An exhausted ring leaves nothing to grab: a 1 ns floor
+            // makes the check below reject it as bandwidth-exhausted.
+            AllocationPolicy::GrabAvailable if avail_s.value() <= 0.0 || avail_r.value() <= 0.0 => {
+                let floor = SyncBandwidth::new(Seconds::from_nanos(1.0));
+                (floor, floor)
+            }
+            AllocationPolicy::GrabAvailable => {
+                (SyncBandwidth::new(avail_s), SyncBandwidth::new(avail_r))
+            }
+            AllocationPolicy::Local { scheme, headroom } => {
+                let rho = spec.envelope.sustained_rate();
+                let local = |ring| {
+                    let h = scheme.allocate(self.net.ring(ring), &[rho])[0];
+                    SyncBandwidth::new(Seconds::new(h.per_rotation().value() * headroom))
+                };
+                (local(ring_s), local(ring_r))
+            }
         };
-        let (avail_s, avail_r) = (self.available_on(ring_s), self.available_on(ring_r));
         let (required_s, required_r) = (min.0.per_rotation(), min.1.per_rotation());
         if avail_s < required_s {
             return reject(
@@ -1910,6 +1941,67 @@ mod tests {
         assert!(h[2] > h[0], "the spread is non-trivial: {h:?}");
     }
 
+    fn with_policy(allocation: AllocationPolicy) -> AdmissionOptions {
+        AdmissionOptions {
+            cac: CacConfig::default(),
+            allocation,
+        }
+    }
+
+    #[test]
+    fn beta_policy_admits() {
+        let mut s = state();
+        let opts = AdmissionOptions::beta_search(CacConfig::default().with_beta(0.5));
+        let d = s.admit(spec((0, 0), (1, 0), 100.0), &opts).unwrap();
+        assert!(d.is_admitted());
+    }
+
+    #[test]
+    fn local_proportional_without_headroom_fails_tight_deadlines() {
+        // ProportionalToRate meets the 20 Mb/s demand with zero headroom:
+        // the MAC is then (borderline) unstable and the worst-case delay
+        // unbounded, so the admission check must reject.
+        let mut s = state();
+        let opts = with_policy(AllocationPolicy::Local {
+            scheme: AllocationScheme::ProportionalToRate,
+            headroom: 1.0,
+        });
+        let d = s.admit(spec((0, 0), (1, 0), 100.0), &opts).unwrap();
+        assert!(!d.is_admitted());
+    }
+
+    #[test]
+    fn local_proportional_with_headroom_can_admit() {
+        let mut s = state();
+        let opts = with_policy(AllocationPolicy::Local {
+            scheme: AllocationScheme::ProportionalToRate,
+            headroom: 1.8,
+        });
+        let d = s.admit(spec((0, 0), (1, 0), 100.0), &opts).unwrap();
+        assert!(d.is_admitted(), "{d:?}");
+    }
+
+    #[test]
+    fn grab_available_starves_the_rings() {
+        let mut s = state();
+        let opts = with_policy(AllocationPolicy::GrabAvailable);
+        let first = s.admit(spec((0, 0), (1, 0), 100.0), &opts).unwrap();
+        assert!(first.is_admitted());
+        // The whole budget of rings 0 and 1 is gone...
+        assert!(s.available_on(0).value() < 1e-9);
+        assert!(s.available_on(1).value() < 1e-9);
+        // ...so anything touching those rings is rejected for want of
+        // bandwidth, exactly as the paper predicts for this strawman.
+        let second = s.admit(spec((0, 1), (2, 0), 100.0), &opts).unwrap();
+        assert!(
+            matches!(
+                second,
+                Decision::Rejected(RejectReason::SourceBandwidthExhausted { .. })
+            ),
+            "{second:?}"
+        );
+    }
+
     #[test]
     fn release_returns_bandwidth() {
         let mut s = state();
@@ -1920,10 +2012,6 @@ mod tests {
         else {
             panic!("expected admission")
         };
-        assert!(s.host_busy(HostId {
-            ring: 0,
-            station: 0
-        }));
         s.release(id).unwrap();
         assert!(s.active().is_empty());
         assert!((s.available_on(0).as_millis() - 7.2).abs() < 1e-9);

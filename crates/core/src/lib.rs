@@ -24,10 +24,11 @@
 //! * [`cac`] — the β-CAC of §5.3 and the admission bookkeeping
 //!   ([`cac::NetworkState`]);
 //! * [`incremental`] — persistent per-server admission state and the
-//!   closed-form decision ladder behind the sub-millisecond fast path;
-//! * [`experiment`] — the §6 admission-probability simulation;
-//! * [`baselines`] — FDDI-only local allocation applied naively to the
-//!   heterogeneous network (the strawman of §5/§7), for ablations.
+//!   closed-form decision ladder behind the sub-millisecond fast path.
+//!
+//! The §6 admission-probability experiments and the §5/§7 baseline
+//! ablation run through the service engine (`hetnet-service`); the
+//! baselines are [`AllocationPolicy`] variants.
 //!
 //! # Quick start
 //!
@@ -69,12 +70,10 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod baselines;
 pub mod cac;
 pub mod connection;
 pub mod delay;
 pub mod error;
-pub mod experiment;
 pub mod incremental;
 pub mod network;
 pub mod reconfig;

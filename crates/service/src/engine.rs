@@ -278,9 +278,9 @@ impl ServiceEngine {
     ///
     /// # Errors
     ///
-    /// Returns [`CacError::InvalidRequest`] if the churn shape does not
-    /// match the network, or the scheduler, class count or a
-    /// reconfiguration plan is invalid.
+    /// Returns [`CacError::InvalidRequest`] if the churn workload is
+    /// malformed or its shape does not match the network, or the
+    /// scheduler, class count or a reconfiguration plan is invalid.
     pub fn new(network: HetNetwork, cfg: &ServiceConfig) -> Result<Self, CacError> {
         Self::build(network, cfg, |network| {
             let mut state = NetworkState::new(network);
@@ -360,9 +360,10 @@ impl ServiceEngine {
 ///
 /// # Errors
 ///
-/// Returns [`CacError::InvalidRequest`] if the churn shape does not
-/// match the network, and propagates any [`CacError`] from the
-/// underlying admissions (rejections are outcomes, not errors).
+/// Returns [`CacError::InvalidRequest`] if the churn workload is
+/// malformed or its shape does not match the network, and propagates
+/// any [`CacError`] from the underlying admissions (rejections are
+/// outcomes, not errors).
 pub fn run(network: HetNetwork, cfg: &ServiceConfig) -> Result<ServiceRun, CacError> {
     ServiceEngine::new(network, cfg)?.finish()
 }
@@ -472,6 +473,7 @@ mod tests {
     use crate::metrics::RecoveryMetrics;
     use hetnet_cac::cac::CacConfig;
     use hetnet_cac::incremental::FastPathStats;
+    use hetnet_sim::churn::TrafficPattern;
 
     fn smoke_cfg() -> ServiceConfig {
         // High enough rate to saturate the rings and force rejections.
@@ -646,6 +648,65 @@ mod tests {
         cfg.churn.shape.rings = 5;
         let err = run(HetNetwork::paper_topology(), &cfg).unwrap_err();
         assert!(matches!(err, CacError::InvalidRequest(_)), "{err}");
+    }
+
+    /// Builds an engine over `smoke_cfg()` broken by `brk` and expects
+    /// an up-front `InvalidRequest` naming `want`, never a panic.
+    fn churn_rejected(brk: impl FnOnce(&mut ChurnConfig), want: &str) {
+        let mut cfg = smoke_cfg();
+        brk(&mut cfg.churn);
+        let err = ServiceEngine::new(HetNetwork::paper_topology(), &cfg).unwrap_err();
+        assert!(
+            matches!(err, CacError::InvalidRequest(ref m) if m.contains(want)),
+            "{err} should name {want:?}"
+        );
+    }
+
+    #[test]
+    fn inverted_deadline_range_is_an_error() {
+        churn_rejected(
+            |c| c.deadline = (Seconds::from_millis(100.0), Seconds::from_millis(50.0)),
+            "deadline",
+        );
+    }
+
+    #[test]
+    fn non_positive_deadline_is_an_error() {
+        churn_rejected(|c| c.deadline.0 = Seconds::ZERO, "deadline");
+    }
+
+    #[test]
+    fn non_positive_arrival_rate_is_an_error() {
+        churn_rejected(|c| c.arrival_rate = 0.0, "arrival rate");
+        churn_rejected(|c| c.arrival_rate = f64::NAN, "arrival rate");
+    }
+
+    #[test]
+    fn non_positive_holding_bounds_are_an_error() {
+        churn_rejected(|c| c.mean_holding = Seconds::ZERO, "holding");
+        churn_rejected(|c| c.max_holding = Seconds::new(-1.0), "holding");
+    }
+
+    #[test]
+    fn source_weights_of_the_wrong_length_are_an_error() {
+        churn_rejected(
+            |c| c.source_weights = Some(vec![1.0; 2]),
+            "one source weight",
+        );
+    }
+
+    #[test]
+    fn negative_or_zero_sum_source_weights_are_an_error() {
+        churn_rejected(
+            |c| c.source_weights = Some(vec![1.0, -1.0, 1.0]),
+            "non-negative",
+        );
+        churn_rejected(|c| c.source_weights = Some(vec![0.0; 3]), "positive sum");
+    }
+
+    #[test]
+    fn local_zero_pattern_is_an_error() {
+        churn_rejected(|c| c.pattern = TrafficPattern::Local(0), "k >= 1");
     }
 
     #[test]

@@ -279,14 +279,18 @@ impl<D: Decider> EventCore<D> {
     ///
     /// # Errors
     ///
-    /// Returns [`CacError::InvalidRequest`] if the churn shape does not
-    /// match the network, or the scheduler, class count or a
-    /// reconfiguration plan is invalid.
+    /// Returns [`CacError::InvalidRequest`] if the churn workload is
+    /// malformed ([`hetnet_sim::churn::ChurnConfig::validate`]) or its
+    /// shape does not match the network, or the scheduler, class count
+    /// or a reconfiguration plan is invalid.
     pub(crate) fn build(
         network: HetNetwork,
         cfg: &ServiceConfig,
         make: impl FnOnce(HetNetwork) -> Result<D, CacError>,
     ) -> Result<Self, CacError> {
+        cfg.churn
+            .validate()
+            .map_err(|e| CacError::InvalidRequest(format!("churn: {e}")))?;
         let shape = cfg.churn.shape;
         if shape.rings != network.rings().len() || shape.hosts_per_ring != network.hosts_per_ring()
         {

@@ -128,6 +128,48 @@ impl ChurnConfig {
         }
     }
 
+    /// Checks every parameter [`generate`] relies on: at least two rings
+    /// of at least one host, a positive non-inverted deadline range, a
+    /// positive arrival rate and holding bounds, one non-negative weight
+    /// per ring with a positive sum, and `k ≥ 1` for
+    /// [`TrafficPattern::Local`].
+    ///
+    /// # Errors
+    ///
+    /// Names the first malformed parameter.
+    pub fn validate(&self) -> Result<(), String> {
+        let positive = |x: f64| x > 0.0;
+        if self.shape.rings < 2 {
+            return Err(
+                "churn needs at least two rings (intra-ring traffic is out of CAC scope)".into(),
+            );
+        }
+        if self.shape.hosts_per_ring == 0 {
+            return Err("need at least one host per ring".into());
+        }
+        if !(positive(self.deadline.0.value()) && self.deadline.0 <= self.deadline.1) {
+            return Err("bad deadline range".into());
+        }
+        if !positive(self.arrival_rate) {
+            return Err("arrival rate must be positive".into());
+        }
+        if !(positive(self.mean_holding.value()) && positive(self.max_holding.value())) {
+            return Err("holding-time mean and bound must be positive".into());
+        }
+        if let Some(w) = &self.source_weights {
+            if w.len() != self.shape.rings {
+                return Err("one source weight per ring".into());
+            }
+            if !(w.iter().all(|&x| x >= 0.0) && positive(w.iter().sum())) {
+                return Err("source weights must be non-negative with a positive sum".into());
+            }
+        }
+        if self.pattern == TrafficPattern::Local(0) {
+            return Err("Local pattern needs k >= 1".into());
+        }
+        Ok(())
+    }
+
     /// The arrival rate λ realizing a target mean utilization `U` of one
     /// backbone link: `λ = U · L · μ · C_link / ρ` (the §6 formula; `L`
     /// inter-switch links share the offered load, `ρ` is the source's
@@ -226,29 +268,11 @@ impl ChurnSchedule {
 ///
 /// # Panics
 ///
-/// Panics if the shape has fewer than two rings or zero hosts, if the
-/// deadline range is inverted or non-positive, or if the rate/holding
-/// parameters are degenerate (the underlying samplers assert).
+/// Panics if [`ChurnConfig::validate`] rejects `cfg`.
 #[must_use]
 pub fn generate(cfg: &ChurnConfig) -> ChurnSchedule {
-    assert!(
-        cfg.shape.rings >= 2,
-        "churn needs at least two rings (intra-ring traffic is out of CAC scope)"
-    );
-    assert!(
-        cfg.shape.hosts_per_ring > 0,
-        "need at least one host per ring"
-    );
-    assert!(
-        cfg.deadline.0.value() > 0.0 && cfg.deadline.0 <= cfg.deadline.1,
-        "bad deadline range"
-    );
-    if let Some(w) = &cfg.source_weights {
-        assert_eq!(w.len(), cfg.shape.rings, "one weight per ring");
-        assert!(
-            w.iter().all(|&x| x >= 0.0) && w.iter().sum::<f64>() > 0.0,
-            "weights must be non-negative with a positive sum"
-        );
+    if let Err(e) = cfg.validate() {
+        panic!("{e}");
     }
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let hpr = cfg.shape.hosts_per_ring;
@@ -298,7 +322,6 @@ pub fn generate(cfg: &ChurnConfig) -> ChurnSchedule {
                 (partner, pick_index(&mut rng, hpr).expect("hosts > 0"))
             }
             TrafficPattern::Local(k) => {
-                assert!(k >= 1, "Local pattern needs k >= 1");
                 let n = cfg.shape.rings;
                 let mut candidates = Vec::with_capacity(2 * k);
                 for d in 1..=k.min(n - 1) {

@@ -127,6 +127,25 @@ lint() {
         exit 1
     fi
     echo "ok: one region solver"
+
+    echo "==> one-experiment-driver gate (figures, ablation and autotune run through the service engine)"
+    # Every experiment is a churn schedule through hetnet_service::run and
+    # every baseline is an AllocationPolicy; the private arrival/departure
+    # loops, their departure heaps and the policy shim must not come back.
+    if grep -rnE "fn (run_admission_experiment|run_policy|request_with_policy|host_busy)\b" \
+        --include="*.rs" crates; then
+        echo "FAIL: a retired experiment driver or baseline shim reintroduced"
+        exit 1
+    fi
+    if grep -rnF "BinaryHeap" crates/core/src crates/bench/src; then
+        echo "FAIL: a private departure heap reintroduced outside the service engine"
+        exit 1
+    fi
+    if grep -nF "hetnet-sim" crates/core/Cargo.toml; then
+        echo "FAIL: hetnet-cac depends on hetnet-sim again"
+        exit 1
+    fi
+    echo "ok: one experiment driver"
 }
 
 bench() {
