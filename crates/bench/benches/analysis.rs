@@ -1,7 +1,8 @@
 //! Microbenchmarks of the analytic building blocks: envelope evaluation,
 //! the Theorem-1 guaranteed-server analysis, the stage-1 wire table every
-//! β-search probe builds for its candidate, the FIFO multiplexer bound,
-//! and a full end-to-end path evaluation.
+//! β-search probe builds for its candidate and the MAC output table it
+//! starts from, the FIFO multiplexer bound, and a full end-to-end path
+//! evaluation.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use hetnet_atm::{analyze_mux, LinkConfig};
@@ -81,6 +82,37 @@ fn bench_stage1_wire_table(c: &mut Criterion) {
     });
 }
 
+/// The largest part of stage 1 on its own: the source MAC's Theorem-1.4
+/// output flattened over 0.6 s with one guard subdivision, which
+/// evaluates the maximum over the kept maximizer candidates at every
+/// sample point — at four allocations, each analyzed once up front.
+fn bench_mac_output_table(c: &mut Criterion) {
+    let net = HetNetwork::paper_topology();
+    let ring = net.ring(0);
+    let env: SharedEnvelope = Arc::new(paper_source());
+    let horizon = Seconds::new(0.6);
+    let cfg = AnalysisConfig {
+        guard_subdivisions: 1,
+        max_horizon: horizon,
+        ..AnalysisConfig::default()
+    };
+    let outputs: Vec<SharedEnvelope> = [2.0, 2.4, 3.2, 4.0]
+        .map(|ms| {
+            let h = SyncBandwidth::new(Seconds::from_millis(ms));
+            analyze_fddi_mac(Arc::clone(&env), ring, h, net.host_buffer(), &cfg)
+                .expect("stable")
+                .output
+        })
+        .into();
+    c.bench_function("mac_output_table", |b| {
+        b.iter(|| {
+            for output in &outputs {
+                black_box(Sampled::flatten(Arc::clone(output), horizon, 1));
+            }
+        })
+    });
+}
+
 fn bench_mux_analysis(c: &mut Criterion) {
     let cfg = AnalysisConfig::default();
     let link = LinkConfig::oc3(Seconds::ZERO);
@@ -117,7 +149,7 @@ fn bench_path_evaluation(c: &mut Criterion) {
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_envelope_eval, bench_mac_analysis, bench_stage1_wire_table, bench_mux_analysis,
-        bench_path_evaluation
+    targets = bench_envelope_eval, bench_mac_analysis, bench_stage1_wire_table,
+        bench_mac_output_table, bench_mux_analysis, bench_path_evaluation
 );
 criterion_main!(benches);

@@ -198,7 +198,7 @@ pub fn ascii_plot(curves: &[(&str, &[ApPoint])]) -> String {
     for (i, row) in grid.iter().enumerate() {
         let y = 1.0 - i as f64 / height as f64;
         let line: String = row.iter().collect();
-        out.push_str(&format!("{y:4.1} |{line}\n"));
+        out.push_str(&format!("{y:4.2} |{line}\n"));
     }
     out.push_str(&format!(
         "      {}\n      {:<28}{:>28}\n",
@@ -234,7 +234,20 @@ mod tests {
         let plot = ascii_plot(&[("demo", &pts)]);
         assert!(plot.contains("o"));
         assert!(plot.contains("demo"));
-        assert!(plot.contains("1.0 |"));
+        // One label per row, every one distinct (a row is 0.05 AP).
+        let labels: Vec<&str> = plot
+            .lines()
+            .filter_map(|l| l.split_once(" |"))
+            .map(|(y, _)| y)
+            .collect();
+        assert_eq!(labels.len(), 21);
+        let distinct: std::collections::BTreeSet<&str> = labels.iter().copied().collect();
+        assert_eq!(
+            distinct.len(),
+            labels.len(),
+            "repeated y labels: {labels:?}"
+        );
+        assert_eq!((labels[0], labels[20]), ("1.00", "0.00"));
     }
 
     #[test]

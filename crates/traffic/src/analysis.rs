@@ -18,7 +18,7 @@
 //! the 802.5 token-ring MAC of the paper's §7 extension and any
 //! rate-latency scheduler.
 
-use crate::envelope::{bisect, candidate_times, Envelope, SharedEnvelope};
+use crate::envelope::{bisect, candidate_times, Envelope, SharedEnvelope, SUBADDITIVE_ARG_TOL};
 use crate::error::TrafficError;
 use crate::service::ServiceCurve;
 use crate::units::{Bits, BitsPerSec, Seconds};
@@ -234,6 +234,14 @@ fn find_busy_interval(
 ///
 /// where `cap` is the transmission rate of the medium the output is
 /// observed on (`BW_FDDI` in Theorem 1).
+///
+/// The maximum runs over a fixed list of candidate instants `t_k`.
+/// When the arrival envelope is subadditive
+/// ([`Envelope::is_subadditive`]), [`ServerOutput::new`] drops, once,
+/// every candidate another candidate dominates at every interval up to
+/// twice the analysis horizon, and [`Envelope::arrivals`] scans only the
+/// kept ones there: the same float, from fewer evaluations. Past that
+/// it scans them all.
 #[derive(Debug, Clone)]
 pub struct ServerOutput {
     arrival: SharedEnvelope,
@@ -243,14 +251,30 @@ pub struct ServerOutput {
     /// Precomputed maximizer candidates `t ∈ [0, B]`, each paired with
     /// the service it has received, `S(t)`, which does not depend on the
     /// queried interval.
-    t_candidates: Vec<(Seconds, Bits)>,
+    pub(crate) t_candidates: Vec<(Seconds, Bits)>,
+    /// The candidates no other candidate dominates up to `exact_to`
+    /// (all of them when the arrival is not subadditive).
+    kept: Vec<(Seconds, Bits)>,
+    /// The longest interval at which the maximum over `kept` is proven
+    /// to be the maximum over `t_candidates`.
+    pub(crate) exact_to: Seconds,
 }
+
+/// Relative margin of the dominance test, against the magnitudes of the
+/// values it compares: `3γ` of the proof plus the test's own roundings,
+/// with room to spare (`γ` is
+/// [`SUBADDITIVE_VALUE_TOL`](crate::envelope::SUBADDITIVE_VALUE_TOL)).
+pub(crate) const DOMINANCE_MARGIN: f64 = 1.0e-12;
 
 impl ServerOutput {
     /// Builds the output envelope for `arrival` served under `service`
     /// with maximum busy interval `busy_interval` (from
     /// [`analyze_guaranteed_server`]), observed on a medium of rate `cap`
     /// (or unbounded when `None`).
+    ///
+    /// The pruning is proven exact for intervals up to twice
+    /// `cfg.max_horizon`: searches stop at the horizon, and the delays
+    /// downstream hops add to a query stay well below it again.
     #[must_use]
     pub fn new(
         arrival: SharedEnvelope,
@@ -277,16 +301,24 @@ impl ServerOutput {
         if t_candidates.first() != Some(&Seconds::ZERO) {
             t_candidates.insert(0, Seconds::ZERO);
         }
-        let t_candidates = t_candidates
+        let t_candidates: Vec<(Seconds, Bits)> = t_candidates
             .into_iter()
             .map(|t| (t, service.provided(t)))
             .collect();
+        let exact_to = cfg.max_horizon * 2.0;
+        let kept = if arrival.is_subadditive() {
+            undominated(&arrival, &t_candidates, busy_interval + exact_to)
+        } else {
+            t_candidates.clone()
+        };
         Self {
             arrival,
             service,
             busy_interval,
             cap,
             t_candidates,
+            kept,
+            exact_to,
         }
     }
 
@@ -295,6 +327,72 @@ impl ServerOutput {
     pub fn busy_interval(&self) -> Seconds {
         self.busy_interval
     }
+
+    /// The number of maximizer candidates kept, and of all of them.
+    #[must_use]
+    pub fn candidate_counts(&self) -> (usize, usize) {
+        (self.kept.len(), self.t_candidates.len())
+    }
+}
+
+/// The candidates no kept candidate dominates, for arguments
+/// `t + I ≤ span`.
+///
+/// Candidate `j` is dominated by an earlier kept `k` (`t_k ≤ t_j`) when
+///
+/// `Â(D) + m < Ŝ_j − Ŝ_k`, with `D = (t_j − t_k) + 4δ`,
+/// `m = 10⁻¹²·(Â(span + 3δ) + Â(D) + Ŝ_j)`, `δ = η·max(2·span, P)`,
+///
+/// where `Â` is the arrival's computed `arrivals`, `Ŝ` the stored
+/// service values and `η` [`SUBADDITIVE_ARG_TOL`]. Then `j`'s term,
+/// `fl(Â(fl(t_j + I)) − Ŝ_j)`, is at most `k`'s at every `I` with
+/// `t_j + I ≤ span`, so dropping `j` leaves the float maximum unchanged.
+///
+/// Proof, with `A` the exact model, `x_j = fl(t_j + I)` and
+/// `x_k = fl(t_k + I)`. Every argument below is at most
+/// `max(2·span, P)`, so `δ` bounds the contract's `δ(x)` at all of them,
+/// and `δ` is over 10⁷ times `u·span` (`u = 2⁻⁵³`), which absorbs every
+/// rounding of an argument.
+///
+/// 1. `Â(x_j) ≤ (1 + γ)·A(x_j + δ)` (the contract, `γ` =
+///    [`SUBADDITIVE_VALUE_TOL`](crate::envelope::SUBADDITIVE_VALUE_TOL)).
+/// 2. `A(x_j + δ) ≤ A(x_k⁻) + A(x_j − x_k + 2δ)` with
+///    `x_k⁻ = max(0, x_k − δ)`, by subadditivity and monotonicity.
+/// 3. `A(x_k⁻) ≤ Â(x_k)/(1 − γ)` (the contract's lower side).
+/// 4. `x_j − x_k ≤ (t_j − t_k) + 2u·span ≤ fl(t_j − t_k) + 3u·span`,
+///    so `x_j − x_k + 2δ ≤ D − δ(D)` and `A(x_j − x_k + 2δ) ≤
+///    Â(D)/(1 − γ)`.
+/// 5. Likewise `Â(x_k) ≤ (1 + γ)·A(span + δ) ≤ (1 + 3γ)·Â(span + 3δ)`.
+///
+/// Hence `Â(x_j) − Â(x_k) ≤ Â(D) + 3γ·(Â(x_k) + Â(D))
+/// ≤ Â(D) + 3.1·10⁻¹³·(Â(span + 3δ) + Â(D)) < Ŝ_j − Ŝ_k`, the last step
+/// from the test with `m` covering the test's own roundings. So
+/// `Â(x_j) − Ŝ_j ≤ Â(x_k) − Ŝ_k` in exact arithmetic, and rounding the
+/// two differences keeps the order.
+pub(crate) fn undominated(
+    arrival: &dyn Envelope,
+    candidates: &[(Seconds, Bits)],
+    span: Seconds,
+) -> Vec<(Seconds, Bits)> {
+    let p = arrival.period_hint().map_or(0.0, Seconds::value);
+    let delta = SUBADDITIVE_ARG_TOL * (2.0 * span.value()).max(p);
+    let top = arrival.arrivals(span + Seconds::new(3.0 * delta)).value();
+    let mut kept: Vec<(Seconds, Bits)> = Vec::with_capacity(candidates.len());
+    for &(t_j, s_j) in candidates {
+        let dominated = kept.iter().any(|&(t_k, s_k)| {
+            if t_k > t_j {
+                return false;
+            }
+            let d = Seconds::new((t_j - t_k).value() + 4.0 * delta);
+            let a = arrival.arrivals(d).value();
+            let m = DOMINANCE_MARGIN * (top + a + s_j.value());
+            a + m < (s_j - s_k).value()
+        });
+        if !dominated {
+            kept.push((t_j, s_j));
+        }
+    }
+    kept
 }
 
 impl Envelope for ServerOutput {
@@ -304,8 +402,13 @@ impl Envelope for ServerOutput {
 
     fn arrivals(&self, interval: Seconds) -> Bits {
         let i = interval.clamp_min_zero();
+        let scan = if i <= self.exact_to {
+            &self.kept
+        } else {
+            &self.t_candidates
+        };
         let mut best = 0.0_f64;
-        for &(t, served) in &self.t_candidates {
+        for &(t, served) in scan {
             let v = (self.arrival.arrivals(t + i) - served).value();
             best = best.max(v);
         }

@@ -175,7 +175,41 @@ pub trait Envelope: fmt::Debug + Send + Sync {
             detail: format!("{self:?}"),
         }
     }
+
+    /// Whether this envelope is subadditive, as computed. `true`
+    /// promises both of these, where `A` is the model the envelope
+    /// states in exact arithmetic and `Â` is what [`Envelope::arrivals`]
+    /// returns:
+    ///
+    /// * `A` is nondecreasing and subadditive: `A(x + y) ≤ A(x) + A(y)`
+    ///   for all real `x, y ≥ 0`;
+    /// * `Â` evaluates `A` to within [`SUBADDITIVE_VALUE_TOL`] of its
+    ///   value at an argument within `δ(x) = SUBADDITIVE_ARG_TOL ·
+    ///   max(x, P)` of `x`, where `P` is the [`Envelope::period_hint`]
+    ///   (zero without one): for every float `x ≥ 0`,
+    ///   `(1 − γ)·A(max(0, x − δ(x))) ≤ Â(x) ≤ (1 + γ)·A(x + δ(x))`.
+    ///
+    /// The Theorem-1.4 output envelope uses it to drop maximizer
+    /// candidates that can never win (see
+    /// [`ServerOutput`](crate::analysis::ServerOutput)). The default is
+    /// `false`, which is always sound.
+    fn is_subadditive(&self) -> bool {
+        false
+    }
 }
+
+/// The relative value error `γ` an envelope declaring
+/// [`Envelope::is_subadditive`] may have: about 900 units of roundoff,
+/// far above the handful of roundings in the parametric models'
+/// `arrivals`.
+pub const SUBADDITIVE_VALUE_TOL: f64 = 1.0e-13;
+
+/// The relative argument error `η` an envelope declaring
+/// [`Envelope::is_subadditive`] may have, against `max(x, P)`: five
+/// times the two [`QUOTIENT_NUDGE`](crate::approx::QUOTIENT_NUDGE)s by
+/// which the dual-periodic model's floors may round an argument up to
+/// the next period boundary.
+pub const SUBADDITIVE_ARG_TOL: f64 = 1.0e-8;
 
 impl<E: Envelope + ?Sized> Envelope for Arc<E> {
     fn arrivals(&self, interval: Seconds) -> Bits {
@@ -198,6 +232,9 @@ impl<E: Envelope + ?Sized> Envelope for Arc<E> {
     }
     fn describe(&self) -> EnvelopeDescriptor {
         (**self).describe()
+    }
+    fn is_subadditive(&self) -> bool {
+        (**self).is_subadditive()
     }
 }
 
@@ -222,6 +259,9 @@ impl<E: Envelope + ?Sized> Envelope for &E {
     }
     fn describe(&self) -> EnvelopeDescriptor {
         (**self).describe()
+    }
+    fn is_subadditive(&self) -> bool {
+        (**self).is_subadditive()
     }
 }
 

@@ -4,15 +4,23 @@
 //! stop once converged, `RateCapped`/`MinOf` enumerate their inner
 //! envelopes once, and `Sampled` inverts itself in closed form where
 //! its guards prove that exact, with bracketed table searches where
-//! they do not. Each test pins one shortcut, bit for bit, against the
-//! straightforward code it replaced, kept here as the reference.
+//! they do not, and the Theorem-1.4 output envelope scans only the
+//! maximizer candidates no other candidate dominates. Each test pins one
+//! shortcut, bit for bit, against the straightforward code it replaced,
+//! kept here as the reference.
 
+use crate::analysis::{
+    analyze_guaranteed_server, undominated, AnalysisConfig, ServerOutput, DOMINANCE_MARGIN,
+};
 use crate::approx;
 use crate::combinators::{
     Delayed, MinOf, Quantized, RateCapped, Sampled, CONVERGED_SHARE, KNOT_MARGIN, MAX_ULP_WALK,
 };
-use crate::envelope::{bisect, Envelope, SharedEnvelope};
-use crate::models::{ConstantRateEnvelope, DualPeriodicEnvelope, LeakyBucketEnvelope};
+use crate::envelope::{bisect, Envelope, SharedEnvelope, SUBADDITIVE_ARG_TOL};
+use crate::models::{
+    ConstantRateEnvelope, DualPeriodicEnvelope, LeakyBucketEnvelope, PeriodicEnvelope,
+};
+use crate::service::{RateLatencyService, ServiceCurve, StaircaseService};
 use crate::units::{Bits, BitsPerSec, Seconds};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -399,16 +407,24 @@ fn bisect_stops_once_converged_and_not_before() {
     assert_eq!(calls, 80);
 }
 
-/// Counts how often it is asked for its breakpoints.
+/// Counts how often it is asked for its breakpoints and its values.
 #[derive(Debug)]
 struct Counting {
     inner: SharedEnvelope,
     breakpoint_calls: AtomicUsize,
+    arrival_calls: AtomicUsize,
 }
 
 impl Envelope for Counting {
     fn arrivals(&self, interval: Seconds) -> Bits {
+        self.arrival_calls.fetch_add(1, Ordering::Relaxed);
         self.inner.arrivals(interval)
+    }
+    fn is_subadditive(&self) -> bool {
+        self.inner.is_subadditive()
+    }
+    fn period_hint(&self) -> Option<Seconds> {
+        self.inner.period_hint()
     }
     fn sustained_rate(&self) -> BitsPerSec {
         self.inner.sustained_rate()
@@ -426,6 +442,7 @@ fn counting(inner: SharedEnvelope) -> Arc<Counting> {
     Arc::new(Counting {
         inner,
         breakpoint_calls: AtomicUsize::new(0),
+        arrival_calls: AtomicUsize::new(0),
     })
 }
 
@@ -474,6 +491,9 @@ impl Envelope for Sentinel {
     fn min_interval(&self, _: Bits, _: Seconds) -> Option<Seconds> {
         Some(Seconds::new(42.0))
     }
+    fn is_subadditive(&self) -> bool {
+        true
+    }
 }
 
 #[test]
@@ -487,6 +507,201 @@ fn blanket_impls_forward_min_interval() {
         (&&Sentinel).min_interval(Bits::new(1.0), Seconds::new(1.0)),
         want
     );
+}
+
+#[test]
+fn blanket_impls_forward_is_subadditive() {
+    let shared: SharedEnvelope = Arc::new(Sentinel);
+    let by_ref: &dyn Envelope = &shared;
+    assert!(shared.is_subadditive());
+    assert!(by_ref.is_subadditive());
+    assert!((&&Sentinel).is_subadditive());
+    assert!(!Knots::shared(0.0, &[1.0], &[1.0]).is_subadditive());
+}
+
+/// A random source the Theorem-1.4 pruning may take: dual-periodic,
+/// periodic (at `b < 0.3` saturated, `C = R·P`, so `floor_div`'s nudge
+/// moves its values), or a leaky bucket with or without a peak cap.
+fn subadditive_source(kind: usize, a: f64, b: f64, c: f64) -> SharedEnvelope {
+    let p = Seconds::from_millis(1.0 + 19.0 * a);
+    let bits = Bits::new(1.0e3 + 1.0e5 * c);
+    // The smallest float rate emitting `bits` within `p`.
+    let mut rate = bits / p;
+    while rate * p < bits {
+        rate = BitsPerSec::new(rate.value().next_up());
+    }
+    let peak = if b < 0.3 {
+        rate
+    } else {
+        rate * (1.1 + 2.9 * b)
+    };
+    match kind {
+        0 => dual(a, b, c),
+        1 => Arc::new(PeriodicEnvelope::new(bits, p, peak).expect("valid parameters")),
+        2 => Arc::new(
+            LeakyBucketEnvelope::new(bits, bits / p * 0.5)
+                .expect("valid parameters")
+                .with_peak(peak * 2.0)
+                .expect("valid parameters"),
+        ),
+        _ => Arc::new(LeakyBucketEnvelope::new(bits, bits / p * 0.5).expect("valid parameters")),
+    }
+}
+
+/// Hides the wrapped envelope's subadditivity, and nothing else: a
+/// `ServerOutput` over it scans every candidate, as before pruning.
+#[derive(Debug)]
+struct Unflagged(SharedEnvelope);
+
+impl Envelope for Unflagged {
+    fn arrivals(&self, interval: Seconds) -> Bits {
+        self.0.arrivals(interval)
+    }
+    fn sustained_rate(&self) -> BitsPerSec {
+        self.0.sustained_rate()
+    }
+    fn peak_rate(&self) -> BitsPerSec {
+        self.0.peak_rate()
+    }
+    fn breakpoints(&self, horizon: Seconds, out: &mut Vec<Seconds>) {
+        self.0.breakpoints(horizon, out);
+    }
+    fn period_hint(&self) -> Option<Seconds> {
+        self.0.period_hint()
+    }
+}
+
+/// The output of `source` through `service`, pruned, and the same
+/// without pruning; `None` if the server is unstable or never drains.
+fn outputs(
+    source: &SharedEnvelope,
+    service: Arc<dyn ServiceCurve>,
+    cfg: &AnalysisConfig,
+) -> Option<(ServerOutput, ServerOutput)> {
+    let busy = analyze_guaranteed_server(source, &*service, cfg)
+        .ok()?
+        .busy_interval;
+    let cap = Some(source.peak_rate().min(BitsPerSec::new(1.0e9)));
+    let pruned = ServerOutput::new(Arc::clone(source), Arc::clone(&service), busy, cap, cfg);
+    let unflagged: SharedEnvelope = Arc::new(Unflagged(Arc::clone(source)));
+    let full = ServerOutput::new(unflagged, service, busy, cap, cfg);
+    Some((pruned, full))
+}
+
+/// The paper-style 4 ms token rotation, granting `share` of it to the
+/// source; most draws are stable.
+fn staircase_for(source: &dyn Envelope, share: f64) -> Arc<dyn ServiceCurve> {
+    let ttrt = Seconds::from_millis(4.0);
+    let quantum = source.sustained_rate() * ttrt * (1.05 + 3.0 * share);
+    Arc::new(StaircaseService::timed_token(ttrt, quantum))
+}
+
+/// The Theorem-1.4 maximum over `candidates` at `i`, as
+/// `ServerOutput::arrivals` takes it (uncapped).
+fn max_over(arrival: &dyn Envelope, candidates: &[(Seconds, Bits)], i: f64) -> f64 {
+    let i = Seconds::new(i);
+    let best = candidates.iter().fold(0.0_f64, |best, &(t, served)| {
+        best.max((arrival.arrivals(t + i) - served).value())
+    });
+    best.max(0.0)
+}
+
+#[test]
+fn non_subadditive_arrivals_keep_every_candidate() {
+    // `Knots` rising from 0 to 1000 bits across `[0.9, 1.0]`, with
+    // service steps of 5 bits every 0.25 s: candidates `0`, `0.25⁻`,
+    // `0.5⁻` (5 bits served) and `B = 0.6` (10 bits).
+    let knots = Knots::shared(0.0, &[0.9, 0.1], &[0.0, 1000.0]);
+    let service = Arc::new(StaircaseService::new(Seconds::new(0.25), Bits::new(5.0), 1));
+    let cfg = AnalysisConfig::default();
+    let out = ServerOutput::new(Arc::clone(&knots), service, Seconds::new(0.6), None, &cfg);
+    assert_eq!(out.candidate_counts(), (4, 4));
+    // The dominance test alone would drop `0.5⁻` and `B`: over
+    // `d ≤ 0.6` the envelope delivers nothing. Yet at `I = 0.45`, `B`'s
+    // term is the maximum, `A(1.05) − 10 = 990`.
+    let span = Seconds::new(0.6) + out.exact_to;
+    let kept = undominated(&knots, &out.t_candidates, span);
+    assert_eq!(kept.len(), 2);
+    assert_eq!(out.arrivals(Seconds::new(0.45)).value(), 990.0);
+    assert_eq!(max_over(&knots, &kept, 0.45), 0.0);
+}
+
+#[test]
+fn dual_periodic_flag_holds_on_both_sides_of_its_condition() {
+    let peak = BitsPerSec::new(10.0);
+    // `C2 = P2` bits at 10 b/s.
+    let model = |c1: f64, p1: f64, p2: f64| {
+        DualPeriodicEnvelope::new(
+            Bits::new(c1),
+            Seconds::new(p1),
+            Bits::new(p2),
+            Seconds::new(p2),
+            peak,
+        )
+        .expect("valid parameters")
+    };
+    // `C1 > ⌊P1/P2⌋·C2`, reachable through the 0.15 s tail: not
+    // subadditive, as `A(1.2) = 2.5 > 2·A(0.6)` shows.
+    let tail = model(2.0, 1.15, 1.0);
+    assert!(!tail.is_subadditive());
+    let at = |x: f64| tail.arrivals(Seconds::new(x)).value();
+    assert!(at(1.2) > 2.0 * at(0.6));
+    assert!(model(1.0, 1.15, 1.0).is_subadditive());
+    // `0.001 / (0.001 / 7)` rounds to 7, yet the real quotient of the two
+    // floats is below it: `⌊P1/P2⌋` is 6, so `C1 = 7·C2` is refused and
+    // `6·C2` taken.
+    let p2 = 0.001 / 7.0;
+    assert_eq!(0.001 / p2, 7.0);
+    assert!(!model(7.0 * p2, 0.001, p2).is_subadditive());
+    assert!(model(6.0 * p2, 0.001, p2).is_subadditive());
+}
+
+#[test]
+fn dominance_margin_holds_on_both_sides() {
+    let source = LeakyBucketEnvelope::new(Bits::new(1.0e4), BitsPerSec::new(1.0e6))
+        .expect("valid parameters");
+    let span = Seconds::new(2.0);
+    let delta = SUBADDITIVE_ARG_TOL * 2.0 * span.value();
+    let d = 0.01;
+    let a = source.arrivals(Seconds::new(d + 4.0 * delta)).value();
+    let top = source.arrivals(span + Seconds::new(3.0 * delta)).value();
+    let keeps = |slack: f64| {
+        let served = a + slack * DOMINANCE_MARGIN * (top + 2.0 * a);
+        let cands = [
+            (Seconds::ZERO, Bits::ZERO),
+            (Seconds::new(d), Bits::new(served)),
+        ];
+        undominated(&source, &cands, span).len()
+    };
+    assert_eq!(keeps(2.0), 1, "a gap of twice the margin is dropped");
+    assert_eq!(keeps(0.5), 2, "a gap of half the margin is kept");
+    // Only an earlier candidate dominates.
+    let late_first = [
+        (Seconds::new(d), Bits::new(a + 1.0e3)),
+        (Seconds::ZERO, Bits::ZERO),
+    ];
+    assert_eq!(undominated(&source, &late_first, span).len(), 2);
+}
+
+#[test]
+fn pruned_scan_stops_at_exact_to() {
+    let source = counting(dual(0.4, 0.7, 0.3));
+    let service = staircase_for(&*source, 0.2);
+    let cfg = AnalysisConfig {
+        max_horizon: Seconds::new(1.0),
+        ..AnalysisConfig::default()
+    };
+    let as_shared: SharedEnvelope = source.clone();
+    let (pruned, full) = outputs(&as_shared, service, &cfg).expect("stable");
+    let (kept, total) = pruned.candidate_counts();
+    assert!(kept < total, "{kept} of {total} kept");
+    let edge = pruned.exact_to;
+    for (i, scanned) in [(edge, kept), (Seconds::new(edge.value().next_up()), total)] {
+        source.arrival_calls.store(0, Ordering::Relaxed);
+        let got = pruned.arrivals(i);
+        assert_eq!(source.arrival_calls.load(Ordering::Relaxed), scanned);
+        assert_eq!(got.value().to_bits(), full.arrivals(i).value().to_bits());
+    }
 }
 
 proptest! {
@@ -674,5 +889,53 @@ proptest! {
         let h = Seconds::new(horizon);
         let m = MinOf::new(Arc::clone(&x), Arc::clone(&y));
         prop_assert_eq!(breakpoint_bits(&m, h), min_of_reference(&*x, &*y, h));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The Theorem-1.4 output over the kept candidates is the output
+    /// over all of them, bit for bit: for dual-periodic, periodic and
+    /// leaky-bucket sources under staircase and rate-latency service,
+    /// at sample points of the flattened table, at random intervals on
+    /// both sides of `exact_to`, and at `exact_to` and the float above.
+    #[test]
+    fn pruned_output_matches_unpruned(
+        kind in 0_usize..4,
+        a in 0.0_f64..1.0,
+        b in 0.0_f64..1.0,
+        c in 0.0_f64..1.0,
+        staircase in proptest::bool::ANY,
+        share in 0.0_f64..1.0,
+        is in proptest::collection::vec(0.0_f64..2.2, 32..33),
+    ) {
+        let source = subadditive_source(kind, a, b, c);
+        prop_assert!(source.is_subadditive() || kind == 0);
+        let service: Arc<dyn ServiceCurve> = if staircase {
+            staircase_for(&*source, share)
+        } else {
+            let rate = source.sustained_rate() * (1.2 + 3.0 * share);
+            Arc::new(RateLatencyService::new(rate, Seconds::from_millis(1.0 + 9.0 * share)))
+        };
+        let cfg = AnalysisConfig {
+            guard_subdivisions: 1,
+            max_horizon: Seconds::new(0.5),
+            ..AnalysisConfig::default()
+        };
+        let Some((pruned, full)) = outputs(&source, service, &cfg) else {
+            return;
+        };
+        let edge = pruned.exact_to.value();
+        let flat = Sampled::flatten(Arc::new(pruned.clone()), Seconds::new(0.6), 1);
+        let points = flat.samples().0.iter().copied();
+        for i in points.chain(is).chain([edge, edge.next_up()]) {
+            let i = Seconds::new(i);
+            prop_assert_eq!(
+                pruned.arrivals(i).value().to_bits(),
+                full.arrivals(i).value().to_bits(),
+                "at I = {:?} ({:?} candidates kept)", i, pruned.candidate_counts()
+            );
+        }
     }
 }

@@ -172,6 +172,50 @@ impl Envelope for DualPeriodicEnvelope {
         Some(self.p1)
     }
 
+    /// `true` when `C1 ≤ k·C2` with `k = ⌊P1/P2⌋`, checked exactly.
+    ///
+    /// Write `h` for the periodic model `(C2, P2, R)`, which is
+    /// subadditive (see [`PeriodicEnvelope`](super::PeriodicEnvelope)),
+    /// and `w = min(C1, h)`, so `A(aP1 + r) = aC1 + w(r)` for
+    /// `r ∈ [0, P1)`. `w` is subadditive too: if `h(r)` or `h(s)` reaches
+    /// `C1`, `w(r) + w(s) ≥ C1 ≥ w(r + s)`; otherwise
+    /// `w(r) + w(s) = h(r) + h(s) ≥ h(r + s) ≥ w(r + s)`. Take `x = aP1 + r` and
+    /// `y = bP1 + s`. If `r + s < P1`, subadditivity of `w` is all that
+    /// is needed. Otherwise `A(x + y) = (a + b + 1)·C1 + w(q)` with
+    /// `q = r + s − P1 ≤ min(r, s)`, and `C1 + w(q) ≤ w(r) + w(s)`
+    /// holds in both cases:
+    ///
+    /// * if `w(r) = C1` (or `w(s) = C1`): `w(q) ≤ w(s)`, as `w` is
+    ///   nondecreasing;
+    /// * else `w(r) + w(s) = h(r) + h(s) ≥ h(q + P1) ≥ h(q + kP2)
+    ///   = h(q) + kC2 ≥ w(q) + C1`, as `P1 ≥ kP2`.
+    ///
+    /// Without the condition the model is not subadditive: with
+    /// `P2 = 1`, `C2 = 1`, `R = 10`, `P1 = 1.15` and `C1 = 2` (reachable
+    /// through the `0.15` tail), `A(0.6) = 1` but `A(1.2) = 2.5`.
+    ///
+    /// [`DualPeriodicEnvelope::new`] checks `C2 ≤ R·P2` against the
+    /// rounded product, so `C2` may exceed the real `R·P2` by half an ulp;
+    /// the model with `C2` clipped to `R·P2` (and `C1` to `k` times that)
+    /// is subadditive by the above and within a few ulps of this one.
+    ///
+    /// As computed, each of the two `floor_div`s may round its argument
+    /// up to the next period boundary, `10⁻⁹·max(I, P1)` and
+    /// `10⁻⁹·max(r, P2)` away, and the residues' roundings move it by a
+    /// few ulps of `I`; three products and two sums round the value by a
+    /// few ulps. Both stay inside the tolerances
+    /// [`Envelope::is_subadditive`] allows.
+    fn is_subadditive(&self) -> bool {
+        let (p1, p2) = (self.p1.value(), self.p2.value());
+        let mut k = (p1 / p2).floor();
+        // A quotient rounded up onto an integer: `k·P2 − P1` has its
+        // exact sign under a fused multiply-add.
+        if k.mul_add(p2, -p1) > 0.0 {
+            k -= 1.0;
+        }
+        k.mul_add(self.c2.value(), -self.c1.value()) >= 0.0
+    }
+
     fn describe(&self) -> crate::envelope::EnvelopeDescriptor {
         crate::envelope::EnvelopeDescriptor::DualPeriodic {
             c1: self.c1,

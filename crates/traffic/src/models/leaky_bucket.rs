@@ -124,6 +124,18 @@ impl Envelope for LeakyBucketEnvelope {
         self.peak.unwrap_or(BitsPerSec::new(f64::MAX))
     }
 
+    /// Always `true`. `A(I) = min(peak·I, σ + ρ·I)` (or `σ + ρ·I`
+    /// uncapped) is a minimum of affine functions, hence concave on
+    /// `[0, ∞)`, with `A(0) ≥ 0`. For `x, y > 0` concavity gives
+    /// `A(x) ≥ x/(x+y)·A(x + y) + y/(x+y)·A(0) ≥ x/(x+y)·A(x + y)`, and
+    /// likewise for `y`; adding the two gives `A(x) + A(y) ≥ A(x + y)`.
+    /// As computed, the argument is exact and two products, a sum and a
+    /// minimum round the value by at most two ulps, well inside the
+    /// tolerances [`Envelope::is_subadditive`] allows.
+    fn is_subadditive(&self) -> bool {
+        true
+    }
+
     fn breakpoints(&self, horizon: Seconds, out: &mut Vec<Seconds>) {
         if let Some(knee) = self.knee() {
             if knee > Seconds::ZERO && knee <= horizon {

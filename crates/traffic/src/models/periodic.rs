@@ -99,6 +99,32 @@ impl Envelope for PeriodicEnvelope {
         Some(self.p)
     }
 
+    /// Always `true`. Write `I = aP + r` with `r ∈ [0, P)`, so
+    /// `A(I) = aC + g(r)` with `g(r) = min(C, R·r)`, concave on `[0, P]`
+    /// with `g(0) = 0` and `g(P) = C` (as `C ≤ R·P`). Take
+    /// `x = aP + r` and `y = bP + s`:
+    ///
+    /// * if `r + s < P`, `A(x + y) = (a + b)·C + g(r + s)`, and a concave
+    ///   `g` with `g(0) ≥ 0` is subadditive;
+    /// * otherwise `A(x + y) = (a + b + 1)·C + g(q)` with
+    ///   `q = r + s − P ≤ min(r, s)`. Then `r = λq + (1 − λ)P` and
+    ///   `s = (1 − λ)q + λP` for `λ = (P − r)/(P − q)`, so concavity
+    ///   gives `g(r) + g(s) ≥ g(q) + g(P) = g(q) + C`.
+    ///
+    /// [`PeriodicEnvelope::new`] checks `C ≤ R·P` against the rounded
+    /// product, so `C` may exceed the real `R·P` by half an ulp; the model
+    /// with `C` clipped to `R·P` is subadditive by the above and within an
+    /// ulp of this one.
+    ///
+    /// As computed, `floor_div`'s `10⁻⁹` nudge may round `I` up to the
+    /// next multiple of `P`, at most `10⁻⁹·max(I, P)` away, and the
+    /// residue's roundings move it by a few ulps of `I`; the product and
+    /// the sum round the value by a few ulps. Both stay inside the
+    /// tolerances [`Envelope::is_subadditive`] allows.
+    fn is_subadditive(&self) -> bool {
+        true
+    }
+
     fn breakpoints(&self, horizon: Seconds, out: &mut Vec<Seconds>) {
         let h = horizon.value();
         let p = self.p.value();

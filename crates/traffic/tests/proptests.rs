@@ -3,7 +3,9 @@
 
 use hetnet_traffic::analysis::{analyze_guaranteed_server, AnalysisConfig, ServerOutput};
 use hetnet_traffic::combinators::{Aggregate, Delayed, Quantized, RateCapped, Scaled};
-use hetnet_traffic::envelope::{Envelope, SharedEnvelope};
+use hetnet_traffic::envelope::{
+    Envelope, SharedEnvelope, SUBADDITIVE_ARG_TOL, SUBADDITIVE_VALUE_TOL,
+};
 use hetnet_traffic::models::{
     ConstantRateEnvelope, DualPeriodicEnvelope, LeakyBucketEnvelope, PeriodicEnvelope,
 };
@@ -38,6 +40,60 @@ fn interval_strategy() -> impl Strategy<Value = Seconds> {
     (0.0_f64..0.5).prop_map(Seconds::new)
 }
 
+/// A generated periodic envelope; about a third are saturated
+/// (`C = R·P`, a constant rate), where `floor_div`'s nudge can move a
+/// value.
+fn periodic_strategy() -> impl Strategy<Value = PeriodicEnvelope> {
+    (1.0_f64..20.0, 1.0e3_f64..1.0e5, 0.0_f64..3.0).prop_map(|(p_ms, c, peak_mul)| {
+        let p = Seconds::from_millis(p_ms);
+        // The smallest float rate emitting `c` within `p`.
+        let mut rate = c / p.value();
+        while rate * p.value() < c {
+            rate = rate.next_up();
+        }
+        let peak = BitsPerSec::new(rate * peak_mul.max(1.0));
+        PeriodicEnvelope::new(Bits::new(c), p, peak).expect("generated parameters must be valid")
+    })
+}
+
+/// A generated leaky bucket, half of them peak-capped.
+fn leaky_bucket_strategy() -> impl Strategy<Value = LeakyBucketEnvelope> {
+    (0.0_f64..1.0e5, 1.0e3_f64..1.0e7, 0.0_f64..4.0).prop_map(|(sigma, rho, peak_mul)| {
+        let lb = LeakyBucketEnvelope::new(Bits::new(sigma), BitsPerSec::new(rho))
+            .expect("generated parameters must be valid");
+        if peak_mul < 2.0 {
+            lb
+        } else {
+            lb.with_peak(BitsPerSec::new(rho * peak_mul))
+                .expect("generated parameters must be valid")
+        }
+    })
+}
+
+/// An interval `s` and a second one `t`, with `s` often placed within
+/// the nudge of `floor_div` below a multiple of `period`.
+fn interval_pair(period: f64, near: f64, n: f64, s: Seconds, t: Seconds) -> (Seconds, Seconds) {
+    if near < 0.5 {
+        let boundary = (n * period).max(period);
+        (Seconds::new(boundary * (1.0 - near * 1.0e-9)), t)
+    } else {
+        (s, t)
+    }
+}
+
+/// The subadditivity the Theorem-1.4 pruning relies on, as computed:
+/// `Â(s + t) ≤ (1 + 3γ)·(Â(s) + Â(t + 4δ))` with `δ = η·max(s + t, P)`,
+/// which follows from an exactly subadditive model evaluated within the
+/// argument tolerance `η` and the value tolerance `γ` that
+/// `Envelope::is_subadditive` allows.
+fn computed_subadditivity_holds(env: &dyn Envelope, s: Seconds, t: Seconds) -> bool {
+    let p = env.period_hint().map_or(0.0, Seconds::value);
+    let delta = SUBADDITIVE_ARG_TOL * (s + t).value().max(p);
+    let lhs = env.arrivals(s + t).value();
+    let rhs = env.arrivals(s).value() + env.arrivals(t + Seconds::new(4.0 * delta)).value();
+    lhs <= rhs * (1.0 + 3.0 * SUBADDITIVE_VALUE_TOL)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -64,6 +120,34 @@ proptest! {
         let lhs = env.arrivals(s + t).value();
         let rhs = env.arrivals(s).value() + env.arrivals(t).value();
         prop_assert!(lhs <= rhs + 1e-6 + 1e-9 * rhs.abs());
+    }
+
+    /// The periodic model declares itself subadditive and is, within
+    /// the tolerances the declaration allows, also where `s` sits just
+    /// below a period boundary.
+    #[test]
+    fn periodic_subadditive(
+        env in periodic_strategy(),
+        near in 0.0_f64..1.0,
+        n in 0.0_f64..40.0,
+        s in interval_strategy(),
+        t in interval_strategy(),
+    ) {
+        prop_assert!(env.is_subadditive());
+        let (s, t) = interval_pair(env.period().value(), near, n.floor(), s, t);
+        prop_assert!(computed_subadditivity_holds(&env, s, t), "s = {s}, t = {t}");
+        prop_assert!(computed_subadditivity_holds(&env, t, s), "s = {t}, t = {s}");
+    }
+
+    /// The same for the leaky bucket, capped or not.
+    #[test]
+    fn leaky_bucket_subadditive(
+        env in leaky_bucket_strategy(),
+        s in interval_strategy(),
+        t in interval_strategy(),
+    ) {
+        prop_assert!(env.is_subadditive());
+        prop_assert!(computed_subadditivity_holds(&env, s, t), "s = {s}, t = {t}");
     }
 
     /// Γ(I) converges to ρ = C1/P1 from above for multiples of P1.

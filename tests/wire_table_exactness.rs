@@ -1,4 +1,5 @@
-//! Tier-1 check of the stage-1 wire table's level crossings.
+//! Tier-1 checks of the stage-1 wire table: its level crossings, and
+//! the flattened MAC output table it is segmented from.
 //!
 //! Every β-search probe builds the candidate's stage-1 wire table: the
 //! Theorem-1 output of the source MAC, flattened, segmented by Theorem 2
@@ -8,17 +9,24 @@
 //! test pins those crossings, bit for bit, to the per-level bisection
 //! they replace, on the paper topology at three allocations, so a
 //! broken inversion fails plain `cargo test`.
+//!
+//! The MAC output table itself is the Theorem-1.4 maximum over the
+//! staircase's maximizer candidates, of which `ServerOutput` scans only
+//! those no other candidate dominates. A second test pins that table, bit
+//! for bit, to the maximum over every candidate, recomputed here from
+//! the public service curve.
 
 use hetnet::cac::network::HetNetwork;
 use hetnet::traffic::models::DualPeriodicEnvelope;
 use hetnet::traffic::units::{Bits, BitsPerSec, Seconds};
 use hetnet_fddi::frames;
-use hetnet_fddi::mac::analyze_fddi_mac;
-use hetnet_fddi::ring::SyncBandwidth;
+use hetnet_fddi::mac::{analyze_fddi_mac, mac_service};
+use hetnet_fddi::ring::{RingConfig, SyncBandwidth};
 use hetnet_ifdev::segment_envelope;
-use hetnet_traffic::analysis::AnalysisConfig;
+use hetnet_traffic::analysis::{AnalysisConfig, ServerOutput};
 use hetnet_traffic::combinators::Sampled;
 use hetnet_traffic::envelope::{min_interval_for, Envelope, SharedEnvelope};
+use hetnet_traffic::service::ServiceCurve;
 use std::sync::Arc;
 
 /// `EvalConfig::fast`'s flattening horizon and subdivisions.
@@ -52,6 +60,70 @@ fn per_level_reference(inner: &Sampled, frame: Bits, horizon: Seconds) -> Vec<u6
         }
     }
     out.iter().map(|t| t.value().to_bits()).collect()
+}
+
+/// `EvalConfig::fast`'s analysis settings.
+fn fast_analysis() -> AnalysisConfig {
+    AnalysisConfig {
+        guard_subdivisions: 1,
+        max_horizon: Seconds::new(HORIZON),
+        ..AnalysisConfig::default()
+    }
+}
+
+/// The source MAC's output at `i` as the maximum over every Theorem-1.4
+/// candidate `{0} ∪ {steps − ε} ∪ {B}` of its staircase, capped at the
+/// ring rate: `ServerOutput::arrivals` before any candidate was dropped.
+fn unpruned_mac_output(ring: &RingConfig, h_s: SyncBandwidth, busy: Seconds, i: Seconds) -> u64 {
+    let service = mac_service(ring, h_s);
+    let eps = (busy * 1.0e-9).max(Seconds::new(1.0e-12));
+    let mut steps = Vec::new();
+    service.breakpoints(busy, &mut steps);
+    let mut ts = vec![Seconds::ZERO];
+    ts.extend(steps.into_iter().map(|t| (t - eps).clamp_min_zero()));
+    ts.push(busy);
+    let source = paper_source();
+    let mut best = 0.0_f64;
+    for t in ts {
+        best = best.max((source.arrivals(t + i) - service.provided(t)).value());
+    }
+    let unbounded = Bits::new(best.max(0.0));
+    unbounded.min(ring.bandwidth * i).value().to_bits()
+}
+
+#[test]
+fn paper_mac_output_table_matches_the_unpruned_maximum() {
+    let net = HetNetwork::paper_topology();
+    let ring = net.ring(0);
+    let cfg = fast_analysis();
+    for h_ms in [2.0, 2.4, 3.2, 4.0] {
+        let h_s = SyncBandwidth::new(Seconds::from_millis(h_ms));
+        let mac = analyze_fddi_mac(paper_source(), ring, h_s, net.host_buffer(), &cfg)
+            .expect("the paper source is stable at this allocation");
+        let flat = Sampled::flatten(mac.output, Seconds::new(HORIZON), SUBDIVISIONS);
+        let (ts, vals) = flat.samples();
+        assert!(ts.len() > 500, "h_s = {h_ms} ms: only {} samples", ts.len());
+        for (&t, &v) in ts.iter().zip(vals) {
+            let want = unpruned_mac_output(ring, h_s, mac.busy_interval, Seconds::new(t));
+            assert_eq!(
+                v.to_bits(),
+                want,
+                "h_s = {h_ms} ms: the sample at {t} s moved"
+            );
+        }
+
+        // The same output, built directly, does drop candidates here.
+        let output = ServerOutput::new(
+            paper_source(),
+            Arc::new(mac_service(ring, h_s)),
+            mac.busy_interval,
+            Some(ring.bandwidth),
+            &cfg,
+        );
+        let (kept, total) = output.candidate_counts();
+        assert!(kept < total, "h_s = {h_ms} ms: {kept} of {total} kept");
+        println!("h_s = {h_ms} ms: {kept} of {total} candidates kept");
+    }
 }
 
 #[test]
