@@ -1,7 +1,8 @@
 //! Benchmarks of the feasible-region solvers: the dense sweep against
-//! the frontier tracer, on a mid-size grid and on the
-//! 17×17-with-8-background configuration reported in
-//! `BENCH_region.json` (see `bench_json` for the JSON emitter).
+//! the frontier tracer, on a 9×9 and a 17×17 grid with 8 background
+//! connections. That the two maps agree bit for bit, and that the
+//! frontier evaluates fewer cells, is held by
+//! `crates/core/tests/region_frontier.rs`; this target only times them.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use hetnet_cac::cac::CacConfig;

@@ -56,8 +56,8 @@ fn main() {
         }
     }
 
-    // The same shard-scale workload family bench_json measures: paired
-    // traffic on a grid, screened evaluation (tracing off), light
+    // The shard-scale workload family perfbench's `grid_churn` replays:
+    // paired traffic on a grid, screened evaluation (tracing off), light
     // per-connection envelopes so thousands stay admitted at once.
     let seed = 424_242;
     let mut cfg = ServiceConfig::paper_style(1.0, requests, seed);

@@ -23,7 +23,6 @@
 
 #![warn(missing_docs)]
 
-pub mod json;
 pub mod retune;
 pub mod top;
 

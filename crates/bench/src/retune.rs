@@ -57,7 +57,7 @@ fn retuned_admissions(
 }
 
 /// The sweep outcome at one offered-load point, with the baseline /
-/// winner comparison the gate consumes.
+/// winner comparison the campaign reports.
 #[derive(Clone, Debug)]
 pub struct LoadSweep {
     /// Churn arrival rate of this load point, requests per second.
@@ -150,8 +150,7 @@ fn json_point(p: &SweepPoint) -> String {
 }
 
 /// Renders a whole campaign (grid, per-load sweeps, baselines and
-/// winners) as the JSON object embedded in both the benchmark file and
-/// the standalone campaign output.
+/// winners) as the JSON object the `autotune` binary writes.
 #[must_use]
 pub fn campaign_json(grid: &SweepGrid, sweeps: &[LoadSweep], requests: usize, seed: u64) -> String {
     let grid_json = format!(
@@ -233,4 +232,39 @@ pub fn churn_capacity(ttrt_ms: f64, beta: f64, q: &CapacityQuery) -> f64 {
         let (admitted, offered) = retuned_admissions(rate, q.requests, q.seed, ttrt_ms, beta);
         admitted as f64 / offered.max(1) as f64 >= q.floor
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn campaign_sweeps_the_whole_grid_around_the_default() {
+        let grid = SweepGrid {
+            ttrts_ms: vec![DEFAULT_TTRT_MS, 12.0],
+            betas: vec![DEFAULT_BETA, 0.75],
+        };
+        let loads = [0.1, 0.3];
+        let sweeps = campaign(&loads, &grid, 20, 42);
+        assert_eq!(sweeps.len(), loads.len(), "one sweep per load");
+        for (ls, &rate) in sweeps.iter().zip(&loads) {
+            assert_eq!(ls.rate.to_bits(), rate.to_bits());
+            assert_eq!(
+                ls.outcome.points.len(),
+                grid.len(),
+                "load {rate}: partial grid"
+            );
+            let base = ls.baseline();
+            assert_eq!(
+                (base.ttrt_ms.to_bits(), base.beta.to_bits()),
+                (DEFAULT_TTRT_MS.to_bits(), DEFAULT_BETA.to_bits()),
+                "load {rate}: baseline is not the default point"
+            );
+        }
+        let json = campaign_json(&grid, &sweeps, 20, 42);
+        assert!(
+            json.contains(&format!("\"default_ttrt_ms\": {DEFAULT_TTRT_MS}")),
+            "campaign JSON does not name the default TTRT: {json}"
+        );
+    }
 }

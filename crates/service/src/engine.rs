@@ -499,38 +499,41 @@ mod tests {
 
     #[test]
     fn scheduler_config_threads_through_the_run() {
-        let cfg = smoke_cfg().with_scheduler(
+        for scheduler in [
             Scheduler::Iwrr {
                 weights: vec![2, 1],
             },
-            2,
-        );
-        let run = run(HetNetwork::paper_topology(), &cfg).unwrap();
-        assert_eq!(
-            run.state.network().scheduler(),
-            &Scheduler::Iwrr {
-                weights: vec![2, 1]
-            }
-        );
-        assert!(run.report.counters.admitted > 0, "no admissions under IWRR");
-        // Both classes actually occur in the admitted set: the class is
-        // (ring + station) % 2, and the paper-style workload spreads
-        // sources over every host.
-        let classes: std::collections::BTreeSet<u8> =
-            run.state.active().iter().map(|c| c.spec.class).collect();
-        assert!(
-            classes.len() == 2 || run.state.active().len() < 2,
-            "expected both classes in the admitted set, got {classes:?}"
-        );
-        // Non-FIFO bounds come from the dense evaluator: no ladder
-        // probe ever ran, and the skips carry the dedicated cause.
-        let fp = &run.report.fast_path;
-        assert_eq!(fp.probes(), 0, "fast path must sit out non-FIFO runs");
-        let idx = hetnet_cac::incremental::SKIP_CAUSES
-            .iter()
-            .position(|&c| c == "non-fifo-scheduler")
-            .expect("cause registered");
-        assert!(fp.skip_causes[idx] > 0, "non-FIFO skip cause never fired");
+            Scheduler::Drr { quanta: vec![3, 2] },
+        ] {
+            let cfg = smoke_cfg().with_scheduler(scheduler.clone(), 2);
+            let arm = run(HetNetwork::paper_topology(), &cfg).unwrap();
+            assert_eq!(arm.state.network().scheduler(), &scheduler);
+            assert!(
+                arm.report.counters.admitted > 0,
+                "no admissions under {scheduler}"
+            );
+            // Both classes actually occur in the admitted set: the class
+            // is (ring + station) % 2, and the paper-style workload
+            // spreads sources over every host.
+            let classes: std::collections::BTreeSet<u8> =
+                arm.state.active().iter().map(|c| c.spec.class).collect();
+            assert!(
+                classes.len() == 2 || arm.state.active().len() < 2,
+                "expected both classes in the admitted set under {scheduler}, got {classes:?}"
+            );
+            // Non-FIFO bounds come from the dense evaluator: no ladder
+            // probe ever ran, and the skips carry the dedicated cause.
+            let fp = &arm.report.fast_path;
+            assert_eq!(fp.probes(), 0, "fast path must sit out {scheduler}");
+            let idx = hetnet_cac::incremental::SKIP_CAUSES
+                .iter()
+                .position(|&c| c == "non-fifo-scheduler")
+                .expect("cause registered");
+            assert!(
+                fp.skip_causes[idx] > 0,
+                "non-FIFO skip cause never fired under {scheduler}"
+            );
+        }
 
         // An explicit single-class FIFO is the default engine: the
         // scheduler plumbing must be the identity for it.

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Local CI gate, stage-addressable so the CI workflow can run stages as
-# separate jobs. No Python anywhere: the benchmark-JSON gates live in
-# the Rust `bench_gate` binary.
+# separate jobs. No Python anywhere. The end-to-end benchmark of record
+# is perfbench (see perfbench/README.md); the bench stage here is only
+# the live-dashboard smoke run.
 #
 # Usage: scripts/check.sh [build|test|lint|reconfig|bench|all]   (default: all)
 set -euo pipefail
@@ -112,11 +113,11 @@ lint() {
     fi
     echo "ok: one deadline check"
 
-    echo "==> one-region-solver gate (frontier tracer + dense oracle; bench_json only measures)"
+    echo "==> one-region-solver gate (frontier tracer + dense oracle)"
     # The region module keeps two solvers over one dense loop, single-
-    # threaded; bench_json leaves the correctness certificates to the
-    # test suite. Neither the threaded sweep nor the re-run certificates
-    # and their gates may come back.
+    # threaded; the correctness certificates live in the test suite.
+    # Neither the threaded sweep nor the re-run certificates and their
+    # gates may come back.
     if grep -rnE "fn (sample_region_threads|sample_region_frontier|scheduler_des_validated|fault_gates|reconfig_gates)\b" \
         --include="*.rs" crates; then
         echo "FAIL: a retired region solver or bench certificate reintroduced"
@@ -146,21 +147,28 @@ lint() {
         exit 1
     fi
     echo "ok: one experiment driver"
+
+    echo "==> one-benchmark-of-record gate (perfbench is the only end-to-end benchmark)"
+    # perfbench measures the CAC end to end against the parent commit.
+    # The retired JSON pipeline (emitter binary, gate binary, pinned
+    # result file) must not come back as a second benchmark.
+    if find crates -path '*/src/bin/*' \( -name 'bench_json*' -o -name 'bench_gate*' \) | grep .; then
+        echo "FAIL: a bench_json or bench_gate binary reintroduced"
+        exit 1
+    fi
+    if grep -rn "BENCH_[r]egion" crates scripts .github; then
+        echo "FAIL: a reference to the retired pinned benchmark file reintroduced"
+        exit 1
+    fi
+    if find . \( -path ./target -o -path ./.git -o -path './.bench_*' \) -prune -o \
+        -name 'BENCH_[r]egion*.json' -print | grep .; then
+        echo "FAIL: a pinned benchmark result file reintroduced"
+        exit 1
+    fi
+    echo "ok: one benchmark of record"
 }
 
 bench() {
-    echo "==> bench_json smoke run"
-    cargo run --release -p hetnet-bench --bin bench_json -- \
-        --quick --out target/BENCH_region.quick.json
-
-    echo "==> bench gate (maps identical, frontier cheaper, scheduler compare + decision latency + obs + obs_sharded + shard scale + autotune)"
-    cargo run --release -p hetnet-bench --bin bench_gate -- \
-        quick target/BENCH_region.quick.json
-
-    echo "==> committed-benchmark gate (BENCH_region.json: obs + sharded-tracing overhead ceilings + shard scale)"
-    cargo run --release -p hetnet-bench --bin bench_gate -- \
-        committed BENCH_region.json
-
     echo "==> hetnet_top smoke (live telemetry dashboard renders over a short sharded run)"
     cargo run --release -p hetnet-bench --bin hetnet_top -- \
         --rings 16 --requests 400 --rate 30 --period 5 --plain
