@@ -1,8 +1,9 @@
 //! Microbenchmarks of the analytic building blocks: envelope evaluation,
 //! the Theorem-1 guaranteed-server analysis, the stage-1 wire table every
 //! β-search probe builds for its candidate and the MAC output table it
-//! starts from, the FIFO multiplexer bound, and a full end-to-end path
-//! evaluation.
+//! starts from, the receive MAC's busy-interval search behind three
+//! multiplexer hops, the FIFO multiplexer bound, and a full end-to-end
+//! path evaluation.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use hetnet_atm::{analyze_mux, LinkConfig};
@@ -11,9 +12,9 @@ use hetnet_cac::network::{HetNetwork, HostId};
 use hetnet_fddi::frames;
 use hetnet_fddi::mac::analyze_fddi_mac;
 use hetnet_fddi::ring::{RingConfig, SyncBandwidth};
-use hetnet_ifdev::segment_envelope;
+use hetnet_ifdev::{reassemble_envelope, segment_envelope};
 use hetnet_traffic::analysis::AnalysisConfig;
-use hetnet_traffic::combinators::Sampled;
+use hetnet_traffic::combinators::{Delayed, RateCapped, Sampled};
 use hetnet_traffic::envelope::{Envelope, SharedEnvelope};
 use hetnet_traffic::models::DualPeriodicEnvelope;
 use hetnet_traffic::units::{Bits, BitsPerSec, Seconds};
@@ -113,6 +114,51 @@ fn bench_mac_output_table(c: &mut Criterion) {
     });
 }
 
+/// The receive side of a path under `EvalConfig::fast`'s settings: the
+/// paper source's stage-1 wire table behind three multiplexer hops
+/// (`min(C·I, A(I + d))`), reassembled into frames and analyzed at the
+/// destination MAC. The search's breakpoints and values reach past the
+/// 0.6 s wire table into its unflattened chain — at three source
+/// allocations, each table built once up front.
+fn bench_receive_chain_busy_search(c: &mut Criterion) {
+    let net = HetNetwork::paper_topology();
+    let (ring, ring_r) = (net.ring(0), net.ring(1));
+    let env: SharedEnvelope = Arc::new(paper_source());
+    let horizon = Seconds::new(0.6);
+    let cfg = AnalysisConfig {
+        guard_subdivisions: 1,
+        max_horizon: horizon,
+        ..AnalysisConfig::default()
+    };
+    let link = LinkConfig::oc3(Seconds::ZERO);
+    let chains: Vec<(SharedEnvelope, Bits)> = [2.0, 2.4, 3.2]
+        .map(|ms| {
+            let h = SyncBandwidth::new(Seconds::from_millis(ms));
+            let mac = analyze_fddi_mac(Arc::clone(&env), ring, h, net.host_buffer(), &cfg)
+                .expect("stable");
+            let flat = Arc::new(Sampled::flatten(mac.output, horizon, 1));
+            let frame = frames::frame_size(ring, h);
+            let seg = segment_envelope(flat, frame, net.ifdev());
+            let mut chain: SharedEnvelope = Arc::new(Sampled::flatten(seg.output_wire, horizon, 1));
+            for delay_ms in [4.0, 2.0, 3.0] {
+                let delayed = Arc::new(Delayed::new(chain, Seconds::from_millis(delay_ms)));
+                chain = Arc::new(RateCapped::new(delayed, link.rate));
+            }
+            (chain, frame)
+        })
+        .into();
+    let h_r = SyncBandwidth::new(Seconds::from_millis(2.4));
+    c.bench_function("receive_chain_busy_search", |b| {
+        b.iter(|| {
+            for (chain, frame) in &chains {
+                let frames = reassemble_envelope(Arc::clone(chain), *frame, net.ifdev());
+                let mac = analyze_fddi_mac(frames.output_frames, ring_r, h_r, None, &cfg);
+                black_box(mac.expect("stable").busy_interval);
+            }
+        })
+    });
+}
+
 fn bench_mux_analysis(c: &mut Criterion) {
     let cfg = AnalysisConfig::default();
     let link = LinkConfig::oc3(Seconds::ZERO);
@@ -150,6 +196,7 @@ criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(20);
     targets = bench_envelope_eval, bench_mac_analysis, bench_stage1_wire_table,
-        bench_mac_output_table, bench_mux_analysis, bench_path_evaluation
+        bench_mac_output_table, bench_receive_chain_busy_search, bench_mux_analysis,
+        bench_path_evaluation
 );
 criterion_main!(benches);

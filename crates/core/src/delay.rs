@@ -695,17 +695,9 @@ fn reset_nested<T>(v: &mut Vec<Vec<T>>, n: usize) {
 }
 
 impl<'a> Evaluator<'a> {
-    /// Creates an evaluator over `net` with a fresh cache.
-    ///
-    /// The busy-interval search horizon is clamped to the flattening
-    /// horizon: a server still backlogged beyond it cannot meet any
-    /// deadline of interest (it is reported infeasible instead). The
-    /// clamp does not keep every evaluation inside the flattened range,
-    /// though: `Delayed::breakpoints` asks its inner envelope for
-    /// `horizon + delay`, so a receive-side search over a chain of
-    /// multiplexer hops still reaches past the flattened wire envelope
-    /// and falls through to its unflattened inner chain (a full
-    /// `Quantized` level enumeration, once per search).
+    /// Creates an evaluator over `net` with a fresh cache. The
+    /// busy-interval search horizon is clamped as in
+    /// [`Evaluator::with_cache`].
     #[must_use]
     pub fn new(net: &'a HetNetwork, cfg: EvalConfig) -> Self {
         Self::with_cache(net, cfg, EvalCache::new())
@@ -715,6 +707,25 @@ impl<'a> Evaluator<'a> {
     /// [`EvalCache`]. If the cache was built under a different
     /// [`EvalConfig`] it is cleared first, so results never depend on
     /// where the cache came from.
+    ///
+    /// The busy-interval search horizon is clamped to the flattening
+    /// horizon: a server still backlogged beyond it cannot meet any
+    /// deadline of interest (it is reported infeasible instead). The
+    /// clamp keeps a search's own points inside the flattened range,
+    /// but not what its hops ask of the tables below them. Behind
+    /// multiplexer hops, each `Delayed` shifts its points, and asks for
+    /// breakpoints, `delay` further out, so a receive-side search whose
+    /// horizon comes within the hops' total delay of the table's end
+    /// reaches past the flattened wire table into its unflattened inner
+    /// chain, the `Quantized` wire envelope over the flattened MAC
+    /// output. There, for each candidate list of the search whose
+    /// horizon reaches that far, `Sampled::breakpoints` enumerates
+    /// every frame level of that
+    /// envelope, and each level is inverted by bisection: the closed
+    /// form needs a search range inside the MAC table. The values past
+    /// the wire table are served by the same chain, one batch per layer
+    /// ([`Envelope::arrivals_sorted`]), and the MAC table in turn hands
+    /// the points past its own horizon to the Theorem-1.4 output.
     #[must_use]
     pub fn with_cache(net: &'a HetNetwork, mut cfg: EvalConfig, mut cache: EvalCache) -> Self {
         cfg.analysis.max_horizon = cfg.analysis.max_horizon.min(cfg.flatten_horizon);

@@ -18,7 +18,10 @@
 //! the 802.5 token-ring MAC of the paper's §7 extension and any
 //! rate-latency scheduler.
 
-use crate::envelope::{bisect, candidate_times, Envelope, SharedEnvelope, SUBADDITIVE_ARG_TOL};
+use crate::envelope::{
+    bisect, candidate_times, with_clamped, with_scratch, Envelope, SharedEnvelope,
+    SUBADDITIVE_ARG_TOL,
+};
 use crate::error::TrafficError;
 use crate::service::ServiceCurve;
 use crate::units::{Bits, BitsPerSec, Seconds};
@@ -87,13 +90,17 @@ pub fn analyze_guaranteed_server(
 
     let busy_interval = find_busy_interval(arrival, service, cfg)?;
 
-    // Candidate evaluation points within (0, B].
+    // Candidate evaluation points within (0, B], sorted, evaluated as
+    // one batch.
     let mut ts = busy_candidates(arrival, service, busy_interval, cfg);
+    let mut values = Vec::with_capacity(ts.len());
+    arrival.arrivals_sorted(&ts, &mut values);
 
     // `time_to_provide` is discontinuous at the service's level
     // breakpoints (e.g. quantum multiples of a staircase); the delay
     // maximum is approached just past the arrival instants crossing those
-    // levels, which are not breakpoints of A or S. Add them explicitly.
+    // levels, which are not breakpoints of A or S. Add them explicitly,
+    // after the sorted ones, each evaluated on its own.
     let eps = (busy_interval * 1.0e-9).max(Seconds::new(1.0e-12));
     let mut levels = Vec::new();
     service.level_breakpoints(arrival.arrivals(busy_interval), &mut levels);
@@ -101,7 +108,8 @@ pub fn analyze_guaranteed_server(
         if let Some(t) = arrival.min_interval(level, busy_interval) {
             for cand in [t, t + eps] {
                 if cand > Seconds::ZERO && cand <= busy_interval {
-                    ts.push(cand);
+                    ts.push(cand.value());
+                    values.push(arrival.arrivals(cand).value());
                 }
             }
         }
@@ -109,11 +117,11 @@ pub fn analyze_guaranteed_server(
 
     let mut backlog = 0.0_f64;
     let mut delay = 0.0_f64;
-    for &t in &ts {
+    for (&t, &a) in ts.iter().zip(&values) {
+        let (t, a) = (Seconds::new(t), Bits::new(a));
         if t <= Seconds::ZERO {
             continue;
         }
-        let a = arrival.arrivals(t);
         let s = service.provided(t);
         backlog = backlog.max((a - s).value());
         let d = (service.time_to_provide(a) - t).value();
@@ -127,13 +135,14 @@ pub fn analyze_guaranteed_server(
     })
 }
 
-/// Candidate points in `[0, B]` for extremum searches at this server.
+/// Candidate points in `[0, B]` for extremum searches at this server,
+/// sorted, in seconds.
 fn busy_candidates(
     arrival: &dyn Envelope,
     service: &dyn ServiceCurve,
     busy: Seconds,
     cfg: &AnalysisConfig,
-) -> Vec<Seconds> {
+) -> Vec<f64> {
     let mut extra = Vec::new();
     service.breakpoints(busy, &mut extra);
     candidate_times(&[arrival], &extra, busy, cfg.guard_subdivisions)
@@ -173,10 +182,7 @@ fn find_busy_interval(
         service.breakpoints(horizon, &mut extra);
         let ts = candidate_times(&[arrival], &extra, horizon, cfg.guard_subdivisions);
         let violated = |t: Seconds| t > Seconds::ZERO && arrival.arrivals(t) > service.provided(t);
-
-        // Only the last violation matters: scan from the end and stop
-        // at the first one found.
-        let last_violation = ts.iter().rposition(|&t| violated(t));
+        let last_violation = last_violation(arrival, service, &ts);
 
         // Grows the horizon toward the cap; errors once it cannot grow.
         let grow = |horizon: &mut Seconds, tv: Option<Seconds>| -> Result<(), TrafficError> {
@@ -199,7 +205,7 @@ fn find_busy_interval(
             // the service everywhere.
             None => return Ok(Seconds::ZERO),
             Some(idx) => {
-                let tv = ts[idx];
+                let tv = Seconds::new(ts[idx]);
                 // Require a clean tail of at least half the horizon before
                 // trusting that the backlog never reopens (stability makes
                 // the service-arrival gap grow past this point).
@@ -208,7 +214,7 @@ fn find_busy_interval(
                     continue;
                 }
                 let hi0 = match ts.get(idx + 1) {
-                    Some(&next) => next,
+                    Some(&next) => Seconds::new(next),
                     None => {
                         grow(&mut horizon, Some(tv))?;
                         continue;
@@ -225,6 +231,38 @@ fn find_busy_interval(
             }
         }
     }
+}
+
+/// The index of the last of the sorted points `ts` (seconds) at which
+/// the arrival exceeds the service, `A(t) > S(t)` with `t > 0`: what
+/// `ts.iter().rposition(..)` returns. Only the last violation matters, so
+/// the scan starts at the end, evaluating chunks of 32, 64, 128, …
+/// points as batches, and stops in the first chunk holding a violation.
+pub(crate) fn last_violation(
+    arrival: &dyn Envelope,
+    service: &dyn ServiceCurve,
+    ts: &[f64],
+) -> Option<usize> {
+    with_scratch(|values| {
+        let (mut end, mut chunk) = (ts.len(), 32);
+        while end > 0 {
+            let start = end.saturating_sub(chunk);
+            values.clear();
+            arrival.arrivals_sorted(&ts[start..end], values);
+            let found = ts[start..end]
+                .iter()
+                .zip(values.iter())
+                .rposition(|(&t, &a)| {
+                    let t = Seconds::new(t);
+                    t > Seconds::ZERO && Bits::new(a) > service.provided(t)
+                });
+            if let Some(k) = found {
+                return Some(start + k);
+            }
+            (end, chunk) = (start, chunk * 2);
+        }
+        None
+    })
 }
 
 /// The envelope of the traffic *leaving* a guaranteed-service server —
@@ -297,6 +335,9 @@ impl ServerOutput {
             v
         } else {
             busy_candidates(&arrival, &*service, busy_interval, cfg)
+                .into_iter()
+                .map(Seconds::new)
+                .collect()
         };
         if t_candidates.first() != Some(&Seconds::ZERO) {
             t_candidates.insert(0, Seconds::ZERO);
@@ -326,6 +367,16 @@ impl ServerOutput {
     #[must_use]
     pub fn busy_interval(&self) -> Seconds {
         self.busy_interval
+    }
+
+    /// The Theorem-1.4 maximum `best` at interval `i`, floored at zero
+    /// and capped at the medium's rate.
+    fn capped(&self, best: f64, i: Seconds) -> Bits {
+        let unbounded = Bits::new(best.max(0.0));
+        match self.cap {
+            Some(cap) => unbounded.min(cap * i),
+            None => unbounded,
+        }
     }
 
     /// The number of maximizer candidates kept, and of all of them.
@@ -412,11 +463,49 @@ impl Envelope for ServerOutput {
             let v = (self.arrival.arrivals(t + i) - served).value();
             best = best.max(v);
         }
-        let unbounded = Bits::new(best.max(0.0));
-        match self.cap {
-            Some(cap) => unbounded.min(cap * i),
-            None => unbounded,
-        }
+        self.capped(best, i)
+    }
+
+    /// One batch per kept candidate for the points up to `exact_to`, and
+    /// one per candidate for those past it; each point's maximum runs over
+    /// the candidates in the order `arrivals` takes them, and is capped
+    /// last.
+    fn arrivals_sorted(&self, ts: &[f64], out: &mut Vec<f64>) {
+        let start = out.len();
+        with_clamped(ts, |is| {
+            let split = is.partition_point(|&i| Seconds::new(i) <= self.exact_to);
+            out.resize(start + is.len(), 0.0);
+            with_scratch(|shifted| {
+                with_scratch(|values| {
+                    let sides = [
+                        (&self.kept, 0..split),
+                        (&self.t_candidates, split..is.len()),
+                    ];
+                    for (scan, range) in sides {
+                        if range.is_empty() {
+                            continue;
+                        }
+                        let best = &mut out[start + range.start..start + range.end];
+                        for &(t, served) in scan {
+                            shifted.clear();
+                            shifted.extend(
+                                is[range.clone()]
+                                    .iter()
+                                    .map(|&i| (t + Seconds::new(i)).value()),
+                            );
+                            values.clear();
+                            self.arrival.arrivals_sorted(shifted, values);
+                            for (b, &a) in best.iter_mut().zip(values.iter()) {
+                                *b = b.max((Bits::new(a) - served).value());
+                            }
+                        }
+                    }
+                });
+            });
+            for (b, &i) in out[start..].iter_mut().zip(is) {
+                *b = self.capped(*b, Seconds::new(i)).value();
+            }
+        });
     }
 
     fn sustained_rate(&self) -> BitsPerSec {

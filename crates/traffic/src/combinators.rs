@@ -19,7 +19,9 @@
 //!   upper bounds, so their minimum is too).
 
 use crate::approx;
-use crate::envelope::{bisect, min_interval_with, Envelope, SharedEnvelope};
+use crate::envelope::{
+    bisect, min_interval_with, with_clamped, with_scratch, Envelope, SharedEnvelope,
+};
 use crate::units::{Bits, BitsPerSec, Seconds};
 
 /// FIFO output transform: the traffic leaving a FIFO server whose delay is
@@ -52,6 +54,16 @@ impl Delayed {
 impl Envelope for Delayed {
     fn arrivals(&self, interval: Seconds) -> Bits {
         self.inner.arrivals(interval.clamp_min_zero() + self.delay)
+    }
+
+    fn arrivals_sorted(&self, ts: &[f64], out: &mut Vec<f64>) {
+        with_scratch(|shifted| {
+            shifted.extend(
+                ts.iter()
+                    .map(|&t| (Seconds::new(t).clamp_min_zero() + self.delay).value()),
+            );
+            self.inner.arrivals_sorted(shifted, out);
+        });
     }
 
     fn period_hint(&self) -> Option<Seconds> {
@@ -106,6 +118,16 @@ impl Envelope for RateCapped {
         self.inner.arrivals(i).min(self.cap * i)
     }
 
+    fn arrivals_sorted(&self, ts: &[f64], out: &mut Vec<f64>) {
+        let start = out.len();
+        with_clamped(ts, |is| {
+            self.inner.arrivals_sorted(is, out);
+            for (a, &i) in out[start..].iter_mut().zip(is) {
+                *a = Bits::new(*a).min(self.cap * Seconds::new(i)).value();
+            }
+        });
+    }
+
     fn period_hint(&self) -> Option<Seconds> {
         self.inner.period_hint()
     }
@@ -139,35 +161,47 @@ impl Envelope for RateCapped {
         // by inverting A along the cap line via bisection on the sign of
         // A(I) − cap·I, bracketed by inner breakpoints.
         let above = |i: Seconds| self.inner.arrivals(i) > self.cap * i;
-        push_switch_points(out, start, horizon, above);
+        let sides = |pts: &[f64], sides: &mut Vec<bool>| {
+            with_scratch(|vals| {
+                self.inner.arrivals_sorted(pts, vals);
+                sides.extend(
+                    pts.iter()
+                        .zip(vals.iter())
+                        .map(|(&i, &a)| Bits::new(a) > self.cap * Seconds::new(i)),
+                );
+            });
+        };
+        push_switch_points(out, start, horizon, sides, above);
     }
 }
 
 /// Appends to `out` where `side` changes value between consecutive
 /// points of `out[start..] ∪ {0, horizon}`: each change is bracketed by
 /// its two points and bisected 60 times (stopping early once converged,
-/// see [`bisect`]) toward the first point on the new side.
+/// see [`bisect`]) toward the first point on the new side. `sides`
+/// appends `side` of every point of a sorted batch, as one batch
+/// evaluation.
 fn push_switch_points(
     out: &mut Vec<Seconds>,
     start: usize,
     horizon: Seconds,
+    sides: impl FnOnce(&[f64], &mut Vec<bool>),
     side: impl Fn(Seconds) -> bool,
 ) {
-    let mut pts = out[start..].to_vec();
-    pts.push(Seconds::ZERO);
-    pts.push(horizon);
-    pts.sort_by(|a, b| a.total_cmp(b));
+    let mut pts: Vec<f64> = out[start..].iter().map(|p| p.value()).collect();
+    pts.push(0.0);
+    pts.push(horizon.value());
+    pts.sort_by(f64::total_cmp);
     // A window between two copies of one point never brackets a switch,
     // so dropping the copies leaves every switching window as it was.
     pts.dedup_by(|a, b| a.total_cmp(b).is_eq());
     // Each point's side is evaluated once; adjacent windows share it.
-    let sides: Vec<bool> = pts.iter().map(|&p| side(p)).collect();
-    for (w, s) in pts.windows(2).zip(sides.windows(2)) {
+    let mut at = Vec::with_capacity(pts.len());
+    sides(&pts, &mut at);
+    for (w, s) in pts.windows(2).zip(at.windows(2)) {
         if s[0] != s[1] {
             let from = s[0];
-            let hi = bisect(w[0].value(), w[1].value(), 60, true, |mid| {
-                side(Seconds::new(mid)) != from
-            });
+            let hi = bisect(w[0], w[1], 60, true, |mid| side(Seconds::new(mid)) != from);
             out.push(Seconds::new(hi));
         }
     }
@@ -214,6 +248,22 @@ impl Extend<SharedEnvelope> for Aggregate {
 impl Envelope for Aggregate {
     fn arrivals(&self, interval: Seconds) -> Bits {
         self.parts.iter().map(|p| p.arrivals(interval)).sum()
+    }
+
+    fn arrivals_sorted(&self, ts: &[f64], out: &mut Vec<f64>) {
+        // Part by part, each point's total in the order `arrivals` adds
+        // it up, from the value `f64`'s `Sum` starts from.
+        let start = out.len();
+        out.resize(start + ts.len(), std::iter::empty::<f64>().sum());
+        with_scratch(|vals| {
+            for p in &self.parts {
+                vals.clear();
+                p.arrivals_sorted(ts, vals);
+                for (total, &v) in out[start..].iter_mut().zip(vals.iter()) {
+                    *total += v;
+                }
+            }
+        });
     }
 
     fn period_hint(&self) -> Option<Seconds> {
@@ -275,6 +325,14 @@ impl Envelope for Scaled {
         self.inner.arrivals(interval) * self.factor
     }
 
+    fn arrivals_sorted(&self, ts: &[f64], out: &mut Vec<f64>) {
+        let start = out.len();
+        self.inner.arrivals_sorted(ts, out);
+        for a in &mut out[start..] {
+            *a = (Bits::new(*a) * self.factor).value();
+        }
+    }
+
     fn period_hint(&self) -> Option<Seconds> {
         self.inner.period_hint()
     }
@@ -330,16 +388,27 @@ impl Quantized {
     pub fn inflation(&self) -> f64 {
         self.unit_out.value() / self.unit_in.value()
     }
+
+    /// `⌈a/unit_in⌉·unit_out`, zero for no input.
+    fn quantize(&self, a: Bits) -> Bits {
+        if a.value() <= 0.0 {
+            return Bits::ZERO;
+        }
+        self.unit_out * approx::ceil_div(a.value(), self.unit_in.value())
+    }
 }
 
 impl Envelope for Quantized {
     fn arrivals(&self, interval: Seconds) -> Bits {
-        let a = self.inner.arrivals(interval);
-        if a.value() <= 0.0 {
-            return Bits::ZERO;
+        self.quantize(self.inner.arrivals(interval))
+    }
+
+    fn arrivals_sorted(&self, ts: &[f64], out: &mut Vec<f64>) {
+        let start = out.len();
+        self.inner.arrivals_sorted(ts, out);
+        for a in &mut out[start..] {
+            *a = self.quantize(Bits::new(*a)).value();
         }
-        let units = approx::ceil_div(a.value(), self.unit_in.value());
-        self.unit_out * units
     }
 
     fn period_hint(&self) -> Option<Seconds> {
@@ -402,6 +471,14 @@ impl Padded {
 impl Envelope for Padded {
     fn arrivals(&self, interval: Seconds) -> Bits {
         self.inner.arrivals(interval) + self.pad
+    }
+
+    fn arrivals_sorted(&self, ts: &[f64], out: &mut Vec<f64>) {
+        let start = out.len();
+        self.inner.arrivals_sorted(ts, out);
+        for a in &mut out[start..] {
+            *a = (Bits::new(*a) + self.pad).value();
+        }
     }
 
     fn sustained_rate(&self) -> BitsPerSec {
@@ -468,17 +545,12 @@ impl Sampled {
     #[must_use]
     pub fn flatten(inner: SharedEnvelope, horizon: Seconds, subdivisions: usize) -> Self {
         assert!(horizon.value() > 0.0, "horizon must be positive");
-        let ts_raw = crate::envelope::candidate_times(&[&inner], &[], horizon, subdivisions);
-        let mut ts = Vec::with_capacity(ts_raw.len() + 1);
-        let mut vals = Vec::with_capacity(ts_raw.len() + 1);
-        if ts_raw.first().is_none_or(|t| t.value() > 0.0) {
-            ts.push(0.0);
-            vals.push(inner.arrivals(Seconds::ZERO).value());
+        let mut ts = crate::envelope::candidate_times(&[&inner], &[], horizon, subdivisions);
+        if ts.first().is_none_or(|&t| t > 0.0) {
+            ts.insert(0, 0.0);
         }
-        for t in ts_raw {
-            ts.push(t.value());
-            vals.push(inner.arrivals(t).value());
-        }
+        let mut vals = Vec::with_capacity(ts.len());
+        inner.arrivals_sorted(&ts, &mut vals);
         // Derive this envelope's corners from its own table: points where
         // the interpolated slope changes materially. This keeps the
         // reported breakpoint count proportional to the envelope's real
@@ -614,6 +686,37 @@ impl Envelope for Sampled {
         Bits::new(self.interpolate(i, self.ts.binary_search_by(|t| t.total_cmp(&i))))
     }
 
+    /// One cursor walk over the table for the points inside the horizon,
+    /// and one inner batch for the tail past it.
+    ///
+    /// A nondecreasing table is finite and strictly increasing, so no
+    /// two of its entries are equal under `total_cmp`. For such a table
+    /// `binary_search_by(total_cmp)` returns `Ok` at the one entry equal
+    /// to the query, or `Err` at the number of entries below it: the
+    /// `total_cmp` partition point, which [`seek`] finds. Other tables
+    /// are looked up point by point.
+    fn arrivals_sorted(&self, ts: &[f64], out: &mut Vec<f64>) {
+        if !self.nondecreasing {
+            out.extend(ts.iter().map(|&t| self.arrivals(Seconds::new(t)).value()));
+            return;
+        }
+        let clamp = |t: f64| Seconds::new(t).clamp_min_zero().value();
+        let split = ts.partition_point(|&t| clamp(t) <= self.horizon);
+        let mut k = 0;
+        for &t in &ts[..split] {
+            let i = clamp(t);
+            k = seek(&self.ts, k, i);
+            let at = match self.ts.get(k) {
+                Some(x) if x.total_cmp(&i).is_eq() => Ok(k),
+                _ => Err(k),
+            };
+            out.push(self.interpolate(i, at));
+        }
+        if split < ts.len() {
+            self.inner.arrivals_sorted(&ts[split..], out);
+        }
+    }
+
     /// The generic bisection's answer, bit for bit, solved in closed
     /// form where that is proven to equal it, and bisected otherwise.
     ///
@@ -695,6 +798,26 @@ impl Envelope for Sampled {
     }
 }
 
+/// The number of entries of `table`, which is increasing under
+/// `total_cmp`, that `total_cmp` puts below `x`, searched from `from`,
+/// the answer for the previous query. For a query at or above that one
+/// it gallops forward (1, 2, 4, … entries) and bisects the last stride,
+/// so a sorted batch walks the table once; a query below it searches
+/// `table[..from]` afresh, so the answer does not depend on the order of
+/// the queries.
+pub(crate) fn seek(table: &[f64], from: usize, x: f64) -> usize {
+    let below = |t: &f64| t.total_cmp(&x).is_lt();
+    if from > 0 && !below(&table[from - 1]) {
+        return table[..from].partition_point(below);
+    }
+    let (mut lo, mut stride) = (from, 1);
+    while lo + stride <= table.len() && below(&table[lo + stride - 1]) {
+        lo += stride;
+        stride *= 2;
+    }
+    lo + table[lo..(lo + stride).min(table.len())].partition_point(below)
+}
+
 /// Pointwise minimum of two envelopes (both bound the same traffic, so the
 /// minimum is also a bound — e.g. a source model combined with a
 /// regulator's contract).
@@ -715,6 +838,17 @@ impl MinOf {
 impl Envelope for MinOf {
     fn arrivals(&self, interval: Seconds) -> Bits {
         self.a.arrivals(interval).min(self.b.arrivals(interval))
+    }
+
+    fn arrivals_sorted(&self, ts: &[f64], out: &mut Vec<f64>) {
+        let start = out.len();
+        self.a.arrivals_sorted(ts, out);
+        with_scratch(|bs| {
+            self.b.arrivals_sorted(ts, bs);
+            for (a, &b) in out[start..].iter_mut().zip(bs.iter()) {
+                *a = Bits::new(*a).min(Bits::new(b)).value();
+            }
+        });
     }
 
     fn period_hint(&self) -> Option<Seconds> {
@@ -750,7 +884,16 @@ impl Envelope for MinOf {
         self.b.breakpoints(horizon, out);
         // Branch-switch points of the min are also slope changes.
         let a_below = |i: Seconds| self.a.arrivals(i) < self.b.arrivals(i);
-        push_switch_points(out, start, horizon, a_below);
+        let sides = |pts: &[f64], sides: &mut Vec<bool>| {
+            with_scratch(|avals| {
+                with_scratch(|bvals| {
+                    self.a.arrivals_sorted(pts, avals);
+                    self.b.arrivals_sorted(pts, bvals);
+                    sides.extend(avals.iter().zip(bvals.iter()).map(|(&a, &b)| a < b));
+                });
+            });
+        };
+        push_switch_points(out, start, horizon, sides, a_below);
     }
 }
 

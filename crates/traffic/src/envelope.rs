@@ -11,6 +11,7 @@
 
 use crate::approx;
 use crate::units::{Bits, BitsPerSec, Seconds};
+use std::cell::RefCell;
 use std::fmt;
 use std::sync::Arc;
 
@@ -121,6 +122,21 @@ pub trait Envelope: fmt::Debug + Send + Sync {
     /// length `interval`.
     fn arrivals(&self, interval: Seconds) -> Bits;
 
+    /// Appends to `out` the value of `A` at each interval length of `ts`
+    /// (in seconds), in order: exactly the floats [`Envelope::arrivals`]
+    /// returns for them one at a time, bit for bit.
+    ///
+    /// `ts` must be nondecreasing (`ts[k] <= ts[k + 1]`). That lets a
+    /// chain serve the whole batch with one sweep per layer: a table
+    /// walks a cursor instead of searching per point, and each layer
+    /// makes one call to its inner envelope instead of one per point. The
+    /// default is the per-point loop. Every combinator overrides it, and
+    /// a wrapper must forward it, or the chain below it falls back to
+    /// that loop.
+    fn arrivals_sorted(&self, ts: &[f64], out: &mut Vec<f64>) {
+        out.extend(ts.iter().map(|&t| self.arrivals(Seconds::new(t)).value()));
+    }
+
     /// The long-term average rate `ρ = lim_{I→∞} Γ(I)` (paper eq. 38).
     fn sustained_rate(&self) -> BitsPerSec;
 
@@ -215,6 +231,9 @@ impl<E: Envelope + ?Sized> Envelope for Arc<E> {
     fn arrivals(&self, interval: Seconds) -> Bits {
         (**self).arrivals(interval)
     }
+    fn arrivals_sorted(&self, ts: &[f64], out: &mut Vec<f64>) {
+        (**self).arrivals_sorted(ts, out);
+    }
     fn period_hint(&self) -> Option<Seconds> {
         (**self).period_hint()
     }
@@ -242,6 +261,9 @@ impl<E: Envelope + ?Sized> Envelope for &E {
     fn arrivals(&self, interval: Seconds) -> Bits {
         (**self).arrivals(interval)
     }
+    fn arrivals_sorted(&self, ts: &[f64], out: &mut Vec<f64>) {
+        (**self).arrivals_sorted(ts, out);
+    }
     fn period_hint(&self) -> Option<Seconds> {
         (**self).period_hint()
     }
@@ -266,7 +288,9 @@ impl<E: Envelope + ?Sized> Envelope for &E {
 }
 
 /// Builds the sorted, deduplicated list of candidate evaluation times in
-/// `[0, horizon]` for an optimization over the given envelopes.
+/// `[0, horizon]`, in seconds, for an optimization over the given
+/// envelopes. The list is nondecreasing, so it can be evaluated as one
+/// batch ([`Envelope::arrivals_sorted`]).
 ///
 /// The list contains every reported breakpoint, the interval endpoints,
 /// the `extra` points supplied by the caller (e.g. service-curve steps),
@@ -280,7 +304,7 @@ pub fn candidate_times(
     extra: &[Seconds],
     horizon: Seconds,
     subdivisions: usize,
-) -> Vec<Seconds> {
+) -> Vec<f64> {
     let h = horizon.value().max(0.0);
     let mut raw: Vec<Seconds> = Vec::with_capacity(64);
     for env in envelopes {
@@ -295,6 +319,8 @@ pub fn candidate_times(
         .map(|s| s.value())
         .filter(|&v| (0.0..=h).contains(&v))
         .collect();
+    // Breakpoint lists arrive as runs, which the stable sort merges
+    // faster than the unstable one.
     points.sort_by(f64::total_cmp);
     points.dedup_by(|a, b| approx::approx_eq(*a, *b));
 
@@ -319,9 +345,43 @@ pub fn candidate_times(
             }
         }
     }
-    out.sort_by(f64::total_cmp);
+    // Nearly sorted already. Floats equal under `total_cmp` have the same
+    // bits, so an unstable sort leaves the sequence a stable one would.
+    out.sort_unstable_by(f64::total_cmp);
     out.dedup_by(|a, b| *a == *b);
-    out.into_iter().map(Seconds::new).collect()
+    out
+}
+
+thread_local! {
+    /// Spare buffers for batch evaluations: a layer of a chain borrows
+    /// one for the length of its call and hands it back, so a warm
+    /// thread evaluates chains without allocating.
+    static SCRATCH: RefCell<Vec<Vec<f64>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Runs `f` with an empty buffer borrowed from this thread's pool.
+pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut Vec<f64>) -> R) -> R {
+    let mut buf = SCRATCH
+        .with(|pool| pool.borrow_mut().pop())
+        .unwrap_or_default();
+    buf.clear();
+    let result = f(&mut buf);
+    SCRATCH.with(|pool| pool.borrow_mut().push(buf));
+    result
+}
+
+/// Runs `f` on the nondecreasing batch `ts` with each point clamped at
+/// zero, as [`Seconds::clamp_min_zero`] clamps it. Only a batch that
+/// starts below zero needs a clamped copy: otherwise no point is
+/// negative, and the clamp changes none of them.
+pub(crate) fn with_clamped<R>(ts: &[f64], f: impl FnOnce(&[f64]) -> R) -> R {
+    if ts.first().is_none_or(|&t| t >= 0.0) {
+        return f(ts);
+    }
+    with_scratch(|clamped| {
+        clamped.extend(ts.iter().map(|&t| Seconds::new(t).clamp_min_zero().value()));
+        f(clamped)
+    })
 }
 
 /// The smallest interval `I` with `A(I) ≥ bits`, or `None` if the
@@ -468,24 +528,24 @@ mod tests {
         };
         let pts = candidate_times(&[&step], &[], Seconds::new(1.0), 0);
         // Must contain a point just below 0.5, 0.5 itself, and just above.
-        assert!(pts.iter().any(|p| p.value() < 0.5 && p.value() > 0.499));
-        assert!(pts.iter().any(|p| p.value() == 0.5));
-        assert!(pts.iter().any(|p| p.value() > 0.5 && p.value() < 0.501));
+        assert!(pts.iter().any(|&p| p < 0.5 && p > 0.499));
+        assert!(pts.contains(&0.5));
+        assert!(pts.iter().any(|&p| p > 0.5 && p < 0.501));
         // Sorted, within range.
         for w in pts.windows(2) {
             assert!(w[0] <= w[1]);
         }
-        assert!(pts.first().unwrap().value() >= 0.0);
-        assert!(pts.last().unwrap().value() <= 1.0);
+        assert!(*pts.first().unwrap() >= 0.0);
+        assert!(*pts.last().unwrap() <= 1.0);
     }
 
     #[test]
     fn candidate_times_include_extras_and_subdivisions() {
         let env = ConstantRateEnvelope::new(BitsPerSec::new(1.0));
         let pts = candidate_times(&[&env], &[Seconds::new(0.25)], Seconds::new(1.0), 3);
-        assert!(pts.iter().any(|p| p.value() == 0.25));
+        assert!(pts.contains(&0.25));
         // Subdivision points between 0.25 and 1.0 should exist.
-        assert!(pts.iter().any(|p| p.value() > 0.3 && p.value() < 0.9));
+        assert!(pts.iter().any(|&p| p > 0.3 && p < 0.9));
     }
 
     #[test]
@@ -495,7 +555,7 @@ mod tests {
             jump: Bits::new(1.0),
         };
         let pts = candidate_times(&[&step], &[], Seconds::new(1.0), 0);
-        assert!(pts.iter().all(|p| p.value() <= 1.0));
+        assert!(pts.iter().all(|&p| p <= 1.0));
     }
 
     #[test]

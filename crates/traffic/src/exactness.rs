@@ -5,20 +5,24 @@
 //! envelopes once, and `Sampled` inverts itself in closed form where
 //! its guards prove that exact, with bracketed table searches where
 //! they do not, and the Theorem-1.4 output envelope scans only the
-//! maximizer candidates no other candidate dominates. Each test pins one
-//! shortcut, bit for bit, against the straightforward code it replaced,
-//! kept here as the reference.
+//! maximizer candidates no other candidate dominates. Sorted batches are
+//! evaluated with one call per layer (`arrivals_sorted`). Each test pins
+//! one shortcut, bit for bit, against the straightforward code it
+//! replaced, kept here as the reference.
 
 use crate::analysis::{
-    analyze_guaranteed_server, undominated, AnalysisConfig, ServerOutput, DOMINANCE_MARGIN,
+    analyze_guaranteed_server, last_violation, undominated, AnalysisConfig, ServerOutput,
+    DOMINANCE_MARGIN,
 };
 use crate::approx;
 use crate::combinators::{
-    Delayed, MinOf, Quantized, RateCapped, Sampled, CONVERGED_SHARE, KNOT_MARGIN, MAX_ULP_WALK,
+    seek, Aggregate, Delayed, MinOf, Padded, Quantized, RateCapped, Sampled, Scaled,
+    CONVERGED_SHARE, KNOT_MARGIN, MAX_ULP_WALK,
 };
-use crate::envelope::{bisect, Envelope, SharedEnvelope, SUBADDITIVE_ARG_TOL};
+use crate::envelope::{bisect, candidate_times, Envelope, SharedEnvelope, SUBADDITIVE_ARG_TOL};
 use crate::models::{
     ConstantRateEnvelope, DualPeriodicEnvelope, LeakyBucketEnvelope, PeriodicEnvelope,
+    PiecewiseLinearEnvelope,
 };
 use crate::service::{RateLatencyService, ServiceCurve, StaircaseService};
 use crate::units::{Bits, BitsPerSec, Seconds};
@@ -407,18 +411,24 @@ fn bisect_stops_once_converged_and_not_before() {
     assert_eq!(calls, 80);
 }
 
-/// Counts how often it is asked for its breakpoints and its values.
+/// Counts how often it is asked for its breakpoints, for single values
+/// and for batches of them.
 #[derive(Debug)]
 struct Counting {
     inner: SharedEnvelope,
     breakpoint_calls: AtomicUsize,
     arrival_calls: AtomicUsize,
+    batch_calls: AtomicUsize,
 }
 
 impl Envelope for Counting {
     fn arrivals(&self, interval: Seconds) -> Bits {
         self.arrival_calls.fetch_add(1, Ordering::Relaxed);
         self.inner.arrivals(interval)
+    }
+    fn arrivals_sorted(&self, ts: &[f64], out: &mut Vec<f64>) {
+        self.batch_calls.fetch_add(1, Ordering::Relaxed);
+        self.inner.arrivals_sorted(ts, out);
     }
     fn is_subadditive(&self) -> bool {
         self.inner.is_subadditive()
@@ -443,6 +453,7 @@ fn counting(inner: SharedEnvelope) -> Arc<Counting> {
         inner,
         breakpoint_calls: AtomicUsize::new(0),
         arrival_calls: AtomicUsize::new(0),
+        batch_calls: AtomicUsize::new(0),
     })
 }
 
@@ -936,6 +947,371 @@ proptest! {
                 full.arrivals(i).value().to_bits(),
                 "at I = {:?} ({:?} candidates kept)", i, pruned.candidate_counts()
             );
+        }
+    }
+}
+
+/// `env.arrivals_sorted(ts)` and per-point `arrivals`, as bits, asserted
+/// equal; the batch must append behind what `out` already holds.
+fn assert_batch_exact(env: &dyn Envelope, ts: &[f64], what: &str) {
+    let mut got = vec![f64::NAN];
+    env.arrivals_sorted(ts, &mut got);
+    assert!(got[0].is_nan(), "{what}: the batch overwrote the buffer");
+    let want: Vec<u64> = ts
+        .iter()
+        .map(|&t| env.arrivals(Seconds::new(t)).value().to_bits())
+        .collect();
+    let got: Vec<u64> = got[1..].iter().map(|v| v.to_bits()).collect();
+    assert_eq!(got, want, "{what} at {ts:?}");
+}
+
+/// A nondecreasing batch of interval lengths on the scale of `span`:
+/// `-0.0` and `0.0` (in either order, as a stable sort leaves equal
+/// floats), negative lengths, lengths past `span`, points of `marks`
+/// and the floats on either side of them, uniform draws, and a repeat
+/// of every fourth point.
+fn query_batch(picks: &[(usize, f64)], span: f64, marks: &[f64]) -> Vec<f64> {
+    let mark = |x: f64| marks[(x * marks.len() as f64) as usize % marks.len()];
+    let mut ts: Vec<f64> = picks
+        .iter()
+        .map(|&(kind, x)| match kind {
+            0 => -0.0,
+            1 => 0.0,
+            2 => -x * span,
+            3 => span * (1.0 + 2.0 * x),
+            4 if !marks.is_empty() => mark(x),
+            5 if !marks.is_empty() => mark(x).next_up(),
+            6 if !marks.is_empty() => mark(x).next_down(),
+            _ => x * span,
+        })
+        .collect();
+    let repeats: Vec<f64> = ts.iter().copied().step_by(4).collect();
+    ts.extend(repeats);
+    ts.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
+    ts
+}
+
+/// A random leaf: one of `monotone_envelope`'s, a periodic source, a
+/// concave piecewise-linear one, a non-monotone `Knots` function (its
+/// flattened tables fail the `nondecreasing` check), an empty aggregate,
+/// or an aggregate of parts that are all `-0.0` (both read the value
+/// `f64`'s `Sum` starts from).
+fn batch_leaf(kind: usize, a: f64, b: f64, c: f64) -> SharedEnvelope {
+    match kind {
+        0..=4 => monotone_envelope(kind, a, b, c),
+        5 => Arc::new(
+            PeriodicEnvelope::new(
+                Bits::new(1.0e3 + 1.0e5 * c),
+                Seconds::from_millis(1.0 + 19.0 * a),
+                BitsPerSec::new(1.0e8 * (0.1 + b)),
+            )
+            .expect("valid parameters"),
+        ),
+        6 => Arc::new(
+            PiecewiseLinearEnvelope::new(
+                vec![
+                    (Seconds::ZERO, Bits::new(1.0e3 * a)),
+                    (
+                        Seconds::from_millis(5.0),
+                        Bits::new(1.0e3 * a + 5.0e3 * (1.0 + b)),
+                    ),
+                    (
+                        Seconds::from_millis(50.0),
+                        Bits::new(1.0e3 * a + 5.0e3 * (1.0 + b) + 4.5e4),
+                    ),
+                ],
+                BitsPerSec::new(1.0e6 * c),
+            )
+            .expect("concave"),
+        ),
+        7 => Knots::shared(
+            1.0e3 * a,
+            &[0.05, 0.1 * b + 1.0e-3, 0.2, 0.1],
+            &[1.0e4, -5.0e3 * c, 0.0, 2.0e4],
+        ),
+        8 => Arc::new(Aggregate::default()),
+        _ => Arc::new(Aggregate::new(vec![
+            Knots::shared(-0.0, &[], &[]),
+            Knots::shared(-0.0, &[], &[]),
+        ])),
+    }
+}
+
+/// `env` behind the layer `code` selects, with parameters from `x`, and
+/// the points worth querying that layer at: its table samples, or its
+/// `exact_to` and the float above it.
+fn batch_layer(env: SharedEnvelope, code: usize, x: f64) -> (SharedEnvelope, Vec<f64>) {
+    let rate = env.arrivals(Seconds::new(1.0)).value().max(1.0);
+    let layer: SharedEnvelope = match code {
+        0 => Arc::new(Delayed::new(env, Seconds::new(0.05 * x))),
+        1 => Arc::new(RateCapped::new(
+            env,
+            BitsPerSec::new(rate * (0.2 + 2.0 * x)),
+        )),
+        2 => Arc::new(Scaled::new(env, 0.5 + x)),
+        3 => Arc::new(Quantized::new(
+            env,
+            Bits::new(rate * (0.02 + 0.2 * x)),
+            Bits::new(rate * 0.05),
+        )),
+        4 => Arc::new(Padded::new(env, Bits::new(1.0e3 * x))),
+        5 => {
+            let s = Sampled::flatten(env, Seconds::new(0.05 + 0.5 * x), (3.0 * x) as usize);
+            let marks = s.samples().0.to_vec();
+            return (Arc::new(s), marks);
+        }
+        6 => {
+            let other = LeakyBucketEnvelope::new(Bits::new(rate * x), BitsPerSec::new(rate))
+                .expect("valid parameters");
+            Arc::new(MinOf::new(env, Arc::new(other)))
+        }
+        7 => Arc::new(Aggregate::new(vec![
+            Knots::shared(-0.0, &[], &[]),
+            env,
+            Arc::new(ConstantRateEnvelope::new(BitsPerSec::ZERO)),
+            dual(x, 0.5, 0.5),
+        ])),
+        8 => {
+            let cfg = AnalysisConfig {
+                max_horizon: Seconds::new(0.05 + 0.2 * x),
+                ..AnalysisConfig::default()
+            };
+            let service: Arc<dyn ServiceCurve> = if x < 0.5 {
+                Arc::new(StaircaseService::timed_token(
+                    Seconds::from_millis(4.0),
+                    Bits::new(rate * 0.004 * (1.05 + 3.0 * x)),
+                ))
+            } else {
+                Arc::new(RateLatencyService::new(
+                    BitsPerSec::new(rate * 2.0),
+                    Seconds::from_millis(2.0),
+                ))
+            };
+            let cap = (x < 0.7).then(|| BitsPerSec::new(rate * 3.0));
+            let out = ServerOutput::new(env, service, Seconds::new(0.01 + 0.1 * x), cap, &cfg);
+            let edge = out.exact_to.value();
+            return (Arc::new(out), vec![edge, edge.next_up()]);
+        }
+        _ => Arc::new(env),
+    };
+    (layer, Vec::new())
+}
+
+/// Puts a counting leaf behind each layer and asserts that a batch
+/// reaches it as batches, never as per-point `arrivals`.
+#[test]
+fn batches_reach_the_leaf_as_one_call_per_layer() {
+    fn calls_for<E: Envelope>(env: E, leaf: &Counting, ts: &[f64]) -> usize {
+        leaf.arrival_calls.store(0, Ordering::Relaxed);
+        leaf.batch_calls.store(0, Ordering::Relaxed);
+        env.arrivals_sorted(ts, &mut Vec::new());
+        assert_eq!(leaf.arrival_calls.load(Ordering::Relaxed), 0);
+        leaf.batch_calls.load(Ordering::Relaxed)
+    }
+    let leaf = counting(dual(0.3, 0.6, 0.2));
+    let shared: SharedEnvelope = leaf.clone();
+    let ts: Vec<f64> = (0..50).map(|k| f64::from(k) * 0.01).collect();
+    let cfg = AnalysisConfig {
+        max_horizon: Seconds::new(1.0),
+        ..AnalysisConfig::default()
+    };
+    let output = ServerOutput::new(
+        Arc::clone(&shared),
+        staircase_for(&*shared, 0.5),
+        Seconds::new(0.05),
+        None,
+        &cfg,
+    );
+    let (kept, total) = output.candidate_counts();
+    assert!(kept < total, "{kept} of {total} kept");
+    let edge = output.exact_to.value();
+    let nested = Arc::new(Padded::new(
+        Arc::new(Scaled::new(
+            hop(
+                hop(hop(Arc::clone(&shared), 0.004, 1.5e8), 0.002, 1.5e8),
+                0.003,
+                1.5e8,
+            ),
+            0.9,
+        )),
+        Bits::new(1.0e3),
+    ));
+    let unit = Bits::new(1.0e4);
+    let cases: Vec<(&str, SharedEnvelope, usize)> = vec![
+        ("Arc<dyn Envelope>", Arc::clone(&shared), 1),
+        (
+            "Delayed",
+            Arc::new(Delayed::new(Arc::clone(&shared), Seconds::new(0.01))),
+            1,
+        ),
+        (
+            "RateCapped",
+            Arc::new(RateCapped::new(Arc::clone(&shared), BitsPerSec::new(1.0e6))),
+            1,
+        ),
+        (
+            "Aggregate",
+            Arc::new(Aggregate::new(vec![Arc::clone(&shared)])),
+            1,
+        ),
+        ("Scaled", Arc::new(Scaled::new(Arc::clone(&shared), 1.1)), 1),
+        (
+            "Quantized",
+            Arc::new(Quantized::new(Arc::clone(&shared), unit, unit)),
+            1,
+        ),
+        (
+            "Padded",
+            Arc::new(Padded::new(Arc::clone(&shared), unit)),
+            1,
+        ),
+        // Its table serves the points up to 0.2 s, the inner batch the rest.
+        (
+            "Sampled",
+            Arc::new(Sampled::flatten(Arc::clone(&shared), Seconds::new(0.2), 1)),
+            1,
+        ),
+        (
+            "MinOf",
+            Arc::new(MinOf::new(Arc::clone(&shared), Arc::clone(&shared))),
+            2,
+        ),
+        ("ServerOutput", Arc::new(output.clone()), kept),
+        ("a three-hop receive chain", nested, 1),
+    ];
+    for (name, env, batches) in cases {
+        assert_eq!(calls_for(&env, &leaf, &ts), batches, "{name}");
+    }
+    // A table serves every point up to its horizon, the horizon included.
+    let table = Sampled::flatten(Arc::clone(&shared), Seconds::new(0.49), 1);
+    assert_eq!(
+        calls_for(&table, &leaf, &ts),
+        0,
+        "Sampled within its horizon"
+    );
+    // The kept candidates up to `exact_to`, every candidate past it.
+    assert_eq!(calls_for(&output, &leaf, &[edge]), kept, "at exact_to");
+    assert_eq!(
+        calls_for(&output, &leaf, &[edge.next_up()]),
+        total,
+        "past exact_to"
+    );
+    let straddling = [edge.next_down(), edge, edge.next_up()];
+    assert_eq!(
+        calls_for(&output, &leaf, &straddling),
+        kept + total,
+        "across exact_to"
+    );
+    assert_eq!(calls_for(Arc::clone(&leaf), &leaf, &ts), 1, "Arc<E>");
+    assert_eq!(calls_for(&*leaf, &leaf, &ts), 1, "&E");
+    let by_dyn: &dyn Envelope = &*leaf;
+    assert_eq!(calls_for(by_dyn, &leaf, &ts), 1, "&dyn Envelope");
+}
+
+#[test]
+fn seek_steps_back_across_signed_zeros() {
+    // `total_cmp` puts `0.0` above a `-0.0` entry and `-0.0` on it, so
+    // the nondecreasing batch `[0.0, -0.0]` moves the answer back.
+    let table = [-0.0, 0.5, 1.0];
+    let mut k = 0;
+    for (x, want) in [(0.0, 1), (-0.0, 0), (0.0, 1), (0.5, 1), (0.75, 2), (2.0, 3)] {
+        k = seek(&table, k, x);
+        assert_eq!(k, want, "at {x:?}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The cursor answers every query with the `total_cmp` partition
+    /// point, the index `binary_search_by(total_cmp)` reports on a table
+    /// without equal entries, whatever the order of the queries: sorted,
+    /// as batches come, or shuffled.
+    #[test]
+    fn seek_is_the_partition_point_in_any_query_order(
+        gaps in proptest::collection::vec(1.0e-3_f64..1.0, 0..40),
+        (negative_zero, sorted) in (proptest::bool::ANY, proptest::bool::ANY),
+        picks in proptest::collection::vec((0_usize..4, 0.0_f64..1.0), 1..60),
+    ) {
+        let mut table = vec![if negative_zero { -0.0 } else { 0.0 }];
+        for g in &gaps {
+            table.push(table.last().expect("non-empty") + g);
+        }
+        let top = *table.last().expect("non-empty");
+        let mut queries: Vec<f64> = picks
+            .iter()
+            .map(|&(kind, x)| match kind {
+                0 => if x < 0.5 { -0.0 } else { 0.0 },
+                1 => table[(x * table.len() as f64) as usize % table.len()],
+                2 => -x,
+                _ => x * (top + 0.5),
+            })
+            .collect();
+        if sorted {
+            queries.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
+        }
+        let mut k = 0;
+        for &x in &queries {
+            k = seek(&table, k, x);
+            prop_assert_eq!(k, table.partition_point(|t| t.total_cmp(&x).is_lt()), "at {:?}", x);
+            let found = table.binary_search_by(|t| t.total_cmp(&x));
+            let at = if table.get(k).is_some_and(|t| t.total_cmp(&x).is_eq()) { Ok(k) } else { Err(k) };
+            prop_assert_eq!(at, found);
+        }
+    }
+
+    /// The chunked batch scan for the busy interval's last violation
+    /// returns the index the per-point `rposition` scan from the end
+    /// does, on candidate lists of a few to thousands of points, with
+    /// the last violation anywhere or nowhere.
+    #[test]
+    fn last_violation_matches_rposition(
+        kind in 0_usize..5,
+        (a, b, c) in (0.0_f64..1.0, 0.0_f64..1.0, 0.0_f64..1.0),
+        (staircase, share, horizon) in (proptest::bool::ANY, 0.0_f64..1.0, 1.0e-3_f64..1.0),
+        subdivisions in 0_usize..4,
+    ) {
+        let arrival = monotone_envelope(kind, a, b, c);
+        let rate = arrival.sustained_rate().value().max(1.0);
+        let service: Arc<dyn ServiceCurve> = if staircase {
+            let quantum = Bits::new(rate * 0.004 * (0.5 + 3.0 * share));
+            Arc::new(StaircaseService::timed_token(Seconds::from_millis(4.0), quantum))
+        } else {
+            let rate = BitsPerSec::new(rate * (0.5 + 3.0 * share));
+            Arc::new(RateLatencyService::new(rate, Seconds::from_millis(10.0 * share)))
+        };
+        let h = Seconds::new(horizon);
+        let mut steps = Vec::new();
+        service.breakpoints(h, &mut steps);
+        let ts = candidate_times(&[&arrival], &steps, h, subdivisions);
+        let want = ts.iter().rposition(|&t| {
+            let t = Seconds::new(t);
+            t > Seconds::ZERO && arrival.arrivals(t) > service.provided(t)
+        });
+        prop_assert_eq!(last_violation(&arrival, &*service, &ts), want);
+    }
+
+    /// Every layer of a random chain of up to three layers over a random
+    /// leaf returns per-point `arrivals`' bits for a sorted batch: tables
+    /// queried at and beside their samples and past their horizon,
+    /// non-monotone tables, Theorem-1.4 outputs on both sides of
+    /// `exact_to`, aggregates of zero-valued parts, signed zeros,
+    /// negative and repeated lengths.
+    #[test]
+    fn arrivals_sorted_matches_per_point_arrivals(
+        kind in 0_usize..10,
+        (a, b, c) in (0.0_f64..1.0, 0.0_f64..1.0, 0.0_f64..1.0),
+        layers in proptest::collection::vec((0_usize..10, 0.0_f64..1.0), 0..4),
+        picks in proptest::collection::vec((0_usize..8, 0.0_f64..1.0), 1..40),
+        span in 0.01_f64..1.5,
+    ) {
+        let mut env = batch_leaf(kind, a, b, c);
+        assert_batch_exact(&*env, &query_batch(&picks, span, &[]), "the leaf");
+        for (depth, &(code, x)) in layers.iter().enumerate() {
+            let (layer, marks) = batch_layer(env, code, x);
+            let what = format!("layer {depth} ({code}) over leaf {kind}");
+            assert_batch_exact(&*layer, &query_batch(&picks, span, &marks), &what);
+            env = layer;
         }
     }
 }

@@ -15,17 +15,25 @@
 //! those no other candidate dominates. A second test pins that table, bit
 //! for bit, to the maximum over every candidate, recomputed here from
 //! the public service curve.
+//!
+//! Those tables are built, and the receive side searched, with batch
+//! evaluations (`Envelope::arrivals_sorted`): one call per layer of a
+//! chain for a whole sorted list of points. A third test takes the wire
+//! table through three multiplexer hops and reassembly, and pins every
+//! layer's batch to its per-point values at the receive MAC's candidate
+//! times.
 
 use hetnet::cac::network::HetNetwork;
 use hetnet::traffic::models::DualPeriodicEnvelope;
 use hetnet::traffic::units::{Bits, BitsPerSec, Seconds};
+use hetnet_atm::LinkConfig;
 use hetnet_fddi::frames;
 use hetnet_fddi::mac::{analyze_fddi_mac, mac_service};
 use hetnet_fddi::ring::{RingConfig, SyncBandwidth};
-use hetnet_ifdev::segment_envelope;
+use hetnet_ifdev::{reassemble_envelope, segment_envelope};
 use hetnet_traffic::analysis::{AnalysisConfig, ServerOutput};
-use hetnet_traffic::combinators::Sampled;
-use hetnet_traffic::envelope::{min_interval_for, Envelope, SharedEnvelope};
+use hetnet_traffic::combinators::{Delayed, RateCapped, Sampled};
+use hetnet_traffic::envelope::{candidate_times, min_interval_for, Envelope, SharedEnvelope};
 use hetnet_traffic::service::ServiceCurve;
 use std::sync::Arc;
 
@@ -158,5 +166,61 @@ fn paper_wire_table_crossings_match_the_per_level_bisection() {
         // The table built from those crossings is the stage-1 wire table.
         let wire = Sampled::flatten(seg.output_wire, horizon, SUBDIVISIONS);
         assert!(wire.len() > want.len());
+    }
+}
+
+#[test]
+fn paper_receive_chain_batches_match_per_point_values() {
+    let net = HetNetwork::paper_topology();
+    let (ring, ring_r) = (net.ring(0), net.ring(1));
+    let horizon = Seconds::new(HORIZON);
+    let h_s = SyncBandwidth::new(Seconds::from_millis(2.4));
+    let mac = analyze_fddi_mac(
+        paper_source(),
+        ring,
+        h_s,
+        net.host_buffer(),
+        &fast_analysis(),
+    )
+    .expect("the paper source is stable at this allocation");
+    let flat = Arc::new(Sampled::flatten(mac.output, horizon, SUBDIVISIONS));
+    let frame = frames::frame_size(ring, h_s);
+    let seg = segment_envelope(Arc::clone(&flat) as SharedEnvelope, frame, net.ifdev());
+    let wire = Arc::new(Sampled::flatten(seg.output_wire, horizon, SUBDIVISIONS));
+
+    // Three multiplexer hops, `min(C·I, A(I + d))` each: every point
+    // past 0.6 s − d reaches past the wire table into its inner chain.
+    // The MAC output table under the wire table is checked too: the wire
+    // table's steps hide most of its interpolation.
+    let link = LinkConfig::oc3(Seconds::ZERO);
+    let mut layers: Vec<SharedEnvelope> = vec![Arc::clone(&flat) as _, Arc::clone(&wire) as _];
+    for delay_ms in [4.0, 2.0, 3.0] {
+        let inner = Arc::clone(layers.last().expect("non-empty"));
+        let delayed = Arc::new(Delayed::new(inner, Seconds::from_millis(delay_ms)));
+        layers.push(Arc::new(RateCapped::new(delayed, link.rate)));
+    }
+    let last = Arc::clone(layers.last().expect("non-empty"));
+    layers.push(reassemble_envelope(last, frame, net.ifdev()).output_frames);
+
+    // The points the receive MAC's busy search evaluates its arrival at,
+    // at its widest horizon, and the two tables' own samples.
+    let arrival = layers.last().expect("non-empty");
+    let mut steps = Vec::new();
+    let h_r = SyncBandwidth::new(Seconds::from_millis(2.4));
+    mac_service(ring_r, h_r).breakpoints(horizon, &mut steps);
+    let mut ts = candidate_times(&[arrival], &steps, horizon, SUBDIVISIONS);
+    assert!(ts.len() > 500, "only {} candidate times", ts.len());
+    ts.extend_from_slice(wire.samples().0);
+    ts.extend_from_slice(flat.samples().0);
+    ts.sort_by(f64::total_cmp);
+    for (depth, layer) in layers.iter().enumerate() {
+        let mut got = Vec::new();
+        layer.arrivals_sorted(&ts, &mut got);
+        let got: Vec<u64> = got.iter().map(|v| v.to_bits()).collect();
+        let want: Vec<u64> = ts
+            .iter()
+            .map(|&t| layer.arrivals(Seconds::new(t)).value().to_bits())
+            .collect();
+        assert_eq!(got, want, "layer {depth} of the receive chain moved");
     }
 }
