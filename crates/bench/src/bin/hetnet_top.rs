@@ -1,6 +1,6 @@
 //! Live dashboard over a sharded admission run.
 //!
-//! Starts a seeded shard-scale churn workload on the ring-partitioned
+//! Starts a seeded shard-scale churn workload on the sharded
 //! engine in a background thread with periodic telemetry enabled, then
 //! polls the engine's shared telemetry ring and redraws a one-screen
 //! dashboard from the newest registry snapshot until the run finishes.

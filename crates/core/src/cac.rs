@@ -36,11 +36,11 @@
 use crate::connection::{ActiveConnection, ConnectionId, ConnectionSpec};
 use crate::delay::{
     evaluate_paths, CacheStats, CandidateOutcome, EvalCache, EvalConfig, EvalOutcome, Evaluator,
-    PathInput, PathReport, ScreenedOutcome,
+    MuxKey, PathInput, PathReport, ScreenedOutcome,
 };
 use crate::error::CacError;
 use crate::incremental::{FastContext, FastPathStats, Membership};
-use crate::network::{Component, HetNetwork, RingId};
+use crate::network::{Component, HetNetwork, HostId, RingId};
 use crate::reconfig::{ReconfigPlan, ReconfigReport};
 use crate::snapshot::{ConnectionSnapshot, StateSnapshot, SNAPSHOT_VERSION};
 use crate::trace::{BindingConstraint, ConnectionTrace, DecisionTrace, ServerStage};
@@ -481,18 +481,20 @@ fn bisect(
     Ok(hi)
 }
 
-/// The candidate's dependency closure in `active`, ascending id: every
-/// connection an admission for `spec` reads (see
-/// [`Membership::closure`]). Deciding over it is bit-identical to
-/// deciding over the whole active set.
+/// The dependency closure of a `source → dest` candidate in `active`,
+/// ascending id, with the multiplexers it reaches: every connection an
+/// admission for the candidate reads (see [`Membership::closure`]).
+/// Deciding over it is bit-identical to deciding over the whole active
+/// set.
 fn closure_of<'a>(
     members: &Membership,
     net: &HetNetwork,
     active: &'a [ActiveConnection],
-    spec: &ConnectionSpec,
-) -> Result<Vec<&'a ActiveConnection>, CacError> {
-    members
-        .closure(net, spec.source, spec.dest)?
+    source: HostId,
+    dest: HostId,
+) -> Result<(Vec<&'a ActiveConnection>, BTreeSet<MuxKey>), CacError> {
+    let closure = members.closure(net, source, dest)?;
+    let conns = closure
         .ids
         .iter()
         .map(|id| match active.binary_search_by_key(id, |c| c.id) {
@@ -501,7 +503,8 @@ fn closure_of<'a>(
                 "{id} indexed but not active (invariant violation)"
             ))),
         })
-        .collect()
+        .collect::<Result<_, _>>()?;
+    Ok((conns, closure.muxes))
 }
 
 /// The evaluation inputs of `conns`, in order.
@@ -1169,7 +1172,13 @@ impl NetworkState {
         self.last_cache_stats = Some(CacheStats::default());
         self.last_fast_stats = Some(FastPathStats::default());
         self.validate_spec(&spec)?;
-        let closure = closure_of(&self.members, &self.net, &self.active, &spec)?;
+        let (closure, _) = closure_of(
+            &self.members,
+            &self.net,
+            &self.active,
+            spec.source,
+            spec.dest,
+        )?;
         self.last_closure_len = Some(closure.len());
         let line = match self.allocation_line(&spec, policy, cfg) {
             Ok(line) => line,
@@ -1229,7 +1238,17 @@ impl NetworkState {
             }
         }
         match verdict {
-            Ok((at, delay_bound, parts)) => Ok((self.commit(spec, at, delay_bound)?, parts)),
+            Ok((at, delay_bound, parts)) => {
+                let id = self.commit(spec, at, delay_bound)?;
+                let (h_s, h_r) = at;
+                let decision = Decision::Admitted {
+                    id,
+                    h_s,
+                    h_r,
+                    delay_bound,
+                };
+                Ok((decision, parts))
+            }
             Err(stop) => stop.into_decision(),
         }
     }
@@ -1320,13 +1339,14 @@ impl NetworkState {
     }
 
     /// Records an admitted connection: assigns its id, allocates both
-    /// rings' tables, and indexes its multiplexers.
-    fn commit(
+    /// rings' tables, and indexes its multiplexers. The sharded engine
+    /// commits the pairs its workers decided through here too.
+    pub(crate) fn commit(
         &mut self,
         spec: ConnectionSpec,
         (h_s, h_r): Pair,
         delay_bound: Seconds,
-    ) -> Result<Decision, CacError> {
+    ) -> Result<ConnectionId, CacError> {
         // A non-persisted cache dies with the active-set change; a
         // persisted one stays valid — see `persist_eval_cache`.
         if !self.persist_cache {
@@ -1353,12 +1373,7 @@ impl NetworkState {
             h_r,
             delay_bound,
         });
-        Ok(Decision::Admitted {
-            id,
-            h_s,
-            h_r,
-            delay_bound,
-        })
+        Ok(id)
     }
 
     /// Removes active connection `id`: releases both rings' allocations
@@ -1750,7 +1765,7 @@ impl NetworkState {
     ///
     /// Returns [`CacError::SnapshotMismatch`] if `connections` is not
     /// strictly id-ordered below `next_id`, or its allocations do not
-    /// fit the rings (either means the caller's partitioned state is
+    /// fit the rings (either means the caller's admission state is
     /// corrupt).
     pub fn scoped(
         net: Arc<HetNetwork>,
@@ -1765,6 +1780,32 @@ impl NetworkState {
         state.down = down;
         state.next_id = next_id;
         Ok(state)
+    }
+
+    /// The dependency closure of a `source → dest` candidate and the
+    /// multiplexers it reaches: what [`NetworkState::admit`] would
+    /// decide over, read for the sharded engine's speculations.
+    pub(crate) fn closure(
+        &self,
+        source: HostId,
+        dest: HostId,
+    ) -> Result<(Vec<&ActiveConnection>, BTreeSet<MuxKey>), CacError> {
+        closure_of(&self.members, &self.net, &self.active, source, dest)
+    }
+
+    /// The multiplexers active connection `id` crosses, in path order.
+    pub(crate) fn hops(&self, id: ConnectionId) -> Option<&[MuxKey]> {
+        self.members.hops(id)
+    }
+
+    /// The id the next admission will be assigned.
+    pub(crate) fn next_id(&self) -> u64 {
+        self.next_id
+    }
+
+    /// The components currently marked down.
+    pub(crate) fn down_set(&self) -> &BTreeSet<Component> {
+        &self.down
     }
 
     /// Clears the last-decision accessors (stats, closure size, trace).

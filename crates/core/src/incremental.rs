@@ -147,15 +147,6 @@ impl FastPathStats {
     }
 }
 
-/// One admitted connection's entry in the [`Membership`] index.
-#[derive(Clone, Debug, PartialEq)]
-pub(crate) struct FlowTerms {
-    pub(crate) source_ring: usize,
-    pub(crate) dest_ring: usize,
-    /// The multiplexers the flow traverses, in path order.
-    pub(crate) hops: Vec<MuxKey>,
-}
-
 /// Membership of one backbone multiplexer: which connection crosses it
 /// and at which hop of its path, in connection-id order (admission ids
 /// are monotone, so this is also admission order — the canonical order
@@ -177,18 +168,18 @@ pub(crate) struct Closure {
 }
 
 /// The per-multiplexer membership index of an active set, maintained
-/// on every admit/release/teardown. Both admission engines read their
-/// candidates' dependency closures from it: the sequential
-/// [`NetworkState`](crate::cac::NetworkState) holds one directly, the
-/// sharded engine's backbone ledger holds the one for its whole
-/// partitioned state.
+/// on every admit/release/teardown. Every candidate's dependency
+/// closure is read from the one a
+/// [`NetworkState`](crate::cac::NetworkState) holds; the sharded
+/// engine's speculations read the same state's.
 ///
 /// It holds no floats, so an incrementally maintained index equals
 /// [`Membership::rebuild`] of the same active set exactly — the
 /// invariant the property tests pin down.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub(crate) struct Membership {
-    flows: BTreeMap<ConnectionId, FlowTerms>,
+    /// Every connection's multiplexers, in path order.
+    flows: BTreeMap<ConnectionId, Vec<MuxKey>>,
     servers: BTreeMap<MuxKey, ServerTerms>,
 }
 
@@ -218,22 +209,15 @@ impl Membership {
             let pos = server.members.partition_point(|&(mid, _)| mid < id);
             server.members.insert(pos, (id, hi as u32));
         }
-        self.flows.insert(
-            id,
-            FlowTerms {
-                source_ring: source.ring,
-                dest_ring: dest.ring,
-                hops,
-            },
-        );
-        Ok(&self.flows[&id].hops)
+        self.flows.insert(id, hops);
+        Ok(&self.flows[&id])
     }
 
     /// Removes a released (or torn-down) connection, returning its
-    /// entry (`None` for an unknown id).
-    pub(crate) fn release(&mut self, id: ConnectionId) -> Option<FlowTerms> {
-        let flow = self.flows.remove(&id)?;
-        for key in &flow.hops {
+    /// multiplexers (`None` for an unknown id).
+    pub(crate) fn release(&mut self, id: ConnectionId) -> Option<Vec<MuxKey>> {
+        let hops = self.flows.remove(&id)?;
+        for key in &hops {
             if let Some(server) = self.servers.get_mut(key) {
                 server.members.retain(|&(mid, _)| mid != id);
                 if server.members.is_empty() {
@@ -241,22 +225,25 @@ impl Membership {
                 }
             }
         }
-        Some(flow)
+        Some(hops)
     }
 
-    /// The entry of connection `id`, if tracked.
-    pub(crate) fn flow(&self, id: ConnectionId) -> Option<&FlowTerms> {
-        self.flows.get(&id)
+    /// The multiplexers connection `id` traverses, in path order, if
+    /// tracked.
+    pub(crate) fn hops(&self, id: ConnectionId) -> Option<&[MuxKey]> {
+        self.flows.get(&id).map(Vec::as_slice)
     }
 
     /// Number of tracked connections.
+    #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.flows.len()
     }
 
-    /// Every tracked connection's entry, ascending id.
-    pub(crate) fn flows(&self) -> impl Iterator<Item = (ConnectionId, &FlowTerms)> {
-        self.flows.iter().map(|(id, f)| (*id, f))
+    /// Every tracked connection's multiplexers, ascending id.
+    #[cfg(test)]
+    pub(crate) fn flows(&self) -> impl Iterator<Item = (ConnectionId, &[MuxKey])> {
+        self.flows.iter().map(|(id, hops)| (*id, hops.as_slice()))
     }
 
     /// The dependency closure of a `source → dest` candidate: starting
@@ -298,7 +285,7 @@ impl Membership {
                 if !ids.insert(id) {
                     continue;
                 }
-                for &hop in &self.flows[&id].hops {
+                for &hop in &self.flows[&id] {
                     if muxes.insert(hop) {
                         frontier.push(hop);
                     }
@@ -447,10 +434,10 @@ impl<'n> FastContext<'n> {
         let cand_pi = scope.len();
         let mut grouped: BTreeMap<MuxKey, Vec<(u32, u32)>> = BTreeMap::new();
         for (pi, c) in scope.iter().enumerate() {
-            let Some(flow) = members.flow(c.id) else {
+            let Some(hops) = members.hops(c.id) else {
                 return Ok(Err("stale-active-set"));
             };
-            for (hi, key) in flow.hops.iter().enumerate() {
+            for (hi, key) in hops.iter().enumerate() {
                 grouped
                     .entry(*key)
                     .or_default()
@@ -915,9 +902,10 @@ mod tests {
             let dst = (src + hop) % 6;
             let closure = state.closure(&net, host(src), host(dst)).unwrap();
             prop_assert!(closure.ids.windows(2).all(|w| w[0] < w[1]));
-            for (id, flow) in state.flows() {
-                let reached = flow.hops.iter().any(|h| closure.muxes.contains(h));
-                let on_endpoint = [src, dst].iter().any(|r| flow.source_ring == *r || flow.dest_ring == *r);
+            for (id, hops) in state.flows() {
+                let (a, d) = pairs[id.0 as usize];
+                let reached = hops.iter().any(|h| closure.muxes.contains(h));
+                let on_endpoint = [src, dst].iter().any(|r| a == *r || (a + d) % 6 == *r);
                 prop_assert_eq!(closure.ids.binary_search(&id).is_ok(), reached);
                 prop_assert!(!on_endpoint || reached);
             }

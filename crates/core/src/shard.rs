@@ -1,23 +1,25 @@
-//! Ring-partitioned admission state behind a backbone ledger.
+//! The sharded engine's admission state: the flat
+//! [`crate::cac::NetworkState`] behind an optimistic-concurrency
+//! ledger.
 //!
-//! [`crate::cac::NetworkState`] keeps one flat connection vector and
-//! decides each admission over the candidate's dependency closure — the
-//! small slice of the network it shares multiplexers with — but one
-//! decision at a time. This module partitions the same state *by
-//! source ring* ([`ShardedState`]) so decisions over disjoint closures
-//! can run concurrently: each ring shard owns the connections sourced
-//! on it, and a shared **backbone ledger** owns the cross-ring coupling
-//! — which flows cross which ATM multiplexers, in the same
-//! `Membership` index the flat state keeps — plus a version counter
-//! and a footprint log that make optimistic concurrency possible.
+//! [`NetworkState`] decides each admission over the candidate's
+//! dependency closure — the small slice of the network it shares
+//! multiplexers with — but one decision at a time. [`ShardedState`]
+//! lets decisions over disjoint closures run concurrently. It keeps the
+//! admission state in one bookkeeping `NetworkState` (active set,
+//! allocation tables, down-set, id counter and `Membership` index, with
+//! no evaluator cache and no tracing), so both engines hold the same
+//! state, and adds only a **ledger**: a version counter, a conflict
+//! barrier, and a bounded log of the multiplexer footprints committed
+//! at each version.
 //!
 //! A decision runs in three steps:
 //!
-//! 1. **Speculate** ([`ShardedState::speculate`]): extract the
-//!    candidate's *dependency closure* — the least set of active
-//!    connections containing every flow on the candidate's endpoint
-//!    rings and closed under "shares a multiplexer with" — together
-//!    with the ledger version it was read at.
+//! 1. **Speculate** ([`ShardedState::speculate`]): read the candidate's
+//!    *dependency closure* — the least set of active connections
+//!    containing every flow on the candidate's endpoint rings and
+//!    closed under "shares a multiplexer with" — from the flat state,
+//!    together with the ledger version it was read at.
 //! 2. **Decide** ([`Speculation::state`]): build a scoped
 //!    [`NetworkState`] over just that closure and run the ordinary
 //!    β-CAC admission on it. Decisions over the closure are
@@ -31,103 +33,58 @@
 //! 3. **Commit** ([`ShardedState::commit_admit`]): re-validate the
 //!    speculation against the ledger ([`ShardedState::conflicts`] — any
 //!    committed footprint since the speculation's version intersecting
-//!    its closure invalidates it) and apply it. Conflicted speculations
-//!    are recomputed sequentially by the committer, so the committed
+//!    its closure invalidates it) and record the decided pair through
+//!    the flat state's own commit. Conflicted speculations are
+//!    recomputed sequentially by the committer, so the committed
 //!    decision stream is always the sequential one.
 //!
-//! Departures and faults mutate through the same ledger
-//! ([`ShardedState::release`], [`ShardedState::set_component_down`]);
-//! down-set changes act as a *barrier* (every in-flight speculation
-//! conflicts), because component health gates decisions globally.
-//!
-//! [`ShardedState::cut`] captures the partitioned state as per-shard
-//! snapshots plus a consistent ledger cut, and
-//! [`ShardedCut::to_snapshot`] merges them into the ordinary
-//! [`StateSnapshot`] form — equal, string for string, to the snapshot
-//! the flat state would produce.
+//! Departures, faults, reconfigurations and restores run the flat
+//! state's own methods. A departure logs its footprint; a down-set
+//! change, a reconfiguration or a restore raises a *barrier* (every
+//! in-flight speculation conflicts), because each gates decisions
+//! globally. Snapshots are the flat state's.
 
 use crate::cac::{AdmissionOptions, NetworkState, TeardownReport};
 use crate::connection::{ActiveConnection, ConnectionId, ConnectionSpec};
 use crate::delay::MuxKey;
 use crate::error::CacError;
-use crate::incremental::Membership;
 use crate::network::{Component, HetNetwork, HostId};
 use crate::reconfig::{ReconfigPlan, ReconfigReport};
-use crate::snapshot::{ConnectionSnapshot, StateSnapshot, SNAPSHOT_VERSION};
-use hetnet_fddi::ring::RingConfig;
+use crate::snapshot::StateSnapshot;
+use hetnet_fddi::ring::SyncBandwidth;
 use hetnet_traffic::units::Seconds;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
 
 /// Footprint-log entries kept before old versions become unverifiable
 /// (speculations older than the log window conservatively conflict).
 const LOG_WINDOW: usize = 1024;
 
-/// One ring's shard: the connections sourced on that ring, by id.
-#[derive(Clone, Debug, Default)]
-struct RingShard {
-    sourced: BTreeMap<u64, ActiveConnection>,
-}
-
 /// One committed mutation's footprint, for conflict checks.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct LogEntry {
     version: u64,
     muxes: Vec<MuxKey>,
 }
 
-/// The shared, versioned record of cross-ring coupling: which flows
-/// cross which multiplexers, plus the commit log speculations validate
-/// against.
-#[derive(Clone, Debug, Default)]
-struct BackboneLedger {
-    /// Every flow's source ring and multiplexer footprint — the same
-    /// index the sequential state keeps, so both engines read their
-    /// closures from one definition.
-    members: Membership,
+/// The admission state of [`NetworkState`] behind a commit ledger.
+/// Holds no decision logic of its own: decisions run on scoped
+/// [`NetworkState`]s built from [`Speculation`]s, and the ledger tells
+/// the committer whether what such a scoped state computed is still
+/// what the flat state would compute.
+#[derive(Debug)]
+pub struct ShardedState {
+    /// The one admission state, kept for bookkeeping only.
+    flat: NetworkState,
     /// Bumped by every committed mutation.
     version: u64,
     /// Speculations read at a version below this always conflict (set
-    /// by down-set changes, which gate decisions globally).
+    /// by down-set changes, reconfigurations and restores).
     barrier: u64,
     /// Recent commit footprints, ascending version.
     log: VecDeque<LogEntry>,
     /// Oldest version still verifiable through the log.
     log_floor: u64,
-}
-
-impl BackboneLedger {
-    fn bump(&mut self, muxes: Vec<MuxKey>) {
-        self.version += 1;
-        self.log.push_back(LogEntry {
-            version: self.version,
-            muxes,
-        });
-        while self.log.len() > LOG_WINDOW {
-            let dropped = self.log.pop_front().expect("log non-empty");
-            self.log_floor = dropped.version;
-        }
-    }
-
-    fn raise_barrier(&mut self) {
-        self.version += 1;
-        self.barrier = self.version;
-    }
-}
-
-/// The admission state of [`crate::cac::NetworkState`], partitioned by
-/// source ring behind a backbone ledger. Holds no decision logic of its
-/// own: decisions run on scoped [`NetworkState`]s built from
-/// [`Speculation`]s, and this type guarantees that what those scoped
-/// states compute is what the flat sequential state would have
-/// computed.
-#[derive(Clone, Debug)]
-pub struct ShardedState {
-    net: Arc<HetNetwork>,
-    shards: Vec<RingShard>,
-    ledger: BackboneLedger,
-    next_id: u64,
-    down: BTreeSet<Component>,
 }
 
 /// A candidate's dependency closure, read at a ledger version: the
@@ -160,8 +117,8 @@ impl Speculation {
     /// # Errors
     ///
     /// Propagates [`CacError::SnapshotMismatch`] from
-    /// [`NetworkState::scoped`] (impossible unless the partitioned
-    /// state is corrupt).
+    /// [`NetworkState::scoped`] (impossible unless the admission state
+    /// is corrupt).
     pub fn state(&self) -> Result<NetworkState, CacError> {
         NetworkState::scoped(
             Arc::clone(&self.net),
@@ -186,63 +143,57 @@ impl Speculation {
 }
 
 impl ShardedState {
-    /// An empty partitioned state over a shared topology.
+    /// An empty state over a shared topology.
     #[must_use]
     pub fn new(net: Arc<HetNetwork>) -> Self {
-        let shards = vec![RingShard::default(); net.rings().len()];
         Self {
-            net,
-            shards,
-            ledger: BackboneLedger::default(),
-            next_id: 0,
-            down: BTreeSet::new(),
+            flat: NetworkState::new_shared(net),
+            version: 0,
+            barrier: 0,
+            log: VecDeque::new(),
+            log_floor: 0,
         }
     }
 
-    /// The shared topology handle.
+    /// The shared topology handle (retuned by a reconfiguration).
     #[must_use]
     pub fn net(&self) -> &Arc<HetNetwork> {
-        &self.net
+        self.flat.shared_network()
+    }
+
+    /// The admission state the ledger guards: active set, allocation
+    /// tables, down-set and id counter.
+    #[must_use]
+    pub fn flat(&self) -> &NetworkState {
+        &self.flat
     }
 
     /// Current ledger version (bumped by every committed mutation).
     #[must_use]
     pub fn version(&self) -> u64 {
-        self.ledger.version
+        self.version
     }
 
-    /// The next connection id a commit would assign.
-    #[must_use]
-    pub fn next_id(&self) -> u64 {
-        self.next_id
+    fn bump(&mut self, muxes: Vec<MuxKey>) {
+        self.version += 1;
+        self.log.push_back(LogEntry {
+            version: self.version,
+            muxes,
+        });
+        while self.log.len() > LOG_WINDOW {
+            let dropped = self.log.pop_front().expect("log non-empty");
+            self.log_floor = dropped.version;
+        }
     }
 
-    /// Number of active connections across all shards.
-    #[must_use]
-    pub fn active_count(&self) -> usize {
-        self.ledger.members.len()
+    fn raise_barrier(&mut self) {
+        self.version += 1;
+        self.barrier = self.version;
     }
 
-    /// The components currently marked down, in sorted order.
-    #[must_use]
-    pub fn down_components(&self) -> Vec<Component> {
-        self.down.iter().copied().collect()
-    }
-
-    /// Iterates every active connection in id (= admission) order,
-    /// crossing shards through the ledger's flow index.
-    pub fn active_iter(&self) -> impl Iterator<Item = &ActiveConnection> {
-        self.ledger.members.flows().map(|(id, flow)| {
-            self.shards[flow.source_ring]
-                .sourced
-                .get(&id.0)
-                .expect("ledger flow present in its source shard")
-        })
-    }
-
-    /// Extracts the dependency closure of a `source → dest` candidate
-    /// (`Membership::closure`) in id order, with the ledger version it
-    /// was read at.
+    /// Reads the dependency closure of a `source → dest` candidate from
+    /// the flat state, in id order, with the ledger version it was read
+    /// at.
     ///
     /// # Errors
     ///
@@ -250,427 +201,144 @@ impl ShardedState {
     /// or unrouted (the scoped admission would reject such a spec
     /// anyway).
     pub fn speculate(&self, source: HostId, dest: HostId) -> Result<Speculation, CacError> {
-        let closure = self.ledger.members.closure(&self.net, source, dest)?;
-        let connections = closure
-            .ids
-            .iter()
-            .map(|id| {
-                let flow = self.ledger.members.flow(*id).expect("member flow tracked");
-                self.shards[flow.source_ring].sourced[&id.0].clone()
-            })
-            .collect();
+        let (closure, muxes) = self.flat.closure(source, dest)?;
         Ok(Speculation {
-            net: Arc::clone(&self.net),
-            version: self.ledger.version,
-            next_id: self.next_id,
-            connections,
-            down: self.down.clone(),
-            muxes: closure.muxes,
+            net: Arc::clone(self.net()),
+            version: self.version,
+            next_id: self.flat.next_id(),
+            connections: closure.into_iter().cloned().collect(),
+            down: self.flat.down_set().clone(),
+            muxes,
         })
     }
 
     /// Whether a speculation read at `version` with this footprint has
-    /// been invalidated: a barrier (down-set change) was raised since,
-    /// the version has aged out of the footprint log, or some committed
-    /// mutation since touched a multiplexer in the footprint.
+    /// been invalidated: a barrier was raised since, the version has
+    /// aged out of the footprint log, or some committed mutation since
+    /// touched a multiplexer in the footprint.
     #[must_use]
     pub fn conflicts(&self, version: u64, footprint: &Footprint) -> bool {
-        let ledger = &self.ledger;
-        if version < ledger.barrier || version < ledger.log_floor {
+        if version < self.barrier || version < self.log_floor {
             return true;
         }
-        ledger
-            .log
+        self.log
             .iter()
             .rev()
             .take_while(|e| e.version > version)
             .any(|e| e.muxes.iter().any(|m| footprint.0.contains(m)))
     }
 
-    /// Commits an admitted decision: assigns the id the sequential
-    /// state would assign, stores the connection in its source-ring
-    /// shard, registers its multiplexer memberships in the ledger, and
-    /// logs the footprint for conflict checks.
+    /// Commits an admitted decision through the flat state, which
+    /// assigns the id the sequential engine would assign and allocates
+    /// both rings' tables, and logs the new flow's footprint for
+    /// conflict checks.
     ///
     /// # Errors
     ///
-    /// Propagates routing errors (impossible for a spec that was just
-    /// decided over the same topology).
+    /// Propagates bookkeeping errors from the flat state's commit
+    /// (impossible for a pair that was just decided over the same
+    /// state).
     pub fn commit_admit(
         &mut self,
         spec: &ConnectionSpec,
-        h_s: hetnet_fddi::ring::SyncBandwidth,
-        h_r: hetnet_fddi::ring::SyncBandwidth,
+        h_s: SyncBandwidth,
+        h_r: SyncBandwidth,
         delay_bound: Seconds,
     ) -> Result<ConnectionId, CacError> {
-        let id = ConnectionId(self.next_id);
-        self.next_id += 1;
-        let hops = self
-            .ledger
-            .members
-            .admit(&self.net, id, spec.source, spec.dest)?
-            .to_vec();
-        self.shards[spec.source.ring].sourced.insert(
-            id.0,
-            ActiveConnection {
-                id,
-                spec: spec.clone(),
-                h_s,
-                h_r,
-                delay_bound,
-            },
-        );
-        self.ledger.bump(hops);
+        let id = self.flat.commit(spec.clone(), (h_s, h_r), delay_bound)?;
+        let hops = self.flat.hops(id).expect("committed flow indexed").to_vec();
+        self.bump(hops);
         Ok(id)
     }
 
-    /// Tears down an active connection, removing it from its shard and
-    /// the ledger and logging its footprint. Mirrors
-    /// [`NetworkState::release`].
+    /// Tears down an active connection ([`NetworkState::release`]) and
+    /// logs its footprint.
     ///
     /// # Errors
     ///
     /// Returns [`CacError::UnknownConnection`] if `id` is not active.
-    pub fn release(&mut self, id: ConnectionId) -> Result<ActiveConnection, CacError> {
-        let flow = self
-            .ledger
-            .members
-            .release(id)
-            .ok_or(CacError::UnknownConnection(id))?;
-        let conn = self.shards[flow.source_ring]
-            .sourced
-            .remove(&id.0)
-            .expect("shard tracks ledgered flow");
-        self.ledger.bump(flow.hops);
-        Ok(conn)
+    pub fn release(&mut self, id: ConnectionId) -> Result<(), CacError> {
+        let hops = self
+            .flat
+            .hops(id)
+            .ok_or(CacError::UnknownConnection(id))?
+            .to_vec();
+        self.flat.release(id)?;
+        self.bump(hops);
+        Ok(())
     }
 
-    /// Marks a component as failed, tearing down every connection
-    /// crossing it (in id order, as the flat state does) and raising
-    /// the conflict barrier: down-set changes gate every decision, so
-    /// all in-flight speculations are invalidated. Mirrors
-    /// [`NetworkState::set_component_down`].
+    /// Marks a component as failed ([`NetworkState::set_component_down`])
+    /// and, when it was up, raises the barrier: down-set changes gate
+    /// every decision, so all in-flight speculations are invalidated.
     ///
     /// # Errors
     ///
-    /// Returns [`CacError::InvalidNetwork`] for a component outside
-    /// this topology.
+    /// As for [`NetworkState::set_component_down`].
     pub fn set_component_down(&mut self, component: Component) -> Result<TeardownReport, CacError> {
-        self.validate_component(component)?;
-        let newly = self.down.insert(component);
-        let mut report = TeardownReport {
-            component,
-            already_down: !newly,
-            torn: Vec::new(),
-            reclaimed_s: Seconds::ZERO,
-            reclaimed_r: Seconds::ZERO,
-        };
-        if newly {
-            let victims: Vec<ConnectionId> = self
-                .ledger
-                .members
-                .flows()
-                .filter(|(_, f)| match component {
-                    Component::Ring(r) | Component::IfDev(r) => {
-                        f.source_ring == r.0 || f.dest_ring == r.0
-                    }
-                    Component::Link(l) => f.hops.contains(&MuxKey::Backbone(l.0)),
-                })
-                .map(|(id, _)| id)
-                .collect();
-            for id in victims {
-                let conn = self.release(id).expect("victim is active");
-                report.reclaimed_s += conn.h_s.per_rotation();
-                report.reclaimed_r += conn.h_r.per_rotation();
-                report.torn.push(conn);
-            }
-            self.ledger.raise_barrier();
+        let report = self.flat.set_component_down(component)?;
+        if !report.already_down {
+            self.raise_barrier();
         }
         Ok(report)
     }
 
-    /// Restores a failed component, raising the conflict barrier (the
-    /// repaired component may flip in-flight `ComponentUnavailable`
-    /// outcomes). Returns whether it was down. Mirrors
-    /// [`NetworkState::set_component_up`].
+    /// Restores a failed component ([`NetworkState::set_component_up`])
+    /// and, when it was down, raises the barrier (the repair may flip
+    /// in-flight `ComponentUnavailable` outcomes). Returns whether it
+    /// was down.
     ///
     /// # Errors
     ///
-    /// Returns [`CacError::InvalidNetwork`] for a component outside
-    /// this topology.
+    /// As for [`NetworkState::set_component_up`].
     pub fn set_component_up(&mut self, component: Component) -> Result<bool, CacError> {
-        self.validate_component(component)?;
-        let was_down = self.down.remove(&component);
+        let was_down = self.flat.set_component_up(component)?;
         if was_down {
-            self.ledger.raise_barrier();
+            self.raise_barrier();
         }
         Ok(was_down)
     }
 
-    fn validate_component(&self, component: Component) -> Result<(), CacError> {
-        let ok = match component {
-            Component::Ring(r) | Component::IfDev(r) => r.0 < self.net.rings().len(),
-            Component::Link(l) => l.0 < self.net.backbone().link_count(),
-        };
-        if ok {
-            Ok(())
-        } else {
-            Err(CacError::InvalidNetwork(format!(
-                "unknown component {component}"
-            )))
-        }
-    }
-
-    /// The merged flat snapshot of the partitioned state — equal,
-    /// field for field, to what [`NetworkState::snapshot`] produces
-    /// after the same committed decision sequence. `clock` and
-    /// `decision_seq` come from the caller (the engine owns them).
+    /// The flat state's snapshot, with the engine's `clock` and
+    /// `decision_seq` written in (the engine owns both).
     #[must_use]
     pub fn snapshot(&self, clock: Seconds, decision_seq: u64) -> StateSnapshot {
-        StateSnapshot {
-            version: SNAPSHOT_VERSION,
-            topology: self.net.summary(),
-            rings: self.net.rings().to_vec(),
-            connections: self
-                .ledger
-                .members
-                .flows()
-                .map(|(id, f)| {
-                    let c = &self.shards[f.source_ring].sourced[&id.0];
-                    ConnectionSnapshot {
-                        id: c.id,
-                        source: c.spec.source,
-                        dest: c.spec.dest,
-                        envelope: Arc::clone(&c.spec.envelope),
-                        deadline: c.spec.deadline,
-                        class: c.spec.class,
-                        h_s: c.h_s,
-                        h_r: c.h_r,
-                        delay_bound: c.delay_bound,
-                    }
-                })
-                .collect(),
-            down: self.down.iter().copied().collect(),
-            next_id: self.next_id,
-            clock,
-            decision_seq,
-        }
+        let mut snap = self.flat.snapshot();
+        snap.clock = clock;
+        snap.decision_seq = decision_seq;
+        snap
     }
 
-    /// Rebuilds a partitioned state from a flat snapshot (shards and
-    /// ledger are derived data; the snapshot stays the one durable
-    /// format).
+    /// Rebuilds the state from a snapshot ([`NetworkState::restore`])
+    /// and raises the barrier, so no speculation from before the
+    /// restore can commit.
     ///
     /// # Errors
     ///
-    /// Returns [`CacError::SnapshotMismatch`] for a wrong version or
-    /// topology, or ids out of order / not below `next_id`.
+    /// As for [`NetworkState::restore`].
     pub fn from_snapshot(net: Arc<HetNetwork>, snap: &StateSnapshot) -> Result<Self, CacError> {
-        if snap.version != SNAPSHOT_VERSION {
-            return Err(CacError::SnapshotMismatch(format!(
-                "snapshot version {} != supported {SNAPSHOT_VERSION}",
-                snap.version
-            )));
-        }
-        if snap.topology != net.summary() {
-            return Err(CacError::SnapshotMismatch(format!(
-                "snapshot topology ({}) != this network ({})",
-                snap.topology,
-                net.summary()
-            )));
-        }
-        // Adopt the snapshot's ring parameters, as `NetworkState::restore`
-        // does: a cut taken after a live reconfiguration rebuilds onto the
-        // retuned TTRT/overhead, not the base topology's.
-        let net = if snap.rings.as_slice() == net.rings() {
-            net
-        } else {
-            Arc::new(
-                net.as_ref()
-                    .with_ring_configs(snap.rings.clone())
-                    .map_err(|e| {
-                        CacError::SnapshotMismatch(format!("snapshot ring parameters: {e}"))
-                    })?,
-            )
-        };
         let mut state = Self::new(net);
-        let mut prev: Option<u64> = None;
-        for c in &snap.connections {
-            if c.id.0 >= snap.next_id || prev.is_some_and(|p| p >= c.id.0) {
-                return Err(CacError::SnapshotMismatch(format!(
-                    "snapshot ids not strictly ascending below next_id {} at {}",
-                    snap.next_id, c.id
-                )));
-            }
-            prev = Some(c.id.0);
-            state.next_id = c.id.0;
-            state.commit_admit(&c.spec(), c.h_s, c.h_r, c.delay_bound)?;
-        }
-        state.next_id = snap.next_id;
-        state.down = snap.down.iter().copied().collect();
-        // Restored state starts a fresh optimistic epoch: raise the
-        // barrier so no speculation from before the restore can commit.
-        state.ledger.raise_barrier();
+        state.flat.restore(snap)?;
+        state.raise_barrier();
         Ok(state)
     }
 
-    /// Applies a live reconfiguration as a barrier: the admitted set
-    /// round-trips through the flat state, whose
-    /// [`NetworkState::reconfigure`] renegotiates it, and the shards
-    /// and ledger are rebuilt from the result. The ledger version stays
-    /// monotone across the rebuild and the barrier is raised past every
+    /// Applies a live reconfiguration in place
+    /// ([`NetworkState::reconfigure`]) and raises the barrier past every
     /// version read before it, so no speculation made under the old
     /// ring parameters or β can commit.
     ///
     /// # Errors
     ///
-    /// As for [`NetworkState::reconfigure`]; the state is unchanged on
-    /// error.
+    /// As for [`NetworkState::reconfigure`].
     pub fn reconfigure(
         &mut self,
         plan: &ReconfigPlan,
         opts: &AdmissionOptions,
     ) -> Result<ReconfigReport, CacError> {
-        let mut flat = NetworkState::new_shared(Arc::clone(&self.net));
-        flat.restore(&self.snapshot(Seconds::ZERO, 0))?;
-        let report = flat.reconfigure(plan, opts)?;
-        let floor = self.ledger.version;
-        *self = Self::from_snapshot(Arc::clone(flat.shared_network()), &flat.snapshot())?;
-        self.ledger.version = self.ledger.version.max(floor);
-        self.ledger.raise_barrier();
+        let report = self.flat.reconfigure(plan, opts)?;
+        self.raise_barrier();
         Ok(report)
-    }
-
-    /// Captures the partitioned state as per-shard snapshots plus a
-    /// consistent ledger cut (taken at one version, under the
-    /// committer's exclusive access — in-flight speculations don't
-    /// touch it, so the cut is a consistent point of the committed
-    /// history even while workers speculate).
-    #[must_use]
-    pub fn cut(&self, clock: Seconds, decision_seq: u64) -> ShardedCut {
-        ShardedCut {
-            shards: self
-                .shards
-                .iter()
-                .enumerate()
-                .map(|(ring, shard)| ShardCut {
-                    ring,
-                    connections: shard
-                        .sourced
-                        .values()
-                        .map(|c| ConnectionSnapshot {
-                            id: c.id,
-                            source: c.spec.source,
-                            dest: c.spec.dest,
-                            envelope: Arc::clone(&c.spec.envelope),
-                            deadline: c.spec.deadline,
-                            class: c.spec.class,
-                            h_s: c.h_s,
-                            h_r: c.h_r,
-                            delay_bound: c.delay_bound,
-                        })
-                        .collect(),
-                })
-                .collect(),
-            ledger: LedgerCut {
-                version: self.ledger.version,
-                next_id: self.next_id,
-                down: self.down.iter().copied().collect(),
-                clock,
-                decision_seq,
-                topology: self.net.summary(),
-                rings: self.net.rings().to_vec(),
-            },
-        }
-    }
-
-    /// Rebuilds a partitioned state from a per-shard cut, via the flat
-    /// snapshot (which re-derives the ledger deterministically).
-    ///
-    /// # Errors
-    ///
-    /// As for [`ShardedState::from_snapshot`], plus a mismatch if a
-    /// connection sits in the wrong shard.
-    pub fn from_cut(net: Arc<HetNetwork>, cut: &ShardedCut) -> Result<Self, CacError> {
-        for shard in &cut.shards {
-            if let Some(c) = shard
-                .connections
-                .iter()
-                .find(|c| c.source.ring != shard.ring)
-            {
-                return Err(CacError::SnapshotMismatch(format!(
-                    "{} sourced on ring {} filed under shard {}",
-                    c.id, c.source.ring, shard.ring
-                )));
-            }
-        }
-        Self::from_snapshot(net, &cut.to_snapshot())
-    }
-}
-
-/// One ring shard's capture: the connections sourced on that ring, in
-/// id order.
-#[derive(Clone, Debug)]
-pub struct ShardCut {
-    /// The ring this shard owns.
-    pub ring: usize,
-    /// Its connections, ascending id.
-    pub connections: Vec<ConnectionSnapshot>,
-}
-
-/// The backbone ledger's portion of a cut: the version the cut was
-/// taken at and everything global that isn't per-shard.
-#[derive(Clone, Debug)]
-pub struct LedgerCut {
-    /// Ledger version at the cut.
-    pub version: u64,
-    /// The next connection id.
-    pub next_id: u64,
-    /// Components down at the cut, sorted.
-    pub down: Vec<Component>,
-    /// The engine's logical clock.
-    pub clock: Seconds,
-    /// Completed decisions so far.
-    pub decision_seq: u64,
-    /// Topology the cut was taken from.
-    pub topology: crate::network::TopologySummary,
-    /// Ring parameters at the cut (carried so a cut taken after a live
-    /// reconfiguration merges back into a snapshot that restores onto
-    /// the retuned rings).
-    pub rings: Vec<RingConfig>,
-}
-
-/// A consistent capture of a [`ShardedState`]: per-shard snapshots plus
-/// the ledger cut binding them to one version.
-#[derive(Clone, Debug)]
-pub struct ShardedCut {
-    /// One entry per ring, in ring order.
-    pub shards: Vec<ShardCut>,
-    /// The ledger's global fields.
-    pub ledger: LedgerCut,
-}
-
-impl ShardedCut {
-    /// Merges the per-shard captures into the flat [`StateSnapshot`]
-    /// form — a k-way merge by id, which is admission order.
-    #[must_use]
-    pub fn to_snapshot(&self) -> StateSnapshot {
-        let mut connections: Vec<ConnectionSnapshot> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.connections.iter().cloned())
-            .collect();
-        connections.sort_by_key(|c| c.id.0);
-        StateSnapshot {
-            version: SNAPSHOT_VERSION,
-            topology: self.ledger.topology,
-            rings: self.ledger.rings.clone(),
-            connections,
-            down: self.ledger.down.clone(),
-            next_id: self.ledger.next_id,
-            clock: self.ledger.clock,
-            decision_seq: self.ledger.decision_seq,
-        }
     }
 }
 
@@ -816,7 +484,7 @@ mod tests {
         assert_eq!(all.closure_len(), 2, "only the 2↔3 flows are dependencies");
     }
 
-    /// A reconfiguration through the partitioned state lands on the
+    /// A reconfiguration through the sharded state lands on the
     /// flat state's bits and report, and acts as a barrier: the ledger
     /// version stays monotone and a speculation read before it
     /// conflicts.
@@ -848,8 +516,30 @@ mod tests {
         );
     }
 
-    fn sync(ms: f64) -> hetnet_fddi::ring::SyncBandwidth {
-        hetnet_fddi::ring::SyncBandwidth::new(Seconds::from_millis(ms))
+    fn sync(ms: f64) -> SyncBandwidth {
+        SyncBandwidth::new(Seconds::from_millis(ms))
+    }
+
+    /// A snapshot whose allocations do not fit the rings is corrupt:
+    /// the sharded state refuses to restore it, exactly as the flat
+    /// state does, instead of adopting allocations no ring can carry.
+    #[test]
+    fn restore_rejects_allocations_that_do_not_fit() {
+        let specs: Vec<ConnectionSpec> = (0..4)
+            .map(|i| spec((i % 3, 0), ((i + 1) % 3, 1), 8.0))
+            .collect();
+        let (flat, _, _) = run_both(HetNetwork::paper_topology(), &specs);
+        let mut snap = flat.snapshot();
+        assert!(!snap.connections.is_empty(), "need an admitted connection");
+        snap.connections[0].h_s = SyncBandwidth::new(Seconds::new(1.0));
+        assert!(matches!(
+            NetworkState::from_snapshot(HetNetwork::paper_topology(), &snap),
+            Err(CacError::SnapshotMismatch(_))
+        ));
+        assert!(matches!(
+            ShardedState::from_snapshot(Arc::clone(flat.shared_network()), &snap),
+            Err(CacError::SnapshotMismatch(_))
+        ));
     }
 
     #[test]
@@ -966,31 +656,5 @@ mod tests {
             flat.snapshot().to_json(),
             sharded.snapshot(flat.clock(), flat.decisions()).to_json()
         );
-    }
-
-    #[test]
-    fn cut_round_trips_through_per_shard_snapshots() {
-        let net = HetNetwork::grid(6, 3);
-        let mut sharded = ShardedState::new(Arc::new(net));
-        for (s, d) in [(0usize, 1usize), (2, 3), (4, 5), (1, 0), (3, 4)] {
-            let sp = spec((s, 0), (d, 1), 4.0);
-            sharded
-                .commit_admit(&sp, sync(0.3), sync(0.3), Seconds::from_millis(12.0))
-                .unwrap();
-        }
-        sharded
-            .set_component_down(Component::Ring(RingId(4)))
-            .unwrap();
-        let cut = sharded.cut(Seconds::from_millis(5.0), 7);
-        assert_eq!(cut.shards.len(), 6);
-        let restored = ShardedState::from_cut(Arc::clone(sharded.net()), &cut).unwrap();
-        assert_eq!(
-            sharded.snapshot(Seconds::from_millis(5.0), 7).to_json(),
-            restored.snapshot(Seconds::from_millis(5.0), 7).to_json()
-        );
-        assert_eq!(restored.next_id(), sharded.next_id());
-        // The restored ledger starts a new epoch: pre-cut speculations
-        // cannot commit into it.
-        assert!(restored.version() > 0);
     }
 }

@@ -37,7 +37,7 @@ use crate::metrics::UtilizationSeries;
 use crate::observability::{spans_to_json, ObsOptions, TelemetryFrame};
 use crate::report::ServiceReport;
 use hetnet_cac::cac::{AdmissionOptions, NetworkState, TeardownReport};
-use hetnet_cac::connection::{ActiveConnection, ConnectionId};
+use hetnet_cac::connection::ConnectionId;
 use hetnet_cac::error::CacError;
 use hetnet_cac::network::{Component, HetNetwork, Scheduler};
 use hetnet_cac::reconfig::{ReconfigPlan, ReconfigReport};
@@ -192,19 +192,8 @@ impl Decider for Flat {
         self.state.set_clock(at);
     }
 
-    fn active_count(&self) -> usize {
-        self.state.active().len()
-    }
-
-    fn filter_active<T>(&self, f: impl FnMut(&ActiveConnection) -> Option<T>) -> Vec<T> {
-        self.state.active().iter().filter_map(f).collect()
-    }
-
-    fn ring_load(&self, caps: &[f64]) -> Vec<f64> {
-        caps.iter()
-            .enumerate()
-            .map(|(r, &cap)| cap - self.state.available_on(r).value())
-            .collect()
+    fn read_state<R>(&self, f: impl FnOnce(&NetworkState) -> R) -> R {
+        f(&self.state)
     }
 
     fn release(&mut self, id: ConnectionId) -> Result<(), CacError> {

@@ -11,13 +11,15 @@
 //! series, the metrics registry, flight recorder and telemetry, and
 //! checkpoint/recover.
 //!
-//! A [`Decider`] supplies the rest: where the admitted set lives and
-//! how one request is decided. [`crate::ServiceEngine`] is
-//! `EventCore<Flat>`, deciding on one flat
-//! [`hetnet_cac::cac::NetworkState`]; [`crate::ShardedEngine`] is
-//! `EventCore<Sharded>`, whose decider validates worker speculations
-//! against the ring-partitioned state's ledger. Dispatch is static, so
-//! the sequential engine pays nothing for the abstraction.
+//! A [`Decider`] supplies the rest: how one request is decided. Both
+//! engines keep the admitted set in one flat
+//! [`hetnet_cac::cac::NetworkState`], which the core reads through
+//! [`Decider::read_state`]. [`crate::ServiceEngine`] is
+//! `EventCore<Flat>`, deciding on that state directly;
+//! [`crate::ShardedEngine`] is `EventCore<Sharded>`, whose decider
+//! validates worker speculations against the commit ledger in front
+//! of it. Dispatch is static, so the sequential engine pays nothing
+//! for the abstraction.
 
 use crate::audit::{AuditEntry, AuditKind, AuditLog, AuditOutcome};
 use crate::engine::{ReconfigEvent, ServiceConfig};
@@ -25,7 +27,7 @@ use crate::metrics::{ReconfigMetrics, RecoveryMetrics, UtilizationSeries};
 use crate::observability::{EngineMetrics, ObsOptions, Telemetry, TelemetryFrame};
 use crate::report::{RunFacts, ServiceReport};
 use hetnet_cac::cac::{AdmissionOptions, Decision, NetworkState, RejectReason, TeardownReport};
-use hetnet_cac::connection::{ActiveConnection, ConnectionId, ConnectionSpec};
+use hetnet_cac::connection::{ConnectionId, ConnectionSpec};
 use hetnet_cac::delay::CacheStats;
 use hetnet_cac::error::CacError;
 use hetnet_cac::incremental::FastPathStats;
@@ -100,14 +102,8 @@ pub trait Decider {
     fn workers(&self) -> usize;
     /// Stamps the logical clock of the event being processed.
     fn set_clock(&mut self, at: Seconds);
-    /// Number of admitted connections.
-    fn active_count(&self) -> usize;
-    /// `f` over every admitted connection, in id order, keeping the
-    /// `Some` results.
-    fn filter_active<T>(&self, f: impl FnMut(&ActiveConnection) -> Option<T>) -> Vec<T>;
-    /// Allocated synchronous time per ring (`caps` are the rings'
-    /// allocatable budgets).
-    fn ring_load(&self, caps: &[f64]) -> Vec<f64>;
+    /// Runs `f` over the admission state.
+    fn read_state<R>(&self, f: impl FnOnce(&NetworkState) -> R) -> R;
     /// Tears down one connection.
     fn release(&mut self, id: ConnectionId) -> Result<(), CacError>;
     /// Fails a component, tearing down every connection crossing it.
@@ -664,14 +660,19 @@ impl<D: Decider> EventCore<D> {
     /// whose admission-time bound exceeds it are evicted and (when
     /// configured) immediately re-admitted at a fresh allocation.
     fn deadline_shrink(&mut self, at: Seconds, factor: f64) -> Result<(), CacError> {
-        let victims = self.decider.filter_active(|c| {
-            (c.delay_bound.value() > c.spec.deadline.value() * factor).then(|| {
-                (
-                    c.id,
-                    c.h_s.per_rotation().value(),
-                    c.h_r.per_rotation().value(),
-                )
-            })
+        let victims: Vec<_> = self.decider.read_state(|state| {
+            state
+                .active()
+                .iter()
+                .filter(|c| c.delay_bound.value() > c.spec.deadline.value() * factor)
+                .map(|c| {
+                    (
+                        c.id,
+                        c.h_s.per_rotation().value(),
+                        c.h_r.per_rotation().value(),
+                    )
+                })
+                .collect()
         });
         for (id, h_s, h_r) in victims {
             self.decider.release(id)?;
@@ -796,21 +797,24 @@ impl<D: Decider> EventCore<D> {
     /// each ring's allocatable time), tracks the peak, and cuts any
     /// telemetry frames due at or before `at`.
     fn offer_sample(&mut self, at: Seconds) {
-        let active = self.decider.active_count();
+        let active = self.decider.read_state(|state| state.active().len());
         self.peak_active = self.peak_active.max(active);
         let decider = &self.decider;
         let caps = &self.ring_caps;
         self.series.offer(at, active, || {
-            caps.iter()
-                .zip(decider.ring_load(caps))
-                .map(|(&cap, load)| {
-                    if cap > 0.0 {
-                        (load / cap).clamp(0.0, 1.0)
-                    } else {
-                        0.0
-                    }
-                })
-                .collect()
+            decider.read_state(|state| {
+                caps.iter()
+                    .enumerate()
+                    .map(|(ring, &cap)| {
+                        let load = cap - state.available_on(ring).value();
+                        if cap > 0.0 {
+                            (load / cap).clamp(0.0, 1.0)
+                        } else {
+                            0.0
+                        }
+                    })
+                    .collect()
+            })
         });
         self.mx.set_active(active);
         self.last_event = self.last_event.max(at.value());
@@ -831,7 +835,7 @@ impl<D: Decider> EventCore<D> {
                 wall_seconds,
                 span: self.arrivals.last().map_or(Seconds::ZERO, |a| a.at),
                 peak_active: self.peak_active,
-                final_active: self.decider.active_count(),
+                final_active: self.decider.read_state(|state| state.active().len()),
                 ring_utilization: (0..self.ring_caps.len())
                     .map(|r| self.series.ring_summary(r))
                     .collect(),

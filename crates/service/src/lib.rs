@@ -13,8 +13,8 @@
 //!   recovering it against the audit-log tail
 //!   ([`engine::verify_recovery`]);
 //! * [`sharded`] — the same event loop ([`event`]) deciding through
-//!   worker threads that speculate over a ring-partitioned state,
-//!   validated and committed in event order;
+//!   worker threads that speculate over the same flat state, validated
+//!   against a commit ledger and committed in event order;
 //! * [`observability`] — the run's metrics registry, the only store of
 //!   per-decision metrics: each engine writes every decision once
 //!   (outcome and rejection class, latency, closure size, evaluator

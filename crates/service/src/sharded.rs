@@ -1,6 +1,7 @@
 //! The sharded admission engine: the shared event loop, deciding
-//! through worker speculations over the ring-partitioned
-//! [`ShardedState`] and committing through its backbone ledger.
+//! through worker speculations over [`ShardedState`] — the flat
+//! admission state behind a commit ledger — and committing through
+//! that ledger.
 //!
 //! [`ShardedEngine`] is [`EventCore`] over the [`Sharded`] decider, so
 //! departures, faults, parking, reconfigurations, the audit log and
@@ -17,10 +18,11 @@
 //! speculate; the committer decides them inline.
 //!
 //! A live reconfiguration is a barrier: [`ShardedState::reconfigure`]
-//! renegotiates the admitted set through the flat state and raises the
-//! ledger barrier past every outstanding version, so any speculation
-//! read under the old ring parameters or the old β conflicts and is
-//! recomputed under the new ones.
+//! renegotiates the admitted set in place, through
+//! `NetworkState::reconfigure`, and raises the ledger barrier past
+//! every outstanding version, so any speculation read under the old
+//! ring parameters or the old β conflicts and is recomputed under the
+//! new ones.
 //!
 //! Because commits happen strictly in event order and conflicted
 //! speculations are recomputed sequentially, the committed decision
@@ -42,8 +44,8 @@ use crate::event::{
 use crate::metrics::UtilizationSeries;
 use crate::observability::{self as obs, spans_to_json, CacheCounters, SpanPhase, TelemetryFrame};
 use crate::report::ServiceReport;
-use hetnet_cac::cac::{AdmissionOptions, Decision, EvalCacheCaps, TeardownReport};
-use hetnet_cac::connection::{ActiveConnection, ConnectionId, ConnectionSpec};
+use hetnet_cac::cac::{AdmissionOptions, Decision, EvalCacheCaps, NetworkState, TeardownReport};
+use hetnet_cac::connection::{ConnectionId, ConnectionSpec};
 use hetnet_cac::delay::EvalCache;
 use hetnet_cac::error::CacError;
 use hetnet_cac::network::{Component, HetNetwork};
@@ -124,9 +126,8 @@ pub struct ShardedRun {
     pub audit: AuditLog,
     /// Sampled ring-utilization time series.
     pub series: UtilizationSeries,
-    /// The final admission state, merged across shards — equal, string
-    /// for string, to the sequential engine's final
-    /// `state.snapshot().to_json()`.
+    /// The final admission state — equal, string for string, to the
+    /// sequential engine's final `state.snapshot().to_json()`.
     pub final_snapshot: StateSnapshot,
     /// Concurrency and conflict statistics.
     pub sharding: ShardingStats,
@@ -135,8 +136,8 @@ pub struct ShardedRun {
     pub telemetry: Vec<TelemetryFrame>,
 }
 
-/// What the committer and the workers share: the partitioned state,
-/// the admission options in force, and the reconfiguration epoch.
+/// What the committer and the workers share: the admission state, the
+/// admission options in force, and the reconfiguration epoch.
 #[derive(Debug)]
 struct Shared {
     state: ShardedState,
@@ -274,29 +275,12 @@ impl Decider for Sharded {
         self.clock = at;
     }
 
-    fn active_count(&self) -> usize {
-        read(&self.shared).state.active_count()
-    }
-
-    fn filter_active<T>(&self, f: impl FnMut(&ActiveConnection) -> Option<T>) -> Vec<T> {
-        read(&self.shared)
-            .state
-            .active_iter()
-            .filter_map(f)
-            .collect()
-    }
-
-    fn ring_load(&self, caps: &[f64]) -> Vec<f64> {
-        let mut load = vec![0.0; caps.len()];
-        for c in read(&self.shared).state.active_iter() {
-            load[c.spec.source.ring] += c.h_s.per_rotation().value();
-            load[c.spec.dest.ring] += c.h_r.per_rotation().value();
-        }
-        load
+    fn read_state<R>(&self, f: impl FnOnce(&NetworkState) -> R) -> R {
+        f(read(&self.shared).state.flat())
     }
 
     fn release(&mut self, id: ConnectionId) -> Result<(), CacError> {
-        write(&self.shared).state.release(id).map(drop)
+        write(&self.shared).state.release(id)
     }
 
     fn set_component_down(&mut self, component: Component) -> Result<TeardownReport, CacError> {
@@ -513,9 +497,9 @@ impl ShardedEngine {
     }
 
     /// Resumes from a checkpoint taken by either engine (the formats
-    /// are shared): the partitioned state is rebuilt from the flat
-    /// snapshot and the run continues from the checkpoint's cursors,
-    /// producing the same remaining decisions.
+    /// are shared): the admission state is restored from the snapshot
+    /// and the run continues from the checkpoint's cursors, producing
+    /// the same remaining decisions.
     ///
     /// # Errors
     ///
@@ -531,9 +515,9 @@ impl ShardedEngine {
 
     /// Requests a checkpoint capture after `arrivals` more arrivals
     /// have committed; the checkpoint is returned by
-    /// [`ShardedEngine::run`]. Workers keep speculating while the cut
-    /// is taken — the ledger cut is consistent because only the
-    /// committer mutates.
+    /// [`ShardedEngine::run`]. Workers keep speculating while the
+    /// snapshot is taken — it is consistent because only the committer
+    /// mutates.
     #[must_use]
     pub fn checkpoint_after(mut self, arrivals: usize) -> Self {
         self.decider.checkpoint_after = Some(arrivals);

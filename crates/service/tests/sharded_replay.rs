@@ -7,6 +7,10 @@
 //! agree as snapshot JSON, which pins ids, allocations, delay bounds,
 //! down-sets, and admission order all at once.
 //!
+//! The sampled ring utilizations and the report's per-ring summary
+//! must agree bit for bit too: both engines read them from one kind
+//! of admission state.
+//!
 //! The second half covers the consistent-cut checkpoint: a sharded run
 //! captures a checkpoint mid-stream *while its workers hold in-flight
 //! speculations against the pre-cut ledger*, and both engines —
@@ -18,7 +22,7 @@ use hetnet_cac::error::CacError;
 use hetnet_cac::network::{HetNetwork, Scheduler};
 use hetnet_service::{
     entries_equivalent, run, runs_equivalent, sharded_runs_equivalent, ServiceConfig,
-    ServiceEngine, ShardedEngine,
+    ServiceEngine, ShardedEngine, UtilizationSeries,
 };
 use hetnet_sim::churn::{ChurnConfig, TopologyShape, TrafficPattern};
 use hetnet_sim::fault::FaultConfig;
@@ -94,7 +98,34 @@ fn check_sharded_matches_sequential(net_for: impl Fn() -> HetNetwork, cfg: &Serv
             sharded.report.recovery, sequential.report.recovery,
             "workers={workers}: recovery metrics diverged"
         );
+        assert_eq!(
+            ring_bits(&sharded.series),
+            ring_bits(&sequential.series),
+            "workers={workers}: sampled ring utilizations diverged"
+        );
+        assert_eq!(
+            summary_bits(&sharded.report.ring_utilization),
+            summary_bits(&sequential.report.ring_utilization),
+            "workers={workers}: reported ring utilization diverged"
+        );
     }
+}
+
+/// Every sampled ring utilization of a series, as bits.
+fn ring_bits(series: &UtilizationSeries) -> Vec<Vec<u64>> {
+    series
+        .samples()
+        .iter()
+        .map(|s| s.rings.iter().map(|u| u.to_bits()).collect())
+        .collect()
+}
+
+/// A report's per-ring (mean, peak) utilization, as bits.
+fn summary_bits(rings: &[(f64, f64)]) -> Vec<(u64, u64)> {
+    rings
+        .iter()
+        .map(|(mean, peak)| (mean.to_bits(), peak.to_bits()))
+        .collect()
 }
 
 /// A sharded run checkpoints after `split` arrivals with workers still

@@ -96,6 +96,24 @@ lint() {
     done
     echo "ok: one event loop"
 
+    echo "==> one-admission-state gate (the sharded engine keeps the flat state behind its ledger)"
+    # Both engines hold their admitted set in one NetworkState; the
+    # sharded engine adds only a commit ledger. A second copy of the
+    # state's bookkeeping, or the per-shard store and cut it replaced,
+    # must not come back.
+    for f in validate_component crosses replay_tables; do
+        n=$( (grep -rE "fn $f[(<]" --include="*.rs" crates/core/src || true) | wc -l)
+        if [ "$n" -ne 1 ]; then
+            echo "FAIL: fn $f is defined $n times under crates/core/src (want 1)"
+            exit 1
+        fi
+    done
+    if grep -rnE "RingShard|ShardedCut|ShardCut|LedgerCut" crates; then
+        echo "FAIL: a per-shard admission store or cut reintroduced"
+        exit 1
+    fi
+    echo "ok: one admission state"
+
     echo "==> one-deadline-check gate (every admission decision runs the one pipeline)"
     # Both policies, β-search steps 2 and 5 and reconfiguration share one
     # all-deadlines check, `Scope::check`; a second copy of the check or
