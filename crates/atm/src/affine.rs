@@ -151,12 +151,23 @@ pub fn fifo_bounds(aggregate: &AffineBound, rate: BitsPerSec) -> Option<FifoBoun
 mod tests {
     use super::*;
     use crate::link::LinkConfig;
-    use crate::mux::{analyze_mux, per_flow_output};
+    use crate::sched::{ClassedFlow, SchedReport, Scheduler, SchedulerAnalysis};
     use hetnet_traffic::analysis::AnalysisConfig;
     use hetnet_traffic::combinators::Sampled;
     use hetnet_traffic::envelope::{Envelope, SharedEnvelope};
     use hetnet_traffic::models::{LeakyBucketEnvelope, PeriodicEnvelope};
     use std::sync::Arc;
+
+    /// The dense FIFO multiplexer analysis of one flow on `link`.
+    fn dense_fifo(flow: SharedEnvelope, link: &LinkConfig) -> SchedReport {
+        Scheduler::Fifo
+            .analyze(
+                &[ClassedFlow::new(flow, 0)],
+                link,
+                &AnalysisConfig::default(),
+            )
+            .unwrap()
+    }
 
     fn periodic() -> SharedEnvelope {
         Arc::new(
@@ -195,7 +206,7 @@ mod tests {
             LeakyBucketEnvelope::new(Bits::new(sigma), BitsPerSec::from_mbps(55.0)).unwrap(),
         );
         let link = LinkConfig::oc3(Seconds::ZERO);
-        let dense = analyze_mux(&[Arc::clone(&flow)], &link, &AnalysisConfig::default()).unwrap();
+        let dense = dense_fifo(Arc::clone(&flow), &link);
         let aff = AffineBound { sigma, rho: 55.0e6 };
         let fb = fifo_bounds(&aff, link.rate).unwrap();
         assert!(fb.delay >= dense.delay_bound.value() - 1e-12);
@@ -215,7 +226,7 @@ mod tests {
         };
         let aff = AffineBound::from_samples(&ts, &vals, env.sustained_rate());
         let link = LinkConfig::oc3(Seconds::ZERO);
-        let dense = analyze_mux(&[flat], &link, &AnalysisConfig::default()).unwrap();
+        let dense = dense_fifo(flat, &link);
         let fb = fifo_bounds(&aff, link.rate).unwrap();
         assert!(fb.delay >= dense.delay_bound.value());
         assert!(fb.busy >= dense.busy_period.value());
@@ -223,15 +234,15 @@ mod tests {
     }
 
     #[test]
-    fn delayed_transform_dominates_per_flow_output() {
+    fn delayed_transform_dominates_the_fifo_flow_output() {
         let env = periodic();
         let link = LinkConfig::oc3(Seconds::ZERO);
-        let dense = analyze_mux(&[Arc::clone(&env)], &link, &AnalysisConfig::default()).unwrap();
+        let dense = dense_fifo(Arc::clone(&env), &link);
         let flat = Sampled::flatten(Arc::clone(&env), Seconds::new(1.0), 2);
         let (ts, vals) = flat.samples();
         let aff = AffineBound::from_samples(ts, vals, env.sustained_rate());
         let shifted = aff.delayed(dense.delay_bound);
-        let out = per_flow_output(Arc::clone(&env), &dense, &link);
+        let out = Scheduler::Fifo.flow_output(Arc::clone(&env), dense.delay_bound, &link);
         for k in 0..500 {
             let t = 0.5 * k as f64 / 500.0;
             assert!(shifted.at(t) >= out.arrivals(Seconds::new(t)).value() - 1e-6);

@@ -9,14 +9,14 @@
 //!
 //! * [`cell`] — the 53/48-byte cell format and payload↔wire conversions;
 //! * [`link`] — link rate/propagation parameters;
-//! * [`mux`] — worst-case FIFO multiplexer analysis (busy period, delay
-//!   bound, backlog, per-flow output envelopes);
-//! * [`sched`] — pluggable per-class scheduler analyses behind the
-//!   [`SchedulerAnalysis`] trait: FIFO (the paper), IWRR, and DRR;
+//! * [`sched`] — worst-case output-port analyses behind the
+//!   [`SchedulerAnalysis`] trait (busy period, delay bound, backlog,
+//!   per-flow output envelopes): the paper's FIFO multiplexer, IWRR,
+//!   and DRR;
 //! * [`affine`] — closed-form `(σ, ρ)` over-approximations of the mux
 //!   analysis used by the admission fast path;
-//! * [`switch`] — an output port = multiplexer + fixed switching latency
-//!   + store-and-forward cell time;
+//! * [`switch`] — switch parameters (the fixed fabric latency a cell
+//!   pays besides port queueing and store-and-forward);
 //! * [`topology`] — backbone graphs (the paper's three-switch backbone,
 //!   lines, fully-meshed rings) and minimum-hop routing.
 
@@ -27,7 +27,6 @@ pub mod affine;
 pub mod cell;
 pub mod error;
 pub mod link;
-pub mod mux;
 pub mod sched;
 pub mod switch;
 pub mod topology;
@@ -35,7 +34,6 @@ pub mod topology;
 pub use affine::{fifo_bounds, AffineBound, FifoBounds};
 pub use error::AtmError;
 pub use link::LinkConfig;
-pub use mux::{analyze_mux, per_flow_output, MuxReport};
 pub use sched::{ClassedFlow, SchedReport, Scheduler, SchedulerAnalysis};
-pub use switch::{OutputPortReport, SwitchConfig};
+pub use switch::SwitchConfig;
 pub use topology::{Backbone, LinkId, SwitchId};

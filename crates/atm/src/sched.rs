@@ -6,8 +6,8 @@
 //! bound, backlog, busy period and per-flow output transform for a flow
 //! set with per-flow traffic classes — and ships three implementations:
 //!
-//! * [`Fifo`] — the paper's class-blind aggregate analysis, float-op
-//!   identical to [`crate::mux::analyze_mux`];
+//! * [`Fifo`] — the paper's class-blind FIFO multiplexer (see its
+//!   docs for the busy-period bounds);
 //! * [`Iwrr`] — Interleaved Weighted Round-Robin. With fixed-size
 //!   cells (`L` = [`crate::cell::CELL_BITS`]) and per-class weights
 //!   `w_i`, a backlogged class is guaranteed the rate-latency service
@@ -142,8 +142,24 @@ pub trait SchedulerAnalysis: fmt::Debug + Send + Sync {
 }
 
 /// The paper's FIFO multiplexer: one class-blind aggregate against the
-/// constant-rate service curve. Float-op identical to
-/// [`crate::mux::analyze_mux`].
+/// constant-rate service curve.
+///
+/// An ATM output port multiplexes the cells of many connections onto
+/// one link of rate `C`, serving them FIFO. With per-connection
+/// envelopes `A_k(I)` at the port, the standard busy-period argument
+/// (Cruz; Raha-Kamat-Zhao) bounds:
+///
+/// * the busy period `B`: the last instant with `Σ_k A_k(t) > C·t`,
+/// * the queueing delay of any cell:
+///   `d = max_{0<t≤B} (Σ_k A_k(t)/C − t)⁺`,
+/// * the port buffer: `max_{0<t≤B} (Σ_k A_k(t) − C·t)`,
+///
+/// and each connection's output envelope is its input envelope shifted
+/// by the (FIFO, flow-independent) delay bound and capped at the link
+/// rate ([`SchedulerAnalysis::flow_output`]). These are the fluid
+/// bounds of the generic guaranteed-server analysis with the
+/// constant-rate service curve `S(t) = C·t`, applied to the aggregate
+/// arrival envelope.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Fifo;
 
@@ -162,8 +178,8 @@ impl SchedulerAnalysis for Fifo {
         if flows.is_empty() {
             return Err(AtmError::EmptyFlowSet);
         }
-        // Exactly the ops of `analyze_mux`: aggregate in member order,
-        // constant-rate curve, one busy-period search.
+        // Aggregate in member order, constant-rate curve, one
+        // busy-period search.
         let aggregate = Aggregate::new(flows.iter().map(|f| Arc::clone(&f.envelope)).collect());
         let service = RateLatencyService::constant_rate(link.rate);
         let report = analyze_guaranteed_server(&aggregate, &service, cfg)?;
@@ -444,8 +460,7 @@ impl fmt::Display for Scheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mux::analyze_mux;
-    use hetnet_traffic::models::LeakyBucketEnvelope;
+    use hetnet_traffic::models::{LeakyBucketEnvelope, PeriodicEnvelope};
 
     fn cfg() -> AnalysisConfig {
         AnalysisConfig::default()
@@ -468,34 +483,84 @@ mod tests {
             .collect()
     }
 
+    /// The FIFO report for `flows`, all in class 0.
+    fn fifo(flows: &[SharedEnvelope]) -> Result<SchedReport, AtmError> {
+        let classed: Vec<ClassedFlow> = flows
+            .iter()
+            .map(|f| ClassedFlow::new(Arc::clone(f), 0))
+            .collect();
+        Fifo.analyze(&classed, &oc3(), &cfg())
+    }
+
     #[test]
-    fn fifo_is_bit_identical_to_analyze_mux() {
-        let fs = flows(&[
-            (424_000.0, 20.0, 0),
-            (100_000.0, 15.0, 1),
-            (50_000.0, 30.0, 2),
-        ]);
-        let plain: Vec<SharedEnvelope> = fs.iter().map(|f| Arc::clone(&f.envelope)).collect();
-        let legacy = analyze_mux(&plain, &oc3(), &cfg()).unwrap();
-        let traited = Fifo.analyze(&fs, &oc3(), &cfg()).unwrap();
-        assert_eq!(
-            legacy.delay_bound.value().to_bits(),
-            traited.delay_bound.value().to_bits()
-        );
-        assert_eq!(
-            legacy.busy_period.value().to_bits(),
-            traited.busy_period.value().to_bits()
-        );
-        assert_eq!(
-            legacy.backlog_bound.value().to_bits(),
-            traited.backlog_bound.value().to_bits()
-        );
+    fn fifo_single_leaky_bucket_closed_form() {
+        // d = sigma/C, backlog = sigma, busy = sigma/(C - rho).
+        let sigma = 424_000.0;
+        let r = fifo(&[lb(sigma, 55.0)]).unwrap();
+        assert!((r.delay_bound.value() - sigma / 155.0e6).abs() < 1e-9);
+        assert!((r.backlog_bound.value() - sigma).abs() < 1.0);
+        assert!((r.busy_period.value() - sigma / 100.0e6).abs() < 1e-6);
         // FIFO is class-blind: every class sees the port-wide bound.
-        assert!(traited.class_delays.is_empty());
-        assert_eq!(traited.delay_of_class(7), traited.delay_bound);
-        // The enum dispatch is the same analysis.
-        let via_enum = Scheduler::Fifo.analyze(&fs, &oc3(), &cfg()).unwrap();
-        assert_eq!(via_enum, traited);
+        assert!(r.class_delays.is_empty());
+        assert_eq!(r.delay_of_class(7), r.delay_bound);
+        // The enum dispatch is the same analysis, whatever the classes.
+        let fs = flows(&[(sigma, 55.0, 3)]);
+        assert_eq!(Scheduler::Fifo.analyze(&fs, &oc3(), &cfg()).unwrap(), r);
+    }
+
+    #[test]
+    fn fifo_delay_grows_with_flow_count() {
+        let mut prev = 0.0;
+        for n in [1, 2, 4, 8] {
+            let flows: Vec<SharedEnvelope> = (0..n).map(|_| lb(100_000.0, 155.0 / 16.0)).collect();
+            let r = fifo(&flows).unwrap();
+            assert!(r.delay_bound.value() >= prev, "n={n}");
+            prev = r.delay_bound.value();
+        }
+        // n identical buckets: delay = n*sigma/C.
+        assert!((prev - 8.0 * 100_000.0 / 155.0e6).abs() < 1e-9);
+    }
+
+    #[test]
+    fn fifo_overloaded_link_is_unstable() {
+        let flows: Vec<SharedEnvelope> = (0..3).map(|_| lb(1000.0, 60.0)).collect();
+        assert!(matches!(fifo(&flows), Err(AtmError::Analysis(_))));
+    }
+
+    #[test]
+    fn fifo_heterogeneous_flows_hand_check() {
+        // Two periodic flows, 1 Mbit per 100 ms each at 100 Mb/s peak:
+        // both bursts can land together -> delay ~ 2 Mbit / 155 Mb/s
+        // (minus the overlap already being served during the arrival ramp).
+        let mk = || -> SharedEnvelope {
+            Arc::new(
+                PeriodicEnvelope::new(
+                    Bits::from_mbits(1.0),
+                    Seconds::from_millis(100.0),
+                    BitsPerSec::from_mbps(100.0),
+                )
+                .unwrap(),
+            )
+        };
+        let r = fifo(&[mk(), mk()]).unwrap();
+        // Aggregate ramp: 200 Mb/s for 10 ms -> backlog peaks at
+        // (200-155) Mb/s * 10 ms = 0.45 Mbit; delay = backlog/C ~ 2.9 ms.
+        assert!((r.backlog_bound.value() - 0.45e6).abs() < 2.0e3, "{r:?}");
+        assert!((r.delay_bound.as_millis() - 0.45 / 155.0 * 1000.0).abs() < 0.05);
+    }
+
+    #[test]
+    fn fifo_output_envelope_shifted_and_capped() {
+        use hetnet_traffic::envelope::Envelope;
+        let flow = lb(424_000.0, 55.0);
+        let r = fifo(&[Arc::clone(&flow)]).unwrap();
+        let out = Fifo.flow_output(Arc::clone(&flow), r.delay_bound, &oc3());
+        // Capped at link rate for small intervals.
+        let tiny = Seconds::from_micros(1.0);
+        assert!(out.arrivals(tiny) <= oc3().rate * tiny + Bits::new(1e-6));
+        // Dominates the input shifted by d at larger intervals.
+        let i = Seconds::from_millis(50.0);
+        assert!(out.arrivals(i) >= flow.arrivals(i) - Bits::new(1.0));
     }
 
     #[test]
@@ -634,32 +699,6 @@ mod tests {
         assert!(Scheduler::Drr { quanta: vec![4] }
             .to_string()
             .starts_with("drr"));
-    }
-
-    #[test]
-    fn output_transform_matches_the_fifo_formula() {
-        use crate::mux::per_flow_output;
-        use hetnet_traffic::envelope::Envelope;
-        let flow = lb(424_000.0, 20.0);
-        let fs = vec![ClassedFlow::new(Arc::clone(&flow), 0)];
-        let r = Fifo.analyze(&fs, &oc3(), &cfg()).unwrap();
-        let legacy = per_flow_output(
-            Arc::clone(&flow),
-            &crate::mux::MuxReport {
-                busy_period: r.busy_period,
-                delay_bound: r.delay_bound,
-                backlog_bound: r.backlog_bound,
-            },
-            &oc3(),
-        );
-        let traited = Fifo.flow_output(flow, r.delay_bound, &oc3());
-        for ms in [0.1, 1.0, 10.0, 50.0] {
-            let i = Seconds::from_millis(ms);
-            assert_eq!(
-                legacy.arrivals(i).value().to_bits(),
-                traited.arrivals(i).value().to_bits()
-            );
-        }
     }
 
     /// `Scheduler` is `#[non_exhaustive]`, so downstream matches need a

@@ -1,17 +1,12 @@
-//! ATM switch output ports.
+//! ATM switch parameters.
 //!
 //! A cell crossing a switch pays (1) a fixed switching latency through
-//! the fabric, (2) FIFO queueing at the output port ([`crate::mux`]),
-//! (3) one store-and-forward cell transmission time, and (4) the link's
-//! propagation delay. This module assembles those pieces into a single
-//! per-port worst-case report.
+//! the fabric, (2) queueing at the output port (analyzed by the port's
+//! scheduler, [`crate::sched`]), (3) one store-and-forward cell
+//! transmission time, and (4) the link's propagation delay. This module
+//! holds the switch's own part, the fabric latency.
 
-use crate::error::AtmError;
-use crate::link::LinkConfig;
-use crate::mux::{analyze_mux, MuxReport};
-use hetnet_traffic::analysis::AnalysisConfig;
-use hetnet_traffic::envelope::SharedEnvelope;
-use hetnet_traffic::units::{Bits, Seconds};
+use hetnet_traffic::units::Seconds;
 use serde::{Deserialize, Serialize};
 
 /// Fixed parameters of one switch.
@@ -37,95 +32,9 @@ impl Default for SwitchConfig {
     }
 }
 
-/// Worst-case behaviour of one traversal of a switch output port and its
-/// outgoing link.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct OutputPortReport {
-    /// FIFO queueing component (shared by all flows through the port).
-    pub queueing: Seconds,
-    /// Fixed component: fabric latency + one cell store-and-forward time
-    /// + link propagation.
-    pub fixed: Seconds,
-    /// Total worst-case delay contributed by this hop.
-    pub total: Seconds,
-    /// Output-port buffer requirement.
-    pub backlog: Bits,
-    /// The raw multiplexer report.
-    pub mux: MuxReport,
-}
-
-/// Analyzes one output port: `flows` are the envelopes (wire bits) of
-/// every connection currently multiplexed onto `link`, and `switch` is
-/// the switch housing the port.
-///
-/// An idle port (empty `flows`) pays only the fixed cost: the port
-/// decides what "idle" means rather than the multiplexer analysis
-/// (which refuses empty flow sets).
-///
-/// # Errors
-///
-/// Propagates [`AtmError`] from the multiplexer analysis.
-pub fn analyze_output_port(
-    flows: &[SharedEnvelope],
-    switch: &SwitchConfig,
-    link: &LinkConfig,
-    cfg: &AnalysisConfig,
-) -> Result<OutputPortReport, AtmError> {
-    link.validate().map_err(AtmError::InvalidConfig)?;
-    let mux = if flows.is_empty() {
-        MuxReport {
-            busy_period: Seconds::ZERO,
-            delay_bound: Seconds::ZERO,
-            backlog_bound: Bits::ZERO,
-        }
-    } else {
-        analyze_mux(flows, link, cfg)?
-    };
-    let fixed = switch.fabric_latency + link.cell_time() + link.propagation;
-    Ok(OutputPortReport {
-        queueing: mux.delay_bound,
-        fixed,
-        total: mux.delay_bound + fixed,
-        backlog: mux.backlog_bound,
-        mux,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hetnet_traffic::models::LeakyBucketEnvelope;
-    use hetnet_traffic::units::BitsPerSec;
-    use std::sync::Arc;
-
-    #[test]
-    fn port_report_composition() {
-        let flow: SharedEnvelope = Arc::new(
-            LeakyBucketEnvelope::new(Bits::new(42_400.0), BitsPerSec::from_mbps(10.0)).unwrap(),
-        );
-        let link = LinkConfig::oc3(Seconds::from_micros(5.0));
-        let switch = SwitchConfig::typical();
-        let r = analyze_output_port(&[flow], &switch, &link, &AnalysisConfig::default()).unwrap();
-        let expect_fixed = 10.0e-6 + 424.0 / 155.0e6 + 5.0e-6;
-        assert!((r.fixed.value() - expect_fixed).abs() < 1e-12);
-        assert!((r.queueing.value() - 42_400.0 / 155.0e6).abs() < 1e-9);
-        assert!((r.total.value() - (r.queueing.value() + r.fixed.value())).abs() < 1e-15);
-        assert!(r.backlog.value() > 0.0);
-    }
-
-    #[test]
-    fn empty_port_only_fixed_cost() {
-        let link = LinkConfig::oc3(Seconds::ZERO);
-        let r = analyze_output_port(
-            &[],
-            &SwitchConfig::typical(),
-            &link,
-            &AnalysisConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(r.queueing, Seconds::ZERO);
-        assert!(r.fixed.value() > 0.0);
-    }
 
     #[test]
     fn default_switch_is_typical() {

@@ -1,9 +1,10 @@
 //! Property-based tests for the ATM substrate: FIFO multiplexer bound
 //! invariants and routing properties.
 
-use hetnet_atm::mux::{analyze_mux, per_flow_output};
 use hetnet_atm::topology::{Backbone, SwitchId};
-use hetnet_atm::{LinkConfig, SwitchConfig};
+use hetnet_atm::{
+    ClassedFlow, LinkConfig, SchedReport, Scheduler, SchedulerAnalysis, SwitchConfig,
+};
 use hetnet_traffic::analysis::AnalysisConfig;
 use hetnet_traffic::envelope::{Envelope, SharedEnvelope};
 use hetnet_traffic::models::LeakyBucketEnvelope;
@@ -31,6 +32,17 @@ fn flows_strategy() -> impl Strategy<Value = Vec<SharedEnvelope>> {
     })
 }
 
+/// The FIFO multiplexer analysis of `flows` (all in class 0) on `link`.
+fn fifo(flows: &[SharedEnvelope], link: &LinkConfig) -> SchedReport {
+    let classed: Vec<ClassedFlow> = flows
+        .iter()
+        .map(|f| ClassedFlow::new(Arc::clone(f), 0))
+        .collect();
+    Scheduler::Fifo
+        .analyze(&classed, link, &AnalysisConfig::default())
+        .unwrap()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -39,7 +51,7 @@ proptest! {
     #[test]
     fn mux_matches_leaky_bucket_closed_form(flows in flows_strategy()) {
         let link = LinkConfig::oc3(Seconds::ZERO);
-        let report = analyze_mux(&flows, &link, &AnalysisConfig::default()).unwrap();
+        let report = fifo(&flows, &link);
         let total_sigma: f64 = flows.iter().map(|f| f.burst().value()).sum();
         let expect_delay = total_sigma / link.rate.value();
         prop_assert!(
@@ -61,9 +73,8 @@ proptest! {
             return;
         }
         let link = LinkConfig::oc3(Seconds::ZERO);
-        let cfg = AnalysisConfig::default();
-        let all = analyze_mux(&flows, &link, &cfg).unwrap();
-        let fewer = analyze_mux(&flows[..flows.len() - 1], &link, &cfg).unwrap();
+        let all = fifo(&flows, &link);
+        let fewer = fifo(&flows[..flows.len() - 1], &link);
         prop_assert!(fewer.delay_bound <= all.delay_bound + Seconds::from_nanos(1.0));
         prop_assert!(fewer.backlog_bound.value() <= all.backlog_bound.value() + 1e-6);
     }
@@ -73,9 +84,9 @@ proptest! {
     #[test]
     fn per_flow_output_sound(flows in flows_strategy()) {
         let link = LinkConfig::oc3(Seconds::ZERO);
-        let report = analyze_mux(&flows, &link, &AnalysisConfig::default()).unwrap();
+        let report = fifo(&flows, &link);
         let flow = Arc::clone(&flows[0]);
-        let out = per_flow_output(Arc::clone(&flow), &report, &link);
+        let out = Scheduler::Fifo.flow_output(Arc::clone(&flow), report.delay_bound, &link);
         for k in 1..50 {
             let i = Seconds::new(k as f64 * 0.01);
             prop_assert!(out.arrivals(i) <= link.rate * i + Bits::new(1e-6));

@@ -6,7 +6,7 @@
 //! path evaluation.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use hetnet_atm::{analyze_mux, LinkConfig};
+use hetnet_atm::{ClassedFlow, LinkConfig, Scheduler, SchedulerAnalysis};
 use hetnet_cac::delay::{evaluate_paths, EvalConfig, PathInput};
 use hetnet_cac::network::{HetNetwork, HostId};
 use hetnet_fddi::frames;
@@ -162,9 +162,17 @@ fn bench_receive_chain_busy_search(c: &mut Criterion) {
 fn bench_mux_analysis(c: &mut Criterion) {
     let cfg = AnalysisConfig::default();
     let link = LinkConfig::oc3(Seconds::ZERO);
-    let flows: Vec<SharedEnvelope> = (0..6).map(|_| Arc::new(paper_source()) as _).collect();
+    let flows: Vec<ClassedFlow> = (0..6)
+        .map(|_| ClassedFlow::new(Arc::new(paper_source()), 0))
+        .collect();
     c.bench_function("fifo_mux_6_flows", |b| {
-        b.iter(|| black_box(analyze_mux(&flows, &link, &cfg).expect("stable")))
+        b.iter(|| {
+            black_box(
+                Scheduler::Fifo
+                    .analyze(&flows, &link, &cfg)
+                    .expect("stable"),
+            )
+        })
     });
 }
 

@@ -303,9 +303,9 @@ pub struct TeardownReport {
 /// each search: when any tier exceeds its cap the whole cache is
 /// cleared. Caps bound memory only — cache hits return exactly what the
 /// miss path would compute, so decisions are identical at any setting.
-/// Callers working repeatedly over large active subsets (the sharded
-/// engine's closure states) raise them so a single big decision does
-/// not evict the working set every iteration.
+/// Callers deciding repeatedly over many different closures (the
+/// sharded engine's worker states) raise them so a single big decision
+/// does not evict the working set every iteration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EvalCacheCaps {
     /// Max stage-1 (source MAC analysis) entries.
@@ -330,9 +330,9 @@ impl Default for EvalCacheCaps {
 /// synchronous-bandwidth tables.
 pub struct NetworkState {
     /// The immutable topology, shareable across states: the sharded
-    /// engine builds one short-lived scoped state per decision, and an
-    /// `Arc` makes that construction O(active subset) instead of a
-    /// deep topology clone.
+    /// engine loads every speculation's closure into a long-lived
+    /// state over the same `Arc` ([`NetworkState::load`]), and a
+    /// reconfiguration swaps it for a new one.
     net: Arc<HetNetwork>,
     active: Vec<ActiveConnection>,
     tables: Vec<SyncAllocationTable>,
@@ -344,9 +344,10 @@ pub struct NetworkState {
     /// when persistence is on. Entries are always sound (keys capture
     /// everything a result depends on — envelope identity, allocations,
     /// and the full transform chain), so with persistence on the cache
-    /// survives admissions and releases too; an entry cap at the start
-    /// of each search bounds its memory. With persistence off it is
-    /// dropped whenever the active set changes.
+    /// survives admissions, releases and loads over the same topology
+    /// `Arc` too; an entry cap at the start of each search bounds its
+    /// memory. With persistence off it is dropped whenever the active
+    /// set changes.
     eval_cache: Option<EvalCache>,
     /// Whether β-search probes may be decided by the fast ladder
     /// ([`NetworkState::set_fast_path`]).
@@ -515,9 +516,46 @@ fn path_inputs<'a>(conns: impl IntoIterator<Item = &'a ActiveConnection>) -> Vec
         .collect()
 }
 
+/// Checks a request's hosts and deadline against `net`: what
+/// [`NetworkState::admit`] requires of a request and
+/// [`NetworkState::load`] of every connection it loads.
+fn validate_spec(net: &HetNetwork, spec: &ConnectionSpec) -> Result<(), CacError> {
+    for (end, host) in [("source", spec.source), ("dest", spec.dest)] {
+        if !net.contains(host) {
+            return Err(CacError::InvalidRequest(format!("unknown {end} {host}")));
+        }
+    }
+    if spec.source.ring == spec.dest.ring {
+        return Err(CacError::InvalidRequest(
+            "source and destination must be on different rings".into(),
+        ));
+    }
+    if spec.deadline.value() <= 0.0 {
+        return Err(CacError::InvalidRequest("deadline must be positive".into()));
+    }
+    Ok(())
+}
+
+/// Checks that `component` exists in `net`: what a fault and every
+/// loaded down component must name.
+fn validate_component(net: &HetNetwork, component: Component) -> Result<(), CacError> {
+    let ok = match component {
+        Component::Ring(r) | Component::IfDev(r) => r.0 < net.rings().len(),
+        Component::Link(l) => l.0 < net.backbone().link_count(),
+    };
+    if ok {
+        Ok(())
+    } else {
+        Err(CacError::InvalidNetwork(format!(
+            "unknown component {component}"
+        )))
+    }
+}
+
 /// Rebuilds the allocation tables of `connections` in their order — the
 /// order a fresh state admitting them would use, so the tables come out
-/// bit for bit. Ids must be strictly ascending below `next_id`.
+/// bit for bit. Ids must be strictly ascending below `next_id`, hosts
+/// inside `net`, and every allocation finite and fitting its ring.
 fn replay_tables(
     net: &HetNetwork,
     connections: &[ActiveConnection],
@@ -533,6 +571,13 @@ fn replay_tables(
         }
         let key = AllocationKey(c.id.0);
         for (ring, h) in [(c.spec.source.ring, c.h_s), (c.spec.dest.ring, c.h_r)] {
+            // The fit check below would let a NaN through.
+            if !h.per_rotation().value().is_finite() {
+                return Err(CacError::SnapshotMismatch(format!(
+                    "{} holds a non-finite allocation",
+                    c.id
+                )));
+            }
             tables[ring]
                 .allocate(key, h, net.ring(ring))
                 .map_err(|e| CacError::SnapshotMismatch(format!("allocations do not fit: {e}")))?;
@@ -908,8 +953,8 @@ impl NetworkState {
 
     /// A fresh state over an already-shared topology. Equivalent to
     /// [`NetworkState::new`] but avoids duplicating the (route-table
-    /// bearing) [`HetNetwork`] when many states are built over the same
-    /// topology, as the sharded engine does per decision.
+    /// bearing) [`HetNetwork`] when several states share one topology,
+    /// as the sharded engine's committer and workers do.
     #[must_use]
     pub fn new_shared(net: Arc<HetNetwork>) -> Self {
         let tables = vec![SyncAllocationTable::new(); net.rings().len()];
@@ -1061,23 +1106,6 @@ impl NetworkState {
         self.cache_caps = caps;
     }
 
-    /// Removes and returns the persisted evaluator cache, if any. The
-    /// sharded engine moves one long-lived cache between the short-lived
-    /// scoped states a worker builds; keys are content-addressed, so a
-    /// cache is sound under any active set over the same topology.
-    #[must_use]
-    pub fn take_eval_cache(&mut self) -> Option<EvalCache> {
-        self.eval_cache.take()
-    }
-
-    /// Installs a previously taken evaluator cache (see
-    /// [`NetworkState::take_eval_cache`]). Only meaningful with
-    /// [`NetworkState::persist_eval_cache`] enabled, which governs
-    /// whether the cache is carried forward after the next decision.
-    pub fn inject_eval_cache(&mut self, cache: EvalCache) {
-        self.eval_cache = Some(cache);
-    }
-
     /// Currently active connections.
     #[must_use]
     pub fn active(&self) -> &[ActiveConnection] {
@@ -1171,7 +1199,7 @@ impl NetworkState {
         // reports none rather than the previous decision's.
         self.last_cache_stats = Some(CacheStats::default());
         self.last_fast_stats = Some(FastPathStats::default());
-        self.validate_spec(&spec)?;
+        validate_spec(&self.net, &spec)?;
         let (closure, _) = closure_of(
             &self.members,
             &self.net,
@@ -1413,7 +1441,7 @@ impl NetworkState {
     /// Returns [`CacError::InvalidNetwork`] for a component outside
     /// this topology; propagates bookkeeping errors from teardown.
     pub fn set_component_down(&mut self, component: Component) -> Result<TeardownReport, CacError> {
-        self.validate_component(component)?;
+        validate_component(&self.net, component)?;
         let newly = self.down.insert(component);
         let mut report = TeardownReport {
             component,
@@ -1458,7 +1486,7 @@ impl NetworkState {
     /// Returns [`CacError::InvalidNetwork`] for a component outside
     /// this topology.
     pub fn set_component_up(&mut self, component: Component) -> Result<bool, CacError> {
-        self.validate_component(component)?;
+        validate_component(&self.net, component)?;
         let was_down = self.down.remove(&component);
         obs::event(
             "component_up",
@@ -1518,20 +1546,6 @@ impl NetworkState {
         }
     }
 
-    fn validate_component(&self, component: Component) -> Result<(), CacError> {
-        let ok = match component {
-            Component::Ring(r) | Component::IfDev(r) => r.0 < self.net.rings().len(),
-            Component::Link(l) => l.0 < self.net.backbone().link_count(),
-        };
-        if ok {
-            Ok(())
-        } else {
-            Err(CacError::InvalidNetwork(format!(
-                "unknown component {component}"
-            )))
-        }
-    }
-
     /// Captures the full admission state in a versioned, restorable
     /// form; see [`crate::snapshot`] for the lossless-ness contract.
     #[must_use]
@@ -1568,17 +1582,24 @@ impl NetworkState {
     /// bit-for-bit), down set, id counter, clock and decision sequence.
     /// The snapshot's ring parameters are *adopted*: when they differ
     /// from this network's (the snapshot was taken after a live
-    /// [`NetworkState::reconfigure`]), the rings are retuned to match
-    /// before the tables are rebuilt, so recovery lands on the
-    /// reconfigured timing. The evaluator cache and last-decision trace
-    /// are cleared (both are decision-neutral); the tracing flag is
-    /// left untouched.
+    /// [`NetworkState::reconfigure`]), the state moves to a topology
+    /// retuned to match, so recovery lands on the reconfigured timing.
+    ///
+    /// Nothing is trusted: every connection and down component is
+    /// checked against the network through [`NetworkState::load`]
+    /// before any of it is adopted, so a failed restore leaves the
+    /// state exactly as it was. The last-decision accessors are
+    /// cleared; the evaluator cache is dropped with a retuned topology
+    /// (both are decision-neutral); the flags are left untouched.
     ///
     /// # Errors
     ///
     /// Returns [`CacError::SnapshotMismatch`] for a wrong version,
-    /// topology, or ring count, or if the snapshot's allocations do not
-    /// fit the rings (a corrupted snapshot).
+    /// topology or ring parameters, a connection or down component
+    /// outside the network, down components out of order, or
+    /// connections that [`NetworkState::admit`] could not have
+    /// committed (ids out of order or not below `next_id`, allocations
+    /// non-finite or not fitting the rings).
     pub fn restore(&mut self, snap: &StateSnapshot) -> Result<(), CacError> {
         if snap.version != SNAPSHOT_VERSION {
             return Err(CacError::SnapshotMismatch(format!(
@@ -1593,17 +1614,23 @@ impl NetworkState {
                 self.net.summary()
             )));
         }
-        if snap.rings.as_slice() != self.net.rings() {
-            self.net = Arc::new(
+        if snap.down.windows(2).any(|w| w[0] >= w[1]) {
+            return Err(CacError::SnapshotMismatch(
+                "down components not strictly ascending".into(),
+            ));
+        }
+        let net = if snap.rings.as_slice() == self.net.rings() {
+            Arc::clone(&self.net)
+        } else {
+            Arc::new(
                 self.net
-                    .as_ref()
                     .with_ring_configs(snap.rings.clone())
                     .map_err(|e| {
                         CacError::SnapshotMismatch(format!("snapshot ring parameters: {e}"))
                     })?,
-            );
-        }
-        let active: Vec<ActiveConnection> = snap
+            )
+        };
+        let active = snap
             .connections
             .iter()
             .map(|c| ActiveConnection {
@@ -1614,15 +1641,14 @@ impl NetworkState {
                 delay_bound: c.delay_bound,
             })
             .collect();
-        self.tables = replay_tables(&self.net, &active, snap.next_id)?;
-        self.active = active;
-        self.down = snap.down.iter().copied().collect();
-        self.next_id = snap.next_id;
+        self.load(
+            net,
+            active,
+            snap.down.iter().copied().collect(),
+            snap.next_id,
+        )?;
         self.clock = snap.clock;
         self.decision_seq = snap.decision_seq;
-        self.eval_cache = None;
-        self.forget_last_decision();
-        self.members = Membership::rebuild(&self.net, &self.active)?;
         Ok(())
     }
 
@@ -1744,42 +1770,59 @@ impl NetworkState {
         Ok(report)
     }
 
-    /// Builds a state over a shared topology that holds exactly
-    /// `connections` — a subset of some larger admitted set, in id
-    /// order — with allocation tables replayed in that same order, the
-    /// loop [`NetworkState::restore`] runs. `next_id` seeds the id
-    /// counter so that an admission in this state is assigned the id
-    /// the full sequential state would assign next, and `down` carries
-    /// the failed-component set forward.
+    /// Replaces the admitted set with `active` over `net`: the one
+    /// loader behind [`NetworkState::restore`] and the sharded engine's
+    /// speculations, which load a candidate's dependency closure into a
+    /// long-lived worker state (see `DESIGN.md` §12 for why deciding
+    /// over a closure is bit-identical to deciding over the full set).
     ///
-    /// The sharded engine builds one of these per decision from a
-    /// dependency closure of the candidate: a set closed under
-    /// "shares a multiplexer with". Over such a subset every quantity
-    /// the admission computes — allocation-table availability on the
-    /// endpoint rings, per-multiplexer aggregates, existing flows'
-    /// delay bounds — is bit-identical to the full state's, because
-    /// every flow that could contribute to them is present and in the
-    /// same relative order (see `DESIGN.md` §12).
+    /// Every connection passes the check [`NetworkState::admit`] runs
+    /// on a request, every down component the one
+    /// [`NetworkState::set_component_down`] runs, and the allocation
+    /// tables are replayed in id order (the order a fresh state
+    /// admitting them would use, so the tables come out bit for bit)
+    /// before the membership index is rebuilt. Only when all of that
+    /// succeeds does anything reach `self`. The flags, clock and
+    /// decision sequence are kept; the last-decision accessors are
+    /// cleared; the evaluator cache survives only a load over the same
+    /// topology `Arc` (its keys do not span ring parameters — and
+    /// `self` still holds its old `Arc` while comparing, so a new one
+    /// cannot share its address).
     ///
     /// # Errors
     ///
-    /// Returns [`CacError::SnapshotMismatch`] if `connections` is not
-    /// strictly id-ordered below `next_id`, or its allocations do not
-    /// fit the rings (either means the caller's admission state is
-    /// corrupt).
-    pub fn scoped(
+    /// Returns [`CacError::SnapshotMismatch`] for a connection or down
+    /// component outside `net`, ids not strictly ascending below
+    /// `next_id`, or allocations that are non-finite or do not fit the
+    /// rings.
+    pub(crate) fn load(
+        &mut self,
         net: Arc<HetNetwork>,
-        connections: Vec<ActiveConnection>,
+        active: Vec<ActiveConnection>,
         down: BTreeSet<Component>,
         next_id: u64,
-    ) -> Result<Self, CacError> {
-        let mut state = Self::new_shared(net);
-        state.tables = replay_tables(&state.net, &connections, next_id)?;
-        state.members = Membership::rebuild(&state.net, &connections)?;
-        state.active = connections;
-        state.down = down;
-        state.next_id = next_id;
-        Ok(state)
+    ) -> Result<(), CacError> {
+        for c in &active {
+            validate_spec(&net, &c.spec)
+                .map_err(|e| CacError::SnapshotMismatch(format!("{}: {e}", c.id)))?;
+        }
+        for &component in &down {
+            validate_component(&net, component)
+                .map_err(|e| CacError::SnapshotMismatch(format!("down set: {e}")))?;
+        }
+        let tables = replay_tables(&net, &active, next_id)?;
+        let members = Membership::rebuild(&net, &active)?;
+        if !Arc::ptr_eq(&self.net, &net) {
+            self.eval_cache = None;
+        }
+        self.net = net;
+        self.active = active;
+        self.tables = tables;
+        self.members = members;
+        self.down = down;
+        self.next_id = next_id;
+        self.forget_last_decision();
+        Ok(())
     }
 
     /// The dependency closure of a `source → dest` candidate and the
@@ -1854,30 +1897,6 @@ impl NetworkState {
                 "admitted set became infeasible: {detail} (invariant violation)"
             ))),
         }
-    }
-
-    fn validate_spec(&self, spec: &ConnectionSpec) -> Result<(), CacError> {
-        if !self.net.contains(spec.source) {
-            return Err(CacError::InvalidRequest(format!(
-                "unknown source {}",
-                spec.source
-            )));
-        }
-        if !self.net.contains(spec.dest) {
-            return Err(CacError::InvalidRequest(format!(
-                "unknown dest {}",
-                spec.dest
-            )));
-        }
-        if spec.source.ring == spec.dest.ring {
-            return Err(CacError::InvalidRequest(
-                "source and destination must be on different rings".into(),
-            ));
-        }
-        if spec.deadline.value() <= 0.0 {
-            return Err(CacError::InvalidRequest("deadline must be positive".into()));
-        }
-        Ok(())
     }
 }
 

@@ -20,9 +20,10 @@
 //!    containing every flow on the candidate's endpoint rings and
 //!    closed under "shares a multiplexer with" — from the flat state,
 //!    together with the ledger version it was read at.
-//! 2. **Decide** ([`Speculation::state`]): build a scoped
-//!    [`NetworkState`] over just that closure and run the ordinary
-//!    β-CAC admission on it. Decisions over the closure are
+//! 2. **Decide** ([`Speculation::load_into`]): load just that closure
+//!    into a long-lived [`NetworkState`] — through the same validated
+//!    loader a restore runs — and run the ordinary β-CAC admission on
+//!    it. Decisions over the closure are
 //!    *bit-identical* to decisions over the full state (the §12
 //!    argument in `DESIGN.md`): the closure carries every flow that
 //!    contributes to any quantity the admission reads, in the same
@@ -68,10 +69,10 @@ struct LogEntry {
 }
 
 /// The admission state of [`NetworkState`] behind a commit ledger.
-/// Holds no decision logic of its own: decisions run on scoped
-/// [`NetworkState`]s built from [`Speculation`]s, and the ledger tells
-/// the committer whether what such a scoped state computed is still
-/// what the flat state would compute.
+/// Holds no decision logic of its own: decisions run on worker
+/// [`NetworkState`]s that [`Speculation`]s are loaded into, and the
+/// ledger tells the committer whether what such a state computed is
+/// still what the flat state would compute.
 #[derive(Debug)]
 pub struct ShardedState {
     /// The one admission state, kept for bookkeeping only.
@@ -110,22 +111,19 @@ pub struct Speculation {
 pub struct Footprint(BTreeSet<MuxKey>);
 
 impl Speculation {
-    /// Builds the scoped [`NetworkState`] this speculation decides on:
-    /// exactly the closure's connections over the shared topology, with
-    /// the down set and id counter carried from the read.
+    /// Loads this speculation into `state`, which then decides on
+    /// exactly the closure's connections over the topology they were
+    /// read under, with the down set and id counter carried from the
+    /// read. `state`'s flags and, over an unchanged topology, its
+    /// evaluator cache carry over from its previous decisions.
     ///
     /// # Errors
     ///
-    /// Propagates [`CacError::SnapshotMismatch`] from
-    /// [`NetworkState::scoped`] (impossible unless the admission state
-    /// is corrupt).
-    pub fn state(&self) -> Result<NetworkState, CacError> {
-        NetworkState::scoped(
-            Arc::clone(&self.net),
-            self.connections.clone(),
-            self.down.clone(),
-            self.next_id,
-        )
+    /// Propagates [`CacError::SnapshotMismatch`] from the validated
+    /// loader (impossible unless the admission state is corrupt); on
+    /// error `state` is unchanged.
+    pub fn load_into(self, state: &mut NetworkState) -> Result<(), CacError> {
+        state.load(self.net, self.connections, self.down, self.next_id)
     }
 
     /// Number of connections in the closure (what the decision's cost
@@ -198,8 +196,7 @@ impl ShardedState {
     /// # Errors
     ///
     /// Propagates routing errors for hosts whose rings are out of range
-    /// or unrouted (the scoped admission would reject such a spec
-    /// anyway).
+    /// or unrouted (the admission would reject such a spec anyway).
     pub fn speculate(&self, source: HostId, dest: HostId) -> Result<Speculation, CacError> {
         let (closure, muxes) = self.flat.closure(source, dest)?;
         Ok(Speculation {
@@ -371,14 +368,16 @@ mod tests {
     ) -> (NetworkState, ShardedState, Vec<Decision>) {
         let mut flat = NetworkState::new(net);
         let shared = Arc::clone(flat.shared_network());
-        let mut sharded = ShardedState::new(shared);
+        let mut sharded = ShardedState::new(Arc::clone(&shared));
+        let mut worker = NetworkState::new_shared(shared);
+        worker.persist_eval_cache(true);
         let opts = AdmissionOptions::beta_search(CacConfig::default());
         let mut decisions = Vec::new();
         for s in specs {
             let flat_decision = flat.admit(s.clone(), &opts).unwrap();
             let spec_view = sharded.speculate(s.source, s.dest).unwrap();
-            let mut scoped = spec_view.state().unwrap();
-            let scoped_decision = scoped.admit(s.clone(), &opts).unwrap();
+            spec_view.load_into(&mut worker).unwrap();
+            let scoped_decision = worker.admit(s.clone(), &opts).unwrap();
             match (&flat_decision, &scoped_decision) {
                 (
                     Decision::Admitted {

@@ -19,11 +19,22 @@
 //! patterns (NaN aside) — equal JSON strings mean equal states, which
 //! is what the pinned golden snapshot in the test suite locks down.
 //!
+//! A snapshot is plain data anyone can edit, so
+//! [`NetworkState::restore`] trusts none of it. It checks the version
+//! and topology, then hands the connections, down set and id counter
+//! to the one validated loader the sharded engine's speculations use
+//! too: every connection passes the check an admission request does,
+//! every down component must exist, ids must ascend below `next_id`,
+//! and every allocation must be finite and fit its ring. Only then is
+//! anything adopted, so a refused snapshot leaves the target state
+//! exactly as it was.
+//!
 //! The evaluator cache is deliberately *not* part of a snapshot: cache
 //! hits return exactly what the miss path would compute, so a restored
 //! state with a cold cache makes the same decisions (only marginally
 //! slower at first).
 
+#[cfg(doc)]
 use crate::cac::NetworkState;
 use crate::connection::{ConnectionId, ConnectionSpec};
 use crate::network::{Component, HostId, TopologySummary};
@@ -212,30 +223,6 @@ fn json_f64(v: f64) -> String {
     } else {
         "null".into()
     }
-}
-
-/// Renders a snapshot as a short human summary (connection and
-/// down-component counts), for log lines.
-pub fn summarize(snap: &StateSnapshot) -> String {
-    let mut s = format!(
-        "snapshot v{}: {} connections, seq {}, clock {}",
-        snap.version,
-        snap.connections.len(),
-        snap.decision_seq,
-        snap.clock
-    );
-    if !snap.down.is_empty() {
-        let _ = write!(s, ", {} components down", snap.down.len());
-    }
-    s
-}
-
-/// Compares two states for *observable* equality the way the recovery
-/// tests do: equal snapshots render equal JSON. Exposed so service- and
-/// bench-layer checks share one definition of "bit-identical".
-#[must_use]
-pub fn states_bit_identical(a: &NetworkState, b: &NetworkState) -> bool {
-    a.snapshot().to_json() == b.snapshot().to_json()
 }
 
 #[cfg(test)]

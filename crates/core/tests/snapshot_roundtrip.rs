@@ -8,74 +8,25 @@
 //! Regenerate the golden file with `SNAPSHOT_WRITE=1 cargo test -p
 //! hetnet-cac --test snapshot_roundtrip` after an intentional format
 //! change, and say why in the commit.
+//!
+//! The second half is robustness: a corrupted snapshot is refused with
+//! [`CacError::SnapshotMismatch`], never a panic, and a refused restore
+//! leaves the target state exactly as it was.
+
+#[path = "support/snapshot_cases.rs"]
+mod snapshot_cases;
 
 use hetnet_cac::cac::{AdmissionOptions, CacConfig, Decision, NetworkState};
-use hetnet_cac::connection::ConnectionSpec;
+use hetnet_cac::error::CacError;
 use hetnet_cac::network::{Component, HetNetwork, HostId, RingId};
-use hetnet_traffic::models::DualPeriodicEnvelope;
-use hetnet_traffic::units::{Bits, BitsPerSec, Seconds};
+use hetnet_cac::shard::ShardedState;
+use hetnet_cac::snapshot::StateSnapshot;
+use hetnet_fddi::ring::SyncBandwidth;
+use hetnet_traffic::units::Seconds;
 use proptest::prelude::*;
+use snapshot_cases::{fuzz_state, mutate, pinned_state, spec, MUTATIONS};
 use std::path::Path;
 use std::sync::Arc;
-
-fn spec(
-    src: (usize, usize),
-    dst: (usize, usize),
-    deadline_ms: f64,
-    c1_mbit: f64,
-) -> ConnectionSpec {
-    ConnectionSpec {
-        source: HostId {
-            ring: src.0,
-            station: src.1,
-        },
-        dest: HostId {
-            ring: dst.0,
-            station: dst.1,
-        },
-        envelope: Arc::new(
-            DualPeriodicEnvelope::new(
-                Bits::from_mbits(c1_mbit),
-                Seconds::from_millis(100.0),
-                Bits::from_mbits(c1_mbit / 8.0),
-                Seconds::from_millis(12.5),
-                BitsPerSec::from_mbps(100.0),
-            )
-            .expect("valid source"),
-        ),
-        deadline: Seconds::from_millis(deadline_ms),
-        class: 0,
-    }
-}
-
-/// Drives a deterministic mixed scenario (admits, a teardown, a
-/// failure) and returns the state.
-fn pinned_state() -> NetworkState {
-    let mut s = NetworkState::new(HetNetwork::paper_topology());
-    let opts = AdmissionOptions::beta_search(CacConfig::fast());
-    s.set_clock(Seconds::new(3.25));
-    assert!(s
-        .admit(spec((0, 0), (1, 0), 100.0, 2.0), &opts)
-        .unwrap()
-        .is_admitted());
-    s.set_clock(Seconds::new(7.5));
-    assert!(s
-        .admit(spec((1, 1), (2, 0), 90.0, 1.5), &opts)
-        .unwrap()
-        .is_admitted());
-    s.set_clock(Seconds::new(11.0));
-    assert!(s
-        .admit(spec((2, 1), (0, 2), 120.0, 1.0), &opts)
-        .unwrap()
-        .is_admitted());
-    // One infeasible request (counted in decision_seq, no state change).
-    assert!(!s
-        .admit(spec((0, 3), (2, 3), 1.0, 2.0), &opts)
-        .unwrap()
-        .is_admitted());
-    s.set_component_down(Component::IfDev(RingId(1))).unwrap();
-    s
-}
 
 #[test]
 fn pinned_snapshot_matches_golden() {
@@ -191,4 +142,114 @@ proptest! {
             (a, b) => prop_assert!(false, "decisions diverged: {:?} vs {:?}", a, b),
         }
     }
+}
+
+fn refused(result: Result<NetworkState, CacError>) -> bool {
+    matches!(result, Err(CacError::SnapshotMismatch(_)))
+}
+
+/// A connection on a ring the network does not have is refused; it
+/// used to index the allocation tables out of bounds.
+#[test]
+fn restore_refuses_a_connection_on_an_unknown_ring() {
+    let mut snap = pinned_state().snapshot();
+    snap.connections[0].dest.ring = 7;
+    assert!(refused(NetworkState::from_snapshot(
+        HetNetwork::paper_topology(),
+        &snap
+    )));
+}
+
+/// A station past the ring's hosts is refused, as an admission request
+/// naming it would be.
+#[test]
+fn restore_refuses_an_unknown_station() {
+    let mut snap = pinned_state().snapshot();
+    assert_ne!(snap.connections[0].source.ring, 1);
+    snap.connections[0].dest = HostId {
+        ring: 1,
+        station: 99,
+    };
+    assert!(refused(NetworkState::from_snapshot(
+        HetNetwork::paper_topology(),
+        &snap
+    )));
+}
+
+/// A refused restore changes nothing, not even the ring parameters the
+/// snapshot would have adopted.
+#[test]
+fn failed_restore_leaves_the_state_unchanged() {
+    let mut state = pinned_state();
+    let before = state.snapshot().to_json();
+    let mut snap = state.snapshot();
+    snap.rings[2].ttrt = Seconds::from_millis(6.0);
+    snap.connections[0].h_s = SyncBandwidth::new(Seconds::new(1.0));
+    assert!(matches!(
+        state.restore(&snap),
+        Err(CacError::SnapshotMismatch(_))
+    ));
+    assert_eq!(state.snapshot().to_json(), before);
+}
+
+/// A restore target unlike the pinned state: ring 2 retuned, one
+/// connection admitted, so a restore that adopted anything before
+/// failing would show in its snapshot.
+fn restore_target() -> NetworkState {
+    let mut rings = HetNetwork::paper_topology().rings().to_vec();
+    rings[2].ttrt = Seconds::from_millis(6.0);
+    let net = HetNetwork::paper_topology()
+        .with_ring_configs(rings)
+        .expect("valid retune");
+    let mut state = NetworkState::new(net);
+    let opts = AdmissionOptions::beta_search(CacConfig::fast());
+    assert!(state
+        .admit(spec((2, 2), (1, 3), 110.0, 1.0), &opts)
+        .unwrap()
+        .is_admitted());
+    state
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(70))]
+
+    /// Corrupted snapshots: `restore` never panics, refuses exactly
+    /// what `admit` could not have committed, leaves its target
+    /// unchanged when it refuses, and round-trips losslessly when it
+    /// accepts; the sharded state agrees on every case.
+    #[test]
+    fn corrupted_snapshots_are_refused_atomically(
+        op in 0_usize..MUTATIONS,
+        pick in 0_usize..64,
+        k in 0_u64..1000,
+    ) {
+        let (snap, verdict) = mutate(&fuzz_snapshot(), op, pick, k);
+        let mut target = restore_target();
+        let before = target.snapshot().to_json();
+        let restored = target.restore(&snap);
+        if let Some(accept) = verdict {
+            prop_assert_eq!(restored.is_ok(), accept, "mutation {}: {:?}", op, restored);
+        }
+        match &restored {
+            Ok(()) => prop_assert_eq!(target.snapshot().to_json(), snap.to_json()),
+            Err(e) => {
+                prop_assert!(matches!(e, CacError::SnapshotMismatch(_)), "mutation {}: {}", op, e);
+                prop_assert_eq!(target.snapshot().to_json(), before);
+            }
+        }
+        let sharded = ShardedState::from_snapshot(Arc::new(HetNetwork::paper_topology()), &snap);
+        prop_assert_eq!(sharded.is_ok(), restored.is_ok(), "mutation {}", op);
+        if let Ok(sharded) = sharded {
+            prop_assert_eq!(
+                sharded.snapshot(snap.clock, snap.decision_seq).to_json(),
+                snap.to_json()
+            );
+        }
+    }
+}
+
+/// The fuzz state's snapshot, built once.
+fn fuzz_snapshot() -> StateSnapshot {
+    static SNAP: std::sync::OnceLock<StateSnapshot> = std::sync::OnceLock::new();
+    SNAP.get_or_init(|| fuzz_state().snapshot()).clone()
 }

@@ -12,14 +12,14 @@
 //! This crate provides:
 //!
 //! * [`ring::RingConfig`] — ring parameters (bandwidth, TTRT, the
-//!   protocol overhead Δ, walk/propagation times);
+//!   protocol overhead Δ, walk/propagation times; the propagation time
+//!   is the whole of the constant-delay Delay_Line server, §4.3.1);
 //! * [`alloc::SyncAllocationTable`] — per-station synchronous-bandwidth
 //!   bookkeeping enforcing the protocol constraint `Σ H ≤ TTRT − Δ`
 //!   (paper eqs. 26–27);
 //! * [`mac`] — the paper's **Theorem 1**: busy interval, buffer
 //!   requirement, worst-case delay (∞ on buffer overflow), and output
 //!   traffic envelope of the FDDI MAC;
-//! * [`delay_line`] — the constant-delay ring-propagation server;
 //! * [`frames`] — FDDI frame-format constants and the minimum usable
 //!   synchronous allocation;
 //! * [`schemes`] — classical FDDI-only synchronous-bandwidth allocation
@@ -31,7 +31,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod alloc;
-pub mod delay_line;
 pub mod error;
 pub mod frames;
 pub mod ieee8025;
@@ -40,7 +39,6 @@ pub mod ring;
 pub mod schemes;
 
 pub use alloc::SyncAllocationTable;
-pub use delay_line::DelayLine;
 pub use error::FddiError;
 pub use mac::{analyze_fddi_mac, DelayOutcome, MacReport};
 pub use ring::{RingConfig, StationId, SyncBandwidth};

@@ -15,7 +15,7 @@
 //! * [`reassembly`] — the cell→frame transform on the receive side.
 //!
 //! The ATM output port of ID_S is an ordinary switch output port and is
-//! analyzed by [`hetnet_atm::mux`]; the FDDI transmission of ID_R is an
+//! analyzed by [`hetnet_atm::sched`]; the FDDI transmission of ID_R is an
 //! ordinary timed-token MAC and is analyzed by [`hetnet_fddi::mac`]. The
 //! end-to-end composition lives in the `hetnet-cac` crate.
 

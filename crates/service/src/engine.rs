@@ -99,7 +99,7 @@ pub struct ServiceConfig {
     /// connection in class 0 (the FIFO behavior).
     pub classes: u8,
     /// Observability knobs: span collection, periodic telemetry, and
-    /// flight-recorder sizing. Decision-neutral by construction.
+    /// when the flight recorder arms. Decision-neutral by construction.
     pub obs: ObsOptions,
     /// Scheduled live reconfigurations, applied in time order between
     /// the surrounding events (ties: departure < fault < reconfig <
@@ -331,10 +331,11 @@ impl ServiceEngine {
         self.run_to_end()?;
         // The evaluator cache only accelerates this engine's next
         // decision; decisions never depend on it. A finished run does
-        // not carry it: on paper-style churn it holds up to a thousand
-        // flattened stage-1 envelopes (tens of MiB) that whoever keeps
-        // the run around would otherwise pin.
-        let _ = self.decider.state.take_eval_cache();
+        // not carry it (turning persistence off drops it): on
+        // paper-style churn it holds up to a thousand flattened stage-1
+        // envelopes (tens of MiB) that whoever keeps the run around
+        // would otherwise pin.
+        self.decider.state.persist_eval_cache(false);
         Ok(ServiceRun {
             report: self.close(),
             audit: self.audit,
@@ -1005,5 +1006,58 @@ mod tests {
         let err =
             verify_recovery(HetNetwork::paper_topology(), &cfg, &checkpoint, &tail).unwrap_err();
         assert!(matches!(err, CacError::SnapshotMismatch(_)), "{err}");
+    }
+
+    /// The core crate's snapshot fuzz, through checkpoint recovery:
+    /// both engines' `recover` refuse exactly what `restore` refuses,
+    /// with a `SnapshotMismatch` rather than a panic, and an accepted
+    /// checkpoint resumes on exactly the snapshot's state.
+    mod corrupted_checkpoints {
+        use super::*;
+        use crate::event::Position;
+        use crate::snapshot_cases::{fuzz_state, mutate, MUTATIONS};
+        use crate::ShardedEngine;
+        use proptest::prelude::*;
+        use std::sync::OnceLock;
+
+        fn fuzz_snapshot() -> StateSnapshot {
+            static SNAP: OnceLock<StateSnapshot> = OnceLock::new();
+            SNAP.get_or_init(|| fuzz_state().snapshot()).clone()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(42))]
+
+            #[test]
+            fn recovery_refuses_what_restore_refuses(
+                op in 0_usize..MUTATIONS,
+                pick in 0_usize..64,
+                k in 0_u64..1000,
+            ) {
+                let (snap, verdict) = mutate(&fuzz_snapshot(), op, pick, k);
+                let restored = NetworkState::from_snapshot(HetNetwork::paper_topology(), &snap);
+                if let Some(accept) = verdict {
+                    prop_assert_eq!(restored.is_ok(), accept, "mutation {}", op);
+                }
+                let checkpoint = EngineCheckpoint {
+                    state: snap.clone(),
+                    pos: Position::default(),
+                };
+                let cfg = ServiceConfig::paper_style(2.0, 8, 5);
+                match ServiceEngine::recover(HetNetwork::paper_topology(), &cfg, &checkpoint) {
+                    Ok(engine) => {
+                        prop_assert!(restored.is_ok(), "mutation {}", op);
+                        prop_assert_eq!(engine.state().snapshot().to_json(), snap.to_json());
+                    }
+                    Err(e) => {
+                        prop_assert!(restored.is_err(), "mutation {}", op);
+                        prop_assert!(matches!(e, CacError::SnapshotMismatch(_)), "{}", e);
+                    }
+                }
+                let sharded =
+                    ShardedEngine::recover(HetNetwork::paper_topology(), &cfg, 2, &checkpoint);
+                prop_assert_eq!(sharded.is_ok(), restored.is_ok(), "mutation {}", op);
+            }
+        }
     }
 }

@@ -46,6 +46,13 @@ use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::Arc;
 use std::time::Instant;
 
+/// Ring capacity (records) of the per-decision span subscriber.
+const SPAN_CAPACITY: usize = 256;
+/// Telemetry frames the shared ring retains (oldest evicted first).
+const TELEMETRY_CAPACITY: usize = 256;
+/// Outlier decisions the flight recorder retains.
+const FLIGHT_CAPACITY: usize = 32;
+
 /// One request, as the core hands it to [`Decider::decide`].
 #[derive(Debug)]
 pub struct Request<'a> {
@@ -56,6 +63,8 @@ pub struct Request<'a> {
     pub kind: AuditKind,
     /// Index of the request's arrival in the churn schedule.
     pub arrival: usize,
+    /// The decision sequence number the request's audit entry gets.
+    pub seq: u64,
     /// The request itself.
     pub spec: ConnectionSpec,
     /// The run's configuration, with the β in force.
@@ -165,8 +174,7 @@ pub(crate) fn admit_observed(
     obs: &ObsOptions,
 ) -> Result<(Decision, Option<Trace>), CacError> {
     if obs.spans && hetnet_obs::is_enabled() {
-        let (decision, trace) =
-            hetnet_obs::collect(obs.span_capacity, || state.admit(spec, options));
+        let (decision, trace) = hetnet_obs::collect(SPAN_CAPACITY, || state.admit(spec, options));
         Ok((decision?, Some(trace)))
     } else {
         Ok((state.admit(spec, options)?, None))
@@ -339,10 +347,10 @@ impl<D: Decider> EventCore<D> {
         let registry = Arc::new(MetricsRegistry::new());
         let mx = EngineMetrics::register(&registry, cfg.trace_decisions, decider.workers() > 0);
         let flight = Arc::new(FlightRecorder::new(
-            cfg.obs.flight_capacity,
+            FLIGHT_CAPACITY,
             cfg.obs.flight_min_samples,
         ));
-        let telemetry_ring = Arc::new(SharedRing::new(cfg.obs.telemetry_capacity));
+        let telemetry_ring = Arc::new(SharedRing::new(TELEMETRY_CAPACITY));
         let telemetry =
             Telemetry::new(&cfg.obs, Arc::clone(&registry), Arc::clone(&telemetry_ring));
         Ok(Self {
@@ -736,17 +744,18 @@ impl<D: Decider> EventCore<D> {
         let source = (spec.source.ring, spec.source.station);
         let dest = (spec.dest.ring, spec.dest.station);
         let deadline = spec.deadline.value();
+        let seq = self.next_seq();
         self.decider.set_clock(at);
         let decided = self.decider.decide(Request {
             at,
             kind,
             arrival,
+            seq,
             spec,
             cfg: &self.cfg,
         })?;
         self.mx.on_decision(&decided, self.decider.last_trace());
         let outcome = AuditOutcome::from_decision(&decided.decision);
-        let seq = self.next_seq();
         let observation = FlightObservation {
             correlation: seq,
             shard: decided.shard,

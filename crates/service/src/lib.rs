@@ -56,6 +56,12 @@ pub mod observability;
 pub mod report;
 pub mod sharded;
 
+/// The snapshot corruptions of the core crate's robustness fuzz, run
+/// here through checkpoint recovery.
+#[cfg(test)]
+#[path = "../../core/tests/support/snapshot_cases.rs"]
+mod snapshot_cases;
+
 pub use audit::{AuditEntry, AuditKind, AuditLog, AuditOutcome};
 pub use engine::{
     entries_equivalent, run, verify_recovery, ReconfigEvent, ServiceConfig, ServiceEngine,

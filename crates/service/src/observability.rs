@@ -4,7 +4,7 @@
 //! Three pieces, all built on `hetnet_obs` primitives:
 //!
 //! * [`ObsOptions`] — per-run knobs (span collection, telemetry
-//!   cadence, flight-recorder sizing). All observability here is
+//!   cadence, when the flight recorder arms). All observability here is
 //!   *measurement only*: no option changes a single admission decision
 //!   (the sharded replay tests certify this bit-for-bit).
 //! * [`EngineMetrics`] — the canonical `hetnet_*` metric families every
@@ -53,16 +53,9 @@ pub struct ObsOptions {
     /// default: spans cost one ring-buffer write per instrumentation
     /// point.
     pub spans: bool,
-    /// Ring capacity (records) of the per-decision span subscriber.
-    pub span_capacity: usize,
     /// Cut a registry snapshot every this many simulated seconds;
     /// `None` disables telemetry.
     pub telemetry_period: Option<Seconds>,
-    /// How many telemetry frames the shared ring retains (oldest
-    /// evicted first).
-    pub telemetry_capacity: usize,
-    /// How many outlier decisions the flight recorder retains.
-    pub flight_capacity: usize,
     /// Decisions observed before latency-p99 outlier capture arms
     /// (conflict and class-transition capture are always armed).
     pub flight_min_samples: u64,
@@ -72,10 +65,7 @@ impl Default for ObsOptions {
     fn default() -> Self {
         Self {
             spans: false,
-            span_capacity: 256,
             telemetry_period: None,
-            telemetry_capacity: 256,
-            flight_capacity: 32,
             flight_min_samples: 64,
         }
     }

@@ -9,20 +9,25 @@
 //! engine adds is *how arrivals are decided*. Arrivals are routed to a
 //! worker thread by source ring (`ring % workers`); each worker
 //! *speculates* its decisions over the candidate's dependency closure
-//! (a scoped state of typically a few hundred connections, not the
-//! whole network) and sends them to the committer — the thread running
-//! the event loop. The committer validates each speculation against
-//! the ledger's commit log and commits it, or recomputes it inline
-//! when a conflicting commit landed since the speculation was read
-//! (optimistic concurrency, validate-then-commit). Re-admissions never
-//! speculate; the committer decides them inline.
+//! (typically a few hundred connections, not the whole network) and
+//! sends them to the committer — the thread running the event loop.
+//! Every worker, and the committer for its inline decisions, keeps one
+//! long-lived [`NetworkState`] with the run's flags set once; each
+//! decision loads its closure into it
+//! ([`hetnet_cac::shard::Speculation::load_into`]) and sets its clock.
+//! The committer validates each speculation against the ledger's commit
+//! log and commits it, or recomputes it inline when a conflicting
+//! commit landed since the speculation was read (optimistic
+//! concurrency, validate-then-commit). Re-admissions never speculate;
+//! the committer decides them inline.
 //!
 //! A live reconfiguration is a barrier: [`ShardedState::reconfigure`]
 //! renegotiates the admitted set in place, through
 //! `NetworkState::reconfigure`, and raises the ledger barrier past
 //! every outstanding version, so any speculation read under the old
 //! ring parameters or the old β conflicts and is recomputed under the
-//! new ones.
+//! new ones. The retune swaps the topology `Arc`, so the next load into
+//! a worker state drops that state's evaluator cache with it.
 //!
 //! Because commits happen strictly in event order and conflicted
 //! speculations are recomputed sequentially, the committed decision
@@ -46,7 +51,6 @@ use crate::observability::{self as obs, spans_to_json, CacheCounters, SpanPhase,
 use crate::report::ServiceReport;
 use hetnet_cac::cac::{AdmissionOptions, Decision, EvalCacheCaps, NetworkState, TeardownReport};
 use hetnet_cac::connection::{ConnectionId, ConnectionSpec};
-use hetnet_cac::delay::EvalCache;
 use hetnet_cac::error::CacError;
 use hetnet_cac::network::{Component, HetNetwork};
 use hetnet_cac::reconfig::{ReconfigPlan, ReconfigReport};
@@ -136,17 +140,14 @@ pub struct ShardedRun {
     pub telemetry: Vec<TelemetryFrame>,
 }
 
-/// What the committer and the workers share: the admission state, the
-/// admission options in force, and the reconfiguration epoch.
+/// What the committer and the workers share: the admission state and
+/// the admission options in force.
 #[derive(Debug)]
 struct Shared {
     state: ShardedState,
     /// The options speculations decide under (a reconfiguration's β
     /// replaces the configured one).
     options: Arc<AdmissionOptions>,
-    /// Reconfigurations applied so far: an evaluator cache carried
-    /// across one is stale (its keys do not span ring parameters).
-    epoch: u64,
 }
 
 /// Only the committer writes, so a poisoned lock means the committer
@@ -177,54 +178,55 @@ struct SpecMsg {
     spans: Option<Trace>,
 }
 
-/// An evaluator cache carried from one evaluation to the next, tagged
-/// with the reconfiguration epoch it was built in.
-type CarriedCache = Option<(u64, EvalCache)>;
+/// The long-lived state a worker (or the committer, for its inline
+/// decisions) loads every speculation into, with the run's flags set
+/// once. Its evaluator cache carries across loads over one topology.
+fn decision_state(net: Arc<HetNetwork>, cfg: &ServiceConfig) -> Result<NetworkState, CacError> {
+    let mut state = NetworkState::new_shared(net);
+    state.set_cache_caps(WORKER_CACHE_CAPS);
+    state.persist_eval_cache(cfg.persist_cache);
+    state.set_fast_path(cfg.fast_path)?;
+    state.set_decision_tracing(cfg.trace_decisions);
+    Ok(state)
+}
 
-/// Decides `spec` over its dependency closure of `shared`, carrying
-/// `carried` across calls. This is the one decision procedure both
-/// workers and the committer run — they differ only in *when* the
-/// closure is read and whether the result must be validated.
+/// Decides `spec` over its dependency closure of `shared`, loaded into
+/// `state`. This is the one decision procedure both workers and the
+/// committer run — they differ only in *when* the closure is read and
+/// whether the result must be validated.
 fn decide_scoped(
     shared: &RwLock<Shared>,
     cfg: &ServiceConfig,
     idx: usize,
     spec: &ConnectionSpec,
     at: Seconds,
-    carried: &mut CarriedCache,
+    state: &mut NetworkState,
 ) -> Result<SpecMsg, CacError> {
-    let (view, options, epoch) = {
+    let (view, options) = {
         let guard = read(shared);
         let view = guard.state.speculate(spec.source, spec.dest)?;
-        (view, Arc::clone(&guard.options), guard.epoch)
+        (view, Arc::clone(&guard.options))
     };
     let t0 = Instant::now();
-    let mut scoped = view.state()?;
-    scoped.set_cache_caps(WORKER_CACHE_CAPS);
-    scoped.persist_eval_cache(cfg.persist_cache);
-    if let Some((_, cache)) = carried.take().filter(|(e, _)| *e == epoch) {
-        scoped.inject_eval_cache(cache);
-    }
-    scoped.set_fast_path(cfg.fast_path)?;
-    scoped.set_decision_tracing(cfg.trace_decisions);
-    scoped.set_clock(at);
-    let (decision, spans) = admit_observed(&mut scoped, spec.clone(), &options, &cfg.obs)?;
+    let (version, footprint, closure) = (view.version, view.footprint(), view.closure_len());
+    view.load_into(state)?;
+    state.set_clock(at);
+    let (decision, spans) = admit_observed(state, spec.clone(), &options, &cfg.obs)?;
     let latency_seconds = t0.elapsed().as_secs_f64();
-    *carried = scoped.take_eval_cache().map(|cache| (epoch, cache));
     Ok(SpecMsg {
         idx,
         decided: Decided {
             decision,
             latency_seconds,
-            closure: view.closure_len(),
-            cache: scoped.last_cache_stats().unwrap_or_default(),
-            fast: scoped.last_fast_path_stats().unwrap_or_default(),
+            closure,
+            cache: state.last_cache_stats().unwrap_or_default(),
+            fast: state.last_fast_path_stats().unwrap_or_default(),
             commit: None,
             shard: None,
         },
-        version: view.version,
-        footprint: view.footprint(),
-        trace: scoped.last_decision_trace().cloned(),
+        version,
+        footprint,
+        trace: state.last_decision_trace().cloned(),
         spans,
     })
 }
@@ -247,9 +249,9 @@ pub struct Sharded {
     shared: Arc<RwLock<Shared>>,
     /// Logical clock of the event being processed, for snapshots.
     clock: Seconds,
-    /// The committer's own carried evaluator cache, for inline
-    /// (conflict-retry and readmit) decisions.
-    inline_cache: CarriedCache,
+    /// The committer's own decision state, for inline (conflict-retry
+    /// and readmit) decisions.
+    inline: NetworkState,
     /// One link per worker, installed by [`ShardedEngine::run`] for
     /// the life of its worker scope.
     links: Vec<WorkerLink>,
@@ -299,7 +301,6 @@ impl Decider for Sharded {
         let mut shared = write(&self.shared);
         let report = shared.state.reconfigure(plan, options)?;
         shared.options = Arc::new(options.clone());
-        shared.epoch += 1;
         Ok(report)
     }
 
@@ -317,7 +318,9 @@ impl Decider for Sharded {
     /// Consumes the worker speculation for an arrival and validates it
     /// against the ledger, recomputing inline on conflict (a
     /// re-admission is always decided inline), then commits: the
-    /// ledger assigns the id, which equals the sequential engine's.
+    /// ledger assigns the id, which equals the sequential engine's. The
+    /// kept trace is stamped with the request's sequence number: the
+    /// deciding state counts only its own decisions.
     fn decide(&mut self, req: Request<'_>) -> Result<Decided, CacError> {
         let speculated = if req.kind == AuditKind::Arrival {
             let w = req.spec.source.ring % self.workers;
@@ -347,7 +350,7 @@ impl Decider for Sharded {
                     req.arrival,
                     &req.spec,
                     req.at,
-                    &mut self.inline_cache,
+                    &mut self.inline,
                 )?;
                 (msg, true, speculated.and_then(|(_, m)| m.spans))
             }
@@ -378,7 +381,10 @@ impl Decider for Sharded {
             .into_iter()
             .chain(msg.spans.map(|t| (phase, phase_shard, t)))
             .collect();
-        self.trace = msg.trace;
+        self.trace = msg.trace.map(|mut t| {
+            t.seq = req.seq;
+            t
+        });
         self.version = msg.version;
         decided.commit = Some(Commit {
             speculated_at,
@@ -409,6 +415,8 @@ struct Worker {
     shared: Arc<RwLock<Shared>>,
     cfg: ServiceConfig,
     registry: Arc<MetricsRegistry>,
+    /// The state every speculation of this worker is loaded into.
+    state: NetworkState,
     #[cfg(test)]
     panic_at: Option<usize>,
 }
@@ -416,7 +424,7 @@ struct Worker {
 impl Worker {
     /// Speculates each arrival once the previous one committed, until
     /// its arrivals run out or the committer hangs up.
-    fn run(self, specs: &SyncSender<Result<SpecMsg, CacError>>, acks: &Receiver<()>) {
+    fn run(mut self, specs: &SyncSender<Result<SpecMsg, CacError>>, acks: &Receiver<()>) {
         // Each worker registers its own shard-labelled families into
         // the one shared registry, from its own thread.
         let shard = self.shard.to_string();
@@ -435,7 +443,6 @@ impl Worker {
             obs::SHARD_CACHE_LOOKUPS,
             &[("shard", &shard)],
         );
-        let mut cache = None;
         for (n, &idx) in self.indices.iter().enumerate() {
             if n > 0 && acks.recv().is_err() {
                 return;
@@ -446,7 +453,7 @@ impl Worker {
             }
             let a = &self.arrivals[idx];
             let msg = arrival_spec(a, &self.envelope, self.cfg.classes).and_then(|spec| {
-                decide_scoped(&self.shared, &self.cfg, idx, &spec, a.at, &mut cache)
+                decide_scoped(&self.shared, &self.cfg, idx, &spec, a.at, &mut self.state)
             });
             if let Ok(m) = &msg {
                 speculations.inc();
@@ -475,16 +482,17 @@ impl ShardedEngine {
     /// As for [`crate::ServiceEngine::new`].
     pub fn new(network: HetNetwork, cfg: &ServiceConfig, workers: usize) -> Result<Self, CacError> {
         Self::build(network, cfg, |network| {
+            let net = Arc::new(network);
+            let inline = decision_state(Arc::clone(&net), cfg)?;
             let shared = Shared {
-                state: ShardedState::new(Arc::new(network)),
+                state: ShardedState::new(net),
                 options: Arc::new(cfg.options.clone()),
-                epoch: 0,
             };
             Ok(Sharded {
                 workers: workers.max(1),
                 shared: Arc::new(RwLock::new(shared)),
                 clock: Seconds::ZERO,
-                inline_cache: None,
+                inline,
                 links: Vec::new(),
                 checkpoint_after: None,
                 trace: None,
@@ -545,10 +553,16 @@ impl ShardedEngine {
         for (idx, a) in self.arrivals.iter().enumerate().skip(self.pos.next_arrival) {
             owned[a.source.0 % workers].push(idx);
         }
+        let states = {
+            let net = Arc::clone(read(&self.decider.shared).state.net());
+            (0..workers)
+                .map(|_| decision_state(Arc::clone(&net), &self.cfg))
+                .collect::<Result<Vec<_>, _>>()?
+        };
         let (mut core, checkpoint) = std::thread::scope(move |scope| {
             let mut core = self;
             let mut handles = Vec::with_capacity(workers);
-            for (shard, indices) in owned.into_iter().enumerate() {
+            for (shard, (indices, state)) in owned.into_iter().zip(states).enumerate() {
                 let (spec_tx, specs) = mpsc::sync_channel(1);
                 let (acks, ack_rx) = mpsc::sync_channel(1);
                 core.decider.links.push(WorkerLink { specs, acks });
@@ -560,6 +574,7 @@ impl ShardedEngine {
                     shared: Arc::clone(&core.decider.shared),
                     cfg: core.cfg.clone(),
                     registry: core.registry(),
+                    state,
                     #[cfg(test)]
                     panic_at: core.decider.panic_at,
                 };

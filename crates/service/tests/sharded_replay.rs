@@ -371,6 +371,48 @@ fn sharded_replay_full_observability_is_decision_neutral() {
     assert!(!seq_observed.telemetry.is_empty());
 }
 
+/// Every flight-recorder outlier's decision trace carries the sequence
+/// number the recorder correlates it by, on both engines. The sharded
+/// engine decides in long-lived worker states that count only their own
+/// decisions, so its committer stamps the audit sequence onto the trace
+/// it keeps.
+#[test]
+fn outlier_traces_carry_their_decision_seq() {
+    let mut cfg = faulted_cfg(2.0, sized(150), 20261019);
+    cfg.trace_decisions = true;
+    cfg.obs.flight_min_samples = 8;
+    let engine = ServiceEngine::new(HetNetwork::paper_topology(), &cfg).expect("engine");
+    let sequential = engine.flight_recorder();
+    engine.finish().expect("sequential run");
+    let engine = ShardedEngine::new(HetNetwork::paper_topology(), &cfg, 2).expect("engine");
+    let sharded = engine.flight_recorder();
+    engine.run().expect("sharded run");
+    for (name, recorder) in [("sequential", sequential), ("sharded", sharded)] {
+        let traced: Vec<_> = recorder
+            .retained()
+            .into_iter()
+            .filter(|r| r.trace_json != "null")
+            .collect();
+        assert!(
+            traced.iter().any(|r| r.correlation > 0),
+            "{name}: no traced outlier past the first decision"
+        );
+        for r in &traced {
+            let seq = r
+                .trace_json
+                .strip_prefix("{\"seq\":")
+                .and_then(|rest| rest.split(',').next())
+                .and_then(|n| n.parse::<u64>().ok());
+            assert_eq!(
+                seq,
+                Some(r.correlation),
+                "{name}: outlier {} carries the trace of another decision",
+                r.correlation
+            );
+        }
+    }
+}
+
 /// Pinned grid case: paired traffic on an 8-ring grid decomposes into
 /// disjoint ring pairs, so a 4-worker run must see small closures and
 /// still certify against the sequential engine.

@@ -14,8 +14,7 @@
 //!
 //! Run with: `cargo run --release --example token_ring_segment`
 
-use hetnet::atm::mux::{analyze_mux, per_flow_output};
-use hetnet::atm::{LinkConfig, SwitchConfig};
+use hetnet::atm::{ClassedFlow, LinkConfig, Scheduler, SchedulerAnalysis, SwitchConfig};
 use hetnet::fddi::ieee8025::{analyze_8025_station, Ieee8025Config};
 use hetnet::fddi::mac::analyze_fddi_mac;
 use hetnet::fddi::ring::{RingConfig, SyncBandwidth};
@@ -80,20 +79,14 @@ fn main() -> Result<(), Box<dyn Error>> {
         seg.cells_per_frame
     );
 
-    let uplink = analyze_mux(&[Arc::clone(&seg.output_wire)], &access, &cfg)?;
-    println!(
-        "  uplink port    : {:7.3} ms",
-        uplink.delay_bound.as_millis()
-    );
-    let after_uplink = per_flow_output(Arc::clone(&seg.output_wire), &uplink, &access);
+    let (uplink, after_uplink) = fifo_port(Arc::clone(&seg.output_wire), &access, &cfg)?;
+    println!("  uplink port    : {:7.3} ms", uplink.as_millis());
 
     // --- one backbone hop + egress port --------------------------------
-    let backbone_hop = analyze_mux(&[Arc::clone(&after_uplink)], &access, &cfg)?;
-    let after_hop = per_flow_output(after_uplink, &backbone_hop, &access);
-    let egress = analyze_mux(&[Arc::clone(&after_hop)], &access, &cfg)?;
-    let delivered = per_flow_output(after_hop, &egress, &access);
+    let (backbone_hop, after_hop) = fifo_port(after_uplink, &access, &cfg)?;
+    let (egress, delivered) = fifo_port(after_hop, &access, &cfg)?;
     let atm_fixed = 2.0 * (access.propagation + switch.fabric_latency) + access.propagation;
-    let atm_total = uplink.delay_bound + backbone_hop.delay_bound + egress.delay_bound + atm_fixed;
+    let atm_total = uplink + backbone_hop + egress + atm_fixed;
     println!("  ATM (3 ports)  : {:7.3} ms", atm_total.as_millis());
 
     // --- ID_R + FDDI_R --------------------------------------------------
@@ -127,4 +120,16 @@ fn main() -> Result<(), Box<dyn Error>> {
          every other server is reused verbatim — the paper's §7 claim."
     );
     Ok(())
+}
+
+/// One FIFO output port carrying `flow` alone: its queueing delay and
+/// the flow's envelope after the port, `min(C·I, A(I + d))`.
+fn fifo_port(
+    flow: SharedEnvelope,
+    link: &LinkConfig,
+    cfg: &AnalysisConfig,
+) -> Result<(Seconds, SharedEnvelope), Box<dyn Error>> {
+    let port = Scheduler::Fifo.analyze(&[ClassedFlow::new(Arc::clone(&flow), 0)], link, cfg)?;
+    let out = Scheduler::Fifo.flow_output(flow, port.delay_bound, link);
+    Ok((port.delay_bound, out))
 }

@@ -114,6 +114,31 @@ lint() {
     fi
     echo "ok: one admission state"
 
+    echo "==> one-state-loader gate (restore and sharded speculation build state one way)"
+    # Every admitted set reaches a NetworkState through one validated
+    # loader, NetworkState::load: a restore and each sharded speculation
+    # alike. The per-decision scoped constructor, the evaluator-cache
+    # hand-off around it, and the duplicate FIFO multiplexer analysis
+    # must not come back.
+    if grep -rnE "fn scoped\(|take_eval_cache|inject_eval_cache|CarriedCache|analyze_mux" \
+        --include="*.rs" crates; then
+        echo "FAIL: a second state loader, the carried-cache protocol or analyze_mux reintroduced"
+        exit 1
+    fi
+    for f in "replay_tables(" "Membership::rebuild("; do
+        all=$(for src in crates/core/src/*.rs; do
+            awk '/^#\[cfg\(test\)\]/ { exit } { print }' "$src"
+        done | grep -F "$f" | grep -vE "fn replay_tables\(|^[[:space:]]*//" | wc -l)
+        in_load=$(awk '/fn load\(/ { on = 1 } on { print } on && /^    }$/ { exit }' \
+            crates/core/src/cac.rs | grep -cF "$f" || true)
+        if [ "$all" -ne 1 ] || [ "$in_load" -ne 1 ]; then
+            echo "FAIL: $f has $all non-test call sites under crates/core/src," \
+                "$in_load in NetworkState::load (want exactly one, there)"
+            exit 1
+        fi
+    done
+    echo "ok: one state loader"
+
     echo "==> one-deadline-check gate (every admission decision runs the one pipeline)"
     # Both policies, β-search steps 2 and 5 and reconfiguration share one
     # all-deadlines check, `Scope::check`; a second copy of the check or
