@@ -57,7 +57,7 @@ fn main() {
     }
 
     // The shard-scale workload family perfbench's `grid_churn` replays:
-    // paired traffic on a grid, screened evaluation (tracing off), light
+    // paired traffic on a grid, decision tracing off, light
     // per-connection envelopes so thousands stay admitted at once.
     let seed = 424_242;
     let mut cfg = ServiceConfig::paper_style(1.0, requests, seed);

@@ -23,8 +23,8 @@
 //! One pipeline, `NetworkState::decide`, serves [`NetworkState::admit`]
 //! and [`NetworkState::reconfigure`]. A non-searching policy (a fixed
 //! pair, or a baseline's pair resolved at decision time) is step 1 with
-//! the pair as the line's floor, then one dense `Scope::check` — the
-//! only all-deadlines check, which steps 2 and 5 share.
+//! the pair as the line's floor, then one `Scope::check` — the only
+//! all-deadlines check, which steps 2 and 5 share; `explain` traces it.
 //!
 //! Monotonicity along the search line — the requesting connection's
 //! delay is nonincreasing and existing connections' delays are
@@ -373,7 +373,7 @@ pub struct NetworkState {
 
 /// The trace ingredients a decision hands back to
 /// [`NetworkState::admit`] (which stamps seq/clock/cache onto them).
-/// Built only when decision tracing is on.
+/// Built only when decision tracing is on, by [`explain`].
 struct TraceParts {
     allocation: Option<Pair>,
     connections: Vec<ConnectionTrace>,
@@ -404,8 +404,8 @@ impl Line {
 
 /// Why a decision stopped short of an admission.
 enum Stop {
-    /// A reject, with its trace ingredients when tracing is on.
-    Rejected(RejectReason, Option<TraceParts>),
+    /// A reject.
+    Rejected(Rejection),
     /// A malformed request or broken bookkeeping.
     Error(CacError),
 }
@@ -417,42 +417,91 @@ impl From<CacError> for Stop {
 }
 
 impl Stop {
-    fn into_decision(self) -> Result<(Decision, Option<TraceParts>), CacError> {
-        match self {
-            Self::Rejected(reason, parts) => Ok((Decision::Rejected(reason), parts)),
-            Self::Error(e) => Err(e),
+    /// The reject "infeasible at `at`", decided by `miss` when a
+    /// deadline was missed.
+    fn infeasible(at: Pair, detail: String, miss: Option<Miss>) -> Self {
+        Self::Rejected(Rejection {
+            reason: RejectReason::InfeasibleAtMaximum { detail },
+            at: Some(at),
+            miss: miss.map(Box::new),
+        })
+    }
+}
+
+/// A reject and what explains it: the pair it was decided at (`None`
+/// when step 1 refused the request) and the missed deadline that
+/// decided it, if one did.
+struct Rejection {
+    reason: RejectReason,
+    at: Option<Pair>,
+    miss: Option<Box<Miss>>,
+}
+
+impl Rejection {
+    /// The [`BindingConstraint`] a trace names for this reject.
+    fn binding(&self, spec: &ConnectionSpec) -> BindingConstraint {
+        if let Some(&Miss {
+            victim,
+            report,
+            deadline,
+        }) = self.miss.as_deref()
+        {
+            return BindingConstraint::DeadlineExceeded {
+                connection: victim,
+                stage: ServerStage::dominant(&report),
+                delay: report.total,
+                deadline,
+                excess: report.total - deadline,
+            };
+        }
+        match self.reason.clone() {
+            RejectReason::SourceBandwidthExhausted {
+                available,
+                required,
+            } => BindingConstraint::SourceBandwidth {
+                ring: spec.source.ring.into(),
+                available,
+                required,
+            },
+            RejectReason::DestBandwidthExhausted {
+                available,
+                required,
+            } => BindingConstraint::DestBandwidth {
+                ring: spec.dest.ring.into(),
+                available,
+                required,
+            },
+            RejectReason::InfeasibleAtMaximum { detail } => {
+                BindingConstraint::ServerUnstable { detail }
+            }
+            RejectReason::ComponentUnavailable { component } => {
+                BindingConstraint::ComponentDown { component }
+            }
         }
     }
+}
+
+/// A missed deadline: whose it is (`None` = the candidate), and that
+/// path's report and deadline.
+#[derive(Clone, Copy)]
+struct Miss {
+    victim: Option<ConnectionId>,
+    report: PathReport,
+    deadline: Seconds,
 }
 
 /// Why the all-deadlines check failed at one allocation pair.
 enum Failed {
     /// No finite bound exists (some server unstable), verbatim detail.
     Unstable(String),
-    /// A deadline is missed: `victim` indexes the first violated closure
-    /// connection (`None` = the candidate). `reports` holds every path's
-    /// report after the dense check, at most the candidate's after the
-    /// screened one.
-    Miss {
-        victim: Option<usize>,
-        reports: Vec<PathReport>,
-    },
+    /// The first path in input order — closure connections by id, then
+    /// the candidate — to miss its deadline.
+    Miss(Miss),
 }
 
-/// The [`BindingConstraint`] for a path that missed its deadline.
-fn deadline_binding(
-    connection: Option<ConnectionId>,
-    report: &PathReport,
-    deadline: Seconds,
-) -> BindingConstraint {
-    BindingConstraint::DeadlineExceeded {
-        connection,
-        stage: ServerStage::dominant(report),
-        delay: report.total,
-        deadline,
-        excess: report.total - deadline,
-    }
-}
+/// A decision before its commit: the admitted pair and the
+/// candidate's report, or why it stopped.
+type Verdict = Result<(Pair, PathReport), Stop>;
 
 /// Reject detail for a deadline missed at the maximum allocation
 /// (step 2), naming the victim (`None` = the candidate).
@@ -601,7 +650,6 @@ struct Scope<'a> {
     deadlines: Vec<Seconds>,
     ev: Evaluator<'a>,
     fast: FastPathStats,
-    tracing: bool,
 }
 
 impl<'a> Scope<'a> {
@@ -613,130 +661,42 @@ impl<'a> Scope<'a> {
     }
 
     /// The one all-deadlines check: does every closure deadline and the
-    /// candidate's own hold with the candidate at `at`? `dense` returns
-    /// every path's report. Otherwise existing paths go through the
-    /// screened check (exact cache → monotone screening bound → dense):
-    /// the accept set is identical, but only the candidate's report is
-    /// materialized, which is all an untraced decision reads.
-    fn check(
-        &mut self,
-        at: Pair,
-        dense: bool,
-    ) -> Result<Result<Vec<PathReport>, Failed>, CacError> {
+    /// candidate's own hold with the candidate at `at`? Existing paths
+    /// go through the screened check (exact cache → monotone screening
+    /// bound → dense), so only the candidate's report is materialized;
+    /// the first failing path in input order decides a failure.
+    fn check(&mut self, at: Pair) -> Result<Result<PathReport, Failed>, CacError> {
         self.place(at);
-        let (victim, reports) = if dense {
-            match self.ev.evaluate_full(&self.inputs)? {
-                EvalOutcome::Infeasible(detail) => return Ok(Err(Failed::Unstable(detail))),
-                EvalOutcome::Feasible(reports) => {
-                    let late = |(r, d): (&PathReport, &Seconds)| r.total > *d;
-                    (reports.iter().zip(&self.deadlines).position(late), reports)
-                }
+        let (victim, report) = match self.ev.evaluate_screened(&self.inputs, &self.deadlines)? {
+            ScreenedOutcome::Infeasible(detail) => return Ok(Err(Failed::Unstable(detail))),
+            ScreenedOutcome::DeadlineMiss { index, report } => (Some(self.closure[index]), report),
+            ScreenedOutcome::Feasible { candidate } if candidate.total > self.spec.deadline => {
+                (None, candidate)
             }
-        } else {
-            match self.ev.evaluate_screened(&self.inputs, &self.deadlines)? {
-                ScreenedOutcome::Infeasible(detail) => return Ok(Err(Failed::Unstable(detail))),
-                ScreenedOutcome::DeadlineMiss { index, .. } => (Some(index), Vec::new()),
-                ScreenedOutcome::Feasible { candidate } => (None, vec![candidate]),
-            }
+            ScreenedOutcome::Feasible { candidate } => return Ok(Ok(candidate)),
         };
-        // An existing victim first, then the candidate's own deadline.
-        let miss = victim.map(Some).or_else(|| {
-            let candidate = reports.last().expect("candidate included");
-            (candidate.total > self.spec.deadline).then_some(None)
-        });
-        Ok(match miss {
-            None => Ok(reports),
-            Some(victim) => Err(Failed::Miss { victim, reports }),
-        })
+        Ok(Err(Failed::Miss(Miss {
+            victim: victim.map(|c| c.id),
+            report,
+            deadline: victim.map_or(self.spec.deadline, |c| c.spec.deadline),
+        })))
     }
 
     /// [`Scope::check`] at `at`, turning a failure into its reject.
+    /// `miss_detail` words a missed deadline from its victim's id
+    /// (`None` = the candidate).
     fn require(
         &mut self,
         at: Pair,
-        dense: bool,
         miss_detail: impl FnOnce(Option<ConnectionId>) -> String,
-    ) -> Result<Vec<PathReport>, Stop> {
-        match self.check(at, dense)? {
-            Ok(reports) => Ok(reports),
-            Err(failed) => Err(self.reject(failed, at, miss_detail)),
-        }
-    }
-
-    /// The reject for a check that failed at `at`. `miss_detail` words a
-    /// missed deadline from its victim's id (`None` = the candidate).
-    fn reject(
-        &self,
-        failed: Failed,
-        at: Pair,
-        miss_detail: impl FnOnce(Option<ConnectionId>) -> String,
-    ) -> Stop {
-        let (victim, reports) = match failed {
-            Failed::Unstable(detail) => return self.unstable(at, &[], detail),
-            Failed::Miss { victim, reports } => (victim, reports),
-        };
-        let id = victim.map(|i| self.closure[i].id);
-        let parts = self.tracing.then(|| {
-            let (report, deadline) = match victim {
-                Some(i) => (&reports[i], self.closure[i].spec.deadline),
-                None => (
-                    reports.last().expect("candidate included"),
-                    self.spec.deadline,
-                ),
-            };
-            TraceParts {
-                allocation: Some(at),
-                connections: self.traces(&reports, None),
-                binding: Some(deadline_binding(id, report, deadline)),
+    ) -> Result<PathReport, Stop> {
+        match self.check(at)? {
+            Ok(candidate) => Ok(candidate),
+            Err(Failed::Unstable(detail)) => Err(Stop::infeasible(at, detail, None)),
+            Err(Failed::Miss(miss)) => {
+                Err(Stop::infeasible(at, miss_detail(miss.victim), Some(miss)))
             }
-        });
-        Stop::Rejected(
-            RejectReason::InfeasibleAtMaximum {
-                detail: miss_detail(id),
-            },
-            parts,
-        )
-    }
-
-    /// The reject when no finite bound exists at `at` (or the search
-    /// failed to verify), tracing `reports`.
-    fn unstable(&self, at: Pair, reports: &[PathReport], detail: String) -> Stop {
-        let parts = self.tracing.then(|| TraceParts {
-            allocation: Some(at),
-            connections: self.traces(reports, None),
-            binding: Some(BindingConstraint::ServerUnstable {
-                detail: detail.clone(),
-            }),
-        });
-        Stop::Rejected(RejectReason::InfeasibleAtMaximum { detail }, parts)
-    }
-
-    /// Trace entries for `reports` over the closure plus the candidate
-    /// as the last path (`candidate` is its id once committed).
-    fn traces(
-        &self,
-        reports: &[PathReport],
-        candidate: Option<ConnectionId>,
-    ) -> Vec<ConnectionTrace> {
-        let mut v: Vec<ConnectionTrace> = self
-            .closure
-            .iter()
-            .zip(reports)
-            .map(|(c, r)| ConnectionTrace::new(Some(c.id), *r, c.spec.deadline))
-            .collect();
-        if let Some(last) = reports.get(self.closure.len()) {
-            v.push(ConnectionTrace::new(candidate, *last, self.spec.deadline));
         }
-        v
-    }
-
-    /// The trace ingredients of an admission at `at` as connection `id`.
-    fn admitted(&self, at: Pair, reports: &[PathReport], id: ConnectionId) -> Option<TraceParts> {
-        self.tracing.then(|| TraceParts {
-            allocation: Some(at),
-            connections: self.traces(reports, Some(id)),
-            binding: None,
-        })
     }
 
     /// Candidate-only evaluation at `at`: the candidate's report and the
@@ -759,14 +719,11 @@ impl<'a> Scope<'a> {
         })
     }
 
-    /// Steps 2–5 of §5.3 along the line: the verified allocation and its
-    /// reports. `ladder` is the membership index when the fast path is on.
-    fn beta_search(
-        &mut self,
-        cfg: &CacConfig,
-        ladder: Option<&Membership>,
-    ) -> Result<(Pair, Vec<PathReport>), Stop> {
-        let at_max = self.step2_screen_at_max()?;
+    /// Steps 2–5 of §5.3 along the line: the verified allocation and the
+    /// candidate's report there. `ladder` is the membership index when
+    /// the fast path is on.
+    fn beta_search(&mut self, cfg: &CacConfig, ladder: Option<&Membership>) -> Verdict {
+        self.step2_screen_at_max()?;
         // Reference signature at the maximum, for the eq.-31/32 test.
         // β = 0 never consumes it: λ* degenerates to λ_min, so the whole
         // step-4 signature search (the dense-probe storm of a loaded
@@ -780,7 +737,7 @@ impl<'a> Scope<'a> {
                     mux_delays,
                 } => Some((candidate.total, mux_delays)),
                 CandidateOutcome::Infeasible(detail) => {
-                    return Err(self.unstable(self.line.max, &at_max, detail));
+                    return Err(Stop::infeasible(self.line.max, detail, None));
                 }
             }
         };
@@ -791,15 +748,15 @@ impl<'a> Scope<'a> {
         };
         // Eqs. 35–36: H = H^{min_need} + β (H^{max_need} − H^{min_need}).
         let lambda_star = lambda_min + cfg.beta * (lambda_max - lambda_min);
-        self.step5_verify([lambda_star, lambda_max, 1.0], &at_max)
+        self.step5_verify([lambda_star, lambda_max, 1.0])
     }
 
     /// Step 2: the feasible region is empty unless the maximum works —
     /// and because existing connections' delays are nondecreasing in the
     /// newcomer's allocation, verifying them here covers every smaller
-    /// allocation the searches visit. Untraced, the check is screened.
-    fn step2_screen_at_max(&mut self) -> Result<Vec<PathReport>, Stop> {
-        self.require(self.line.max, self.tracing, miss_at_max)
+    /// allocation the searches visit.
+    fn step2_screen_at_max(&mut self) -> Result<(), Stop> {
+        self.require(self.line.max, miss_at_max).map(drop)
     }
 
     /// Step 3: the minimum needed allocation — the smallest λ at which
@@ -906,24 +863,54 @@ impl<'a> Scope<'a> {
     /// Step 5: verify every deadline at the chosen point. Monotonicity is
     /// a theorem about the model, but numerics can chip at it, so the
     /// check falls back through `lambdas` (toward the maximum) before
-    /// giving up. Untraced, the check is screened.
-    fn step5_verify(
-        &mut self,
-        lambdas: [f64; 3],
-        at_max: &[PathReport],
-    ) -> Result<(Pair, Vec<PathReport>), Stop> {
+    /// giving up.
+    fn step5_verify(&mut self, lambdas: [f64; 3]) -> Verdict {
         for lambda in lambdas {
             let at = self.line.at(lambda);
-            if let Ok(reports) = self.check(at, self.tracing)? {
-                return Ok((at, reports));
+            if let Ok(candidate) = self.check(at)? {
+                return Ok((at, candidate));
             }
         }
-        Err(self.unstable(
+        Err(Stop::infeasible(
             self.line.max,
-            at_max,
             "allocation search failed to verify (numerical)".into(),
+            None,
         ))
     }
+}
+
+/// A verdict's trace ingredients: its pair, every path's eq.-7 terms
+/// there from one dense evaluation (none without a `scope`, i.e. when
+/// step 1 decided, or without a finite bound), and a reject's binding
+/// constraint. It only observes; `id` names an admitted candidate.
+fn explain(
+    scope: Option<&mut Scope<'_>>,
+    spec: &ConnectionSpec,
+    verdict: &Verdict,
+    id: ConnectionId,
+) -> Result<Option<TraceParts>, CacError> {
+    let (allocation, candidate, binding) = match verdict {
+        Ok((at, _)) => (Some(*at), Some(id), None),
+        Err(Stop::Rejected(r)) => (r.at, None, Some(r.binding(spec))),
+        Err(Stop::Error(_)) => return Ok(None),
+    };
+    let mut connections = Vec::new();
+    if let (Some(scope), Some(at)) = (scope, allocation) {
+        scope.place(at);
+        if let EvalOutcome::Feasible(reports) = scope.ev.evaluate_full(&scope.inputs)? {
+            let paths = scope.closure.iter().map(|c| (Some(c.id), c.spec.deadline));
+            connections = paths
+                .chain([(candidate, spec.deadline)])
+                .zip(reports)
+                .map(|((id, deadline), report)| ConnectionTrace::new(id, report, deadline))
+                .collect();
+        }
+    }
+    Ok(Some(TraceParts {
+        allocation,
+        connections,
+        binding,
+    }))
 }
 
 impl fmt::Debug for NetworkState {
@@ -982,7 +969,8 @@ impl NetworkState {
     /// Turns per-decision [`DecisionTrace`] assembly on or off. When
     /// on, every completed [`NetworkState::admit`] stores its trace
     /// ([`NetworkState::last_decision_trace`]); when off (the default)
-    /// the admission path builds nothing.
+    /// the admission path builds nothing. Decisions, reject details
+    /// included, never depend on it: `explain` runs after the verdict.
     pub fn set_decision_tracing(&mut self, enabled: bool) {
         self.trace_decisions = enabled;
         if !enabled {
@@ -1142,7 +1130,8 @@ impl NetworkState {
         opts: &AdmissionOptions,
     ) -> Result<Decision, CacError> {
         let _admit_span = obs::span("admit");
-        let (decision, parts) = match self.decide(spec, &opts.allocation, &opts.cac) {
+        let traced = self.trace_decisions;
+        let (decision, parts) = match self.decide(spec, &opts.allocation, &opts.cac, traced) {
             Ok(pair) => pair,
             Err(e) => {
                 obs::event("admit_error", &[("kind", obs::FieldValue::Str(e.kind()))]);
@@ -1185,14 +1174,16 @@ impl NetworkState {
 
     /// The admission pipeline behind [`NetworkState::admit`] and
     /// [`NetworkState::reconfigure`]: the shared front end (step 1), then
-    /// the β-search (steps 2–5) or a non-searching policy's one dense
-    /// check, then the commit. The policies differ only in the line's
-    /// floor.
+    /// the β-search (steps 2–5) or a non-searching policy's one
+    /// all-deadlines check, then the commit. The policies differ only in
+    /// the line's floor. With `traced`, the verdict is then explained
+    /// ([`explain`]); the verdict itself never depends on it.
     fn decide(
         &mut self,
         spec: ConnectionSpec,
         policy: &AllocationPolicy,
         cfg: &CacConfig,
+        traced: bool,
     ) -> Result<(Decision, Option<TraceParts>), CacError> {
         // This decision's evaluator work starts at zero: an early reject
         // (and every non-searching policy, which runs no cached search)
@@ -1208,65 +1199,72 @@ impl NetworkState {
             spec.dest,
         )?;
         self.last_closure_len = Some(closure.len());
-        let line = match self.allocation_line(&spec, policy, cfg) {
-            Ok(line) => line,
-            Err(stop) => return stop.into_decision(),
-        };
-        let searching = matches!(policy, AllocationPolicy::BetaSearch);
-        let ev = if searching {
-            let mut carried = self.eval_cache.take().unwrap_or_default();
-            // A persisted cache survives active-set changes (its keys are
-            // content-addressed), so bound its growth here instead.
-            let caps = self.cache_caps;
-            if carried.stage1_entries() > caps.stage1
-                || carried.mux_entries() > caps.mux
-                || carried.receive_entries() > caps.receive
-            {
-                carried.clear();
-            }
-            Evaluator::with_cache(&self.net, cfg.eval.clone(), carried)
-        } else {
-            // A non-searching policy is one dense check on a fresh
-            // evaluator, and reports no search work.
-            Evaluator::new(&self.net, cfg.eval.clone())
-        };
-        let mut inputs = path_inputs(closure.iter().copied());
-        inputs.push(PathInput::new(&spec, line.min.0, line.min.1));
-        let mut scope = Scope {
-            net: &self.net,
-            spec: &spec,
-            deadlines: closure.iter().map(|c| c.spec.deadline).collect(),
-            closure,
-            line,
-            inputs,
-            ev,
-            fast: FastPathStats::default(),
-            tracing: self.trace_decisions,
-        };
-        let verdict = if searching {
-            scope.beta_search(cfg, self.fast_path.then_some(&self.members))
-        } else {
-            scope
-                .require(line.min, true, |_| {
-                    "deadline violated at the fixed allocation".into()
-                })
-                .map(|reports| (line.min, reports))
-        };
         let id = ConnectionId(self.next_id);
-        let verdict = verdict.map(|(at, reports)| {
-            let delay_bound = reports.last().expect("candidate included").total;
-            (at, delay_bound, scope.admitted(at, &reports, id))
-        });
-        // Recorded on every exit — admit, reject or error.
-        if searching {
-            self.last_cache_stats = Some(scope.ev.cache_stats());
-            self.last_fast_stats = Some(scope.fast);
-            if self.persist_cache {
-                self.eval_cache = Some(scope.ev.into_cache());
+        let searching = matches!(policy, AllocationPolicy::BetaSearch);
+        let mut scope = None;
+        let verdict = match self.allocation_line(&spec, policy, cfg) {
+            Err(stop) => Err(stop),
+            Ok(line) => {
+                let ev = if searching {
+                    let mut carried = self.eval_cache.take().unwrap_or_default();
+                    // A persisted cache survives active-set changes (its
+                    // keys are content-addressed), so bound its growth
+                    // here instead.
+                    let caps = self.cache_caps;
+                    if carried.stage1_entries() > caps.stage1
+                        || carried.mux_entries() > caps.mux
+                        || carried.receive_entries() > caps.receive
+                    {
+                        carried.clear();
+                    }
+                    Evaluator::with_cache(&self.net, cfg.eval.clone(), carried)
+                } else {
+                    // A non-searching policy is one check on a fresh
+                    // evaluator, and reports no search work.
+                    Evaluator::new(&self.net, cfg.eval.clone())
+                };
+                let mut inputs = path_inputs(closure.iter().copied());
+                inputs.push(PathInput::new(&spec, line.min.0, line.min.1));
+                let scope = scope.insert(Scope {
+                    net: &self.net,
+                    spec: &spec,
+                    deadlines: closure.iter().map(|c| c.spec.deadline).collect(),
+                    closure,
+                    line,
+                    inputs,
+                    ev,
+                    fast: FastPathStats::default(),
+                });
+                let verdict = if searching {
+                    scope.beta_search(cfg, self.fast_path.then_some(&self.members))
+                } else {
+                    scope
+                        .require(line.min, |_| {
+                            "deadline violated at the fixed allocation".into()
+                        })
+                        .map(|candidate| (line.min, candidate))
+                };
+                // Recorded on every exit — admit, reject or error — and
+                // before the trace's own evaluation, which they leave out.
+                if searching {
+                    self.last_cache_stats = Some(scope.ev.cache_stats());
+                    self.last_fast_stats = Some(scope.fast);
+                }
+                verdict
             }
+        };
+        let parts = if traced {
+            explain(scope.as_mut(), &spec, &verdict, id)
+        } else {
+            Ok(None)
+        };
+        if let Some(scope) = scope.filter(|_| searching && self.persist_cache) {
+            self.eval_cache = Some(scope.ev.into_cache());
         }
+        let parts = parts?;
         match verdict {
-            Ok((at, delay_bound, parts)) => {
+            Ok((at, candidate)) => {
+                let delay_bound = candidate.total;
                 let id = self.commit(spec, at, delay_bound)?;
                 let (h_s, h_r) = at;
                 let decision = Decision::Admitted {
@@ -1277,7 +1275,8 @@ impl NetworkState {
                 };
                 Ok((decision, parts))
             }
-            Err(stop) => stop.into_decision(),
+            Err(Stop::Rejected(r)) => Ok((Decision::Rejected(r.reason), parts)),
+            Err(Stop::Error(e)) => Err(e),
         }
     }
 
@@ -1293,19 +1292,15 @@ impl NetworkState {
         policy: &AllocationPolicy,
         cfg: &CacConfig,
     ) -> Result<Line, Stop> {
-        let reject = |reason, binding| {
-            let parts = self.trace_decisions.then(|| TraceParts {
-                allocation: None,
-                connections: Vec::new(),
-                binding: Some(binding),
-            });
-            Err(Stop::Rejected(reason, parts))
+        let reject = |reason| {
+            Err(Stop::Rejected(Rejection {
+                reason,
+                at: None,
+                miss: None,
+            }))
         };
         if let Some(component) = self.down_on_path(spec)? {
-            return reject(
-                RejectReason::ComponentUnavailable { component },
-                BindingConstraint::ComponentDown { component },
-            );
+            return reject(RejectReason::ComponentUnavailable { component });
         }
         let (ring_s, ring_r) = (spec.source.ring, spec.dest.ring);
         let (avail_s, avail_r) = (self.available_on(ring_s), self.available_on(ring_r));
@@ -1335,30 +1330,16 @@ impl NetworkState {
         };
         let (required_s, required_r) = (min.0.per_rotation(), min.1.per_rotation());
         if avail_s < required_s {
-            return reject(
-                RejectReason::SourceBandwidthExhausted {
-                    available: avail_s,
-                    required: required_s,
-                },
-                BindingConstraint::SourceBandwidth {
-                    ring: ring_s.into(),
-                    available: avail_s,
-                    required: required_s,
-                },
-            );
+            return reject(RejectReason::SourceBandwidthExhausted {
+                available: avail_s,
+                required: required_s,
+            });
         }
         if avail_r < required_r {
-            return reject(
-                RejectReason::DestBandwidthExhausted {
-                    available: avail_r,
-                    required: required_r,
-                },
-                BindingConstraint::DestBandwidth {
-                    ring: ring_r.into(),
-                    available: avail_r,
-                    required: required_r,
-                },
-            );
+            return reject(RejectReason::DestBandwidthExhausted {
+                available: avail_r,
+                required: required_r,
+            });
         }
         Ok(Line {
             min,
@@ -1599,7 +1580,9 @@ impl NetworkState {
     /// outside the network, down components out of order, or
     /// connections that [`NetworkState::admit`] could not have
     /// committed (ids out of order or not below `next_id`, allocations
-    /// non-finite or not fitting the rings).
+    /// non-finite or not fitting the rings) or that
+    /// [`NetworkState::set_component_down`] would have torn down (a
+    /// path crossing one of the snapshot's down components).
     pub fn restore(&mut self, snap: &StateSnapshot) -> Result<(), CacError> {
         if snap.version != SNAPSHOT_VERSION {
             return Err(CacError::SnapshotMismatch(format!(
@@ -1630,7 +1613,7 @@ impl NetworkState {
                     })?,
             )
         };
-        let active = snap
+        let active: Vec<ActiveConnection> = snap
             .connections
             .iter()
             .map(|c| ActiveConnection {
@@ -1641,6 +1624,19 @@ impl NetworkState {
                 delay_bound: c.delay_bound,
             })
             .collect();
+        // `set_component_down` tears down every connection crossing the
+        // component, so no state it left holds one.
+        for &component in &snap.down {
+            if let Some(c) = active
+                .iter()
+                .find(|c| Self::crosses(&net, &c.spec, component))
+            {
+                return Err(CacError::SnapshotMismatch(format!(
+                    "{} crosses down component {component}",
+                    c.id
+                )));
+            }
+        }
         self.load(
             net,
             active,
@@ -1728,7 +1724,7 @@ impl NetworkState {
             // tables are rebuilt in the same summation order a fresh
             // engine would produce.
             self.next_id = conn.id.0;
-            let (decision, _parts) = self.decide(conn.spec.clone(), &opts.allocation, &cac)?;
+            let (decision, _) = self.decide(conn.spec.clone(), &opts.allocation, &cac, false)?;
             match decision {
                 Decision::Admitted { id, h_s, h_r, .. } => {
                     debug_assert_eq!(id, conn.id, "renegotiation must keep the id");
@@ -2458,8 +2454,7 @@ mod tests {
     }
 
     /// Admits `sp` into `s` and into its untraced twin `u`. Tracing
-    /// swaps the screened checks for dense ones, which must not move a
-    /// decision: both must decide the same, bit for bit and reject
+    /// only observes: both must decide the same, bit for bit and reject
     /// details included, and only `u` keeps no trace.
     fn admit_twins(
         s: &mut NetworkState,
@@ -2598,8 +2593,8 @@ mod tests {
         s.set_decision_tracing(true);
         let mut u = state();
         let ms = |v: f64| SyncBandwidth::new(Seconds::from_millis(v));
-        // A fixed pair is one dense check on a fresh evaluator in either
-        // mode, so it reports no search work.
+        // A fixed pair is one check on a fresh evaluator, so it reports
+        // no search work.
         let mut fixed = |sp: ConnectionSpec, h_s: SyncBandwidth, h_r: SyncBandwidth| {
             let opts = AdmissionOptions::fixed(CacConfig::default(), h_s, h_r);
             let d = admit_twins(&mut s, &mut u, sp, &opts);

@@ -226,8 +226,8 @@ pub enum ScreenedOutcome {
     DeadlineMiss {
         /// Index of the first path (in input order) whose deadline fails.
         index: usize,
-        /// Its exact end-to-end bound.
-        total: Seconds,
+        /// Its exact report, as a dense evaluation gives it.
+        report: PathReport,
     },
 }
 
@@ -235,7 +235,7 @@ pub enum ScreenedOutcome {
 #[derive(Clone, Copy, Debug)]
 enum DeadlineCheck {
     Pass,
-    Miss { total: Seconds },
+    Miss(PathReport),
 }
 
 /// Receive-independent delay terms of one path, read off the resolved
@@ -253,6 +253,23 @@ struct FixedParts {
 impl FixedParts {
     fn sum(&self) -> Seconds {
         self.fddi_s + self.id_s + self.atm + self.id_r
+    }
+
+    /// The path's report once its receive side is known: the device's
+    /// MAC delay `chi_r` plus the destination ring's `propagation`, and
+    /// the receive buffer.
+    fn report(&self, chi_r: Seconds, propagation: Seconds, buffer_mac_r: Bits) -> PathReport {
+        let fddi_r = chi_r + propagation;
+        PathReport {
+            fddi_s: self.fddi_s,
+            id_s: self.id_s,
+            atm: self.atm,
+            id_r: self.id_r,
+            fddi_r,
+            total: self.sum() + fddi_r,
+            buffer_mac_s: self.buffer_s,
+            buffer_mac_r,
+        }
     }
 }
 
@@ -1169,22 +1186,12 @@ impl<'a> Evaluator<'a> {
         let fixed = self.fixed_parts(p, s, pi);
         let arrived_sig = *s.hop_sigs[pi].last().expect("route has hops");
         let cached = self.receive_for(p, arrived_sig, fixed.frame_size)?;
-        let (chi_r, buffer_r) = match cached {
-            ReceiveCached::Ready { chi_r, buffer } => (chi_r, buffer),
-            ReceiveCached::Infeasible(msg) => return Ok(Err(msg)),
-        };
-        let fddi_r = chi_r + self.net.ring(p.dest.ring).propagation;
-        let total = fixed.sum() + fddi_r;
-        Ok(Ok(PathReport {
-            fddi_s: fixed.fddi_s,
-            id_s: fixed.id_s,
-            atm: fixed.atm,
-            id_r: fixed.id_r,
-            fddi_r,
-            total,
-            buffer_mac_s: fixed.buffer_s,
-            buffer_mac_r: buffer_r,
-        }))
+        Ok(match cached {
+            ReceiveCached::Ready { chi_r, buffer } => {
+                Ok(fixed.report(chi_r, self.net.ring(p.dest.ring).propagation, buffer))
+            }
+            ReceiveCached::Infeasible(msg) => Err(msg),
+        })
     }
 
     /// Checks `total ≤ deadline` for existing path `pi`, trying in
@@ -1202,7 +1209,8 @@ impl<'a> Evaluator<'a> {
         deadline: Seconds,
     ) -> Result<Result<DeadlineCheck, String>, CacError> {
         let fixed = self.fixed_parts(p, s, pi);
-        let before_receive = fixed.sum() + self.net.ring(p.dest.ring).propagation;
+        let propagation = self.net.ring(p.dest.ring).propagation;
+        let before_receive = fixed.sum() + propagation;
         let arrived_sig = *s.hop_sigs[pi].last().expect("route has hops");
         let exact_key = ReceiveKey {
             arrived_sig,
@@ -1214,12 +1222,11 @@ impl<'a> Evaluator<'a> {
         if let Some(hit) = self.cache.receive.get(&exact_key) {
             self.stats.receive_hits += 1;
             return Ok(match hit {
-                ReceiveCached::Ready { chi_r, .. } => {
-                    let total = before_receive + *chi_r;
-                    Ok(if total <= deadline {
+                ReceiveCached::Ready { chi_r, buffer } => {
+                    Ok(if before_receive + *chi_r <= deadline {
                         DeadlineCheck::Pass
                     } else {
-                        DeadlineCheck::Miss { total }
+                        DeadlineCheck::Miss(fixed.report(*chi_r, propagation, *buffer))
                     })
                 }
                 ReceiveCached::Infeasible(msg) => Err(msg.clone()),
@@ -1247,8 +1254,8 @@ impl<'a> Evaluator<'a> {
         }
         self.stats.screen_misses += 1;
         let cached = self.receive_for(p, arrived_sig, fixed.frame_size)?;
-        let chi_r = match cached {
-            ReceiveCached::Ready { chi_r, .. } => chi_r,
+        let (chi_r, buffer) = match cached {
+            ReceiveCached::Ready { chi_r, buffer } => (chi_r, buffer),
             ReceiveCached::Infeasible(msg) => return Ok(Err(msg)),
         };
         // Refresh the screening entry whenever the new bounds dominate
@@ -1281,11 +1288,10 @@ impl<'a> Evaluator<'a> {
                 }
             }
         }
-        let total = before_receive + chi_r;
-        Ok(Ok(if total <= deadline {
+        Ok(Ok(if before_receive + chi_r <= deadline {
             DeadlineCheck::Pass
         } else {
-            DeadlineCheck::Miss { total }
+            DeadlineCheck::Miss(fixed.report(chi_r, propagation, buffer))
         }))
     }
 
@@ -1358,8 +1364,8 @@ impl<'a> Evaluator<'a> {
             for (pi, (p, deadline)) in paths[..last].iter().zip(deadlines).enumerate() {
                 match self.deadline_check(p, &s, pi, *deadline)? {
                     Ok(DeadlineCheck::Pass) => {}
-                    Ok(DeadlineCheck::Miss { total }) => {
-                        return Ok(ScreenedOutcome::DeadlineMiss { index: pi, total });
+                    Ok(DeadlineCheck::Miss(report)) => {
+                        return Ok(ScreenedOutcome::DeadlineMiss { index: pi, report });
                     }
                     Err(msg) => return Ok(ScreenedOutcome::Infeasible(msg)),
                 }

@@ -4,11 +4,11 @@
 //! bandwidth reject, an unstable-server reject, a component failure
 //! with teardown, a component-down reject, and a restore) is run with
 //! decision tracing on under an installed `hetnet-obs` collector. Every
-//! [`DecisionTrace::to_json_line`] line, every obs record from
-//! [`Trace::to_json_lines`], and every Prometheus exposition line is
-//! reduced to its *shape* — keys, structure, and deterministic string
-//! values verbatim, every number replaced by `N` — deduplicated,
-//! sorted, and compared against `tests/golden/obs_schema.txt`.
+//! [`DecisionTrace::to_json_line`] line and every obs record from
+//! [`Trace::to_json_lines`] is reduced to its *shape* — keys,
+//! structure, and deterministic string values verbatim, every number
+//! replaced by `N` — deduplicated, sorted, and compared against
+//! `tests/golden/obs_schema.txt`.
 //!
 //! The same file also pins the [`hetnet_obs::MetricsRegistry`]
 //! OpenMetrics exposition format (`registry` prefix) and the
@@ -60,9 +60,9 @@ fn spec(src: (usize, usize), dst: (usize, usize), deadline_ms: f64) -> Connectio
     }
 }
 
-/// Reduces one JSON (or Prometheus) line to its schema shape: strings
+/// Reduces one JSON (or OpenMetrics) line to its schema shape: strings
 /// stay verbatim (they are deterministic in the pinned scenario),
-/// every number — including inside Prometheus label-free values —
+/// every number — including inside OpenMetrics label-free values —
 /// becomes `N`.
 fn shape(line: &str) -> String {
     let bytes = line.as_bytes();
@@ -155,9 +155,6 @@ fn exporter_schemas_match_golden_file() {
     }
     for line in trace.to_json_lines().lines() {
         shapes.insert(format!("obs {}", shape(line)));
-    }
-    for line in trace.to_prometheus().lines() {
-        shapes.insert(format!("prom {}", shape(line)));
     }
 
     // Registry exposition schema: one family of each kind, labelled

@@ -176,6 +176,30 @@ fn restore_refuses_an_unknown_station() {
     )));
 }
 
+/// A connection crossing one of the snapshot's own down components is
+/// refused: `set_component_down` tears such connections down, so no
+/// state could have saved one.
+#[test]
+fn restore_refuses_a_connection_crossing_a_down_component() {
+    let mut state = NetworkState::new(HetNetwork::paper_topology());
+    let opts = AdmissionOptions::beta_search(CacConfig::fast());
+    assert!(state
+        .admit(spec((2, 0), (0, 1), 100.0, 2.0), &opts)
+        .unwrap()
+        .is_admitted());
+    let mut snap = state.snapshot();
+    snap.down.push(Component::Ring(RingId(0)));
+    let before = state.snapshot().to_json();
+    assert!(matches!(
+        state.restore(&snap),
+        Err(CacError::SnapshotMismatch(_))
+    ));
+    assert_eq!(state.snapshot().to_json(), before);
+    // The same down set over a connection it does not cross restores.
+    snap.down = vec![Component::Ring(RingId(1))];
+    state.restore(&snap).expect("ring 1 carries no connection");
+}
+
 /// A refused restore changes nothing, not even the ring parameters the
 /// snapshot would have adopted.
 #[test]

@@ -172,13 +172,30 @@ pub fn mutate(
             s.down.push(first);
             Some(false)
         }
+        // A valid down component: accepted unless an admitted
+        // connection crosses it, which `set_component_down` would have
+        // torn down.
         10 => {
-            down.insert(match k % 2 {
+            let added = match k % 2 {
                 0 => Component::Ring(RingId(small % rings)),
                 _ => Component::Link(LinkId(small % links)),
+            };
+            let net = HetNetwork::paper_topology();
+            assert_eq!(
+                s.topology,
+                net.summary(),
+                "routes read from the paper topology"
+            );
+            let crossed = s.connections.iter().any(|c| match added {
+                Component::Link(l) => net
+                    .route_between(c.source.ring, c.dest.ring)
+                    .expect("routed pair")
+                    .contains(&l),
+                _ => c.source.ring == small % rings || c.dest.ring == small % rings,
             });
+            down.insert(added);
             s.down = down.into_iter().collect();
-            Some(true)
+            Some(!crossed)
         }
         // `next_id`: at or below an admitted id, or further ahead.
         11 => {

@@ -1,12 +1,9 @@
-//! Hand-written exporters for a collected [`Trace`].
-//!
-//! Two formats cover the two consumers the ISSUE names:
-//! [`Trace::to_json_lines`] for per-record forensics ("explain this
-//! rejection") and [`Trace::to_prometheus`] for scrape-style counters
-//! over a run.
+//! Hand-written exporters: [`Trace::to_json_lines`] for per-record
+//! forensics ("explain this rejection"), and the exposition-format
+//! escaping that [`crate::RegistrySnapshot::to_openmetrics`] renders
+//! metrics with.
 
-use crate::{FieldValue, RecordKind, Trace, TraceRecord};
-use std::collections::BTreeMap;
+use crate::{FieldValue, Trace, TraceRecord};
 use std::fmt::Write as _;
 
 /// Appends `text` to `out` as a JSON string literal (quotes included).
@@ -130,75 +127,9 @@ impl Trace {
         }
         out
     }
-
-    /// Prometheus text exposition: event counts per name, span counts
-    /// and total durations per name (start/end pairs matched by span
-    /// id; unclosed spans count but contribute no duration), and the
-    /// ring-buffer drop counter. Output order is deterministic
-    /// (names sorted).
-    #[must_use]
-    pub fn to_prometheus(&self) -> String {
-        let mut events: BTreeMap<&'static str, u64> = BTreeMap::new();
-        let mut spans: BTreeMap<&'static str, (u64, u64)> = BTreeMap::new(); // count, sum ns
-        let mut open: BTreeMap<u64, u64> = BTreeMap::new(); // span id -> start ns
-        for r in self.records() {
-            match r.kind {
-                RecordKind::Event => *events.entry(r.name).or_insert(0) += 1,
-                RecordKind::SpanStart => {
-                    spans.entry(r.name).or_insert((0, 0)).0 += 1;
-                    open.insert(r.span, r.at_nanos);
-                }
-                RecordKind::SpanEnd => {
-                    // A start overwritten by the ring buffer leaves the
-                    // end unmatched; count the span, skip the duration.
-                    let entry = spans.entry(r.name).or_insert((0, 0));
-                    if let Some(start) = open.remove(&r.span) {
-                        entry.1 += r.at_nanos.saturating_sub(start);
-                    } else {
-                        entry.0 += 1;
-                    }
-                }
-            }
-        }
-
-        let mut out = String::new();
-        push_family_header(
-            &mut out,
-            "hetnet_obs_events_total",
-            "Point-in-time trace events collected, by record name.",
-            "counter",
-        );
-        for (name, count) in &events {
-            out.push_str("hetnet_obs_events_total{name=");
-            push_label_value(&mut out, name);
-            let _ = writeln!(out, "}} {count}");
-        }
-        push_family_header(
-            &mut out,
-            "hetnet_obs_span_duration_seconds",
-            "Span count and total duration, by span name.",
-            "summary",
-        );
-        for (name, (count, sum_ns)) in &spans {
-            out.push_str("hetnet_obs_span_duration_seconds_count{name=");
-            push_label_value(&mut out, name);
-            let _ = writeln!(out, "}} {count}");
-            out.push_str("hetnet_obs_span_duration_seconds_sum{name=");
-            push_label_value(&mut out, name);
-            let _ = writeln!(out, "}} {:.9}", *sum_ns as f64 * 1e-9);
-        }
-        push_family_header(
-            &mut out,
-            "hetnet_obs_dropped_records_total",
-            "Trace records overwritten because the ring buffer was full.",
-            "counter",
-        );
-        let _ = writeln!(out, "hetnet_obs_dropped_records_total {}", self.dropped());
-        out
-    }
 }
 
-#[cfg(all(test, feature = "trace"))]
+#[cfg(test)]
 mod tests {
     use crate::{collect, event, span, FieldValue};
 
@@ -242,24 +173,6 @@ mod tests {
     }
 
     #[test]
-    fn prometheus_counts_and_durations() {
-        let text = sample().to_prometheus();
-        assert!(text.contains("hetnet_obs_events_total{name=\"stage1\"} 2"));
-        assert!(text.contains("hetnet_obs_span_duration_seconds_count{name=\"admit\"} 1"));
-        assert!(text.contains("hetnet_obs_span_duration_seconds_sum{name=\"admit\"} "));
-        assert!(text.contains("hetnet_obs_dropped_records_total 0"));
-        // Exposition-format headers: every # TYPE is preceded by # HELP.
-        for family in [
-            "hetnet_obs_events_total",
-            "hetnet_obs_span_duration_seconds",
-            "hetnet_obs_dropped_records_total",
-        ] {
-            assert!(text.contains(&format!("# HELP {family} ")), "{family}");
-            assert!(text.contains(&format!("# TYPE {family} ")), "{family}");
-        }
-    }
-
-    #[test]
     fn label_values_escape_per_exposition_format() {
         let mut out = String::new();
         super::push_label_value(&mut out, "a\\b\"c\nd");
@@ -273,8 +186,5 @@ mod tests {
     fn empty_trace_exports_cleanly() {
         let trace = crate::Trace::default();
         assert_eq!(trace.to_json_lines(), "");
-        assert!(trace
-            .to_prometheus()
-            .contains("hetnet_obs_dropped_records_total 0"));
     }
 }

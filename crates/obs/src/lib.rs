@@ -10,13 +10,12 @@
 //!
 //! 1. **Free when off.** Instrumentation sits inside the CAC's binary
 //!    searches. With no subscriber installed, [`event`] and [`span`]
-//!    reduce to one thread-local flag read; with the `trace` cargo
-//!    feature disabled they compile out entirely ([`is_enabled`] is
-//!    `const false`, so the instrumented branches are dead code).
+//!    reduce to one thread-local flag read.
 //! 2. **No dependencies.** Storage is a fixed-capacity ring buffer of
 //!    plain structs; timestamps are monotonic nanoseconds from the
 //!    subscriber's install instant; exporters are hand-written
-//!    (JSON-lines and Prometheus text, see [`Trace`]).
+//!    (JSON-lines, see [`Trace`]; metrics go out as OpenMetrics text
+//!    through [`RegistrySnapshot::to_openmetrics`]).
 //! 3. **Thread-local collection, shared aggregation.** A subscriber
 //!    observes the thread it was installed on — shard workers install
 //!    their own subscriber per decision and hand the finished trace to
@@ -39,7 +38,6 @@
 //! let trace = obs::uninstall().expect("installed above");
 //! assert_eq!(trace.records().len(), 3); // span start + event + span end
 //! println!("{}", trace.to_json_lines());
-//! println!("{}", trace.to_prometheus());
 //! ```
 
 #![warn(missing_docs)]
@@ -142,7 +140,6 @@ impl Trace {
     }
 }
 
-#[cfg(feature = "trace")]
 mod collector {
     use super::{FieldValue, RecordKind, Trace, TraceRecord};
     use std::cell::{Cell, RefCell};
@@ -267,50 +264,27 @@ mod collector {
 
 /// Whether a subscriber is installed on this thread. Instrumented code
 /// uses this to guard field construction that would otherwise allocate.
-///
-/// With the `trace` cargo feature disabled this is `const false` and
-/// guarded blocks compile out.
-#[cfg(feature = "trace")]
 #[inline]
 #[must_use]
 pub fn is_enabled() -> bool {
     collector::enabled()
 }
 
-/// Compiled-out stub: always `false`.
-#[cfg(not(feature = "trace"))]
-#[inline]
-#[must_use]
-pub const fn is_enabled() -> bool {
-    false
-}
-
 /// Installs a subscriber on the current thread with the given ring
 /// capacity (clamped to at least 1), replacing any previous one (whose
 /// records are discarded). Timestamps restart at zero.
 pub fn install(capacity: usize) {
-    #[cfg(feature = "trace")]
     collector::install(capacity);
-    #[cfg(not(feature = "trace"))]
-    let _ = capacity;
 }
 
 /// Uninstalls the current thread's subscriber and returns what it
-/// collected; `None` if none was installed (or tracing is compiled
-/// out).
+/// collected; `None` if none was installed.
 pub fn uninstall() -> Option<Trace> {
-    #[cfg(feature = "trace")]
-    {
-        collector::uninstall()
-    }
-    #[cfg(not(feature = "trace"))]
-    {
-        None
-    }
+    collector::uninstall()
 }
 
 /// Runs `f` under a fresh subscriber and returns its result together
-/// with the collected trace (empty when tracing is compiled out).
+/// with the collected trace.
 pub fn collect<R>(capacity: usize, f: impl FnOnce() -> R) -> (R, Trace) {
     install(capacity);
     let out = f();
@@ -325,10 +299,7 @@ pub fn event(name: &'static str, fields: &[(&'static str, FieldValue)]) {
     if !is_enabled() {
         return;
     }
-    #[cfg(feature = "trace")]
     collector::record_event(name, fields);
-    #[cfg(not(feature = "trace"))]
-    let _ = (name, fields);
 }
 
 /// Opens a span; the returned guard records the end when dropped.
@@ -339,21 +310,15 @@ pub fn span(name: &'static str) -> SpanGuard {
     if !is_enabled() {
         return SpanGuard { name, id: 0 };
     }
-    #[cfg(feature = "trace")]
-    {
-        SpanGuard {
-            name,
-            id: collector::open_span(name),
-        }
+    SpanGuard {
+        name,
+        id: collector::open_span(name),
     }
-    #[cfg(not(feature = "trace"))]
-    SpanGuard { name, id: 0 }
 }
 
 /// RAII guard for one [`span`]; records `span_end` on drop.
 #[derive(Debug)]
 pub struct SpanGuard {
-    #[cfg_attr(not(feature = "trace"), allow(dead_code))]
     name: &'static str,
     /// 0 when the span was opened with no subscriber installed.
     id: u64,
@@ -361,17 +326,13 @@ pub struct SpanGuard {
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        if self.id == 0 {
-            return;
-        }
-        #[cfg(feature = "trace")]
-        if is_enabled() {
+        if self.id != 0 && is_enabled() {
             collector::close_span(self.name, self.id);
         }
     }
 }
 
-#[cfg(all(test, feature = "trace"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -366,8 +366,7 @@ impl RegistrySnapshot {
     /// export as summaries: `{quantile="0.5|0.95|0.99"}` plus `_sum`,
     /// `_count`, and `_max` lines. Deterministic order (families and
     /// label sets sorted); label values escaped per the exposition
-    /// format, sharing [`crate::export::push_label_value`] with
-    /// [`crate::Trace::to_prometheus`].
+    /// format ([`crate::export::push_label_value`]).
     #[must_use]
     pub fn to_openmetrics(&self) -> String {
         let mut out = String::with_capacity(self.families.len() * 128);

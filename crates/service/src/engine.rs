@@ -79,7 +79,9 @@ pub struct ServiceConfig {
     pub fast_path: bool,
     /// Whether the state emits a [`hetnet_cac::trace::DecisionTrace`]
     /// per decision, feeding the report's delay attribution. Admission-
-    /// neutral; costs one trace allocation per decision.
+    /// neutral, reject details included: the trace is built after each
+    /// verdict, at the cost of one dense evaluation and one trace
+    /// allocation per decision.
     pub trace_decisions: bool,
     /// Seeded fault schedule injected into the run; `None` disables
     /// fault injection entirely.

@@ -158,6 +158,33 @@ fn replay_matches_on_pinned_heavy_seed() {
     check_replay(cfg);
 }
 
+/// Decision tracing only observes: a traced run records the same audit
+/// log as an untraced one, reject details included, and ends in the
+/// same state. On this paper-style schedule a reject's first failing
+/// path in input order (an existing connection's deadline) and an
+/// unstable receive server later in the closure disagree on what to
+/// name, so a traced run that checked every path densely named the
+/// server instead.
+#[test]
+fn tracing_never_changes_a_decision() {
+    let mut traced_cfg = ServiceConfig::paper_style(0.1, 300, 42);
+    traced_cfg.options = AdmissionOptions::beta_search(CacConfig::fast());
+    traced_cfg.trace_decisions = true;
+    let mut untraced_cfg = traced_cfg.clone();
+    untraced_cfg.trace_decisions = false;
+    let traced = run(HetNetwork::paper_topology(), &traced_cfg).expect("traced run");
+    let untraced = run(HetNetwork::paper_topology(), &untraced_cfg).expect("untraced run");
+    assert_eq!(traced.audit.len(), untraced.audit.len(), "audit length");
+    for (t, u) in traced.audit.entries().iter().zip(untraced.audit.entries()) {
+        assert_eq!(t, u, "seq {}: traced and untraced decisions diverge", t.seq);
+    }
+    assert_eq!(
+        traced.state.snapshot().to_json(),
+        untraced.state.snapshot().to_json(),
+        "final snapshots diverge"
+    );
+}
+
 /// A pinned recovery case that always runs: a dense faulted workload
 /// checkpointed mid-outage (any split works; 40 of 120 lands inside
 /// the fault window for this seed), plus the cold-cache configuration.

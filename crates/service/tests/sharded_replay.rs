@@ -264,13 +264,12 @@ fn sharded_replay_pinned_faulted_seed() {
     );
 }
 
-/// Pinned screened-mode case: with decision tracing off the CAC takes
-/// the screened evaluation path (exact receive-cache hits, then the
-/// monotone receive-screening bound, dense only on a miss) and never
-/// materializes per-connection reports. That path must not change any
-/// decision: the screened sequential run must match the dense traced
-/// run entry for entry and snapshot for snapshot, and sharded workers
-/// must still replay the sequential screened stream bit for bit.
+/// Pinned untraced case: every decision takes the screened evaluation
+/// path (exact receive-cache hits, then the monotone receive-screening
+/// bound, dense only on a miss); an untraced one never materializes
+/// per-connection reports at all. The untraced sequential run must
+/// match the traced run entry for entry and snapshot for snapshot, and
+/// sharded workers must still replay the untraced stream bit for bit.
 #[test]
 fn sharded_replay_screened_mode() {
     let mut cfg = grid_cfg(8, TrafficPattern::Paired, sized(80), 20260808);
@@ -284,14 +283,14 @@ fn sharded_replay_screened_mode() {
     for (a, b) in screened.audit.entries().iter().zip(traced.audit.entries()) {
         assert!(
             entries_equivalent(a, b),
-            "screened vs dense decisions diverged at seq {}: {a:?} vs {b:?}",
+            "untraced vs traced decisions diverged at seq {}: {a:?} vs {b:?}",
             a.seq
         );
     }
     assert_eq!(
         screened.state.snapshot().to_json(),
         traced.state.snapshot().to_json(),
-        "screened evaluation must not change any committed state"
+        "tracing must not change any committed state"
     );
 }
 

@@ -13,9 +13,6 @@ stage="${1:-all}"
 build() {
     echo "==> cargo build --release"
     cargo build --release --workspace
-
-    echo "==> hetnet-obs compiles out cleanly (--no-default-features)"
-    cargo build --release -p hetnet-obs --no-default-features
 }
 
 test_stage() {
@@ -141,8 +138,11 @@ lint() {
 
     echo "==> one-deadline-check gate (every admission decision runs the one pipeline)"
     # Both policies, β-search steps 2 and 5 and reconfiguration share one
-    # all-deadlines check, `Scope::check`; a second copy of the check or
-    # of the per-policy admission paths must not come back.
+    # all-deadlines check, `Scope::check`, the screened one, whatever the
+    # tracing flag; a second copy of the check or of the per-policy
+    # admission paths must not come back. The one dense evaluation
+    # explains a verdict already made: it lives in `fn explain`, and
+    # neither `check` nor anything else in `Scope` reads the flag.
     for f in "evaluate_screened(" "evaluate_full("; do
         n=$(grep -cF "$f" crates/core/src/cac.rs || true)
         if [ "$n" -ne 1 ]; then
@@ -150,6 +150,22 @@ lint() {
             exit 1
         fi
     done
+    in_explain=$(awk '/^fn explain\(/ { on = 1 } on { print } on && /^}$/ { exit }' \
+        crates/core/src/cac.rs | grep -cF "evaluate_full(" || true)
+    if [ "$in_explain" -ne 1 ]; then
+        echo "FAIL: the dense evaluate_full( call is not inside fn explain in crates/core/src/cac.rs"
+        exit 1
+    fi
+    if ! grep -qE "^    fn check\(&mut self, at: Pair\) ->" crates/core/src/cac.rs; then
+        echo "FAIL: Scope::check takes more than its pair (a mode flag is back)"
+        exit 1
+    fi
+    scope_flag=$(awk '/^impl<.a> Scope<.a> \{/ { on = 1 } on { print } on && /^}$/ { exit }' \
+        crates/core/src/cac.rs | grep -cE "tracing|trace_decisions|traced" || true)
+    if [ "$scope_flag" -ne 0 ]; then
+        echo "FAIL: Scope reads the decision-tracing flag ($scope_flag lines)"
+        exit 1
+    fi
     if grep -rnE "fn admit_beta|fn admit_fixed|fn feasible_with|FixedCheck" --include="*.rs" crates; then
         echo "FAIL: a per-policy admission path reintroduced"
         exit 1
