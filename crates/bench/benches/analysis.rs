@@ -1,7 +1,8 @@
 //! Microbenchmarks of the analytic building blocks: envelope evaluation,
 //! the Theorem-1 guaranteed-server analysis, the stage-1 wire table every
 //! β-search probe builds for its candidate and the MAC output table it
-//! starts from, the receive MAC's busy-interval search behind three
+//! starts from (flattened alone, and from a warm busy-interval memo as
+//! the evaluator builds it), the receive MAC's busy-interval search behind three
 //! multiplexer hops, the FIFO multiplexer bound, and a full end-to-end
 //! path evaluation.
 
@@ -13,7 +14,7 @@ use hetnet_fddi::frames;
 use hetnet_fddi::mac::analyze_fddi_mac;
 use hetnet_fddi::ring::{RingConfig, SyncBandwidth};
 use hetnet_ifdev::{reassemble_envelope, segment_envelope};
-use hetnet_traffic::analysis::AnalysisConfig;
+use hetnet_traffic::analysis::{AnalysisConfig, OutputTableMemo, ServerOutput};
 use hetnet_traffic::combinators::{Delayed, RateCapped, Sampled};
 use hetnet_traffic::envelope::{Envelope, SharedEnvelope};
 use hetnet_traffic::models::DualPeriodicEnvelope;
@@ -98,17 +99,60 @@ fn bench_mac_output_table(c: &mut Criterion) {
         ..AnalysisConfig::default()
     };
     let outputs: Vec<SharedEnvelope> = [2.0, 2.4, 3.2, 4.0]
+        .into_iter()
+        .map(|ms| {
+            let h = SyncBandwidth::new(Seconds::from_millis(ms));
+            analyze_fddi_mac(Arc::clone(&env), ring, h, net.host_buffer(), &cfg)
+                .expect("stable")
+                .output as SharedEnvelope
+        })
+        .collect();
+    c.bench_function("mac_output_table", |b| {
+        b.iter(|| {
+            for output in &outputs {
+                black_box(Sampled::flatten(Arc::clone(output), horizon, 1));
+            }
+        })
+    });
+}
+
+/// The same kind of table as the evaluator builds it on a stage-1 miss:
+/// from an [`OutputTableMemo`] of the busy interval, already warm, so
+/// each table costs only its allocation's served values and maximum — at
+/// 2.5, 2.6 and 2.7 ms, which share the 72 ms busy interval (6, 3 and 3
+/// of its 10 candidates kept).
+fn bench_mac_output_table_memo(c: &mut Criterion) {
+    let net = HetNetwork::paper_topology();
+    let ring = net.ring(0);
+    let env: SharedEnvelope = Arc::new(paper_source());
+    let horizon = Seconds::new(0.6);
+    let cfg = AnalysisConfig {
+        guard_subdivisions: 1,
+        max_horizon: horizon,
+        ..AnalysisConfig::default()
+    };
+    let outputs: Vec<Arc<ServerOutput>> = [2.5, 2.6, 2.7]
+        .into_iter()
         .map(|ms| {
             let h = SyncBandwidth::new(Seconds::from_millis(ms));
             analyze_fddi_mac(Arc::clone(&env), ring, h, net.host_buffer(), &cfg)
                 .expect("stable")
                 .output
         })
-        .into();
-    c.bench_function("mac_output_table", |b| {
+        .collect();
+    let busy = outputs[0].busy_interval();
+    assert!(
+        outputs.iter().all(|o| o.busy_interval() == busy),
+        "the allocations no longer share a busy interval"
+    );
+    let mut memo = OutputTableMemo::new(&outputs[0], horizon, 1);
+    for output in &outputs {
+        black_box(Arc::clone(output).flatten_with(&mut memo));
+    }
+    c.bench_function("mac_output_table_memo", |b| {
         b.iter(|| {
             for output in &outputs {
-                black_box(Sampled::flatten(Arc::clone(output), horizon, 1));
+                black_box(Arc::clone(output).flatten_with(&mut memo));
             }
         })
     });
@@ -204,7 +248,7 @@ criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(20);
     targets = bench_envelope_eval, bench_mac_analysis, bench_stage1_wire_table,
-        bench_mac_output_table, bench_receive_chain_busy_search, bench_mux_analysis,
+        bench_mac_output_table, bench_mac_output_table_memo, bench_receive_chain_busy_search, bench_mux_analysis,
         bench_path_evaluation
 );
 criterion_main!(benches);

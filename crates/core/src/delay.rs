@@ -15,7 +15,12 @@
 //!
 //! * **Stage 1** (per connection): source-MAC analysis + segmentation +
 //!   flattening — expensive, allocation-dependent, but independent of
-//!   cross traffic. Keyed by (envelope identity, ring, `H_S`).
+//!   cross traffic. Keyed by (envelope identity, ring, `H_S`). The MAC
+//!   output table it flattens is built from a memo of its
+//!   `H_S`-independent part (the sample grid and the arrival values per
+//!   maximizer candidate), keyed by (envelope identity, ring, busy
+//!   interval `B`): the β-search's probes at one source share a handful
+//!   of busy intervals.
 //! * **Stage 2** (per multiplexer): the aggregate FIFO analysis of one
 //!   port, keyed by the port plus the exact *member set* — each
 //!   member's wire-envelope identity and the chain of (delay, rate)
@@ -66,10 +71,11 @@ use hetnet_fddi::ring::SyncBandwidth;
 use hetnet_fddi::{frames, FddiError};
 use hetnet_ifdev::{reassemble_envelope, segment_envelope};
 use hetnet_obs as obs;
-use hetnet_traffic::analysis::AnalysisConfig;
+use hetnet_traffic::analysis::{AnalysisConfig, OutputTableMemo, ServerOutput};
 use hetnet_traffic::combinators::Sampled;
 use hetnet_traffic::envelope::{Envelope, SharedEnvelope};
 use hetnet_traffic::units::{Bits, Seconds};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -318,6 +324,18 @@ struct Stage1Key {
     ring: usize,
 }
 
+/// Key of a source MAC's output-table memo: the arrival (by pinned
+/// `Arc` address, pinned by the memo itself), the ring, whose TTRT sets
+/// the staircase's steps, and the busy interval `B`. The flattening
+/// horizon and subdivisions are fixed by the [`CfgFingerprint`], and the
+/// ring's TTRT by the network the cache lives over.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+struct GridKey {
+    env_ptr: usize,
+    ring: usize,
+    busy_bits: u64,
+}
+
 /// A stage-1 cache slot. `pin` keeps the keyed envelope's allocation
 /// alive for the evaluator's lifetime: the key uses the `Arc`'s address,
 /// and without the pin a dropped-then-reallocated envelope at the same
@@ -443,6 +461,9 @@ impl CfgFingerprint {
 #[derive(Debug, Default)]
 pub struct EvalCache {
     stage1: HashMap<Stage1Key, Stage1Entry>,
+    /// Source-MAC output-table memos. Each entry is created by a stage-1
+    /// miss, so the stage-1 cap bounds their number too.
+    mac_grids: HashMap<GridKey, OutputTableMemo>,
     /// Stage-2 analyses: per port, keyed by the member flows' interned
     /// `(signature, class)` pairs *in member order* (order matters — the
     /// aggregates sum envelopes in member order, and floating-point
@@ -478,6 +499,7 @@ impl EvalCache {
     /// Drops every entry and interned signature.
     pub fn clear(&mut self) {
         self.stage1.clear();
+        self.mac_grids.clear();
         self.mux.clear();
         self.root_sigs.clear();
         self.chained_sigs.clear();
@@ -565,6 +587,11 @@ pub struct CacheStats {
     pub screen_hits: u64,
     /// Screened checks that fell through to a dense receive analysis.
     pub screen_misses: u64,
+    /// Source-MAC output tables built from an existing grid memo (a
+    /// stage-1 miss at a busy interval seen before).
+    pub grid_hits: u64,
+    /// Source-MAC output tables whose grid memo was created.
+    pub grid_misses: u64,
 }
 
 impl CacheStats {
@@ -613,6 +640,8 @@ impl CacheStats {
         self.receive_misses += other.receive_misses;
         self.screen_hits += other.screen_hits;
         self.screen_misses += other.screen_misses;
+        self.grid_hits += other.grid_hits;
+        self.grid_misses += other.grid_misses;
     }
 
     /// Fraction of screened deadline checks decided without a dense
@@ -774,12 +803,29 @@ impl<'a> Evaluator<'a> {
         self.stats
     }
 
-    fn flatten(&self, env: SharedEnvelope) -> Arc<Sampled> {
-        Arc::new(Sampled::flatten(
-            env,
-            self.cfg.flatten_horizon,
-            self.cfg.flatten_subdivisions,
-        ))
+    /// The source MAC's output `output` for path `p`, flattened from the
+    /// memo of its ring and busy interval.
+    fn mac_table(&mut self, p: &PathInput, output: Arc<ServerOutput>) -> Arc<Sampled> {
+        let key = GridKey {
+            env_ptr: Arc::as_ptr(&p.envelope) as *const () as usize,
+            ring: p.source.ring,
+            busy_bits: output.busy_interval().value().to_bits(),
+        };
+        let memo = match self.cache.mac_grids.entry(key) {
+            Entry::Occupied(e) => {
+                self.stats.grid_hits += 1;
+                e.into_mut()
+            }
+            Entry::Vacant(e) => {
+                self.stats.grid_misses += 1;
+                e.insert(OutputTableMemo::new(
+                    &output,
+                    self.cfg.flatten_horizon,
+                    self.cfg.flatten_subdivisions,
+                ))
+            }
+        };
+        Arc::new(output.flatten_with(memo))
     }
 
     fn validate(&self, paths: &[PathInput]) -> Result<(), CacError> {
@@ -841,8 +887,13 @@ impl<'a> Evaluator<'a> {
                 Ok(mac) => match mac.delay {
                     DelayOutcome::Bounded(chi_s) => {
                         let f_s = frames::frame_size(ring, p.h_s);
-                        let seg = segment_envelope(self.flatten(mac.output), f_s, self.net.ifdev());
-                        let wire = self.flatten(seg.output_wire);
+                        let table = self.mac_table(p, mac.output);
+                        let seg = segment_envelope(table, f_s, self.net.ifdev());
+                        let wire = Arc::new(Sampled::flatten(
+                            seg.output_wire,
+                            self.cfg.flatten_horizon,
+                            self.cfg.flatten_subdivisions,
+                        ));
                         let (ts, vals) = wire.samples();
                         let wire_affine =
                             AffineBound::from_samples(ts, vals, wire.sustained_rate());

@@ -314,14 +314,17 @@ impl DecisionTrace {
             concat!(
                 ",\"cache\":{{\"stage1_hits\":{},\"stage1_misses\":{},",
                 "\"mux_hits\":{},\"mux_misses\":{},",
-                "\"receive_hits\":{},\"receive_misses\":{}}}"
+                "\"receive_hits\":{},\"receive_misses\":{},",
+                "\"grid_hits\":{},\"grid_misses\":{}}}"
             ),
             self.cache.stage1_hits,
             self.cache.stage1_misses,
             self.cache.mux_hits,
             self.cache.mux_misses,
             self.cache.receive_hits,
-            self.cache.receive_misses
+            self.cache.receive_misses,
+            self.cache.grid_hits,
+            self.cache.grid_misses
         );
         let _ = write!(
             out,
@@ -566,6 +569,8 @@ mod tests {
                 mux_misses: 2,
                 receive_hits: 3,
                 receive_misses: 1,
+                grid_hits: 4,
+                grid_misses: 2,
                 ..CacheStats::default()
             },
             fast_path: FastPathStats {
@@ -584,7 +589,7 @@ mod tests {
             .contains("\"binding\":{\"kind\":\"deadline\",\"connection\":null,\"stage\":\"atm\""));
         assert!(line.contains(
             "\"cache\":{\"stage1_hits\":5,\"stage1_misses\":1,\"mux_hits\":10,\"mux_misses\":2,\
-             \"receive_hits\":3,\"receive_misses\":1}"
+             \"receive_hits\":3,\"receive_misses\":1,\"grid_hits\":4,\"grid_misses\":2}"
         ));
         assert!(
             line.contains("\"fast_path\":{\"fast_accepts\":6,\"fast_rejects\":2,\"fallbacks\":1}")

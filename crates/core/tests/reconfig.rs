@@ -6,7 +6,9 @@
 //! locks one deterministic reconfigured state bit for bit; the
 //! directed tests cover the ugly corners — a TTRT shrink forcing
 //! victims while a component is down, and a grow that turns a
-//! just-rejected request admissible.
+//! just-rejected request admissible. A fuzz over malformed and extreme
+//! plans holds that a plan is applied whole or refused with the state
+//! untouched, and never panics.
 //!
 //! Regenerate the golden file with `RECONFIG_WRITE=1 cargo test -p
 //! hetnet-cac --test reconfig` after an intentional change to the
@@ -17,6 +19,7 @@ use hetnet_cac::cac::{AdmissionOptions, CacConfig, NetworkState};
 use hetnet_cac::connection::ConnectionSpec;
 use hetnet_cac::network::{Component, HetNetwork, HostId, RingId};
 use hetnet_cac::reconfig::ReconfigPlan;
+use hetnet_cac::snapshot::StateSnapshot;
 use hetnet_fddi::ring::RingConfig;
 use hetnet_traffic::models::DualPeriodicEnvelope;
 use hetnet_traffic::units::{Bits, BitsPerSec, Seconds};
@@ -260,5 +263,97 @@ proptest! {
         let db = fresh.admit(candidate, &new_opts).unwrap();
         prop_assert_eq!(format!("{da:?}"), format!("{db:?}"));
         assert_states_bit_identical(&live, &fresh);
+    }
+}
+
+/// Three admitted connections on the paper topology, one per ring.
+fn fuzz_base() -> StateSnapshot {
+    static SNAP: std::sync::OnceLock<StateSnapshot> = std::sync::OnceLock::new();
+    SNAP.get_or_init(|| {
+        let opts = AdmissionOptions::beta_search(CacConfig::fast());
+        let mut s = NetworkState::new(HetNetwork::paper_topology());
+        for sp in [
+            spec((0, 0), (1, 0), 100.0, 1.0),
+            spec((1, 1), (2, 0), 110.0, 0.8),
+            spec((2, 2), (0, 1), 120.0, 0.6),
+        ] {
+            assert!(s.admit(sp, &opts).unwrap().is_admitted());
+        }
+        s.snapshot()
+    })
+    .clone()
+}
+
+/// A duration drawn log-uniformly from `[1e-9, 1e300]` when `wide`, and
+/// otherwise from the band around the standard 8 ms TTRT where the
+/// survivors are really renegotiated.
+fn duration(wide: bool, at: f64) -> Seconds {
+    let exponent = if wide {
+        -9.0 + 309.0 * at
+    } else {
+        -3.0 + 1.5 * at
+    };
+    Seconds::new(10.0_f64.powf(exponent).clamp(1.0e-9, 1.0e300))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Random plans, valid or not: TTRT and overhead Δ anywhere in
+    /// `[1e-9, 1e300]` (Δ ≥ TTRT included), per-ring overrides naming
+    /// rings past the network's three, and β inside and outside `[0, 1]`
+    /// or NaN. Applied to a state holding admitted connections, a plan
+    /// either succeeds, accounting for every connection, or is refused
+    /// with the state's snapshot unchanged; it never panics.
+    #[test]
+    fn reconfig_plans_apply_whole_or_leave_the_state_unchanged(
+        (ttrt, overhead, beta) in (
+            (0_usize..3, proptest::bool::ANY, 0.0_f64..1.0),
+            (0_usize..3, proptest::bool::ANY, 0.0_f64..1.0),
+            (0_usize..6, -0.5_f64..1.5),
+        ),
+        overrides in proptest::collection::vec(
+            (0_usize..4, proptest::bool::ANY, 0.0_f64..1.0),
+            0..3,
+        ),
+    ) {
+        // Each optional field is absent in one draw of three.
+        let pick = |(present, wide, at): (usize, bool, f64)| (present > 0).then(|| duration(wide, at));
+        let plan = ReconfigPlan {
+            ttrt: pick(ttrt),
+            ring_ttrt: overrides
+                .iter()
+                .map(|&(ring, wide, at)| (ring, duration(wide, at)))
+                .collect(),
+            overhead: pick(overhead),
+            beta: match beta.0 {
+                0 => None,
+                1 => Some(f64::NAN),
+                2 => Some(beta.1),
+                _ => Some((beta.1 + 0.5) / 2.0),
+            },
+        };
+        let base = fuzz_base();
+        let mut state = NetworkState::from_snapshot(HetNetwork::paper_topology(), &base).unwrap();
+        let before = state.snapshot().to_json();
+        let opts = AdmissionOptions::beta_search(CacConfig::fast());
+        match state.reconfigure(&plan, &opts) {
+            Ok(report) => {
+                prop_assert_eq!(
+                    report.survivors() + report.dropped.len(),
+                    base.connections.len(),
+                    "{:?} lost a connection",
+                    plan
+                );
+                prop_assert_eq!(state.active().len(), report.survivors());
+            }
+            Err(e) => prop_assert_eq!(
+                state.snapshot().to_json(),
+                before,
+                "{:?} was refused ({}) but changed the state",
+                plan,
+                e
+            ),
+        }
     }
 }

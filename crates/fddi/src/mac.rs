@@ -58,7 +58,7 @@ pub struct MacReport {
     pub delay: DelayOutcome,
     /// Output traffic envelope `Υ`, capped at the ring bandwidth
     /// (Theorem 1.4).
-    pub output: SharedEnvelope,
+    pub output: Arc<ServerOutput>,
 }
 
 /// The availability curve of a MAC holding allocation `h` on `ring`.
@@ -101,7 +101,7 @@ pub fn analyze_fddi_mac(
         _ => DelayOutcome::Bounded(report.delay_bound),
     };
 
-    let output: SharedEnvelope = Arc::new(ServerOutput::new(
+    let output = Arc::new(ServerOutput::new(
         input,
         Arc::new(service),
         report.busy_interval,

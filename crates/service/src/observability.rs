@@ -130,7 +130,7 @@ const BINDING_KINDS: [&str; 6] = [
     "other",
 ];
 /// Evaluator-cache stages, in the label order the registry exports.
-const CACHE_STAGES: [&str; 4] = ["stage1", "mux", "receive", "screen"];
+const CACHE_STAGES: [&str; 5] = ["stage1", "mux", "receive", "screen", "grid"];
 
 /// The `shard` label of the sharded committer's inline evaluator.
 pub(crate) const INLINE_SHARD: &str = "inline";
@@ -147,18 +147,19 @@ fn cache_labels<'a>(
 }
 
 /// `(hits, misses)` per [`CACHE_STAGES`] entry.
-fn stage_counts(c: &CacheStats) -> [(u64, u64); 4] {
+fn stage_counts(c: &CacheStats) -> [(u64, u64); 5] {
     [
         (c.stage1_hits, c.stage1_misses),
         (c.mux_hits, c.mux_misses),
         (c.receive_hits, c.receive_misses),
         (c.screen_hits, c.screen_misses),
+        (c.grid_hits, c.grid_misses),
     ]
 }
 
 /// One evaluator's cache lookups: a hit and a miss counter per stage.
 #[derive(Debug)]
-pub(crate) struct CacheCounters([(Counter, Counter); 4]);
+pub(crate) struct CacheCounters([(Counter, Counter); 5]);
 
 impl CacheCounters {
     /// Registers the stage × result series of family `name` under the
@@ -462,6 +463,8 @@ pub(crate) fn read_cache(
         receive_misses: count("receive", "miss"),
         screen_hits: count("screen", "hit"),
         screen_misses: count("screen", "miss"),
+        grid_hits: count("grid", "hit"),
+        grid_misses: count("grid", "miss"),
     }
 }
 
@@ -644,6 +647,7 @@ mod tests {
                     stage1_hits: 2,
                     stage1_misses: 1,
                     screen_hits: 3,
+                    grid_misses: 1,
                     ..CacheStats::default()
                 },
                 fast,
@@ -674,6 +678,7 @@ mod tests {
         );
         assert!(text.contains("hetnet_cache_lookups_total{result=\"hit\",stage=\"stage1\"} 2"));
         assert!(text.contains("hetnet_cache_lookups_total{result=\"hit\",stage=\"screen\"} 3"));
+        assert!(text.contains("hetnet_cache_lookups_total{result=\"miss\",stage=\"grid\"} 1"));
         assert!(text.contains("hetnet_fast_path_probes_total{outcome=\"accept\"} 1"));
         assert!(text.contains(
             "hetnet_fast_path_probes_total{cause=\"mux-horizon\",outcome=\"fallback\"} 1"

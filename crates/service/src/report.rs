@@ -272,11 +272,14 @@ impl ServiceReport {
         let _ = write!(
             out,
             "\"cache\":{{\"evals\":{},\"hit_rate\":{:.6},\
-             \"screen_hits\":{},\"screen_misses\":{}}},",
+             \"screen_hits\":{},\"screen_misses\":{},\
+             \"grid_hits\":{},\"grid_misses\":{}}},",
             self.cache.evals(),
             self.cache.hit_rate(),
             self.cache.screen_hits,
             self.cache.screen_misses,
+            self.cache.grid_hits,
+            self.cache.grid_misses,
         );
         out.push_str("\"shard_cache\":[");
         for (i, g) in self.shard_cache.iter().enumerate() {
@@ -400,6 +403,7 @@ fn push_cache_json(out: &mut String, g: &CacheStats) {
         "{{\"stage1_hits\":{},\"stage1_misses\":{},\"mux_hits\":{},\
          \"mux_misses\":{},\"receive_hits\":{},\"receive_misses\":{},\
          \"screen_hits\":{},\"screen_misses\":{},\
+         \"grid_hits\":{},\"grid_misses\":{},\
          \"evals\":{},\"hit_rate\":{:.6}}}",
         g.stage1_hits,
         g.stage1_misses,
@@ -409,6 +413,8 @@ fn push_cache_json(out: &mut String, g: &CacheStats) {
         g.receive_misses,
         g.screen_hits,
         g.screen_misses,
+        g.grid_hits,
+        g.grid_misses,
         g.evals(),
         g.hit_rate(),
     );
@@ -524,6 +530,8 @@ mod tests {
                     receive_misses: 1,
                     screen_hits: 3,
                     screen_misses: 1,
+                    grid_hits: 1,
+                    grid_misses: 1,
                     ..CacheStats::default()
                 },
                 fast,
@@ -641,7 +649,8 @@ mod tests {
             "\"requests_per_sec\":1000.000",
             "\"latency\":{\"count\":3,",
             "\"evals\":3",
-            "\"screen_hits\":3,\"screen_misses\":1",
+            "\"screen_hits\":3,\"screen_misses\":1,\"grid_hits\":1,\"grid_misses\":1",
+            "\"screen_misses\":0,\"grid_hits\":0,\"grid_misses\":0,\"evals\":1,",
             "\"shard_cache\":[{\"stage1_hits\":1,\"stage1_misses\":1,",
             "\"flight_recorder\":{\"seen\":3,",
             "\"fast_path\":{\"fast_accepts\":6,\"fast_rejects\":2,\"fallbacks\":2,\"hit_rate\":0.800000,\"no_context\":1,",

@@ -63,6 +63,7 @@ fn assert_cache(
         ("mux", got.mux_hits, got.mux_misses),
         ("receive", got.receive_hits, got.receive_misses),
         ("screen", got.screen_hits, got.screen_misses),
+        ("grid", got.grid_hits, got.grid_misses),
     ];
     for (stage, hits, misses) in fields {
         for (result, want) in [("hit", hits), ("miss", misses)] {

@@ -18,6 +18,7 @@
 //! the 802.5 token-ring MAC of the paper's §7 extension and any
 //! rate-latency scheduler.
 
+use crate::combinators::Sampled;
 use crate::envelope::{
     bisect, candidate_times, with_clamped, with_scratch, Envelope, SharedEnvelope,
     SUBADDITIVE_ARG_TOL,
@@ -25,6 +26,7 @@ use crate::envelope::{
 use crate::error::TrafficError;
 use crate::service::ServiceCurve;
 use crate::units::{Bits, BitsPerSec, Seconds};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Tuning knobs for the candidate-point optimizations.
@@ -280,6 +282,10 @@ pub(crate) fn last_violation(
 /// twice the analysis horizon, and [`Envelope::arrivals`] scans only the
 /// kept ones there: the same float, from fewer evaluations. Past that
 /// it scans them all.
+///
+/// [`ServerOutput::flatten_with`] builds its flattened table from an
+/// [`OutputTableMemo`] shared with the outputs of other service rates
+/// at the same busy interval.
 #[derive(Debug, Clone)]
 pub struct ServerOutput {
     arrival: SharedEnvelope,
@@ -290,9 +296,10 @@ pub struct ServerOutput {
     /// the service it has received, `S(t)`, which does not depend on the
     /// queried interval.
     pub(crate) t_candidates: Vec<(Seconds, Bits)>,
-    /// The candidates no other candidate dominates up to `exact_to`
-    /// (all of them when the arrival is not subadditive).
-    kept: Vec<(Seconds, Bits)>,
+    /// The indices into `t_candidates` of the candidates no other
+    /// candidate dominates up to `exact_to` (all of them when the arrival
+    /// is not subadditive), in order.
+    kept: Vec<usize>,
     /// The longest interval at which the maximum over `kept` is proven
     /// to be the maximum over `t_candidates`.
     pub(crate) exact_to: Seconds,
@@ -350,7 +357,7 @@ impl ServerOutput {
         let kept = if arrival.is_subadditive() {
             undominated(&arrival, &t_candidates, busy_interval + exact_to)
         } else {
-            t_candidates.clone()
+            (0..t_candidates.len()).collect()
         };
         Self {
             arrival,
@@ -384,10 +391,164 @@ impl ServerOutput {
     pub fn candidate_counts(&self) -> (usize, usize) {
         (self.kept.len(), self.t_candidates.len())
     }
+
+    /// The indices of the candidates the maximum runs over, in order: the
+    /// kept ones at intervals up to `exact_to` (`pruned`), every one past
+    /// it.
+    fn scan(&self, pruned: bool) -> impl Iterator<Item = usize> + '_ {
+        let kept = pruned.then(|| self.kept.iter().copied());
+        let all = (!pruned).then_some(0..self.t_candidates.len());
+        kept.into_iter().flatten().chain(all.into_iter().flatten())
+    }
+
+    /// The terms of the maxima at the nondecreasing, nonnegative points
+    /// `is`, in the order they are folded: each candidate the maximum
+    /// scans, with the range of points it is scanned at (the kept ones
+    /// for the points up to `exact_to`, then every one for those past
+    /// it).
+    fn terms(&self, is: &[f64]) -> impl Iterator<Item = (usize, Range<usize>)> + '_ {
+        let split = is.partition_point(|&i| Seconds::new(i) <= self.exact_to);
+        [(0..split, true), (split..is.len(), false)]
+            .into_iter()
+            .filter(|(range, _)| !range.is_empty())
+            .flat_map(move |(range, pruned)| self.scan(pruned).map(move |k| (k, range.clone())))
+    }
+
+    /// Caps the maxima `best` at the points `is` in place.
+    fn cap_all(&self, is: &[f64], best: &mut [f64]) {
+        for (b, &i) in best.iter_mut().zip(is) {
+            *b = self.capped(*b, Seconds::new(i)).value();
+        }
+    }
+
+    /// This output flattened over `memo`'s horizon and subdivisions:
+    /// bit for bit [`Sampled::flatten`]'s table, sharing `memo`'s grid.
+    ///
+    /// Each point's maximum takes the candidates in the order
+    /// [`Envelope::arrivals`] does, from the arrival values `memo` holds
+    /// per candidate, which [`Envelope::arrivals_sorted`] evaluated over
+    /// the whole grid the first time an output needed that candidate: the
+    /// same floats, in the same order of operations. A memo built for
+    /// another arrival, busy interval or step list is rebuilt first.
+    #[must_use]
+    pub fn flatten_with(self: Arc<Self>, memo: &mut OutputTableMemo) -> Sampled {
+        if !memo.fits(&self) {
+            *memo = OutputTableMemo::new(&self, memo.horizon, memo.subdivisions);
+        }
+        let grid = Arc::clone(&memo.grid);
+        let mut vals = vec![0.0; grid.len()];
+        for (k, range) in self.terms(&grid) {
+            let (t, served) = self.t_candidates[k];
+            let row = memo.row(k, t);
+            fold_candidate(&mut vals[range.clone()], &row[range], served);
+        }
+        self.cap_all(&grid, &mut vals);
+        let horizon = memo.horizon;
+        Sampled::from_table(self, grid, vals, horizon)
+    }
+
+    /// The service's step instants up to the busy interval.
+    fn steps(&self) -> Vec<Seconds> {
+        let mut steps = Vec::new();
+        self.service.breakpoints(self.busy_interval, &mut steps);
+        steps
+    }
 }
 
-/// The candidates no kept candidate dominates, for arguments
-/// `t + I ≤ span`.
+/// Folds one candidate's term into the running maxima `best`, given its
+/// arrival values `values` at the shifted points and its served bits.
+fn fold_candidate(best: &mut [f64], values: &[f64], served: Bits) {
+    for (b, &a) in best.iter_mut().zip(values) {
+        *b = b.max((Bits::new(a) - served).value());
+    }
+}
+
+/// The part of a flattened [`ServerOutput`] table that every output of
+/// one arrival with one busy interval `B` and one service step list
+/// shares, whatever the service's rate: the sample grid, and per
+/// maximizer candidate `t_k` the arrival values `Â(fl(t_k + i))` at
+/// every grid point `i`.
+///
+/// The grid is the output's candidate points, the arrival's corners
+/// shifted by the service steps, and the candidates are `{0}`, the steps
+/// and `B`; neither reads a served value. A row is evaluated the first
+/// time some output keeps its candidate, so the memo holds only the rows
+/// some rate needed. [`ServerOutput::flatten_with`] builds each table
+/// from it.
+#[derive(Debug)]
+pub struct OutputTableMemo {
+    /// The arrival the rows evaluate, compared by address and kept alive
+    /// so the address cannot be reused.
+    arrival: SharedEnvelope,
+    busy_interval: Seconds,
+    steps: Vec<Seconds>,
+    /// The candidate instants `t_k`, in the order rows are indexed.
+    times: Vec<Seconds>,
+    horizon: Seconds,
+    subdivisions: usize,
+    grid: Arc<[f64]>,
+    rows: Vec<Option<Box<[f64]>>>,
+}
+
+impl OutputTableMemo {
+    /// An empty memo for the tables of outputs like `output`, flattened
+    /// over `[0, horizon]` with `subdivisions` guard points per gap.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `horizon` is not strictly positive.
+    #[must_use]
+    pub fn new(output: &ServerOutput, horizon: Seconds, subdivisions: usize) -> Self {
+        Self {
+            arrival: Arc::clone(&output.arrival),
+            busy_interval: output.busy_interval,
+            steps: output.steps(),
+            times: output.t_candidates.iter().map(|&(t, _)| t).collect(),
+            horizon,
+            subdivisions,
+            grid: Sampled::grid(output, horizon, subdivisions),
+            rows: vec![None; output.t_candidates.len()],
+        }
+    }
+
+    /// Whether `output`'s grid and candidates are this memo's.
+    fn fits(&self, output: &ServerOutput) -> bool {
+        let addr = |e: &SharedEnvelope| Arc::as_ptr(e) as *const () as usize;
+        addr(&self.arrival) == addr(&output.arrival)
+            && self.busy_interval.value().to_bits() == output.busy_interval.value().to_bits()
+            && self.times.len() == output.t_candidates.len()
+            && self
+                .times
+                .iter()
+                .zip(&output.t_candidates)
+                .all(|(a, (b, _))| a.value().to_bits() == b.value().to_bits())
+            && self.steps == output.steps()
+    }
+
+    /// Candidate `k`'s arrival values at `t + i` for every grid point
+    /// `i`, evaluated on first use.
+    fn row(&mut self, k: usize, t: Seconds) -> &[f64] {
+        let (grid, arrival) = (&self.grid, &self.arrival);
+        self.rows[k].get_or_insert_with(|| {
+            with_scratch(|shifted| {
+                shifted.extend(grid.iter().map(|&i| (t + Seconds::new(i)).value()));
+                let mut row = Vec::with_capacity(grid.len());
+                arrival.arrivals_sorted(shifted, &mut row);
+                row.into_boxed_slice()
+            })
+        })
+    }
+
+    /// The number of candidate rows evaluated so far: at most the number
+    /// of candidates, however many outputs the memo has served.
+    #[must_use]
+    pub fn rows_filled(&self) -> usize {
+        self.rows.iter().filter(|r| r.is_some()).count()
+    }
+}
+
+/// The indices of the candidates no kept candidate dominates, for
+/// arguments `t + I ≤ span`.
 ///
 /// Candidate `j` is dominated by an earlier kept `k` (`t_k ≤ t_j`) when
 ///
@@ -424,13 +585,14 @@ pub(crate) fn undominated(
     arrival: &dyn Envelope,
     candidates: &[(Seconds, Bits)],
     span: Seconds,
-) -> Vec<(Seconds, Bits)> {
+) -> Vec<usize> {
     let p = arrival.period_hint().map_or(0.0, Seconds::value);
     let delta = SUBADDITIVE_ARG_TOL * (2.0 * span.value()).max(p);
     let top = arrival.arrivals(span + Seconds::new(3.0 * delta)).value();
-    let mut kept: Vec<(Seconds, Bits)> = Vec::with_capacity(candidates.len());
-    for &(t_j, s_j) in candidates {
-        let dominated = kept.iter().any(|&(t_k, s_k)| {
+    let mut kept: Vec<usize> = Vec::with_capacity(candidates.len());
+    for (j, &(t_j, s_j)) in candidates.iter().enumerate() {
+        let dominated = kept.iter().any(|&k| {
+            let (t_k, s_k) = candidates[k];
             if t_k > t_j {
                 return false;
             }
@@ -440,7 +602,7 @@ pub(crate) fn undominated(
             a + m < (s_j - s_k).value()
         });
         if !dominated {
-            kept.push((t_j, s_j));
+            kept.push(j);
         }
     }
     kept
@@ -453,13 +615,9 @@ impl Envelope for ServerOutput {
 
     fn arrivals(&self, interval: Seconds) -> Bits {
         let i = interval.clamp_min_zero();
-        let scan = if i <= self.exact_to {
-            &self.kept
-        } else {
-            &self.t_candidates
-        };
         let mut best = 0.0_f64;
-        for &(t, served) in scan {
+        for k in self.scan(i <= self.exact_to) {
+            let (t, served) = self.t_candidates[k];
             let v = (self.arrival.arrivals(t + i) - served).value();
             best = best.max(v);
         }
@@ -473,38 +631,25 @@ impl Envelope for ServerOutput {
     fn arrivals_sorted(&self, ts: &[f64], out: &mut Vec<f64>) {
         let start = out.len();
         with_clamped(ts, |is| {
-            let split = is.partition_point(|&i| Seconds::new(i) <= self.exact_to);
             out.resize(start + is.len(), 0.0);
+            let best = &mut out[start..];
             with_scratch(|shifted| {
                 with_scratch(|values| {
-                    let sides = [
-                        (&self.kept, 0..split),
-                        (&self.t_candidates, split..is.len()),
-                    ];
-                    for (scan, range) in sides {
-                        if range.is_empty() {
-                            continue;
-                        }
-                        let best = &mut out[start + range.start..start + range.end];
-                        for &(t, served) in scan {
-                            shifted.clear();
-                            shifted.extend(
-                                is[range.clone()]
-                                    .iter()
-                                    .map(|&i| (t + Seconds::new(i)).value()),
-                            );
-                            values.clear();
-                            self.arrival.arrivals_sorted(shifted, values);
-                            for (b, &a) in best.iter_mut().zip(values.iter()) {
-                                *b = b.max((Bits::new(a) - served).value());
-                            }
-                        }
+                    for (k, range) in self.terms(is) {
+                        let (t, served) = self.t_candidates[k];
+                        shifted.clear();
+                        shifted.extend(
+                            is[range.clone()]
+                                .iter()
+                                .map(|&i| (t + Seconds::new(i)).value()),
+                        );
+                        values.clear();
+                        self.arrival.arrivals_sorted(shifted, values);
+                        fold_candidate(&mut best[range], values, served);
                     }
                 });
             });
-            for (b, &i) in out[start..].iter_mut().zip(is) {
-                *b = self.capped(*b, Seconds::new(i)).value();
-            }
+            self.cap_all(is, best);
         });
     }
 

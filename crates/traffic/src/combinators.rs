@@ -23,6 +23,7 @@ use crate::envelope::{
     bisect, min_interval_with, with_clamped, with_scratch, Envelope, SharedEnvelope,
 };
 use crate::units::{Bits, BitsPerSec, Seconds};
+use std::sync::Arc;
 
 /// FIFO output transform: the traffic leaving a FIFO server whose delay is
 /// at most `delay` is bounded by `A(I + delay)`.
@@ -510,7 +511,9 @@ impl Envelope for Padded {
 #[derive(Debug, Clone)]
 pub struct Sampled {
     inner: SharedEnvelope,
-    ts: Vec<f64>,
+    /// The sample points, shared with every table built over the same
+    /// grid (see [`OutputTableMemo`](crate::analysis::OutputTableMemo)).
+    ts: Arc<[f64]>,
     vals: Vec<f64>,
     /// The inner envelope's natural breakpoints (no guards or
     /// subdivisions) — what downstream optimizers should treat as this
@@ -544,13 +547,36 @@ impl Sampled {
     /// Panics if `horizon` is not strictly positive.
     #[must_use]
     pub fn flatten(inner: SharedEnvelope, horizon: Seconds, subdivisions: usize) -> Self {
+        let ts = Self::grid(&*inner, horizon, subdivisions);
+        let mut vals = Vec::with_capacity(ts.len());
+        inner.arrivals_sorted(&ts, &mut vals);
+        Self::from_table(inner, ts, vals, horizon)
+    }
+
+    /// The points [`Sampled::flatten`] samples `inner` at over
+    /// `[0, horizon]`: its candidate points with `subdivisions` guard
+    /// points per gap, from 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `horizon` is not strictly positive.
+    pub(crate) fn grid(inner: &dyn Envelope, horizon: Seconds, subdivisions: usize) -> Arc<[f64]> {
         assert!(horizon.value() > 0.0, "horizon must be positive");
-        let mut ts = crate::envelope::candidate_times(&[&inner], &[], horizon, subdivisions);
+        let mut ts = crate::envelope::candidate_times(&[inner], &[], horizon, subdivisions);
         if ts.first().is_none_or(|&t| t > 0.0) {
             ts.insert(0, 0.0);
         }
-        let mut vals = Vec::with_capacity(ts.len());
-        inner.arrivals_sorted(&ts, &mut vals);
+        ts.into()
+    }
+
+    /// The table of `inner`'s values `vals` at the grid points `ts` over
+    /// `[0, horizon]`, with the corners and monotonicity derived from it.
+    pub(crate) fn from_table(
+        inner: SharedEnvelope,
+        ts: Arc<[f64]>,
+        vals: Vec<f64>,
+        horizon: Seconds,
+    ) -> Self {
         // Derive this envelope's corners from its own table: points where
         // the interpolated slope changes materially. This keeps the
         // reported breakpoint count proportional to the envelope's real

@@ -631,7 +631,10 @@ fn non_subadditive_arrivals_keep_every_candidate() {
     // `d ≤ 0.6` the envelope delivers nothing. Yet at `I = 0.45`, `B`'s
     // term is the maximum, `A(1.05) − 10 = 990`.
     let span = Seconds::new(0.6) + out.exact_to;
-    let kept = undominated(&knots, &out.t_candidates, span);
+    let kept: Vec<_> = undominated(&knots, &out.t_candidates, span)
+        .into_iter()
+        .map(|k| out.t_candidates[k])
+        .collect();
     assert_eq!(kept.len(), 2);
     assert_eq!(out.arrivals(Seconds::new(0.45)).value(), 990.0);
     assert_eq!(max_over(&knots, &kept, 0.45), 0.0);

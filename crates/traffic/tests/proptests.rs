@@ -1,8 +1,10 @@
 //! Property-based tests for traffic envelopes, service curves and the
 //! guaranteed-server analysis.
 
-use hetnet_traffic::analysis::{analyze_guaranteed_server, AnalysisConfig, ServerOutput};
-use hetnet_traffic::combinators::{Aggregate, Delayed, Quantized, RateCapped, Scaled};
+use hetnet_traffic::analysis::{
+    analyze_guaranteed_server, AnalysisConfig, OutputTableMemo, ServerOutput,
+};
+use hetnet_traffic::combinators::{Aggregate, Delayed, Quantized, RateCapped, Sampled, Scaled};
 use hetnet_traffic::envelope::{
     Envelope, SharedEnvelope, SUBADDITIVE_ARG_TOL, SUBADDITIVE_VALUE_TOL,
 };
@@ -92,6 +94,47 @@ fn computed_subadditivity_holds(env: &dyn Envelope, s: Seconds, t: Seconds) -> b
     let lhs = env.arrivals(s + t).value();
     let rhs = env.arrivals(s).value() + env.arrivals(t + Seconds::new(4.0 * delta)).value();
     lhs <= rhs * (1.0 + 3.0 * SUBADDITIVE_VALUE_TOL)
+}
+
+/// Asserts that `got` is `want`'s table bit for bit: the sample points,
+/// the values, the corners it reports (its own within the horizon, its
+/// inner envelope's past it) and the level crossings its closed-form
+/// inversion finds, which it takes only from a table it found
+/// nondecreasing.
+fn assert_same_table(got: &Sampled, want: &Sampled, horizon: Seconds) {
+    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let ((got_ts, got_vals), (want_ts, want_vals)) = (got.samples(), want.samples());
+    assert_eq!(bits(got_ts), bits(want_ts), "sample points differ");
+    assert_eq!(bits(got_vals), bits(want_vals), "sample values differ");
+    for h in [horizon, horizon * 2.0] {
+        let corners = |s: &Sampled| {
+            let mut out = Vec::new();
+            s.breakpoints(h, &mut out);
+            out.iter().map(|t| t.value().to_bits()).collect::<Vec<_>>()
+        };
+        assert_eq!(corners(got), corners(want), "corners up to {h} differ");
+    }
+    let top = want_vals.last().copied().unwrap_or(0.0);
+    for share in [0.1, 0.37, 0.8] {
+        let level = Bits::new(top * share);
+        assert_eq!(
+            got.min_interval(level, horizon),
+            want.min_interval(level, horizon),
+            "crossing of {level} differs"
+        );
+    }
+}
+
+/// A busy interval of `k` rotations of `ttrt`: on a multiple (`mode`
+/// 0), just under one as the busy-period search lands (1), or a
+/// fraction `frac` of a rotation past one (2).
+fn busy_interval(ttrt: Seconds, k: usize, mode: usize, frac: f64) -> Seconds {
+    let whole = ttrt * k as f64;
+    match mode {
+        0 => whole,
+        1 => whole * (1.0 - 1.0e-9),
+        _ => whole + ttrt * frac,
+    }
 }
 
 proptest! {
@@ -361,5 +404,76 @@ proptest! {
         let svc = StaircaseService::timed_token(ttrt, quantum);
         let r = analyze_guaranteed_server(&arr, &svc, &AnalysisConfig::default()).unwrap();
         prop_assert!(r.delay_bound.value() <= 2.0 * ttrt.value() + 1e-9);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A table built from a warm [`OutputTableMemo`] is the table
+    /// `Sampled::flatten` builds, bit for bit. One arrival and one busy
+    /// interval are served at three staircase quanta, twice over, from
+    /// one memo: the rows the first quanta filled serve the later ones,
+    /// and the second pass fills none. The analysis horizon of 0.2 s puts
+    /// the pruning edge (twice it) inside the 0.6 s table, so both the
+    /// kept candidates' points and the every-candidate points past the
+    /// edge are built from the memo. A memo built for another busy
+    /// interval is rebuilt, not misread.
+    #[test]
+    fn memoized_output_table_matches_the_flattened_one(
+        (which, dual, periodic, bucket) in (
+            0_usize..3,
+            dual_periodic_strategy(),
+            periodic_strategy(),
+            leaky_bucket_strategy(),
+        ),
+        (ttrt_ms, k, mode, frac) in (2.0_f64..10.0, 2_usize..12, 0_usize..3, 0.05_f64..0.95),
+        quanta in proptest::collection::vec(0.6_f64..4.0, 3..4),
+        capped in proptest::bool::ANY,
+    ) {
+        let arrival: SharedEnvelope = match which {
+            0 => Arc::new(dual),
+            1 => Arc::new(periodic),
+            _ => Arc::new(bucket),
+        };
+        let cfg = AnalysisConfig {
+            max_horizon: Seconds::new(0.2),
+            ..AnalysisConfig::default()
+        };
+        let (horizon, subdivisions) = (Seconds::new(0.6), 1);
+        let ttrt = Seconds::from_millis(ttrt_ms);
+        let busy = busy_interval(ttrt, k, mode, frac);
+        let cap = capped.then(|| BitsPerSec::new(1.0e8));
+        let per_rotation = arrival.sustained_rate() * ttrt;
+        let outputs: Vec<Arc<ServerOutput>> = quanta
+            .iter()
+            .map(|&m| {
+                let svc = StaircaseService::timed_token(ttrt, per_rotation * m + Bits::new(1.0));
+                Arc::new(ServerOutput::new(Arc::clone(&arrival), Arc::new(svc), busy, cap, &cfg))
+            })
+            .collect();
+        let mut memo = OutputTableMemo::new(&outputs[0], horizon, subdivisions);
+        let mut filled = Vec::new();
+        for _ in 0..2 {
+            for output in &outputs {
+                let memoized = Arc::clone(output).flatten_with(&mut memo);
+                let flat = Sampled::flatten(Arc::clone(output) as SharedEnvelope, horizon, subdivisions);
+                assert_same_table(&memoized, &flat, horizon);
+            }
+            filled.push(memo.rows_filled());
+        }
+        prop_assert_eq!(filled[0], filled[1], "a warm memo filled more rows");
+
+        let elsewhere = Arc::new(ServerOutput::new(
+            Arc::clone(&arrival),
+            Arc::new(StaircaseService::timed_token(ttrt, per_rotation * 2.0 + Bits::new(1.0))),
+            busy + ttrt * 0.5,
+            cap,
+            &cfg,
+        ));
+        let mut stale = OutputTableMemo::new(&elsewhere, horizon, subdivisions);
+        let rebuilt = Arc::clone(&outputs[0]).flatten_with(&mut stale);
+        let flat = Sampled::flatten(Arc::clone(&outputs[0]) as SharedEnvelope, horizon, subdivisions);
+        assert_same_table(&rebuilt, &flat, horizon);
     }
 }

@@ -172,6 +172,30 @@ lint() {
     fi
     echo "ok: one deadline check"
 
+    echo "==> one-mac-table-path gate (source-MAC output tables come from the busy-interval memo)"
+    # The evaluator builds every source-MAC output table from the memo of
+    # its busy interval, and a flattened table's corners and monotonicity
+    # are derived in one constructor shared by both ways of building one;
+    # a per-probe flatten of the MAC output or a second derivation must
+    # not come back.
+    if grep -nE "flatten\(mac\.output" crates/core/src/delay.rs; then
+        echo "FAIL: crates/core/src/delay.rs flattens the MAC output per probe again"
+        exit 1
+    fi
+    n=$(grep -cF ".flatten_with(" crates/core/src/delay.rs || true)
+    if [ "$n" -ne 1 ]; then
+        echo "FAIL: .flatten_with( appears $n times in crates/core/src/delay.rs (want 1)"
+        exit 1
+    fi
+    for f in "let nondecreasing =" "natural.dedup_by("; do
+        n=$( (grep -rF "$f" --include="*.rs" crates/traffic/src || true) | wc -l)
+        if [ "$n" -ne 1 ]; then
+            echo "FAIL: '$f' appears $n times under crates/traffic/src (want 1)"
+            exit 1
+        fi
+    done
+    echo "ok: one MAC table path"
+
     echo "==> one-region-solver gate (frontier tracer + dense oracle)"
     # The region module keeps two solvers over one dense loop, single-
     # threaded; the correctness certificates live in the test suite.
