@@ -3,8 +3,8 @@
 //! β-search probe builds for its candidate and the MAC output table it
 //! starts from (flattened alone, and from a warm busy-interval memo as
 //! the evaluator builds it), the receive MAC's busy-interval search behind three
-//! multiplexer hops, the FIFO multiplexer bound, and a full end-to-end
-//! path evaluation.
+//! multiplexer hops (closing, and exhausting its horizon), the FIFO
+//! multiplexer bound, and a full end-to-end path evaluation.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use hetnet_atm::{ClassedFlow, LinkConfig, Scheduler, SchedulerAnalysis};
@@ -158,15 +158,13 @@ fn bench_mac_output_table_memo(c: &mut Criterion) {
     });
 }
 
-/// The receive side of a path under `EvalConfig::fast`'s settings: the
-/// paper source's stage-1 wire table behind three multiplexer hops
-/// (`min(C·I, A(I + d))`), reassembled into frames and analyzed at the
-/// destination MAC. The search's breakpoints and values reach past the
-/// 0.6 s wire table into its unflattened chain — at three source
+/// The paper source's stage-1 wire table under `EvalConfig::fast`'s
+/// settings behind three multiplexer hops (`min(C·I, A(I + d))`), with
+/// its frame size and the analysis settings, at three source
 /// allocations, each table built once up front.
-fn bench_receive_chain_busy_search(c: &mut Criterion) {
+fn receive_chains() -> (Vec<(SharedEnvelope, Bits)>, AnalysisConfig) {
     let net = HetNetwork::paper_topology();
-    let (ring, ring_r) = (net.ring(0), net.ring(1));
+    let ring = net.ring(0);
     let env: SharedEnvelope = Arc::new(paper_source());
     let horizon = Seconds::new(0.6);
     let cfg = AnalysisConfig {
@@ -175,7 +173,7 @@ fn bench_receive_chain_busy_search(c: &mut Criterion) {
         ..AnalysisConfig::default()
     };
     let link = LinkConfig::oc3(Seconds::ZERO);
-    let chains: Vec<(SharedEnvelope, Bits)> = [2.0, 2.4, 3.2]
+    let chains = [2.0, 2.4, 3.2]
         .map(|ms| {
             let h = SyncBandwidth::new(Seconds::from_millis(ms));
             let mac = analyze_fddi_mac(Arc::clone(&env), ring, h, net.host_buffer(), &cfg)
@@ -191,13 +189,41 @@ fn bench_receive_chain_busy_search(c: &mut Criterion) {
             (chain, frame)
         })
         .into();
+    (chains, cfg)
+}
+
+/// The receive side of a path: `receive_chains`, reassembled into
+/// frames and analyzed at the destination MAC. The search's breakpoints
+/// and values reach past the 0.6 s wire table into its unflattened
+/// chain.
+fn bench_receive_chain_busy_search(c: &mut Criterion) {
+    let net = HetNetwork::paper_topology();
+    let (chains, cfg) = receive_chains();
     let h_r = SyncBandwidth::new(Seconds::from_millis(2.4));
     c.bench_function("receive_chain_busy_search", |b| {
         b.iter(|| {
             for (chain, frame) in &chains {
                 let frames = reassemble_envelope(Arc::clone(chain), *frame, net.ifdev());
-                let mac = analyze_fddi_mac(frames.output_frames, ring_r, h_r, None, &cfg);
+                let mac = analyze_fddi_mac(frames.output_frames, net.ring(1), h_r, None, &cfg);
                 black_box(mac.expect("stable").busy_interval);
+            }
+        })
+    });
+}
+
+/// The same chains at a receive allocation of 1.92 ms, where every busy
+/// period ends past half the 0.6 s horizon: each search ends in
+/// `HorizonExhausted`, settled from the staircase's step ends.
+fn bench_receive_chain_horizon_exhausted(c: &mut Criterion) {
+    let net = HetNetwork::paper_topology();
+    let (chains, cfg) = receive_chains();
+    let h_r = SyncBandwidth::new(Seconds::from_millis(1.92));
+    c.bench_function("receive_chain_horizon_exhausted", |b| {
+        b.iter(|| {
+            for (chain, frame) in &chains {
+                let frames = reassemble_envelope(Arc::clone(chain), *frame, net.ifdev());
+                let mac = analyze_fddi_mac(frames.output_frames, net.ring(1), h_r, None, &cfg);
+                black_box(mac.expect_err("the horizon is exhausted"));
             }
         })
     });
@@ -248,7 +274,8 @@ criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(20);
     targets = bench_envelope_eval, bench_mac_analysis, bench_stage1_wire_table,
-        bench_mac_output_table, bench_mac_output_table_memo, bench_receive_chain_busy_search, bench_mux_analysis,
+        bench_mac_output_table, bench_mac_output_table_memo, bench_receive_chain_busy_search,
+        bench_receive_chain_horizon_exhausted, bench_mux_analysis,
         bench_path_evaluation
 );
 criterion_main!(benches);

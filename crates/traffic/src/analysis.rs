@@ -18,6 +18,7 @@
 //! the 802.5 token-ring MAC of the paper's §7 extension and any
 //! rate-latency scheduler.
 
+use crate::approx;
 use crate::combinators::Sampled;
 use crate::envelope::{
     bisect, candidate_times, with_clamped, with_scratch, Envelope, SharedEnvelope,
@@ -179,28 +180,38 @@ fn find_busy_interval(
     let floor = arrival.period_hint().map_or(Seconds::ZERO, |p| p * periods);
     let mut horizon = (seed * 8.0).max(floor).min(cfg.max_horizon);
 
+    // Grows the horizon toward the cap; errors once it cannot grow.
+    let grow = |horizon: &mut Seconds, tv: Option<Seconds>| -> Result<(), TrafficError> {
+        if horizon.value() >= cfg.max_horizon.value() {
+            return Err(TrafficError::HorizonExhausted {
+                horizon: cfg.max_horizon,
+            });
+        }
+        // Jump straight past twice the observed violation (the clean-
+        // tail requirement) rather than blindly doubling.
+        let want = tv.map_or(horizon.value() * 2.0, |t| {
+            (t.value() * 2.2).max(horizon.value() * 2.0)
+        });
+        *horizon = Seconds::new(want.min(cfg.max_horizon.value()));
+        Ok(())
+    };
+
     loop {
         let mut extra = Vec::new();
         service.breakpoints(horizon, &mut extra);
+        // Once `2h ≥ max_horizon`, a last violation past `h/2` grows the
+        // horizon to the cap (or errors) wherever it lies, so a violation
+        // the grid is proven to hold past `h/2` settles the iteration.
+        if service.is_piecewise_constant()
+            && horizon.value() * 2.0 >= cfg.max_horizon.value()
+            && violated_below_step_ends(arrival, service, &extra, horizon)
+        {
+            grow(&mut horizon, None)?;
+            continue;
+        }
         let ts = candidate_times(&[arrival], &extra, horizon, cfg.guard_subdivisions);
         let violated = |t: Seconds| t > Seconds::ZERO && arrival.arrivals(t) > service.provided(t);
         let last_violation = last_violation(arrival, service, &ts);
-
-        // Grows the horizon toward the cap; errors once it cannot grow.
-        let grow = |horizon: &mut Seconds, tv: Option<Seconds>| -> Result<(), TrafficError> {
-            if horizon.value() >= cfg.max_horizon.value() {
-                return Err(TrafficError::HorizonExhausted {
-                    horizon: cfg.max_horizon,
-                });
-            }
-            // Jump straight past twice the observed violation (the clean-
-            // tail requirement) rather than blindly doubling.
-            let want = tv.map_or(horizon.value() * 2.0, |t| {
-                (t.value() * 2.2).max(horizon.value() * 2.0)
-            });
-            *horizon = Seconds::new(want.min(cfg.max_horizon.value()));
-            Ok(())
-        };
 
         match last_violation {
             // Never backlogged within the horizon: the flow conforms to
@@ -233,6 +244,75 @@ fn find_busy_interval(
             }
         }
     }
+}
+
+/// Whether the busy-interval grid `candidate_times(&[arrival], steps, h,
+/// n)` (for any `n`) is certain to hold a violation `A(t) > S(t)` past
+/// `h/2`, so that [`last_violation`] over it lands past `h/2`, read off
+/// the arrival at one point below each step end of the piecewise-
+/// constant `service` instead of at every point of the grid.
+///
+/// `steps` must be `service.breakpoints(horizon)`, the list the grid is
+/// built from. For each step end `s` of `steps ∪ {h}`, with
+/// `ε = 10⁻⁹·h` (the grid's guard, floored at `10⁻¹²` as there) and
+/// `τ = fl(10⁻⁹·max(1, s))` (the [`approx_eq`](crate::approx::approx_eq)
+/// tolerance at `s`), the probe is `x = s − 2(τ + ε)`, kept if
+/// `x > h/2`. All probes go to the arrival as one sorted batch. The
+/// grid holds a violation past `h/2` if one probe has
+///
+/// * `S(x) == S(s − ε)`, and
+/// * `A(x)` above `S(x)` by more than the relative tolerance,
+///   `!approx_le(A(x), S(x))`.
+///
+/// Proof, for that probe:
+///
+/// 1. The grid holds a point `g ∈ [x, fl(s − ε)]`. The raw list holds
+///    `s` (a member of `steps`, or the horizon itself), sorted, then
+///    deduplicated under `approx_eq` against the last point kept. So
+///    the point kept for `s` is `s` or an earlier `p ≤ s` with
+///    `fl(p + τ) ≥ s`, i.e. `p ≥ s − τ − ulp(s)`. Its left guard
+///    `g = fl(p − ε)` is in the grid (it is positive). Rounding is
+///    monotone, so `g ≤ fl(s − ε)`; and `g ≥ s − τ − ε − 2·ulp(s) > x`,
+///    since `τ + ε ≥ 10⁻⁹·max(1, s)` dwarfs a few ulps of `s`.
+/// 2. `S(g) = S(x)`: `S` is nondecreasing, so
+///    `S(x) ≤ S(g) ≤ S(fl(s − ε)) = S(x)`. The equality is checked, not
+///    assumed: `floor_div`'s nudge moves a staircase step up to
+///    `10⁻⁹·s` early, which can put `s − ε` on the next step when `s`
+///    is the horizon.
+/// 3. `A(g) > S(g)`: the arrival is nondecreasing up to the ulp-level
+///    slack of float evaluation (a `Sampled` table's interpolation may
+///    overshoot a knot by about an ulp), and the relative tolerance
+///    `10⁻⁹` of the margin is far above that slack, so
+///    `A(g) ≥ A(x) − slack > S(x) = S(g)`.
+/// 4. `g ≥ x > h/2` and `g > 0`, so the last violation of the grid is
+///    at `g` or later: past `h/2`.
+///
+/// Where no probe qualifies this proves nothing, and the caller builds
+/// the grid.
+pub(crate) fn violated_below_step_ends(
+    arrival: &dyn Envelope,
+    service: &dyn ServiceCurve,
+    steps: &[Seconds],
+    horizon: Seconds,
+) -> bool {
+    let h = horizon.value();
+    let eps = (h * 1.0e-9).max(1.0e-12);
+    // `(x, s − ε)` for each step end, in order.
+    let probes: Vec<(f64, f64)> = steps
+        .iter()
+        .map(|s| s.value())
+        .chain(std::iter::once(h))
+        .map(|s| (s - 2.0 * (approx::REL_TOL * s.max(1.0) + eps), s - eps))
+        .filter(|&(x, _)| x > h * 0.5)
+        .collect();
+    let xs: Vec<f64> = probes.iter().map(|&(x, _)| x).collect();
+    with_scratch(|values| {
+        arrival.arrivals_sorted(&xs, values);
+        probes.iter().zip(values.iter()).any(|(&(x, guard), &a)| {
+            let served = service.provided(Seconds::new(x));
+            served == service.provided(Seconds::new(guard)) && !approx::approx_le(a, served.value())
+        })
+    })
 }
 
 /// The index of the last of the sorted points `ts` (seconds) at which

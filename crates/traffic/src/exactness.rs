@@ -11,8 +11,8 @@
 //! replaced, kept here as the reference.
 
 use crate::analysis::{
-    analyze_guaranteed_server, last_violation, undominated, AnalysisConfig, ServerOutput,
-    DOMINANCE_MARGIN,
+    analyze_guaranteed_server, last_violation, undominated, violated_below_step_ends,
+    AnalysisConfig, ServerOutput, DOMINANCE_MARGIN,
 };
 use crate::approx;
 use crate::combinators::{
@@ -1316,5 +1316,175 @@ proptest! {
             assert_batch_exact(&*layer, &query_batch(&picks, span, &marks), &what);
             env = layer;
         }
+    }
+}
+
+/// `inner`, raised to the next float wherever `scrambled` picks the
+/// point: an arrival nondecreasing only up to one ulp, the slack the
+/// step-end check's margin is there for, used to the full.
+#[derive(Debug)]
+struct Jittered(SharedEnvelope, u64);
+
+impl Envelope for Jittered {
+    fn arrivals(&self, interval: Seconds) -> Bits {
+        let a = self.0.arrivals(interval).value();
+        Bits::new(if scrambled(interval.value(), self.1) {
+            a.next_up()
+        } else {
+            a
+        })
+    }
+    fn sustained_rate(&self) -> BitsPerSec {
+        self.0.sustained_rate()
+    }
+    fn peak_rate(&self) -> BitsPerSec {
+        self.0.peak_rate()
+    }
+    fn breakpoints(&self, horizon: Seconds, out: &mut Vec<Seconds>) {
+        self.0.breakpoints(horizon, out);
+    }
+}
+
+/// A source for one step-end draw: a model (a leaky bucket, dual-
+/// periodic, constant-rate, periodic or concave piecewise-linear
+/// source, or a dual-periodic one behind raw hops), or, `chained`, such a model
+/// flattened into a `Sampled` table the search overruns, behind one to
+/// three multiplexer hops and reassembly's `Padded(Scaled(·))`.
+fn step_end_source(rng: &mut proptest::TestRng, chained: bool, max_horizon: f64) -> SharedEnvelope {
+    use rand::Rng;
+    let (a, b, c) = (rng.gen::<f64>(), rng.gen::<f64>(), rng.gen::<f64>());
+    let leaf = match rng.gen_range(0_usize..7) {
+        5 => subadditive_source(1, a, b, c),
+        kind => batch_leaf(kind, a, b, c),
+    };
+    if !chained {
+        return leaf;
+    }
+    let scale = leaf.arrivals(Seconds::new(1.0)).value().max(1.0);
+    let table = Sampled::flatten(
+        leaf,
+        Seconds::new(max_horizon * (0.3 + 0.7 * rng.gen::<f64>())),
+        rng.gen_range(0_usize..2),
+    );
+    let mut env: SharedEnvelope = Arc::new(table);
+    for _ in 0..rng.gen_range(1_usize..4) {
+        let cap = scale * (2.0 + 20.0 * rng.gen::<f64>());
+        env = hop(env, 0.005 * rng.gen::<f64>(), cap);
+    }
+    let scaled = Arc::new(Scaled::new(env, 1.0 + 0.2 * rng.gen::<f64>()));
+    Arc::new(Padded::new(
+        scaled,
+        Bits::new(1.0e-3 * scale * rng.gen::<f64>()),
+    ))
+}
+
+/// A ramp of a few nanoseconds just below the step end `s`, up to
+/// exactly the level `service` holds before `s` or above it, at times
+/// jittered by an ulp. It puts the arrival's rise inside the windows
+/// the step-end check's premises guard: between the grid's last point
+/// and `s − ε`, inside the `approx_eq` allowance, and before a step
+/// that `floor_div`'s nudge moves early.
+fn step_end_ramp(
+    rng: &mut proptest::TestRng,
+    s: f64,
+    service: &StaircaseService,
+) -> SharedEnvelope {
+    use rand::Rng;
+    let (a, b, c) = (rng.gen::<f64>(), rng.gen::<f64>(), rng.gen::<f64>());
+    let tau = approx::REL_TOL * s.max(1.0);
+    let to = s - 5.0 * tau * a;
+    let from = to - 1.2 * tau * b;
+    let before = service.provided(Seconds::new(s - 10.0 * tau)).value();
+    let level = if c < 0.4 {
+        before
+    } else {
+        before + service.quantum().value() * (c - 0.3)
+    };
+    let ramp = Knots::shared(0.0, &[from, to - from], &[0.0, level]);
+    Arc::new(Jittered(ramp, rng.gen::<u64>()))
+}
+
+/// The step-end check never claims a violation the grid lacks: whenever
+/// `violated_below_step_ends` fires, the last violation of the busy
+/// search's grid over `[0, h]` lies past `h/2`, so the search's shortcut
+/// takes the branch its grid would have taken. Draws: timed-token
+/// staircases of 4–16 ms rotations with quanta from barely stable to
+/// generous; models, chains and ramps (`step_end_source`,
+/// `step_end_ramp`); horizons in `[max/2, max]` (the cap itself, step
+/// ends as the staircase accumulates them, those ±10⁻⁹ relative,
+/// products `k·TTRT`, and uniform draws); 0–3 guard subdivisions. Each
+/// family must fire a floor of times, so the property is not vacuous.
+#[test]
+fn step_end_check_is_sound_against_the_grid() {
+    use rand::Rng;
+    let mut rng = proptest::test_rng("step_end_check_is_sound_against_the_grid");
+    let mut fired = [0_usize; 3];
+    for case in 0..2400 {
+        let family = (case % 8).min(2);
+        let ttrt = Seconds::new(4.0e-3 + 12.0e-3 * rng.gen::<f64>());
+        let max = if rng.gen::<bool>() {
+            0.6
+        } else {
+            0.08 + 0.52 * rng.gen::<f64>()
+        };
+        // Step ends depend on the rotation alone.
+        let clock = StaircaseService::timed_token(ttrt, Bits::new(1.0));
+        let mut ends = Vec::new();
+        clock.breakpoints(Seconds::new(max), &mut ends);
+        ends.retain(|s| s.value() >= 0.5 * max);
+        let end = ends[rng.gen_range(0..ends.len())].value();
+        let h = match rng.gen_range(0_usize..5) {
+            0 => max,
+            1 => end,
+            2 if rng.gen::<bool>() => end * (1.0 + 1.0e-9),
+            2 => end * (1.0 - 1.0e-9),
+            3 => (end / ttrt.value()).round() * ttrt.value(),
+            _ => max * (0.5 + 0.5 * rng.gen::<f64>()),
+        }
+        .clamp(0.5 * max, max);
+        let horizon = Seconds::new(h);
+        let mut steps = Vec::new();
+        clock.breakpoints(horizon, &mut steps);
+        let late: Vec<f64> = steps
+            .iter()
+            .map(|s| s.value())
+            .filter(|&s| s > 0.5 * h)
+            .collect();
+        let s = if late.is_empty() || rng.gen::<bool>() {
+            h
+        } else {
+            late[rng.gen_range(0..late.len())]
+        };
+
+        let source = (family < 2).then(|| step_end_source(&mut rng, family == 1, max));
+        let rate = source
+            .as_ref()
+            .map_or(1.0e6, |a| a.sustained_rate().value().max(1.0));
+        let share = 10f64.powf(-3.0 + 3.5 * rng.gen::<f64>());
+        let service =
+            StaircaseService::timed_token(ttrt, Bits::new(rate * ttrt.value() * (1.0 + share)));
+        let arrival = source.unwrap_or_else(|| step_end_ramp(&mut rng, s, &service));
+        let subdivisions = if rng.gen::<bool>() {
+            0
+        } else {
+            rng.gen_range(1_usize..4)
+        };
+
+        if violated_below_step_ends(&*arrival, &service, &steps, horizon) {
+            fired[family] += 1;
+            let ts = candidate_times(&[&*arrival], &steps, horizon, subdivisions);
+            let last = last_violation(&*arrival, &service, &ts);
+            prop_assert!(
+                last.is_some_and(|k| ts[k] > 0.5 * h),
+                "case {case}: the check fired but the grid's last violation is {:?} \
+                 (h = {h}, s = {s}, TTRT = {ttrt:?}, share = {share}, {arrival:?})",
+                last.map(|k| ts[k])
+            );
+        }
+    }
+    println!("step-end check fired on {fired:?} of 300, 300 and 1,800 draws");
+    for (family, floor) in [(0, 100), (1, 100), (2, 150)] {
+        let n = fired[family];
+        prop_assert!(n >= floor, "family {family} fired only {n} times");
     }
 }

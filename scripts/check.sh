@@ -196,6 +196,38 @@ lint() {
     done
     echo "ok: one MAC table path"
 
+    echo "==> one-busy-search gate (one busy-interval loop; the step-end shortcut lives inside it)"
+    # Every server analysis searches its busy interval in one loop, which
+    # builds one candidate grid per iteration unless the step-end check
+    # settles the iteration first. A second search loop, or the check
+    # called from anywhere else, must not come back.
+    for f in find_busy_interval violated_below_step_ends; do
+        n=$( (grep -rE "fn $f[(<]" --include="*.rs" crates/traffic/src || true) | wc -l)
+        if [ "$n" -ne 1 ]; then
+            echo "FAIL: fn $f is defined $n times under crates/traffic/src (want 1)"
+            exit 1
+        fi
+    done
+    search=$(awk '/^fn find_busy_interval\(/ { on = 1 } on { print } on && /^}$/ { exit }' \
+        crates/traffic/src/analysis.rs | grep -vE "^[[:space:]]*//")
+    calls=$(for src in crates/traffic/src/*.rs; do
+        [ "$(basename "$src")" = exactness.rs ] && continue
+        awk '/^#\[cfg\(test\)\]/ { exit } { print }' "$src"
+    done | grep -F "violated_below_step_ends(" \
+        | grep -vE "fn violated_below_step_ends\(|^[[:space:]]*//" | wc -l)
+    in_search=$(printf '%s\n' "$search" | grep -cF "violated_below_step_ends(" || true)
+    if [ "$calls" -ne 1 ] || [ "$in_search" -ne 1 ]; then
+        echo "FAIL: violated_below_step_ends( has $calls non-test call sites under" \
+            "crates/traffic/src, $in_search in find_busy_interval (want exactly one, there)"
+        exit 1
+    fi
+    grids=$(printf '%s\n' "$search" | grep -cF "candidate_times(" || true)
+    if [ "$grids" -ne 1 ]; then
+        echo "FAIL: find_busy_interval calls candidate_times( $grids times (want 1: one grid loop)"
+        exit 1
+    fi
+    echo "ok: one busy search"
+
     echo "==> one-region-solver gate (frontier tracer + dense oracle)"
     # The region module keeps two solvers over one dense loop, single-
     # threaded; the correctness certificates live in the test suite.

@@ -22,6 +22,13 @@
 //! table through three multiplexer hops and reassembly, and pins every
 //! layer's batch to its per-point values at the receive MAC's candidate
 //! times.
+//!
+//! The receive MAC's busy-interval search settles an iteration from the
+//! arrival just below the staircase's step ends when that proves its grid
+//! would grow the horizon to the cap or exhaust it. The last two tests
+//! pin the search's outcome on that chain where the busy period ends past
+//! half the horizon (exhausted, by the shortcut), and where the shortcut
+//! runs but proves nothing (busy interval, backlog and delay, to the bit).
 
 use hetnet::cac::network::HetNetwork;
 use hetnet::traffic::models::DualPeriodicEnvelope;
@@ -30,11 +37,13 @@ use hetnet_atm::LinkConfig;
 use hetnet_fddi::frames;
 use hetnet_fddi::mac::{analyze_fddi_mac, mac_service};
 use hetnet_fddi::ring::{RingConfig, SyncBandwidth};
+use hetnet_fddi::FddiError;
 use hetnet_ifdev::{reassemble_envelope, segment_envelope};
 use hetnet_traffic::analysis::{AnalysisConfig, ServerOutput};
 use hetnet_traffic::combinators::{Delayed, RateCapped, Sampled};
 use hetnet_traffic::envelope::{candidate_times, min_interval_for, Envelope, SharedEnvelope};
 use hetnet_traffic::service::ServiceCurve;
+use hetnet_traffic::TrafficError;
 use std::sync::Arc;
 
 /// `EvalConfig::fast`'s flattening horizon and subdivisions.
@@ -223,4 +232,98 @@ fn paper_receive_chain_batches_match_per_point_values() {
             .collect();
         assert_eq!(got, want, "layer {depth} of the receive chain moved");
     }
+}
+
+/// The receive side of `cargo bench --bench analysis`'s
+/// `receive_chain_busy_search`: the paper source's stage-1 wire table at
+/// `h_s` behind three multiplexer hops, reassembled into frames.
+fn receive_chain(h_s: SyncBandwidth) -> SharedEnvelope {
+    let net = HetNetwork::paper_topology();
+    let ring = net.ring(0);
+    let horizon = Seconds::new(HORIZON);
+    let mac = analyze_fddi_mac(
+        paper_source(),
+        ring,
+        h_s,
+        net.host_buffer(),
+        &fast_analysis(),
+    )
+    .expect("the paper source is stable at this allocation");
+    let flat = Arc::new(Sampled::flatten(mac.output, horizon, SUBDIVISIONS));
+    let frame = frames::frame_size(ring, h_s);
+    let seg = segment_envelope(flat, frame, net.ifdev());
+    let mut chain: SharedEnvelope =
+        Arc::new(Sampled::flatten(seg.output_wire, horizon, SUBDIVISIONS));
+    let link = LinkConfig::oc3(Seconds::ZERO);
+    for delay_ms in [4.0, 2.0, 3.0] {
+        let delayed = Arc::new(Delayed::new(chain, Seconds::from_millis(delay_ms)));
+        chain = Arc::new(RateCapped::new(delayed, link.rate));
+    }
+    reassemble_envelope(chain, frame, net.ifdev()).output_frames
+}
+
+/// The receive MAC (ring 1, no buffer limit) at `h_r_ms` behind
+/// `receive_chain` at 2.4 ms, searched up to `max_horizon`.
+fn receive_mac(h_r_ms: f64, max_horizon: f64) -> Result<hetnet_fddi::mac::MacReport, FddiError> {
+    let net = HetNetwork::paper_topology();
+    let h_s = SyncBandwidth::new(Seconds::from_millis(2.4));
+    let cfg = AnalysisConfig {
+        max_horizon: Seconds::new(max_horizon),
+        ..fast_analysis()
+    };
+    let h_r = SyncBandwidth::new(Seconds::from_millis(h_r_ms));
+    analyze_fddi_mac(receive_chain(h_s), net.ring(1), h_r, None, &cfg)
+}
+
+#[test]
+fn receive_search_past_half_the_horizon_is_exhausted() {
+    // At 1.92 ms the search's horizons are 0.128, 0.2816 and 0.5808 s,
+    // then the 0.6 s cap; at 1.90 ms it jumps from 0.2816 s to the cap.
+    // Both busy periods end in (0.3, 0.6) s, past half the cap.
+    for (h_r_ms, busy_ms) in [(1.92, 328.0), (1.90, 352.0)] {
+        let wide = receive_mac(h_r_ms, 4.8).expect("the busy period closes within 4.8 s");
+        assert!(
+            (wide.busy_interval.as_millis() - busy_ms).abs() < 1.0e-3,
+            "h_r = {h_r_ms} ms: the busy period ends at {:?}",
+            wide.busy_interval
+        );
+        match receive_mac(h_r_ms, HORIZON) {
+            Err(FddiError::Analysis(TrafficError::HorizonExhausted { horizon })) => {
+                assert_eq!(
+                    horizon.value().to_bits(),
+                    HORIZON.to_bits(),
+                    "h_r = {h_r_ms} ms"
+                );
+            }
+            other => panic!("h_r = {h_r_ms} ms: {other:?}"),
+        }
+    }
+}
+
+/// The receive MAC's busy interval (0.255999999744 s), backlog
+/// (1,252,000 bits) and delay (0.04911448289812186 s) at `h_r` = 2.0 ms
+/// behind `receive_chain` at 2.4 ms, as bits.
+const BUSY_BITS: u64 = 0x3fd0624dd2ab4b96;
+const BACKLOG_BITS: u64 = 0x41331aa000000000;
+const DELAY_BITS: u64 = 0x3fa92588939d6187;
+
+#[test]
+fn receive_search_the_shortcut_cannot_settle_is_unchanged() {
+    // The search's horizons are 0.128, 0.2816 and 0.5632 s: the step-end
+    // check runs at 0.5632 s, proves nothing (the busy period ends at
+    // 0.256 s), and the grid closes the search. Bits from before the
+    // check existed.
+    let mac = receive_mac(2.0, HORIZON).expect("the busy period closes within the horizon");
+    let delay = mac.delay.bounded().expect("no buffer limit");
+    assert_eq!(
+        [
+            mac.busy_interval.value().to_bits(),
+            mac.buffer_required.value().to_bits(),
+            delay.value().to_bits(),
+        ],
+        [BUSY_BITS, BACKLOG_BITS, DELAY_BITS],
+        "busy {:?}, backlog {:?}, delay {delay:?}",
+        mac.busy_interval,
+        mac.buffer_required
+    );
 }
