@@ -1,5 +1,6 @@
 //! Microbenchmarks of the analytic building blocks: envelope evaluation,
-//! the Theorem-1 guaranteed-server analysis, the stage-1 wire table every
+//! the Theorem-1 guaranteed-server analysis (alone, and at the source MAC
+//! across the β-search's allocations), the stage-1 wire table every
 //! β-search probe builds for its candidate and the MAC output table it
 //! starts from (flattened alone, and from a warm busy-interval memo as
 //! the evaluator builds it), the receive MAC's busy-interval search behind three
@@ -52,6 +53,32 @@ fn bench_mac_analysis(c: &mut Criterion) {
     c.bench_function("theorem1_fddi_mac", |b| {
         b.iter(|| {
             black_box(analyze_fddi_mac(Arc::clone(&env), &ring, h, None, &cfg).expect("stable"))
+        })
+    });
+}
+
+/// The source MAC's Theorem-1 analysis as the β-search's probes run it:
+/// the paper source under `EvalConfig::fast`'s analysis settings at 13
+/// allocations, from just above its stability limit (1.6 ms of the 8 ms
+/// rotation) to the empty ring's whole synchronous budget (7.2 ms).
+fn bench_source_mac_beta_sweep(c: &mut Criterion) {
+    let net = HetNetwork::paper_topology();
+    let ring = net.ring(0);
+    let env: SharedEnvelope = Arc::new(paper_source());
+    let cfg = AnalysisConfig {
+        guard_subdivisions: 1,
+        max_horizon: Seconds::new(0.6),
+        ..AnalysisConfig::default()
+    };
+    let allocations: Vec<SyncBandwidth> = (0..13)
+        .map(|k| SyncBandwidth::new(Seconds::from_millis(1.8 + 0.45 * f64::from(k))))
+        .collect();
+    c.bench_function("source_mac_beta_sweep", |b| {
+        b.iter(|| {
+            for &h in &allocations {
+                let mac = analyze_fddi_mac(Arc::clone(&env), ring, h, net.host_buffer(), &cfg);
+                black_box(mac.expect("stable").busy_interval);
+            }
         })
     });
 }
@@ -273,7 +300,8 @@ fn bench_path_evaluation(c: &mut Criterion) {
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_envelope_eval, bench_mac_analysis, bench_stage1_wire_table,
+    targets = bench_envelope_eval, bench_mac_analysis, bench_source_mac_beta_sweep,
+        bench_stage1_wire_table,
         bench_mac_output_table, bench_mac_output_table_memo, bench_receive_chain_busy_search,
         bench_receive_chain_horizon_exhausted, bench_mux_analysis,
         bench_path_evaluation

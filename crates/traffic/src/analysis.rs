@@ -92,50 +92,139 @@ pub fn analyze_guaranteed_server(
     }
 
     let busy_interval = find_busy_interval(arrival, service, cfg)?;
+    let maxima = busy_maxima(arrival, service, busy_interval, cfg);
+    Ok(ServerAnalysis {
+        busy_interval,
+        backlog_bound: Bits::new(maxima.backlog.max(0.0)),
+        delay_bound: Seconds::new(maxima.delay.max(0.0)),
+    })
+}
 
+/// The backlog and delay maxima of Theorems 1.2 and 1.3 over `(0, B]`,
+/// before their floor at zero.
+#[derive(Debug)]
+pub(crate) struct BusyMaxima {
+    pub(crate) backlog: f64,
+    pub(crate) delay: f64,
+}
+
+impl BusyMaxima {
+    /// Folds the arrival `a` at the instant `t > 0` into both maxima.
+    fn fold(&mut self, service: &dyn ServiceCurve, t: Seconds, a: Bits) {
+        self.backlog = self.backlog.max((a - service.provided(t)).value());
+        self.delay = self.delay.max((service.time_to_provide(a) - t).value());
+    }
+}
+
+/// The maxima over the candidate grid of `(0, B]`, then over the
+/// instants just past each quantum level the arrival crosses.
+///
+/// `time_to_provide` is discontinuous at the service's level breakpoints
+/// (the quantum multiples of a staircase), so the delay maximum is
+/// approached just past the arrival instants crossing those levels,
+/// which are not breakpoints of `A` or `S`. Each level `L` adds the
+/// candidates `t_L = min_interval(L, B)` and `t_L + ε`, unless
+/// [`level_bounds`] proves from the grid that neither can raise the
+/// maxima folded so far; then its inversion is skipped. The grid is
+/// folded first and the levels in order, as when every level was
+/// inverted, so skipping terms no larger than the running maxima leaves
+/// both floats unchanged: a skip needs a positive backlog maximum, and
+/// no delay term is `-0.0`, so no skipped term ties a maximum with other
+/// bits.
+pub(crate) fn busy_maxima(
+    arrival: &dyn Envelope,
+    service: &dyn ServiceCurve,
+    busy_interval: Seconds,
+    cfg: &AnalysisConfig,
+) -> BusyMaxima {
     // Candidate evaluation points within (0, B], sorted, evaluated as
     // one batch.
-    let mut ts = busy_candidates(arrival, service, busy_interval, cfg);
+    let ts = busy_candidates(arrival, service, busy_interval, cfg);
     let mut values = Vec::with_capacity(ts.len());
     arrival.arrivals_sorted(&ts, &mut values);
+    let mut maxima = BusyMaxima {
+        backlog: 0.0,
+        delay: 0.0,
+    };
+    for (&t, &a) in ts.iter().zip(&values) {
+        if t > 0.0 {
+            maxima.fold(service, Seconds::new(t), Bits::new(a));
+        }
+    }
 
-    // `time_to_provide` is discontinuous at the service's level
-    // breakpoints (e.g. quantum multiples of a staircase); the delay
-    // maximum is approached just past the arrival instants crossing those
-    // levels, which are not breakpoints of A or S. Add them explicitly,
-    // after the sorted ones, each evaluated on its own.
     let eps = (busy_interval * 1.0e-9).max(Seconds::new(1.0e-12));
     let mut levels = Vec::new();
     service.level_breakpoints(arrival.arrivals(busy_interval), &mut levels);
+    let burst = arrival.burst().value();
     for level in levels {
+        let skip = maxima.backlog > 0.0
+            && !approx::approx_le(level.value(), burst)
+            && level_bounds(service, &ts, &values, level, eps)
+                .is_some_and(|(b, d)| b <= maxima.backlog && d <= maxima.delay);
+        if skip {
+            continue;
+        }
         if let Some(t) = arrival.min_interval(level, busy_interval) {
             for cand in [t, t + eps] {
                 if cand > Seconds::ZERO && cand <= busy_interval {
-                    ts.push(cand.value());
-                    values.push(arrival.arrivals(cand).value());
+                    maxima.fold(service, cand, arrival.arrivals(cand));
                 }
             }
         }
     }
+    maxima
+}
 
-    let mut backlog = 0.0_f64;
-    let mut delay = 0.0_f64;
-    for (&t, &a) in ts.iter().zip(&values) {
-        let (t, a) = (Seconds::new(t), Bits::new(a));
-        if t <= Seconds::ZERO {
-            continue;
-        }
-        let s = service.provided(t);
-        backlog = backlog.max((a - s).value());
-        let d = (service.time_to_provide(a) - t).value();
-        delay = delay.max(d);
+/// Upper bounds on the backlog and delay terms at the two candidates
+/// `t_L` and `t_L + ε` of the level `L`, read off the sorted grid `ts`
+/// and its arrival values, or `None` where the grid does not bracket
+/// `L`.
+///
+/// With `g⁻` a grid point with `A(g⁻) < L·(1 − 10⁻⁹)`, `g⁺` a later one
+/// with `A(g⁺) ≥ L·(1 + 10⁻⁹)`, and `a⁺` the value at the first grid
+/// point at or past `g⁺ + 2ε`, the bounds are
+/// `a⁺·(1 + 10⁻⁹) − S(g⁻)` and `time_to_provide(a⁺·(1 + 10⁻⁹)) − g⁻`.
+///
+/// Proof, for a level with `L > 0` above the burst by more than the
+/// `approx_le` tolerance, so that `min_interval` bisects `[0, B]` on
+/// `A(t) ≥ L` (a `Sampled` closed form returns the same float). The
+/// arrival is nondecreasing up to ulp-level slack, far below the
+/// `10⁻⁹` margins, so `A < L` on `[0, g⁻]` and `A ≥ L` on `[g⁺, B]`.
+///
+/// 1. `t_L > g⁻`: the bisection's `hi` is `B ≥ g⁺` or a point that
+///    reaches `L`.
+/// 2. `t_L < g⁺ + ε`: every `lo` fails to reach `L`, so `lo < g⁺`, and
+///    80 halvings of `[0, B]` (or convergence to adjacent floats) leave
+///    `hi − lo` within a few ulps of `B`, far below `ε = 10⁻⁹·B`.
+/// 3. So both candidates lie in `(g⁻, g⁺ + 2ε)`, below the grid point
+///    `a⁺` is read at: `S(c) ≥ S(g⁻)`, `c > g⁻` and `A(c) ≤ a⁺·(1 + 10⁻⁹)`.
+///    `S` and `time_to_provide` are nondecreasing and rounding is
+///    monotone, so each term is at most its bound.
+fn level_bounds(
+    service: &dyn ServiceCurve,
+    ts: &[f64],
+    values: &[f64],
+    level: Bits,
+    eps: Seconds,
+) -> Option<(f64, f64)> {
+    let (below, above) = (
+        level.value() * (1.0 - approx::REL_TOL),
+        level.value() * (1.0 + approx::REL_TOL),
+    );
+    // The arrival values are nondecreasing up to ulps, so the partition
+    // points are checked, not trusted.
+    let low = values.partition_point(|&a| a < below).checked_sub(1)?;
+    let high = values.partition_point(|&a| a < above);
+    if !(values[low] < below && values.get(high).is_some_and(|&a| a >= above) && low < high) {
+        return None;
     }
-
-    Ok(ServerAnalysis {
-        busy_interval,
-        backlog_bound: Bits::new(backlog.max(0.0)),
-        delay_bound: Seconds::new(delay.max(0.0)),
-    })
+    let reach = ts[high] + 2.0 * eps.value();
+    let top = Bits::new(values.get(ts.partition_point(|&t| t < reach))? * (1.0 + approx::REL_TOL));
+    let g = Seconds::new(ts[low]);
+    Some((
+        (top - service.provided(g)).value(),
+        (service.time_to_provide(top) - g).value(),
+    ))
 }
 
 /// Candidate points in `[0, B]` for extremum searches at this server,
@@ -180,139 +269,227 @@ fn find_busy_interval(
     let floor = arrival.period_hint().map_or(Seconds::ZERO, |p| p * periods);
     let mut horizon = (seed * 8.0).max(floor).min(cfg.max_horizon);
 
-    // Grows the horizon toward the cap; errors once it cannot grow.
-    let grow = |horizon: &mut Seconds, tv: Option<Seconds>| -> Result<(), TrafficError> {
-        if horizon.value() >= cfg.max_horizon.value() {
-            return Err(TrafficError::HorizonExhausted {
-                horizon: cfg.max_horizon,
-            });
-        }
-        // Jump straight past twice the observed violation (the clean-
-        // tail requirement) rather than blindly doubling.
-        let want = tv.map_or(horizon.value() * 2.0, |t| {
-            (t.value() * 2.2).max(horizon.value() * 2.0)
-        });
-        *horizon = Seconds::new(want.min(cfg.max_horizon.value()));
-        Ok(())
-    };
-
     loop {
-        let mut extra = Vec::new();
-        service.breakpoints(horizon, &mut extra);
-        // Once `2h ≥ max_horizon`, a last violation past `h/2` grows the
-        // horizon to the cap (or errors) wherever it lies, so a violation
-        // the grid is proven to hold past `h/2` settles the iteration.
-        if service.is_piecewise_constant()
-            && horizon.value() * 2.0 >= cfg.max_horizon.value()
-            && violated_below_step_ends(arrival, service, &extra, horizon)
-        {
-            grow(&mut horizon, None)?;
-            continue;
-        }
-        let ts = candidate_times(&[arrival], &extra, horizon, cfg.guard_subdivisions);
-        let violated = |t: Seconds| t > Seconds::ZERO && arrival.arrivals(t) > service.provided(t);
-        let last_violation = last_violation(arrival, service, &ts);
-
-        match last_violation {
+        let mut steps = Vec::new();
+        service.breakpoints(horizon, &mut steps);
+        let settled = if service.is_piecewise_constant() {
+            step_window_iteration(arrival, service, &steps, horizon, cfg.max_horizon)
+        } else {
+            None
+        };
+        let iteration = settled.unwrap_or_else(|| {
+            let ts = candidate_times(&[arrival], &steps, horizon, cfg.guard_subdivisions);
             // Never backlogged within the horizon: the flow conforms to
             // the service everywhere.
-            None => return Ok(Seconds::ZERO),
-            Some(idx) => {
-                let tv = Seconds::new(ts[idx]);
-                // Require a clean tail of at least half the horizon before
-                // trusting that the backlog never reopens (stability makes
-                // the service-arrival gap grow past this point).
-                if tv.value() > horizon.value() * 0.5 {
-                    grow(&mut horizon, Some(tv))?;
-                    continue;
+            let Some(idx) = last_violation(arrival, service, &ts) else {
+                return Iteration::Closed(Seconds::ZERO);
+            };
+            let tv = Seconds::new(ts[idx]);
+            // Require a clean tail of at least half the horizon before
+            // trusting that the backlog never reopens (stability makes
+            // the service-arrival gap grow past this point).
+            match ts.get(idx + 1) {
+                Some(&next) if tv.value() <= horizon.value() * 0.5 => {
+                    // Refine into (tv, next]; the result satisfies the
+                    // condition and upper-bounds every violation, so it
+                    // is a sound maximization range. `tv` itself was just
+                    // found violated, so the bisection's lower end starts
+                    // tested.
+                    let violated =
+                        |t: Seconds| t > Seconds::ZERO && arrival.arrivals(t) > service.provided(t);
+                    let hi = bisect(tv.value(), next, 60, true, |mid| {
+                        !violated(Seconds::new(mid))
+                    });
+                    Iteration::Closed(Seconds::new(hi))
                 }
-                let hi0 = match ts.get(idx + 1) {
-                    Some(&next) => Seconds::new(next),
-                    None => {
-                        grow(&mut horizon, Some(tv))?;
-                        continue;
-                    }
-                };
-                // Refine into (tv, hi0]; the result satisfies the
-                // condition and upper-bounds every violation, so it is a
-                // sound maximization range. `tv` itself was just found
-                // violated, so the bisection's lower end starts tested.
-                let hi = bisect(tv.value(), hi0.value(), 60, true, |mid| {
-                    !violated(Seconds::new(mid))
-                });
-                return Ok(Seconds::new(hi));
+                _ => grow(horizon, Some(tv), cfg.max_horizon),
+            }
+        });
+        match iteration {
+            Iteration::Closed(busy) => return Ok(busy),
+            Iteration::Grow(next) => horizon = next,
+            Iteration::Exhausted => {
+                return Err(TrafficError::HorizonExhausted {
+                    horizon: cfg.max_horizon,
+                })
             }
         }
     }
 }
 
-/// Whether the busy-interval grid `candidate_times(&[arrival], steps, h,
-/// n)` (for any `n`) is certain to hold a violation `A(t) > S(t)` past
-/// `h/2`, so that [`last_violation`] over it lands past `h/2`, read off
-/// the arrival at one point below each step end of the piecewise-
-/// constant `service` instead of at every point of the grid.
+/// What one iteration of the busy-interval search at horizon `h` does.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) enum Iteration {
+    /// The search ends with this busy interval.
+    Closed(Seconds),
+    /// The search goes on at this longer horizon.
+    Grow(Seconds),
+    /// The horizon is the cap and cannot grow: `HorizonExhausted`.
+    Exhausted,
+}
+
+/// The iteration that grows the horizon `h` toward the cap `max`: past
+/// `2.2` times the last violation `tv` (the clean-tail requirement) and
+/// at least twice over, rather than blindly doubling. Nondecreasing in
+/// `tv`. Exhausted once `h` is the cap.
+pub(crate) fn grow(h: Seconds, tv: Option<Seconds>, max: Seconds) -> Iteration {
+    if h.value() >= max.value() {
+        return Iteration::Exhausted;
+    }
+    let want = tv.map_or(h.value() * 2.0, |t| (t.value() * 2.2).max(h.value() * 2.0));
+    Iteration::Grow(Seconds::new(want.min(max.value())))
+}
+
+/// The busy search's iteration at horizon `h` under the piecewise-
+/// constant `service`, settled from two arrival probes per step window
+/// instead of the grid `candidate_times(&[arrival], steps, h, n)` (for
+/// any `n`), or `None` where the probes do not prove what the grid
+/// iteration does.
 ///
-/// `steps` must be `service.breakpoints(horizon)`, the list the grid is
-/// built from. For each step end `s` of `steps ∪ {h}`, with
-/// `ε = 10⁻⁹·h` (the grid's guard, floored at `10⁻¹²` as there) and
-/// `τ = fl(10⁻⁹·max(1, s))` (the [`approx_eq`](crate::approx::approx_eq)
-/// tolerance at `s`), the probe is `x = s − 2(τ + ε)`, kept if
-/// `x > h/2`. All probes go to the arrival as one sorted batch. The
-/// grid holds a violation past `h/2` if one probe has
+/// `steps` must be `service.breakpoints(h)`, the list the grid is built
+/// from. The window ends `e_1 < … < e_m` are the steps and `h`; window
+/// `j` is `[e_{j−1}, e_j]` (`e_0 = 0`), and the windows cover every grid
+/// point. Per window, with `ε = 10⁻⁹·h` (the grid's guard, floored at
+/// `10⁻¹²` as there) and `τ = fl(10⁻⁹·max(1, e_j))` (the
+/// [`approx_eq`](crate::approx::approx_eq) tolerance at `e_j`), the
+/// arrival is evaluated at the lower probe `x_j = e_j − 2(τ + ε)` and at
+/// `e_j`, in sorted batches from the last window down, as far as the
+/// tests below need. The arrival is nondecreasing
+/// up to the ulp-level slack of float evaluation, and both tests below
+/// carry a `10⁻⁹` relative margin, far above that slack.
 ///
-/// * `S(x) == S(s − ε)`, and
-/// * `A(x)` above `S(x)` by more than the relative tolerance,
-///   `!approx_le(A(x), S(x))`.
+/// * **Clean.** `A(e_j) < S(e_{j−1})·(1 − 10⁻⁹)`: `S` is nondecreasing,
+///   so no grid point of the window is violated. The grid's last
+///   violation `tv`, if any, lies below `e_k` for the last window `k`
+///   not proven clean (or at most `h`, when that is the last window).
+///   When every window is clean the grid holds no violation and the
+///   search closes at zero.
+/// * **Violated (the step-end lemma).** `x_j > 0`, `S(x_j) == S(e_j − ε)`
+///   and `!approx_le(A(x_j), S(x_j))`: the grid holds a violated point
+///   `g ∈ [x_j, fl(e_j − ε)]`, so `tv ≥ x_j`.
+///   1. The grid's raw list holds `e_j`, sorted, then deduplicated under
+///      `approx_eq` against the last point kept, so the point kept for
+///      `e_j` is `p ≥ e_j − τ − ulp(e_j)`, and its left guard
+///      `g = fl(p − ε)` is in the grid. Rounding is monotone, so
+///      `g ≤ fl(e_j − ε)`, and `g > x_j`, since `τ + ε` dwarfs the ulps.
+///   2. `S(x_j) ≤ S(g) ≤ S(fl(e_j − ε)) = S(x_j)`. The equality is
+///      checked, not assumed: `floor_div`'s nudge moves a staircase step
+///      up to `10⁻⁹·e_j` early, which can put `e_j − ε` on the next step
+///      when `e_j` is the horizon.
+///   3. `A(g) ≥ A(x_j) − slack > S(x_j) = S(g)`.
 ///
-/// Proof, for that probe:
+///   The same argument without the arrival puts a grid point in
+///   `[x_j, e_j]` for every window.
 ///
-/// 1. The grid holds a point `g ∈ [x, fl(s − ε)]`. The raw list holds
-///    `s` (a member of `steps`, or the horizon itself), sorted, then
-///    deduplicated under `approx_eq` against the last point kept. So
-///    the point kept for `s` is `s` or an earlier `p ≤ s` with
-///    `fl(p + τ) ≥ s`, i.e. `p ≥ s − τ − ulp(s)`. Its left guard
-///    `g = fl(p − ε)` is in the grid (it is positive). Rounding is
-///    monotone, so `g ≤ fl(s − ε)`; and `g ≥ s − τ − ε − 2·ulp(s) > x`,
-///    since `τ + ε ≥ 10⁻⁹·max(1, s)` dwarfs a few ulps of `s`.
-/// 2. `S(g) = S(x)`: `S` is nondecreasing, so
-///    `S(x) ≤ S(g) ≤ S(fl(s − ε)) = S(x)`. The equality is checked, not
-///    assumed: `floor_div`'s nudge moves a staircase step up to
-///    `10⁻⁹·s` early, which can put `s − ε` on the next step when `s`
-///    is the horizon.
-/// 3. `A(g) > S(g)`: the arrival is nondecreasing up to the ulp-level
-///    slack of float evaluation (a `Sampled` table's interpolation may
-///    overshoot a knot by about an ulp), and the relative tolerance
-///    `10⁻⁹` of the margin is far above that slack, so
-///    `A(g) ≥ A(x) − slack > S(x) = S(g)`.
-/// 4. `g ≥ x > h/2` and `g > 0`, so the last violation of the grid is
-///    at `g` or later: past `h/2`.
+/// With `tv` bracketed in `[x, e_k]` for the largest firing `x`:
 ///
-/// Where no probe qualifies this proves nothing, and the caller builds
-/// the grid.
-pub(crate) fn violated_below_step_ends(
+/// 1. `x > h/2`: the grid grows the horizon past `tv` (or is exhausted).
+///    [`grow`] is nondecreasing in `tv`, so where it gives the same
+///    iteration at `x` and at `e_k` (`2h ≥ max`, `2.2·x ≥ max` or
+///    `2.2·e_k ≤ 2h`), that is the grid's.
+/// 2. `e_k ≤ h/2` and the lemma fires at window `k` itself: `tv < e_k`,
+///    so the grid bisects from `tv` to the next grid point. Let
+///    `L = S(x_k)` and `b` the first float with `S(b) > L`. The arrival
+///    exceeds `S = L` on `[x_k, b)`; the window `k + 1` is clean, and
+///    `S(b) == S(e_k)` is checked, so nothing is violated on
+///    `[b, e_{k+1}]`. Hence `tv` is the last grid point below `b`, the
+///    next one is at most `e_{k+1}` (a grid point lies in
+///    `[x_{k+1}, e_{k+1}]`, past `b` since `S(x_{k+1}) > L` is checked),
+///    and the grid's bisection tests exactly `t ≥ b`. So does a
+///    bisection of `[x_k, x_{k+1}]` on `S` alone. Both brackets lie in
+///    `[x_k, e_{k+1}]`, and `e_{k+1} ≤ 2·x_k` is checked: the brackets
+///    hold at most `2⁵³` ulps of their lower end, each halving leaves at
+///    most half the width plus half an ulp of the upper end, and so
+///    both converge to the adjacent floats around `b` within 56 of the
+///    60 steps. Both return `b`.
+///
+/// Anything else proves nothing, and the caller builds the grid.
+pub(crate) fn step_window_iteration(
     arrival: &dyn Envelope,
     service: &dyn ServiceCurve,
     steps: &[Seconds],
     horizon: Seconds,
-) -> bool {
+    max_horizon: Seconds,
+) -> Option<Iteration> {
     let h = horizon.value();
     let eps = (h * 1.0e-9).max(1.0e-12);
-    // `(x, s − ε)` for each step end, in order.
-    let probes: Vec<(f64, f64)> = steps
-        .iter()
-        .map(|s| s.value())
-        .chain(std::iter::once(h))
-        .map(|s| (s - 2.0 * (approx::REL_TOL * s.max(1.0) + eps), s - eps))
-        .filter(|&(x, _)| x > h * 0.5)
-        .collect();
-    let xs: Vec<f64> = probes.iter().map(|&(x, _)| x).collect();
-    with_scratch(|values| {
-        arrival.arrivals_sorted(&xs, values);
-        probes.iter().zip(values.iter()).any(|(&(x, guard), &a)| {
-            let served = service.provided(Seconds::new(x));
-            served == service.provided(Seconds::new(guard)) && !approx::approx_le(a, served.value())
-        })
-    })
+    let mut ends: Vec<f64> = steps.iter().map(|s| s.value()).collect();
+    if ends.last() != Some(&h) {
+        ends.push(h);
+    }
+    if ends[0] <= 0.0 || ends.windows(2).any(|w| w[0] >= w[1]) {
+        return None;
+    }
+    let lower = |e: f64| e - 2.0 * (approx::REL_TOL * e.max(1.0) + eps);
+    let served = |t: f64| service.provided(Seconds::new(t)).value();
+
+    // Scan the windows from the last one down, evaluating `A(x_j)` and
+    // `A(e_j)` in batches of 8 windows as far as the scan reaches. It
+    // stops at the last window not proven clean, or below it once it has
+    // the largest firing probe (the probes rise with `j`) or no probe
+    // past `h/2` is left.
+    let mut values = vec![0.0; 2 * ends.len()];
+    let mut from = ends.len();
+    let (mut last, mut low) = (None, None);
+    for j in (0..ends.len()).rev() {
+        if j < from {
+            let start = from.saturating_sub(8);
+            let probes: Vec<f64> = ends[start..from]
+                .iter()
+                .flat_map(|&e| [lower(e), e])
+                .collect();
+            values[2 * start..2 * from].copy_from_slice(&arrivals_in_order(arrival, &probes));
+            from = start;
+        }
+        let (x, level) = (lower(ends[j]), served(lower(ends[j])));
+        let fires =
+            x > 0.0 && level == served(ends[j] - eps) && !approx::approx_le(values[2 * j], level);
+        let floor = served(if j == 0 { 0.0 } else { ends[j - 1] });
+        let clean = values[2 * j + 1] < floor * (1.0 - approx::REL_TOL);
+        if fires && low.is_none() {
+            low = Some(x);
+        }
+        if !clean && last.is_none() {
+            last = Some((j, fires));
+        }
+        if last.is_some() && (low.is_some() || x <= h * 0.5) {
+            break;
+        }
+    }
+    let Some((k, k_fires)) = last else {
+        return Some(Iteration::Closed(Seconds::ZERO));
+    };
+    let high = ends[k];
+    if let Some(x) = low.filter(|&x| x > h * 0.5) {
+        let settled = grow(horizon, Some(Seconds::new(x)), max_horizon);
+        return (settled == grow(horizon, Some(Seconds::new(high)), max_horizon))
+            .then_some(settled);
+    }
+    if !(high <= h * 0.5 && k_fires) {
+        return None;
+    }
+    let (x, next) = (lower(high), lower(ends[k + 1]));
+    let level = served(x);
+    if !(served(next) > level && ends[k + 1] <= 2.0 * x) {
+        return None;
+    }
+    let b = bisect(x, next, 60, true, |t| served(t) > level);
+    (served(b) == served(high)).then_some(Iteration::Closed(Seconds::new(b)))
+}
+
+/// The arrival at each of the points `ts`, in their order, evaluated as
+/// one sorted batch.
+fn arrivals_in_order(arrival: &dyn Envelope, ts: &[f64]) -> Vec<f64> {
+    let mut order: Vec<usize> = (0..ts.len()).collect();
+    order.sort_by(|&i, &j| ts[i].total_cmp(&ts[j]));
+    let sorted: Vec<f64> = order.iter().map(|&i| ts[i]).collect();
+    let mut batch = Vec::with_capacity(ts.len());
+    arrival.arrivals_sorted(&sorted, &mut batch);
+    let mut values = vec![0.0; ts.len()];
+    for (&i, v) in order.iter().zip(batch) {
+        values[i] = v;
+    }
+    values
 }
 
 /// The index of the last of the sorted points `ts` (seconds) at which

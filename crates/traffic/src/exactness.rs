@@ -6,13 +6,16 @@
 //! its guards prove that exact, with bracketed table searches where
 //! they do not, and the Theorem-1.4 output envelope scans only the
 //! maximizer candidates no other candidate dominates. Sorted batches are
-//! evaluated with one call per layer (`arrivals_sorted`). Each test pins
+//! evaluated with one call per layer (`arrivals_sorted`). The busy
+//! search settles timed-token iterations from two probes per rotation
+//! instead of its grid, and the Theorem-1.2/1.3 maximization skips the
+//! quantum levels the grid proves cannot raise its maxima. Each test pins
 //! one shortcut, bit for bit, against the straightforward code it
 //! replaced, kept here as the reference.
 
 use crate::analysis::{
-    analyze_guaranteed_server, last_violation, undominated, violated_below_step_ends,
-    AnalysisConfig, ServerOutput, DOMINANCE_MARGIN,
+    analyze_guaranteed_server, busy_maxima, grow, last_violation, step_window_iteration,
+    undominated, AnalysisConfig, Iteration, ServerOutput, DOMINANCE_MARGIN,
 };
 use crate::approx;
 use crate::combinators::{
@@ -411,14 +414,15 @@ fn bisect_stops_once_converged_and_not_before() {
     assert_eq!(calls, 80);
 }
 
-/// Counts how often it is asked for its breakpoints, for single values
-/// and for batches of them.
+/// Counts how often it is asked for its breakpoints, for single values,
+/// for batches of them and for inversions.
 #[derive(Debug)]
 struct Counting {
     inner: SharedEnvelope,
     breakpoint_calls: AtomicUsize,
     arrival_calls: AtomicUsize,
     batch_calls: AtomicUsize,
+    inversion_calls: AtomicUsize,
 }
 
 impl Envelope for Counting {
@@ -446,6 +450,10 @@ impl Envelope for Counting {
         self.breakpoint_calls.fetch_add(1, Ordering::Relaxed);
         self.inner.breakpoints(horizon, out);
     }
+    fn min_interval(&self, bits: Bits, max_horizon: Seconds) -> Option<Seconds> {
+        self.inversion_calls.fetch_add(1, Ordering::Relaxed);
+        self.inner.min_interval(bits, max_horizon)
+    }
 }
 
 fn counting(inner: SharedEnvelope) -> Arc<Counting> {
@@ -454,6 +462,7 @@ fn counting(inner: SharedEnvelope) -> Arc<Counting> {
         breakpoint_calls: AtomicUsize::new(0),
         arrival_calls: AtomicUsize::new(0),
         batch_calls: AtomicUsize::new(0),
+        inversion_calls: AtomicUsize::new(0),
     })
 }
 
@@ -1002,14 +1011,16 @@ fn query_batch(picks: &[(usize, f64)], span: f64, marks: &[f64]) -> Vec<f64> {
 fn batch_leaf(kind: usize, a: f64, b: f64, c: f64) -> SharedEnvelope {
     match kind {
         0..=4 => monotone_envelope(kind, a, b, c),
-        5 => Arc::new(
-            PeriodicEnvelope::new(
-                Bits::new(1.0e3 + 1.0e5 * c),
+        5 => {
+            // At most one period's worth at the peak rate, as the model
+            // requires.
+            let (period, peak) = (
                 Seconds::from_millis(1.0 + 19.0 * a),
                 BitsPerSec::new(1.0e8 * (0.1 + b)),
-            )
-            .expect("valid parameters"),
-        ),
+            );
+            let burst = Bits::new(1.0e3 + 1.0e5 * c).min(peak * period);
+            Arc::new(PeriodicEnvelope::new(burst, period, peak).expect("valid parameters"))
+        }
         6 => Arc::new(
             PiecewiseLinearEnvelope::new(
                 vec![
@@ -1321,7 +1332,7 @@ proptest! {
 
 /// `inner`, raised to the next float wherever `scrambled` picks the
 /// point: an arrival nondecreasing only up to one ulp, the slack the
-/// step-end check's margin is there for, used to the full.
+/// kernel's margins are there for, used to the full.
 #[derive(Debug)]
 struct Jittered(SharedEnvelope, u64);
 
@@ -1381,7 +1392,7 @@ fn step_end_source(rng: &mut proptest::TestRng, chained: bool, max_horizon: f64)
 /// A ramp of a few nanoseconds just below the step end `s`, up to
 /// exactly the level `service` holds before `s` or above it, at times
 /// jittered by an ulp. It puts the arrival's rise inside the windows
-/// the step-end check's premises guard: between the grid's last point
+/// the step-end lemma's premises guard: between the grid's last point
 /// and `s − ε`, inside the `approx_eq` allowance, and before a step
 /// that `floor_div`'s nudge moves early.
 fn step_end_ramp(
@@ -1404,21 +1415,93 @@ fn step_end_ramp(
     Arc::new(Jittered(ramp, rng.gen::<u64>()))
 }
 
-/// The step-end check never claims a violation the grid lacks: whenever
-/// `violated_below_step_ends` fires, the last violation of the busy
-/// search's grid over `[0, h]` lies past `h/2`, so the search's shortcut
-/// takes the branch its grid would have taken. Draws: timed-token
-/// staircases of 4–16 ms rotations with quanta from barely stable to
-/// generous; models, chains and ramps (`step_end_source`,
-/// `step_end_ramp`); horizons in `[max/2, max]` (the cap itself, step
-/// ends as the staircase accumulates them, those ±10⁻⁹ relative,
-/// products `k·TTRT`, and uniform draws); 0–3 guard subdivisions. Each
-/// family must fire a floor of times, so the property is not vacuous.
+/// One iteration of the busy search at horizon `h` as the grid takes
+/// it: `find_busy_interval`'s loop body without the step-window kernel,
+/// kept here as the reference.
+fn grid_iteration(
+    arrival: &dyn Envelope,
+    service: &dyn ServiceCurve,
+    steps: &[Seconds],
+    horizon: Seconds,
+    subdivisions: usize,
+    max_horizon: Seconds,
+) -> Iteration {
+    let ts = candidate_times(&[arrival], steps, horizon, subdivisions);
+    let Some(idx) = last_violation(arrival, service, &ts) else {
+        return Iteration::Closed(Seconds::ZERO);
+    };
+    let tv = ts[idx];
+    match ts.get(idx + 1) {
+        Some(&next) if tv <= horizon.value() * 0.5 => {
+            Iteration::Closed(Seconds::new(bisect(tv, next, 60, true, |mid| {
+                let t = Seconds::new(mid);
+                !(t > Seconds::ZERO && arrival.arrivals(t) > service.provided(t))
+            })))
+        }
+        _ => grow(horizon, Some(Seconds::new(tv)), max_horizon),
+    }
+}
+
+/// An iteration as a variant tag and the bits of its horizon or busy
+/// interval, so that equal outcomes compare equal bit for bit.
+fn iteration_bits(it: Iteration) -> (u8, u64) {
+    match it {
+        Iteration::Closed(b) => (0, b.value().to_bits()),
+        Iteration::Grow(h) => (1, h.value().to_bits()),
+        Iteration::Exhausted => (2, 0),
+    }
+}
+
+/// The step-end check the kernel replaced: whether one probe
+/// `x = s − 2(τ + ε) > h/2` below a step end `s` of `steps ∪ {h}` has
+/// `S(x) == S(s − ε)` and `A(x)` above `S(x)` beyond the tolerance.
+/// Once `2h ≥ max_horizon` its firing settled the iteration as grown to
+/// the cap, or exhausted; the kernel must settle every such iteration.
+fn step_end_reference(
+    arrival: &dyn Envelope,
+    service: &dyn ServiceCurve,
+    steps: &[Seconds],
+    horizon: Seconds,
+) -> bool {
+    let h = horizon.value();
+    let eps = (h * 1.0e-9).max(1.0e-12);
+    steps
+        .iter()
+        .map(|s| s.value())
+        .chain(std::iter::once(h))
+        .map(|s| (s - 2.0 * (approx::REL_TOL * s.max(1.0) + eps), s - eps))
+        .filter(|&(x, _)| x > h * 0.5)
+        .any(|(x, guard)| {
+            let served = service.provided(Seconds::new(x));
+            served == service.provided(Seconds::new(guard))
+                && !approx::approx_le(arrival.arrivals(Seconds::new(x)).value(), served.value())
+        })
+}
+
+/// The step-window kernel never settles an iteration otherwise than the
+/// grid: whenever `step_window_iteration` decides, its outcome is the
+/// grid iteration's, bit for bit (the busy interval its bisection
+/// closes at, the horizon it grows to, or `HorizonExhausted`), and it
+/// decides every iteration the step-end check it replaced settled.
+/// Draws: timed-token staircases of 4–16 ms rotations with quanta from
+/// barely stable to generous; models, chains and ramps
+/// (`step_end_source`, `step_end_ramp`); horizons in `[max/2, max]`
+/// (the cap itself, step ends as the staircase accumulates them, those
+/// ±10⁻⁹ relative, products `k·TTRT`, and uniform draws) under a search
+/// cap of `max` or of 2.5–10 times it, so that the grow target depends
+/// on where the last violation lies; 0–3 guard subdivisions. Each
+/// family must reach the cap a floor of times, and the kernel must
+/// close searches and grow horizons short of the cap a floor of times
+/// too, so the property is not vacuous.
 #[test]
-fn step_end_check_is_sound_against_the_grid() {
+fn step_window_kernel_matches_the_grid_iteration() {
     use rand::Rng;
+    // The step-end check's own test drew from this stream: the same
+    // draws, so its firing floors carry over.
     let mut rng = proptest::test_rng("step_end_check_is_sound_against_the_grid");
+    let mut caps = proptest::test_rng("step_window_kernel_caps");
     let mut fired = [0_usize; 3];
+    let (mut capped, mut closed, mut grown, mut undecided) = (0_usize, 0_usize, 0_usize, 0_usize);
     for case in 0..2400 {
         let family = (case % 8).min(2);
         let ttrt = Seconds::new(4.0e-3 + 12.0e-3 * rng.gen::<f64>());
@@ -1469,22 +1552,139 @@ fn step_end_check_is_sound_against_the_grid() {
         } else {
             rng.gen_range(1_usize..4)
         };
+        let cap = Seconds::new(if caps.gen::<bool>() {
+            max
+        } else {
+            max * (2.5 + 7.5 * caps.gen::<f64>())
+        });
 
-        if violated_below_step_ends(&*arrival, &service, &steps, horizon) {
-            fired[family] += 1;
-            let ts = candidate_times(&[&*arrival], &steps, horizon, subdivisions);
-            let last = last_violation(&*arrival, &service, &ts);
+        let kernel = step_window_iteration(&*arrival, &service, &steps, horizon, cap);
+        let fires = step_end_reference(&*arrival, &service, &steps, horizon);
+        fired[family] += usize::from(fires);
+        if fires && 2.0 * h >= cap.value() {
             prop_assert!(
-                last.is_some_and(|k| ts[k] > 0.5 * h),
-                "case {case}: the check fired but the grid's last violation is {:?} \
-                 (h = {h}, s = {s}, TTRT = {ttrt:?}, share = {share}, {arrival:?})",
-                last.map(|k| ts[k])
+                kernel.is_some(),
+                "case {case}: the step-end check settles what the kernel does not \
+                 (h = {h}, cap = {cap:?}, TTRT = {ttrt:?}, share = {share}, {arrival:?})"
             );
         }
+        let Some(kernel) = kernel else {
+            undecided += 1;
+            continue;
+        };
+        let grid = grid_iteration(&*arrival, &service, &steps, horizon, subdivisions, cap);
+        prop_assert_eq!(
+            iteration_bits(kernel),
+            iteration_bits(grid),
+            "case {}: the kernel settles {:?}, the grid {:?} (h = {}, cap = {:?}, s = {}, \
+             TTRT = {:?}, share = {}, {:?})",
+            case,
+            kernel,
+            grid,
+            h,
+            cap,
+            s,
+            ttrt,
+            share,
+            arrival
+        );
+        match kernel {
+            Iteration::Grow(next) if next != cap => grown += 1,
+            Iteration::Closed(_) => closed += 1,
+            _ => capped += 1,
+        }
     }
-    println!("step-end check fired on {fired:?} of 300, 300 and 1,800 draws");
+    println!(
+        "step-end check fired on {fired:?} of 300, 300 and 1,800 draws; the kernel \
+         closed {closed} searches, grew {grown} horizons short of the cap, reached the cap \
+         {capped} times and left {undecided} iterations to the grid"
+    );
     for (family, floor) in [(0, 100), (1, 100), (2, 150)] {
         let n = fired[family];
         prop_assert!(n >= floor, "family {family} fired only {n} times");
     }
+    for (what, n, floor) in [
+        ("closed", closed, 100),
+        ("grew", grown, 60),
+        ("capped", capped, 200),
+    ] {
+        prop_assert!(n >= floor, "the kernel {what} only {n} times");
+    }
+}
+
+/// The quantum-level skip leaves the Theorem-1.2/1.3 maxima unchanged,
+/// bit for bit: `busy_maxima` against the maximization that inverts
+/// every level, kept here as the reference, at the busy interval the
+/// search finds. Draws: the step-window kernel's sources (`step_end_source`:
+/// models and multiplexer chains over overrun tables) under timed-token
+/// staircases of 4–16 ms rotations with quanta from barely stable to
+/// generous, 0–3 guard subdivisions. The skip must fire on a floor of
+/// the levels, so the property is not vacuous.
+#[test]
+fn level_skip_keeps_the_maxima() {
+    use rand::Rng;
+    let mut rng = proptest::test_rng("level_skip_keeps_the_maxima");
+    let (mut skipped, mut levels) = (0_usize, 0_usize);
+    for case in 0..600 {
+        let ttrt = Seconds::new(4.0e-3 + 12.0e-3 * rng.gen::<f64>());
+        let source = step_end_source(&mut rng, case % 2 == 1, 0.6);
+        let rate = source.sustained_rate().value().max(1.0);
+        let share = 10f64.powf(-2.0 + 2.5 * rng.gen::<f64>());
+        let service =
+            StaircaseService::timed_token(ttrt, Bits::new(rate * ttrt.value() * (1.0 + share)));
+        let cfg = AnalysisConfig {
+            guard_subdivisions: rng.gen_range(0_usize..4),
+            max_horizon: Seconds::new(0.6),
+            ..AnalysisConfig::default()
+        };
+        let Ok(report) = analyze_guaranteed_server(&*source, &service, &cfg) else {
+            continue;
+        };
+        let busy = report.busy_interval;
+        let counted = counting(Arc::clone(&source));
+        let got = busy_maxima(&*counted, &service, busy, &cfg);
+
+        let mut extra = Vec::new();
+        service.breakpoints(busy, &mut extra);
+        let mut ts = candidate_times(&[&*source], &extra, busy, cfg.guard_subdivisions);
+        let mut values = Vec::new();
+        source.arrivals_sorted(&ts, &mut values);
+        let eps = (busy * 1.0e-9).max(Seconds::new(1.0e-12));
+        let mut all = Vec::new();
+        service.level_breakpoints(source.arrivals(busy), &mut all);
+        levels += all.len();
+        let skipped_here = all.len() - counted.inversion_calls.load(Ordering::Relaxed);
+        for level in all {
+            if let Some(t) = source.min_interval(level, busy) {
+                for cand in [t, t + eps] {
+                    if cand > Seconds::ZERO && cand <= busy {
+                        ts.push(cand.value());
+                        values.push(source.arrivals(cand).value());
+                    }
+                }
+            }
+        }
+        let (mut backlog, mut delay) = (0.0_f64, 0.0_f64);
+        for (&t, &a) in ts.iter().zip(&values) {
+            let (t, a) = (Seconds::new(t), Bits::new(a));
+            if t <= Seconds::ZERO {
+                continue;
+            }
+            backlog = backlog.max((a - service.provided(t)).value());
+            delay = delay.max((service.time_to_provide(a) - t).value());
+        }
+        prop_assert_eq!(
+            [got.backlog.to_bits(), got.delay.to_bits()],
+            [backlog.to_bits(), delay.to_bits()],
+            "case {}: skipping {} levels moved the maxima (B = {:?}, TTRT = {:?}, {:?})",
+            case,
+            skipped_here,
+            busy,
+            ttrt,
+            source
+        );
+        skipped += skipped_here;
+    }
+    println!("skipped {skipped} of {levels} level inversions");
+    prop_assert!(skipped >= 1000, "only {skipped} of {levels} levels skipped");
 }

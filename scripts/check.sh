@@ -196,28 +196,34 @@ lint() {
     done
     echo "ok: one MAC table path"
 
-    echo "==> one-busy-search gate (one busy-interval loop; the step-end shortcut lives inside it)"
+    echo "==> one-busy-search gate (one busy-interval loop; the step-window kernel lives inside it)"
     # Every server analysis searches its busy interval in one loop, which
-    # builds one candidate grid per iteration unless the step-end check
-    # settles the iteration first. A second search loop, or the check
-    # called from anywhere else, must not come back.
-    for f in find_busy_interval violated_below_step_ends; do
+    # builds one candidate grid per iteration unless the step-window kernel
+    # settles the iteration first. A second search loop, the kernel called
+    # from anywhere else, or the step-end check it replaced must not come
+    # back.
+    for f in find_busy_interval step_window_iteration; do
         n=$( (grep -rE "fn $f[(<]" --include="*.rs" crates/traffic/src || true) | wc -l)
         if [ "$n" -ne 1 ]; then
             echo "FAIL: fn $f is defined $n times under crates/traffic/src (want 1)"
             exit 1
         fi
     done
+    retired=$( (grep -rsnE "fn violated_below_step_ends\b" --include="*.rs" crates src tests || true) | wc -l)
+    if [ "$retired" -ne 0 ]; then
+        echo "FAIL: the retired step-end check violated_below_step_ends is defined again"
+        exit 1
+    fi
     search=$(awk '/^fn find_busy_interval\(/ { on = 1 } on { print } on && /^}$/ { exit }' \
         crates/traffic/src/analysis.rs | grep -vE "^[[:space:]]*//")
     calls=$(for src in crates/traffic/src/*.rs; do
         [ "$(basename "$src")" = exactness.rs ] && continue
         awk '/^#\[cfg\(test\)\]/ { exit } { print }' "$src"
-    done | grep -F "violated_below_step_ends(" \
-        | grep -vE "fn violated_below_step_ends\(|^[[:space:]]*//" | wc -l)
-    in_search=$(printf '%s\n' "$search" | grep -cF "violated_below_step_ends(" || true)
+    done | grep -F "step_window_iteration(" \
+        | grep -vE "fn step_window_iteration\(|^[[:space:]]*//" | wc -l)
+    in_search=$(printf '%s\n' "$search" | grep -cF "step_window_iteration(" || true)
     if [ "$calls" -ne 1 ] || [ "$in_search" -ne 1 ]; then
-        echo "FAIL: violated_below_step_ends( has $calls non-test call sites under" \
+        echo "FAIL: step_window_iteration( has $calls non-test call sites under" \
             "crates/traffic/src, $in_search in find_busy_interval (want exactly one, there)"
         exit 1
     fi

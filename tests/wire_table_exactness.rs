@@ -23,12 +23,17 @@
 //! layer's batch to its per-point values at the receive MAC's candidate
 //! times.
 //!
-//! The receive MAC's busy-interval search settles an iteration from the
-//! arrival just below the staircase's step ends when that proves its grid
-//! would grow the horizon to the cap or exhaust it. The last two tests
-//! pin the search's outcome on that chain where the busy period ends past
-//! half the horizon (exhausted, by the shortcut), and where the shortcut
-//! runs but proves nothing (busy interval, backlog and delay, to the bit).
+//! The receive MAC's busy-interval search settles an iteration from two
+//! arrival probes per rotation of the staircase when they prove what its
+//! grid would do: grow the horizon to a target that does not depend on
+//! where the last violation lies, exhaust it, or close the search where
+//! the staircase steps. Its maximization then inverts only the quantum
+//! levels the grid cannot rule out. The last four tests pin the search on
+//! that chain where the busy period ends past half the horizon
+//! (exhausted), and, to the bit, the busy interval, backlog and delay
+//! where the kernel closes the search, where it closes it at a first
+//! horizon that is a whole number of rotations, and where it leaves
+//! iterations to the grid.
 
 use hetnet::cac::network::HetNetwork;
 use hetnet::traffic::models::DualPeriodicEnvelope;
@@ -300,20 +305,11 @@ fn receive_search_past_half_the_horizon_is_exhausted() {
     }
 }
 
-/// The receive MAC's busy interval (0.255999999744 s), backlog
-/// (1,252,000 bits) and delay (0.04911448289812186 s) at `h_r` = 2.0 ms
-/// behind `receive_chain` at 2.4 ms, as bits.
-const BUSY_BITS: u64 = 0x3fd0624dd2ab4b96;
-const BACKLOG_BITS: u64 = 0x41331aa000000000;
-const DELAY_BITS: u64 = 0x3fa92588939d6187;
-
-#[test]
-fn receive_search_the_shortcut_cannot_settle_is_unchanged() {
-    // The search's horizons are 0.128, 0.2816 and 0.5632 s: the step-end
-    // check runs at 0.5632 s, proves nothing (the busy period ends at
-    // 0.256 s), and the grid closes the search. Bits from before the
-    // check existed.
-    let mac = receive_mac(2.0, HORIZON).expect("the busy period closes within the horizon");
+/// Asserts the receive MAC's busy interval, backlog and delay at `h_r_ms`
+/// behind `receive_chain` at 2.4 ms, as bits, against `want`: values
+/// from before the step-window kernel and the level skip existed.
+fn assert_receive_bits(h_r_ms: f64, want: [u64; 3]) {
+    let mac = receive_mac(h_r_ms, HORIZON).expect("the busy period closes within the horizon");
     let delay = mac.delay.bounded().expect("no buffer limit");
     assert_eq!(
         [
@@ -321,9 +317,46 @@ fn receive_search_the_shortcut_cannot_settle_is_unchanged() {
             mac.buffer_required.value().to_bits(),
             delay.value().to_bits(),
         ],
-        [BUSY_BITS, BACKLOG_BITS, DELAY_BITS],
-        "busy {:?}, backlog {:?}, delay {delay:?}",
+        want,
+        "h_r = {h_r_ms} ms: busy {:?}, backlog {:?}, delay {delay:?}",
         mac.busy_interval,
         mac.buffer_required
+    );
+}
+
+#[test]
+fn receive_search_closed_by_the_kernel_is_unchanged() {
+    // The search's horizons are 0.128, 0.2816 and 0.5632 s. The grid
+    // settles the first two; at 0.5632 s the step-window kernel closes
+    // the search at 0.255999999744 s by bisecting the staircase alone.
+    // Backlog 1,252,000 bits, delay 0.04911448289812186 s.
+    assert_receive_bits(
+        2.0,
+        [0x3fd0624dd2ab4b96, 0x41331aa000000000, 0x3fa92588939d6187],
+    );
+}
+
+#[test]
+fn receive_search_settled_at_a_whole_rotation_horizon_is_unchanged() {
+    // The first horizon, 0.128 s, is 16 rotations of 8 ms: a step end,
+    // so the grid's last points sit on the next step. The kernel closes
+    // the search there at 0.063999999936 s, just under half the horizon.
+    // Backlog 1,152,000 bits, delay 0.03382874832309678 s.
+    assert_receive_bits(
+        3.0,
+        [0x3fb0624dd2ab4b96, 0x4131940000000000, 0x3fa152006f6cb49e],
+    );
+}
+
+#[test]
+fn receive_search_the_kernel_leaves_to_the_grid_is_unchanged() {
+    // The backlog outlasts the first horizon, 0.128 s: its last
+    // violation lies past half of it, and the grow target reads where,
+    // so the grid settles that iteration, and also the closing one at
+    // 0.5632 s. Busy 0.16799999983199998 s, backlog 1,212,000 bits,
+    // delay 0.04675999975200001 s.
+    assert_receive_bits(
+        2.1,
+        [0x3fc581062480d334, 0x41327e6000000000, 0x3fa7f0ed3b6440f7],
     );
 }
