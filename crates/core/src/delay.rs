@@ -314,7 +314,27 @@ enum Stage1 {
         /// path, valid on the flattening horizon.
         wire_affine: AffineBound,
     },
-    Infeasible(String),
+    Infeasible(Stage1Cause),
+}
+
+/// Why a stage-1 triple is infeasible. It is a function of the key
+/// alone, so it names no host: the requester is named where the entry
+/// is read ([`Stage1Cause::message`]), never where it is filled.
+#[derive(Clone, Debug)]
+enum Stage1Cause {
+    ZeroAllocation,
+    BufferOverflow,
+    Analysis(String),
+}
+
+impl Stage1Cause {
+    fn message(&self, source: HostId) -> String {
+        match self {
+            Self::ZeroAllocation => "zero synchronous allocation".into(),
+            Self::BufferOverflow => format!("source MAC buffer overflow at {source}"),
+            Self::Analysis(e) => format!("source MAC at {source}: {e}"),
+        }
+    }
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -875,7 +895,7 @@ impl<'a> Evaluator<'a> {
         );
         let ring = self.net.ring(p.source.ring);
         let computed = if p.h_s.per_rotation().value() <= 0.0 {
-            Stage1::Infeasible("zero synchronous allocation".into())
+            Stage1::Infeasible(Stage1Cause::ZeroAllocation)
         } else {
             match analyze_fddi_mac(
                 Arc::clone(&p.envelope),
@@ -906,11 +926,11 @@ impl<'a> Evaluator<'a> {
                         }
                     }
                     DelayOutcome::BufferOverflow { .. } => {
-                        Stage1::Infeasible(format!("source MAC buffer overflow at {}", p.source))
+                        Stage1::Infeasible(Stage1Cause::BufferOverflow)
                     }
                 },
                 Err(FddiError::Analysis(e)) => {
-                    Stage1::Infeasible(format!("source MAC at {}: {e}", p.source))
+                    Stage1::Infeasible(Stage1Cause::Analysis(e.to_string()))
                 }
                 Err(e) => return Err(e.into()),
             }
@@ -961,7 +981,7 @@ impl<'a> Evaluator<'a> {
                     wire,
                     ..
                 } => (chi_s, buffer, frame_size, wire),
-                Stage1::Infeasible(msg) => return Ok(Some(msg)),
+                Stage1::Infeasible(cause) => return Ok(Some(cause.message(p.source))),
             };
             if p.h_r.per_rotation().value() <= 0.0 {
                 return Ok(Some(

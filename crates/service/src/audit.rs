@@ -118,8 +118,9 @@ pub fn reason_class(reason: &RejectReason) -> &'static str {
     }
 }
 
-/// One audit-log line: a decision in its event context.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+/// One audit-log line: a decision in its event context. Entries
+/// compare by [`entries_equivalent`].
+#[derive(Clone, Debug, Serialize)]
 pub struct AuditEntry {
     /// Decision sequence number (0-based, gap-free).
     pub seq: u64,
@@ -139,8 +140,55 @@ pub struct AuditEntry {
     pub outcome: AuditOutcome,
 }
 
+impl PartialEq for AuditEntry {
+    fn eq(&self, other: &Self) -> bool {
+        entries_equivalent(self, other)
+    }
+}
+
+/// The one audit equality, behind `AuditEntry`'s `==` and so behind
+/// `AuditLog`'s: every field of both entries, floats by bit pattern,
+/// and a rejection by its class *and* its detail. Recovery, the
+/// sharded engine's certificates and every decision-neutrality suite
+/// (warm vs cold cache, fast path on/off, traced vs untraced) compare
+/// decisions with it.
+#[must_use]
+pub fn entries_equivalent(a: &AuditEntry, b: &AuditEntry) -> bool {
+    let outcomes_match = match (&a.outcome, &b.outcome) {
+        (
+            AuditOutcome::Admitted {
+                id,
+                h_s,
+                h_r,
+                delay_bound,
+            },
+            AuditOutcome::Admitted {
+                id: id2,
+                h_s: h_s2,
+                h_r: h_r2,
+                delay_bound: delay_bound2,
+            },
+        ) => {
+            id == id2
+                && h_s.to_bits() == h_s2.to_bits()
+                && h_r.to_bits() == h_r2.to_bits()
+                && delay_bound.to_bits() == delay_bound2.to_bits()
+        }
+        // The other outcomes hold no floats: derived equality is exact.
+        (x, y) => x == y,
+    };
+    outcomes_match
+        && a.seq == b.seq
+        && a.at.value().to_bits() == b.at.value().to_bits()
+        && a.kind == b.kind
+        && a.arrival == b.arrival
+        && a.source == b.source
+        && a.dest == b.dest
+        && a.deadline.to_bits() == b.deadline.to_bits()
+}
+
 /// Append-only, decision-ordered audit log.
-#[derive(Clone, Debug, Default, Serialize)]
+#[derive(Clone, Debug, Default, PartialEq, Serialize)]
 pub struct AuditLog {
     entries: Vec<AuditEntry>,
     start: u64,

@@ -31,7 +31,7 @@
 //! [`StateSnapshot`]: hetnet_cac::snapshot::StateSnapshot
 //! [`AuditKind::Readmit`]: crate::audit::AuditKind::Readmit
 
-use crate::audit::{AuditEntry, AuditLog, AuditOutcome};
+use crate::audit::{entries_equivalent, AuditEntry, AuditLog};
 use crate::event::{admit_observed, Decided, Decider, EngineCheckpoint, EventCore, Request};
 use crate::metrics::UtilizationSeries;
 use crate::observability::{spans_to_json, ObsOptions, TelemetryFrame};
@@ -361,14 +361,12 @@ pub fn run(network: HetNetwork, cfg: &ServiceConfig) -> Result<ServiceRun, CacEr
 }
 
 /// Recovers an engine from `checkpoint`, replays the remainder of the
-/// run, and verifies every replayed decision matches the recorded
+/// run, and verifies every replayed decision equals the recorded
 /// audit-log tail (`tail` must be the original run's entries from the
-/// checkpoint's decision sequence onwards): admissions bit-identical
-/// in id, allocations, and delay bound; rejections identical in reason
-/// class. A rejection's free-text *detail* may name a different
-/// infeasible component — it is evaluator-cache sensitive, and the
-/// recovered engine's cache has a different warm-up history (the
-/// engine's persistent-cache test pins the same tolerance).
+/// checkpoint's decision sequence onwards) under [`entries_equivalent`]:
+/// every field bit for bit, rejection details included. The recovered
+/// engine's evaluator cache has its own warm-up history, and no cached
+/// value depends on it.
 ///
 /// # Errors
 ///
@@ -402,66 +400,10 @@ pub fn verify_recovery(
     Ok(run)
 }
 
-/// Bit-level equivalence of two audit entries, modulo the rejection
-/// diagnostic string (see [`verify_recovery`]): context fields and
-/// admissions compare bitwise, rejections by reason class. This is the
-/// certification predicate both recovery and the sharded engine's
-/// decision-equivalence checks use.
-#[must_use]
-pub fn entries_equivalent(a: &AuditEntry, b: &AuditEntry) -> bool {
-    let context_matches = a.seq == b.seq
-        && a.at.value().to_bits() == b.at.value().to_bits()
-        && a.kind == b.kind
-        && a.arrival == b.arrival
-        && a.source == b.source
-        && a.dest == b.dest
-        && a.deadline.to_bits() == b.deadline.to_bits();
-    if !context_matches {
-        return false;
-    }
-    match (&a.outcome, &b.outcome) {
-        (
-            AuditOutcome::Admitted {
-                id,
-                h_s,
-                h_r,
-                delay_bound,
-            },
-            AuditOutcome::Admitted {
-                id: id2,
-                h_s: h_s2,
-                h_r: h_r2,
-                delay_bound: delay_bound2,
-            },
-        ) => {
-            id == id2
-                && h_s.to_bits() == h_s2.to_bits()
-                && h_r.to_bits() == h_r2.to_bits()
-                && delay_bound.to_bits() == delay_bound2.to_bits()
-        }
-        (AuditOutcome::Rejected { class, .. }, AuditOutcome::Rejected { class: class2, .. }) => {
-            class == class2
-        }
-        (
-            AuditOutcome::Reconfigured {
-                renegotiated,
-                dropped,
-                unchanged,
-            },
-            AuditOutcome::Reconfigured {
-                renegotiated: renegotiated2,
-                dropped: dropped2,
-                unchanged: unchanged2,
-            },
-        ) => renegotiated == renegotiated2 && dropped == dropped2 && unchanged == unchanged2,
-        _ => false,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::audit::AuditKind;
+    use crate::audit::{AuditKind, AuditOutcome};
     use crate::metrics::RecoveryMetrics;
     use hetnet_cac::cac::CacConfig;
     use hetnet_cac::incremental::FastPathStats;
@@ -535,10 +477,7 @@ mod tests {
         )
         .unwrap();
         let default = super::run(HetNetwork::paper_topology(), &smoke_cfg()).unwrap();
-        assert_eq!(fifo.audit.len(), default.audit.len());
-        for (a, b) in fifo.audit.entries().iter().zip(default.audit.entries()) {
-            assert!(entries_equivalent(a, b), "{a:?} vs {b:?}");
-        }
+        assert_eq!(fifo.audit, default.audit);
         assert_eq!(
             fifo.state.snapshot().to_json(),
             default.state.snapshot().to_json(),
@@ -712,20 +651,9 @@ mod tests {
         cold.persist_cache = false;
         let a = run(HetNetwork::paper_topology(), &warm).unwrap();
         let b = run(HetNetwork::paper_topology(), &cold).unwrap();
-        // Admissions (ids, allocations, delay bounds) must be
-        // bit-identical; a rejection's *class* must match too, but its
-        // diagnostic detail may name a different failing constraint —
-        // cache hits change which infeasible component the evaluator
-        // reaches first, not whether the point is infeasible.
-        for (w, c) in a.audit.entries().iter().zip(b.audit.entries()) {
-            match (&w.outcome, &c.outcome) {
-                (
-                    crate::audit::AuditOutcome::Rejected { class: wc, .. },
-                    crate::audit::AuditOutcome::Rejected { class: cc, .. },
-                ) => assert_eq!(wc, cc, "seq {}", w.seq),
-                (wo, co) => assert_eq!(wo, co, "seq {}", w.seq),
-            }
-        }
+        // Every cached value is a function of its key, so a warm cache
+        // changes no decision and no rejection detail.
+        assert_eq!(a.audit, b.audit);
         assert_eq!(a.report.counters, b.report.counters);
     }
 
@@ -737,10 +665,9 @@ mod tests {
         off.fast_path = false;
         let a = run(HetNetwork::paper_topology(), &on).unwrap();
         let b = run(HetNetwork::paper_topology(), &off).unwrap();
-        // Unlike the cache-persistence tolerance, the fast path must be
-        // *fully* decision-neutral: it substitutes probe booleans, not
-        // evaluation order, so even rejection details agree.
-        assert_eq!(a.audit.entries(), b.audit.entries());
+        // The ladder substitutes probe booleans, not evaluation order,
+        // so even rejection details agree.
+        assert_eq!(a.audit, b.audit);
         assert_eq!(a.report.counters, b.report.counters);
         let f = &a.report.fast_path;
         assert!(f.probes() > 0, "ladder never ran: {f:?}");

@@ -62,11 +62,8 @@ pub mod sharded;
 #[path = "../../core/tests/support/snapshot_cases.rs"]
 mod snapshot_cases;
 
-pub use audit::{AuditEntry, AuditKind, AuditLog, AuditOutcome};
-pub use engine::{
-    entries_equivalent, run, verify_recovery, ReconfigEvent, ServiceConfig, ServiceEngine,
-    ServiceRun,
-};
+pub use audit::{entries_equivalent, AuditEntry, AuditKind, AuditLog, AuditOutcome};
+pub use engine::{run, verify_recovery, ReconfigEvent, ServiceConfig, ServiceEngine, ServiceRun};
 pub use event::EngineCheckpoint;
 pub use metrics::{
     BindingCounters, DecisionCounters, ReconfigMetrics, RecoveryMetrics, UtilizationSample,
@@ -74,6 +71,4 @@ pub use metrics::{
 };
 pub use observability::{ObsOptions, TelemetryFrame};
 pub use report::{LatencySummary, ServiceReport, StageDelaySummary};
-pub use sharded::{
-    run_sharded, runs_equivalent, sharded_runs_equivalent, ShardedEngine, ShardedRun, ShardingStats,
-};
+pub use sharded::{run_sharded, runs_equivalent, ShardedEngine, ShardedRun, ShardingStats};

@@ -42,7 +42,7 @@
 //! worker count does not leak into decisions.
 
 use crate::audit::{AuditKind, AuditLog};
-use crate::engine::{entries_equivalent, ServiceConfig, ServiceRun};
+use crate::engine::{ServiceConfig, ServiceRun};
 use crate::event::{
     admit_observed, arrival_spec, Commit, Decided, Decider, EngineCheckpoint, EventCore, Request,
 };
@@ -651,30 +651,15 @@ pub fn run_sharded(
 }
 
 /// Certifies that a sharded run reproduced a sequential run's
-/// decisions: audit logs equal in length and pairwise
-/// [`entries_equivalent`] (admissions bitwise, rejections by class),
-/// and final states bit-identical by snapshot JSON.
+/// decisions: equal audit logs (pairwise [`entries_equivalent`]: every
+/// field bit for bit, rejection details included) and final states
+/// bit-identical by snapshot JSON.
+///
+/// [`entries_equivalent`]: crate::audit::entries_equivalent
 #[must_use]
 pub fn runs_equivalent(sharded: &ShardedRun, sequential: &ServiceRun) -> bool {
-    audits_equivalent(&sharded.audit, &sequential.audit)
+    sharded.audit == sequential.audit
         && sharded.final_snapshot.to_json() == sequential.state.snapshot().to_json()
-}
-
-/// [`runs_equivalent`] for two sharded runs (e.g. different worker
-/// counts over the same config).
-#[must_use]
-pub fn sharded_runs_equivalent(a: &ShardedRun, b: &ShardedRun) -> bool {
-    audits_equivalent(&a.audit, &b.audit)
-        && a.final_snapshot.to_json() == b.final_snapshot.to_json()
-}
-
-/// Audit logs equal in length and pairwise [`entries_equivalent`].
-fn audits_equivalent(a: &AuditLog, b: &AuditLog) -> bool {
-    a.len() == b.len()
-        && a.entries()
-            .iter()
-            .zip(b.entries())
-            .all(|(x, y)| entries_equivalent(x, y))
 }
 
 #[cfg(test)]
@@ -777,7 +762,8 @@ mod tests {
         let cfg = faulted_cfg(120, 31);
         let a = run_sharded(HetNetwork::paper_topology(), &cfg, 1).unwrap();
         let b = run_sharded(HetNetwork::paper_topology(), &cfg, 3).unwrap();
-        assert!(sharded_runs_equivalent(&a, &b));
+        assert_eq!(a.audit, b.audit);
+        assert_eq!(a.final_snapshot.to_json(), b.final_snapshot.to_json());
         assert_eq!(a.report.counters, b.report.counters);
     }
 
@@ -876,13 +862,9 @@ mod tests {
         );
         let tail_start = ckpt.state.decision_seq;
         assert_eq!(sharded_rest.audit.start(), tail_start);
-        for (got, want) in sharded_rest
-            .audit
-            .entries()
-            .iter()
-            .zip(&full.audit.entries()[tail_start as usize..])
-        {
-            assert!(entries_equivalent(got, want), "{got:?} vs {want:?}");
-        }
+        assert_eq!(
+            sharded_rest.audit.entries(),
+            &full.audit.entries()[tail_start as usize..]
+        );
     }
 }

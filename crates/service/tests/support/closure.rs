@@ -156,8 +156,7 @@ pub fn check(net: HetNetwork, cfg: &ServiceConfig) -> Checked {
                 ));
                 // An unstable server at the maximum justifies the reject
                 // whichever server the decision named: the screened
-                // check stops at the first missed deadline, and a cached
-                // detail names the host that first filled the entry.
+                // check stops at the first missed deadline.
                 if let EvalOutcome::Feasible(reports) =
                     evaluate_paths(net, &inputs, &eval).expect("evaluate")
                 {

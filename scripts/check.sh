@@ -234,6 +234,33 @@ lint() {
     fi
     echo "ok: one busy search"
 
+    echo "==> one-audit-equality gate (every certificate compares whole audit entries)"
+    # Audit entries compare one way: entries_equivalent, behind
+    # AuditEntry's ==, matches every field, reject details included, and
+    # every certificate (recovery, sharded vs sequential, warm vs cold,
+    # fast path on/off, traced vs untraced) uses it. A second audit-log
+    # predicate, or a match that compares two rejections by class alone,
+    # must not come back.
+    n=$( (grep -rE "fn entries_equivalent\b" --include="*.rs" crates/service/src || true) | wc -l)
+    if [ "$n" -ne 1 ]; then
+        echo "FAIL: fn entries_equivalent is defined $n times under crates/service/src (want 1)"
+        exit 1
+    fi
+    if grep -rnE "fn (audits_equivalent|sharded_runs_equivalent)\b" --include="*.rs" crates src tests examples; then
+        echo "FAIL: a second audit-log predicate is defined again"
+        exit 1
+    fi
+    # A class-only comparison binds the class of two Rejected patterns,
+    # on one line or on two adjacent lines.
+    pairs=$( (grep -rnE "Rejected \{ class(: [A-Za-z_0-9]+)?, \.\. \}" --include="*.rs" crates tests || true) \
+        | awk -F: '{ if (gsub(/Rejected \{ class/, "&") > 1 || ($1 == f && $2 == l + 1)) print; f = $1; l = $2 }')
+    if [ -n "$pairs" ]; then
+        printf '%s\n' "$pairs"
+        echo "FAIL: two rejections compared by class alone"
+        exit 1
+    fi
+    echo "ok: one audit equality"
+
     echo "==> one-region-solver gate (frontier tracer + dense oracle)"
     # The region module keeps two solvers over one dense loop, single-
     # threaded; the correctness certificates live in the test suite.

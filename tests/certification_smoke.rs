@@ -25,6 +25,11 @@
 //! sequential engine's (`crates/service/tests/sharded_replay.rs` and
 //! `reconfig_replay.rs` hold that over random schedules).
 //!
+//! The next three hold the one audit equality on the golden workload:
+//! every source-MAC reject names its own requesting host, and warm vs
+//! cold evaluator caches and a one-worker sharded run vs the sequential
+//! engine write the same audit, rejection details included.
+//!
 //! The last replays the warm single-decision cycle that the
 //! `request_latency_p99` bench times and holds its deterministic
 //! fast-path ladder counts: both ladder sides fire and more than a
@@ -43,7 +48,9 @@ use hetnet_cac::incremental::FastPathStats;
 use hetnet_cac::network::{HetNetwork, HostId};
 use hetnet_cac::reconfig::ReconfigPlan;
 use hetnet_service::audit::AuditKind;
-use hetnet_service::{run, run_sharded, runs_equivalent, ReconfigEvent, ServiceConfig};
+use hetnet_service::{
+    run, run_sharded, runs_equivalent, AuditLog, AuditOutcome, ReconfigEvent, ServiceConfig,
+};
 use hetnet_sim::churn::TrafficPattern;
 use hetnet_traffic::models::DualPeriodicEnvelope;
 use hetnet_traffic::units::{Bits, BitsPerSec, Seconds};
@@ -139,6 +146,69 @@ fn faulted_sharded_run_matches_the_sequential_engine() {
 #[test]
 fn faulted_reconfigured_sharded_run_matches_the_sequential_engine() {
     assert_sharded_matches(&reconfigured_cfg(20260808));
+}
+
+/// The rendered decisions (every field, floats by bit pattern, reject
+/// details included) of two logs must be equal, line for line.
+fn assert_same_decisions(a: &AuditLog, b: &AuditLog, what: &str) {
+    let (a, b) = (dense::render(a), dense::render(b));
+    assert_eq!(a.len(), b.len(), "{what}: audit length");
+    if let Some((x, y)) = a.iter().zip(&b).find(|(x, y)| x != y) {
+        panic!("{what}: decisions diverge:\n  {x}\n  {y}");
+    }
+}
+
+/// The `host-r.s` each source-MAC reject detail names, with the
+/// entry's own source.
+fn source_mac_hosts(log: &AuditLog) -> Vec<(String, String)> {
+    log.entries()
+        .iter()
+        .filter_map(|e| match &e.outcome {
+            AuditOutcome::Rejected { detail, .. } => {
+                let (_, rest) = detail.split_once("source MAC ")?;
+                let host = rest.split_once("host-")?.1.split([':', ' ']).next()?;
+                Some((host.to_string(), format!("{}.{}", e.source.0, e.source.1)))
+            }
+            _ => None,
+        })
+        .collect()
+}
+
+#[test]
+fn source_mac_rejects_name_the_requesting_host() {
+    let cfg = dense::config(ARRIVALS, true);
+    assert!(cfg.persist_cache, "the golden workload keeps its cache");
+    let hosts = source_mac_hosts(&run(HetNetwork::paper_topology(), &cfg).expect("run").audit);
+    assert!(!hosts.is_empty(), "no source-MAC reject in the run");
+    for (named, source) in hosts {
+        assert_eq!(named, source, "a source-MAC reject names another host");
+    }
+}
+
+#[test]
+fn warm_and_cold_caches_write_the_same_audit() {
+    let warm = dense::config(ARRIVALS, true);
+    let mut cold = warm.clone();
+    cold.persist_cache = false;
+    let warm = run(HetNetwork::paper_topology(), &warm).expect("warm run");
+    let cold = run(HetNetwork::paper_topology(), &cold).expect("cold run");
+    assert!(!source_mac_hosts(&warm.audit).is_empty());
+    assert_same_decisions(&warm.audit, &cold.audit, "warm vs cold cache");
+}
+
+/// 352 golden-workload arrivals: the run ends on the source-MAC reject
+/// (seq 351) that a one-worker sharded run, whose worker fills its own
+/// evaluator cache, named after another host on every run while cached
+/// stage-1 verdicts carried a host. Shorter runs diverged only on some
+/// runs, with the worker's timing.
+#[test]
+fn one_worker_sharded_run_writes_the_sequential_audit() {
+    let cfg = dense::config(352, true);
+    let sequential = run(HetNetwork::paper_topology(), &cfg).expect("sequential run");
+    let sharded = run_sharded(HetNetwork::paper_topology(), &cfg, 1).expect("sharded run");
+    assert!(!source_mac_hosts(&sequential.audit).is_empty());
+    assert_same_decisions(&sharded.audit, &sequential.audit, "sharded vs sequential");
+    assert!(runs_equivalent(&sharded, &sequential));
 }
 
 /// A connection whose `c1_mbit`-over-100-ms source is split into five
