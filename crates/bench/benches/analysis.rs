@@ -5,7 +5,9 @@
 //! starts from (flattened alone, and from a warm busy-interval memo as
 //! the evaluator builds it), the receive MAC's busy-interval search behind three
 //! multiplexer hops (closing, and exhausting its horizon), the FIFO
-//! multiplexer bound, and a full end-to-end path evaluation.
+//! multiplexer bound (over sources, and over wire tables behind three
+//! hops with their breakpoint memos cold and warm), and a full
+//! end-to-end path evaluation.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use hetnet_atm::{ClassedFlow, LinkConfig, Scheduler, SchedulerAnalysis};
@@ -186,9 +188,9 @@ fn bench_mac_output_table_memo(c: &mut Criterion) {
 }
 
 /// The paper source's stage-1 wire table under `EvalConfig::fast`'s
-/// settings behind three multiplexer hops (`min(C·I, A(I + d))`), with
-/// its frame size and the analysis settings, at three source
-/// allocations, each table built once up front.
+/// settings behind three multiplexer hops ([`behind_hops`]), with its
+/// frame size and the analysis settings, at three source allocations,
+/// each table built once up front.
 fn receive_chains() -> (Vec<(SharedEnvelope, Bits)>, AnalysisConfig) {
     let net = HetNetwork::paper_topology();
     let ring = net.ring(0);
@@ -199,7 +201,6 @@ fn receive_chains() -> (Vec<(SharedEnvelope, Bits)>, AnalysisConfig) {
         max_horizon: horizon,
         ..AnalysisConfig::default()
     };
-    let link = LinkConfig::oc3(Seconds::ZERO);
     let chains = [2.0, 2.4, 3.2]
         .map(|ms| {
             let h = SyncBandwidth::new(Seconds::from_millis(ms));
@@ -208,15 +209,23 @@ fn receive_chains() -> (Vec<(SharedEnvelope, Bits)>, AnalysisConfig) {
             let flat = Arc::new(Sampled::flatten(mac.output, horizon, 1));
             let frame = frames::frame_size(ring, h);
             let seg = segment_envelope(flat, frame, net.ifdev());
-            let mut chain: SharedEnvelope = Arc::new(Sampled::flatten(seg.output_wire, horizon, 1));
-            for delay_ms in [4.0, 2.0, 3.0] {
-                let delayed = Arc::new(Delayed::new(chain, Seconds::from_millis(delay_ms)));
-                chain = Arc::new(RateCapped::new(delayed, link.rate));
-            }
-            (chain, frame)
+            let table = Arc::new(Sampled::flatten(seg.output_wire, horizon, 1));
+            (behind_hops(table, [4.0, 2.0, 3.0]), frame)
         })
         .into();
     (chains, cfg)
+}
+
+/// `chain` behind multiplexer hops of the given delays on OC-3 links,
+/// `min(C·I, A(I + d))` each, as `SchedulerAnalysis::flow_output`
+/// builds them.
+fn behind_hops(mut chain: SharedEnvelope, delays_ms: [f64; 3]) -> SharedEnvelope {
+    let link = LinkConfig::oc3(Seconds::ZERO);
+    for delay_ms in delays_ms {
+        let delayed = Arc::new(Delayed::new(chain, Seconds::from_millis(delay_ms)));
+        chain = Arc::new(RateCapped::new(delayed, link.rate));
+    }
+    chain
 }
 
 /// The receive side of a path: `receive_chains`, reassembled into
@@ -273,6 +282,72 @@ fn bench_mux_analysis(c: &mut Criterion) {
     });
 }
 
+/// The FIFO multiplexer analysis at a grid port, as `grid_churn`
+/// runs it: the grid workload's source (2 kbit per 100 ms, 0.5 kbit per
+/// 25 ms, 100 Mb/s peak) at three small allocations, each wire table
+/// (`EvalConfig::fast`'s settings) behind three hops with eight patterns
+/// of hop delays, 24 flows onto one OC-3 link. Cold builds the hop
+/// chains afresh for each analysis, so every `RateCapped` enumerates the
+/// chain below it and bisects its cap crossings at each horizon the
+/// analysis asks for; warm analyzes one set of chains again, whose
+/// breakpoint memos already hold those lists.
+fn bench_mux_chain_analysis(c: &mut Criterion) {
+    let net = HetNetwork::paper_topology();
+    let ring = net.ring(0);
+    let source: SharedEnvelope = Arc::new(
+        DualPeriodicEnvelope::new(
+            Bits::from_mbits(0.002),
+            Seconds::from_millis(100.0),
+            Bits::from_mbits(0.0005),
+            Seconds::from_millis(25.0),
+            BitsPerSec::from_mbps(100.0),
+        )
+        .expect("valid"),
+    );
+    let horizon = Seconds::new(0.6);
+    let cfg = AnalysisConfig {
+        guard_subdivisions: 1,
+        max_horizon: horizon,
+        ..AnalysisConfig::default()
+    };
+    let tables: Vec<SharedEnvelope> = [0.05, 0.1, 0.2]
+        .into_iter()
+        .map(|ms| {
+            let h = SyncBandwidth::new(Seconds::from_millis(ms));
+            let mac = analyze_fddi_mac(Arc::clone(&source), ring, h, net.host_buffer(), &cfg)
+                .expect("stable");
+            let flat = Arc::new(Sampled::flatten(mac.output, horizon, 1));
+            let seg = segment_envelope(flat, frames::frame_size(ring, h), net.ifdev());
+            Arc::new(Sampled::flatten(seg.output_wire, horizon, 1)) as SharedEnvelope
+        })
+        .collect();
+    let link = LinkConfig::oc3(Seconds::ZERO);
+    let flows = || -> Vec<ClassedFlow> {
+        let mut flows = Vec::new();
+        for table in &tables {
+            for k in 0..8 {
+                let k = f64::from(k);
+                let delays = [0.1 + 0.3 * k, 2.5 - 0.2 * k, 0.4 + 0.1 * k];
+                flows.push(ClassedFlow::new(behind_hops(Arc::clone(table), delays), 0));
+            }
+        }
+        flows
+    };
+    c.bench_function("fifo_mux_chains_cold", |b| {
+        b.iter(|| {
+            black_box(
+                Scheduler::Fifo
+                    .analyze(&flows(), &link, &cfg)
+                    .expect("stable"),
+            )
+        })
+    });
+    let warm = flows();
+    c.bench_function("fifo_mux_chains_warm", |b| {
+        b.iter(|| black_box(Scheduler::Fifo.analyze(&warm, &link, &cfg).expect("stable")))
+    });
+}
+
 fn bench_path_evaluation(c: &mut Criterion) {
     let net = HetNetwork::paper_topology();
     let cfg = EvalConfig::default();
@@ -303,7 +378,7 @@ criterion_group!(
     targets = bench_envelope_eval, bench_mac_analysis, bench_source_mac_beta_sweep,
         bench_stage1_wire_table,
         bench_mac_output_table, bench_mac_output_table_memo, bench_receive_chain_busy_search,
-        bench_receive_chain_horizon_exhausted, bench_mux_analysis,
+        bench_receive_chain_horizon_exhausted, bench_mux_analysis, bench_mux_chain_analysis,
         bench_path_evaluation
 );
 criterion_main!(benches);

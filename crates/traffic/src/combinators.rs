@@ -15,15 +15,14 @@
 //!   cell-header overhead when payload envelopes are mapped to wire bits.
 //! * [`Quantized`] — `⌈A(I)/q_in⌉·q_out`: packetization, the shape of the
 //!   paper's Theorem 2 (frame → cell conversion) and of reassembly.
-//! * [`MinOf`] — the pointwise minimum of two valid envelopes (both are
-//!   upper bounds, so their minimum is too).
 
 use crate::approx;
 use crate::envelope::{
     bisect, min_interval_with, with_clamped, with_scratch, Envelope, SharedEnvelope,
 };
 use crate::units::{Bits, BitsPerSec, Seconds};
-use std::sync::Arc;
+use std::fmt;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// FIFO output transform: the traffic leaving a FIFO server whose delay is
 /// at most `delay` is bounded by `A(I + delay)`.
@@ -80,25 +79,45 @@ impl Envelope for Delayed {
     }
 
     fn breakpoints(&self, horizon: Seconds, out: &mut Vec<Seconds>) {
-        let mut inner_points = Vec::new();
-        self.inner
-            .breakpoints(horizon + self.delay, &mut inner_points);
-        out.extend(
-            inner_points
-                .into_iter()
-                .map(|p| p.saturating_sub(self.delay))
-                .filter(|p| *p > Seconds::ZERO),
-        );
+        // The inner points are appended to `out` and shifted in place,
+        // in order, keeping those that stay positive.
+        let start = out.len();
+        self.inner.breakpoints(horizon + self.delay, out);
+        let mut kept = start;
+        for k in start..out.len() {
+            let p = out[k].saturating_sub(self.delay);
+            if p > Seconds::ZERO {
+                out[kept] = p;
+                kept += 1;
+            }
+        }
+        out.truncate(kept);
+    }
+
+    /// Every query `x ∈ [0, horizon]` asks the inner envelope at
+    /// `max(x, 0) + delay`, a rounded sum that is nondecreasing in `x` and
+    /// at most `horizon + delay`, and the value comes back unchanged.
+    fn is_nondecreasing(&self, horizon: Seconds) -> bool {
+        self.inner.is_nondecreasing(horizon + self.delay)
     }
 }
 
 /// Rate cap: `min(A(I), cap · I)` — what the traffic can look like after
 /// any medium that physically cannot deliver faster than `cap`.
-#[derive(Debug, Clone)]
 pub struct RateCapped {
     inner: SharedEnvelope,
     cap: BitsPerSec,
+    /// The list the last `breakpoints` call appended, under the bits of
+    /// its horizon. A cache, not a parameter: `Debug` (and so
+    /// `describe`) leaves it out, and a clone starts without it.
+    memo: Mutex<Option<(u64, Box<[Seconds]>)>>,
 }
+
+/// How far the cap line must clear a bracket end's value, relatively,
+/// before the crossing search decides a midpoint's side without
+/// evaluating it: far above the roundoff slack an envelope declaring
+/// [`Envelope::is_nondecreasing`] may have.
+const BAND_MARGIN: f64 = 1.0e-9;
 
 impl RateCapped {
     /// Caps `inner` at `cap`.
@@ -109,7 +128,101 @@ impl RateCapped {
     #[must_use]
     pub fn new(inner: SharedEnvelope, cap: BitsPerSec) -> Self {
         assert!(cap.value() > 0.0, "cap must be positive");
-        Self { inner, cap }
+        Self {
+            inner,
+            cap,
+            memo: Mutex::new(None),
+        }
+    }
+
+    /// The memo, whatever a panicking holder left in it: every list it
+    /// ever holds is complete, stored in one step under its own key.
+    fn memo(&self) -> MutexGuard<'_, Option<(u64, Box<[Seconds]>)>> {
+        self.memo.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Appends to `out` the points in `(0, horizon]` where the cap line
+    /// crosses the inner envelope, given its breakpoints in `out[start..]`.
+    ///
+    /// A crossing is where `min` switches branch, a slope change. Each
+    /// window between consecutive points of `out[start..] ∪ {0, horizon}`
+    /// whose ends lie on opposite sides of the line, `A(I) > cap·I` or
+    /// not, is bisected 60 times (stopping early once converged, see
+    /// [`bisect`]) toward the first point on the far side. Every point's
+    /// side comes from one batch evaluation; adjacent windows share it.
+    ///
+    /// Where the inner envelope is nondecreasing over the window
+    /// ([`Envelope::is_nondecreasing`]), `A(lo) ≤ A(mid) ≤ A(hi)` up to
+    /// roundoff for the bracket `[lo, hi]` around each midpoint, so a
+    /// line below `A(lo)·(1 − 10⁻⁹)` is below `A(mid)`, and one above
+    /// `A(hi)·(1 + 10⁻⁹)` is above it: that midpoint's side is decided
+    /// without evaluating `A`, and the bisection takes the same step it
+    /// would have. The bracket ends' values are the batch's, and then
+    /// those of the last midpoints evaluated on either side. Elsewhere the
+    /// bounds stay at ±∞, and every midpoint is evaluated.
+    fn push_crossings(&self, horizon: Seconds, start: usize, out: &mut Vec<Seconds>) {
+        let mut pts: Vec<f64> = out[start..].iter().map(|p| p.value()).collect();
+        pts.push(0.0);
+        pts.push(horizon.value());
+        pts.sort_by(f64::total_cmp);
+        // A window between two copies of one point never brackets a
+        // crossing, so dropping the copies leaves every crossing window
+        // as it was.
+        pts.dedup_by(|a, b| a.total_cmp(b).is_eq());
+        let above = |i: f64, a: f64| Bits::new(a) > self.cap * Seconds::new(i);
+        with_scratch(|vals| {
+            self.inner.arrivals_sorted(&pts, vals);
+            for (w, v) in pts.windows(2).zip(vals.windows(2)) {
+                let from = above(w[0], v[0]);
+                if above(w[1], v[1]) == from {
+                    continue;
+                }
+                let monotone = self.inner.is_nondecreasing(Seconds::new(w[1]));
+                let (mut floor, mut ceil) = if monotone {
+                    (v[0], v[1])
+                } else {
+                    (f64::NEG_INFINITY, f64::INFINITY)
+                };
+                let hi = bisect(w[0], w[1], 60, true, |mid| {
+                    let line = (self.cap * Seconds::new(mid)).value();
+                    let side = if line < floor * (1.0 - BAND_MARGIN) {
+                        true
+                    } else if line > ceil * (1.0 + BAND_MARGIN) {
+                        false
+                    } else {
+                        let a = self.inner.arrivals(Seconds::new(mid)).value();
+                        let side = above(mid, a);
+                        if monotone {
+                            // The step moves `hi` to `mid` where the side
+                            // flips, and `lo` to it otherwise.
+                            if side == from {
+                                floor = a;
+                            } else {
+                                ceil = a;
+                            }
+                        }
+                        side
+                    };
+                    side != from
+                });
+                out.push(Seconds::new(hi));
+            }
+        });
+    }
+}
+
+impl fmt::Debug for RateCapped {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("RateCapped")
+            .field("inner", &self.inner)
+            .field("cap", &self.cap)
+            .finish()
+    }
+}
+
+impl Clone for RateCapped {
+    fn clone(&self) -> Self {
+        Self::new(Arc::clone(&self.inner), self.cap)
     }
 }
 
@@ -151,60 +264,37 @@ impl Envelope for RateCapped {
         }
     }
 
+    /// The inner envelope's breakpoints (enumerated once: asking twice
+    /// would double the work at every hop, reaching the root of a chain
+    /// of `n` capped hops `2ⁿ` times) and the cap crossings
+    /// (`RateCapped::push_crossings`).
+    ///
+    /// The list is a pure function of this immutable envelope and the
+    /// horizon, so the last one is kept under the horizon's bits, and a
+    /// call at the same horizon copies it instead of enumerating the
+    /// chain again. A busy search asks every member of an aggregate at
+    /// each horizon it tries, and the members upstream of a candidate
+    /// are the same envelopes from probe to probe. The lock is not held
+    /// while the list is built, so a chain locks one memo at a time.
     fn breakpoints(&self, horizon: Seconds, out: &mut Vec<Seconds>) {
-        // Enumerate the inner envelope once and bracket from a copy:
-        // asking it twice doubles the work at every hop of a chain, so a
-        // chain of n capped hops would reach its root 2^n times.
+        let key = horizon.value().to_bits();
+        if let Some((at, pts)) = &*self.memo() {
+            if *at == key {
+                out.extend_from_slice(pts);
+                return;
+            }
+        }
         let start = out.len();
         self.inner.breakpoints(horizon, out);
-        // The cap line `cap·I` may cross A between inner breakpoints; a
-        // crossing is where min() switches branch (slope change). Locate it
-        // by inverting A along the cap line via bisection on the sign of
-        // A(I) − cap·I, bracketed by inner breakpoints.
-        let above = |i: Seconds| self.inner.arrivals(i) > self.cap * i;
-        let sides = |pts: &[f64], sides: &mut Vec<bool>| {
-            with_scratch(|vals| {
-                self.inner.arrivals_sorted(pts, vals);
-                sides.extend(
-                    pts.iter()
-                        .zip(vals.iter())
-                        .map(|(&i, &a)| Bits::new(a) > self.cap * Seconds::new(i)),
-                );
-            });
-        };
-        push_switch_points(out, start, horizon, sides, above);
+        self.push_crossings(horizon, start, out);
+        *self.memo() = Some((key, out[start..].into()));
     }
-}
 
-/// Appends to `out` where `side` changes value between consecutive
-/// points of `out[start..] ∪ {0, horizon}`: each change is bracketed by
-/// its two points and bisected 60 times (stopping early once converged,
-/// see [`bisect`]) toward the first point on the new side. `sides`
-/// appends `side` of every point of a sorted batch, as one batch
-/// evaluation.
-fn push_switch_points(
-    out: &mut Vec<Seconds>,
-    start: usize,
-    horizon: Seconds,
-    sides: impl FnOnce(&[f64], &mut Vec<bool>),
-    side: impl Fn(Seconds) -> bool,
-) {
-    let mut pts: Vec<f64> = out[start..].iter().map(|p| p.value()).collect();
-    pts.push(0.0);
-    pts.push(horizon.value());
-    pts.sort_by(f64::total_cmp);
-    // A window between two copies of one point never brackets a switch,
-    // so dropping the copies leaves every switching window as it was.
-    pts.dedup_by(|a, b| a.total_cmp(b).is_eq());
-    // Each point's side is evaluated once; adjacent windows share it.
-    let mut at = Vec::with_capacity(pts.len());
-    sides(&pts, &mut at);
-    for (w, s) in pts.windows(2).zip(at.windows(2)) {
-        if s[0] != s[1] {
-            let from = s[0];
-            let hi = bisect(w[0], w[1], 60, true, |mid| side(Seconds::new(mid)) != from);
-            out.push(Seconds::new(hi));
-        }
+    /// `min(Â(x), cap·x)`: the rounded product with a positive factor is
+    /// nondecreasing in `x`, and a minimum with it keeps `Â`'s slack,
+    /// `min(Â(x), cap·x) ≤ min((1 + δ)·Â(y), cap·y) ≤ (1 + δ)·min(Â(y), cap·y)`.
+    fn is_nondecreasing(&self, horizon: Seconds) -> bool {
+        self.inner.is_nondecreasing(horizon)
     }
 }
 
@@ -293,6 +383,13 @@ impl Envelope for Aggregate {
             p.breakpoints(horizon, out);
         }
     }
+
+    /// A sum of nonnegative parts in a fixed order: each rounded addition
+    /// is nondecreasing in both operands and adds one unit of roundoff to
+    /// the slack, so `n` parts add `n`.
+    fn is_nondecreasing(&self, horizon: Seconds) -> bool {
+        self.parts.iter().all(|p| p.is_nondecreasing(horizon))
+    }
 }
 
 /// Constant inflation: `A_out(I) = factor · A_in(I)`.
@@ -350,6 +447,12 @@ impl Envelope for Scaled {
     fn breakpoints(&self, horizon: Seconds, out: &mut Vec<Seconds>) {
         self.inner.breakpoints(horizon, out);
     }
+
+    /// `factor·Â(x)` with a positive factor: the rounded product is
+    /// nondecreasing in `Â(x)` and adds a unit of roundoff to the slack.
+    fn is_nondecreasing(&self, horizon: Seconds) -> bool {
+        self.inner.is_nondecreasing(horizon)
+    }
 }
 
 /// Packetization: `A_out(I) = ⌈A_in(I) / unit_in⌉ · unit_out`.
@@ -359,6 +462,12 @@ impl Envelope for Scaled {
 /// `A_out(I) = ⌈A_in(I)/F_S⌉ · F_C · C_S` with `unit_in = F_S` and
 /// `unit_out = F_C · C_S`. The same transform with roles swapped models
 /// cell→frame reassembly.
+///
+/// It keeps the default `false` of [`Envelope::is_nondecreasing`].
+/// Rounding up to whole units is nondecreasing in its input, but an
+/// input that dips by a unit of roundoff may dip across a unit boundary,
+/// and the output then drops by a whole `unit_out`, which no relative
+/// margin covers.
 #[derive(Debug, Clone)]
 pub struct Quantized {
     inner: SharedEnvelope,
@@ -496,6 +605,13 @@ impl Envelope for Padded {
 
     fn breakpoints(&self, horizon: Seconds, out: &mut Vec<Seconds>) {
         self.inner.breakpoints(horizon, out);
+    }
+
+    /// `Â(x) + pad` with a nonnegative pad: the rounded sum is
+    /// nondecreasing in `Â(x)`, and adding `pad` to both sides of
+    /// `Â(x) ≤ (1 + δ)·Â(y)` keeps it, up to a unit of roundoff.
+    fn is_nondecreasing(&self, horizon: Seconds) -> bool {
+        self.inner.is_nondecreasing(horizon)
     }
 }
 
@@ -822,6 +938,19 @@ impl Envelope for Sampled {
             self.inner.breakpoints(horizon, out);
         }
     }
+
+    /// Within its horizon a nondecreasing table serves `vals[0] ≥ 0` at
+    /// zero, its samples at theirs, and `v0 + f·(v1 − v0)` inside a
+    /// segment, with `f` the rounded share of the segment, in `[0, 1]`
+    /// and nondecreasing in the query. That is nondecreasing within the
+    /// segment, at least `v0`, and at most `v1` plus two units of
+    /// roundoff (`v1 − v0` may round up, and so may the sum): a query
+    /// just below a sample may overshoot it by that much, the slack the
+    /// flag allows. Past its horizon the table serves its inner
+    /// envelope, for which it does not vouch.
+    fn is_nondecreasing(&self, horizon: Seconds) -> bool {
+        self.nondecreasing && horizon.value() <= self.horizon
+    }
 }
 
 /// The number of entries of `table`, which is increasing under
@@ -842,85 +971,6 @@ pub(crate) fn seek(table: &[f64], from: usize, x: f64) -> usize {
         stride *= 2;
     }
     lo + table[lo..(lo + stride).min(table.len())].partition_point(below)
-}
-
-/// Pointwise minimum of two envelopes (both bound the same traffic, so the
-/// minimum is also a bound — e.g. a source model combined with a
-/// regulator's contract).
-#[derive(Debug, Clone)]
-pub struct MinOf {
-    a: SharedEnvelope,
-    b: SharedEnvelope,
-}
-
-impl MinOf {
-    /// Creates the pointwise minimum of `a` and `b`.
-    #[must_use]
-    pub fn new(a: SharedEnvelope, b: SharedEnvelope) -> Self {
-        Self { a, b }
-    }
-}
-
-impl Envelope for MinOf {
-    fn arrivals(&self, interval: Seconds) -> Bits {
-        self.a.arrivals(interval).min(self.b.arrivals(interval))
-    }
-
-    fn arrivals_sorted(&self, ts: &[f64], out: &mut Vec<f64>) {
-        let start = out.len();
-        self.a.arrivals_sorted(ts, out);
-        with_scratch(|bs| {
-            self.b.arrivals_sorted(ts, bs);
-            for (a, &b) in out[start..].iter_mut().zip(bs.iter()) {
-                *a = Bits::new(*a).min(Bits::new(b)).value();
-            }
-        });
-    }
-
-    fn period_hint(&self) -> Option<Seconds> {
-        match (self.a.period_hint(), self.b.period_hint()) {
-            (Some(x), Some(y)) => Some(x.max(y)),
-            (x, y) => x.or(y),
-        }
-    }
-
-    fn sustained_rate(&self) -> BitsPerSec {
-        let (ra, rb) = (self.a.sustained_rate(), self.b.sustained_rate());
-        if ra <= rb {
-            ra
-        } else {
-            rb
-        }
-    }
-
-    fn peak_rate(&self) -> BitsPerSec {
-        let (pa, pb) = (self.a.peak_rate(), self.b.peak_rate());
-        if pa <= pb {
-            pa
-        } else {
-            pb
-        }
-    }
-
-    fn breakpoints(&self, horizon: Seconds, out: &mut Vec<Seconds>) {
-        // One enumeration per operand, bracketed from a copy (see
-        // `RateCapped::breakpoints`).
-        let start = out.len();
-        self.a.breakpoints(horizon, out);
-        self.b.breakpoints(horizon, out);
-        // Branch-switch points of the min are also slope changes.
-        let a_below = |i: Seconds| self.a.arrivals(i) < self.b.arrivals(i);
-        let sides = |pts: &[f64], sides: &mut Vec<bool>| {
-            with_scratch(|avals| {
-                with_scratch(|bvals| {
-                    self.a.arrivals_sorted(pts, avals);
-                    self.b.arrivals_sorted(pts, bvals);
-                    sides.extend(avals.iter().zip(bvals.iter()).map(|(&a, &b)| a < b));
-                });
-            });
-        };
-        push_switch_points(out, start, horizon, sides, a_below);
-    }
 }
 
 #[cfg(test)]
@@ -1068,19 +1118,6 @@ mod tests {
             let i = Seconds::new(k as f64 * 0.03);
             assert!(q.arrivals(i) >= inner.arrivals(i) - Bits::new(1e-4));
         }
-    }
-
-    #[test]
-    fn min_of_takes_pointwise_min() {
-        let m = MinOf::new(lb(100.0, 10.0), lb(10.0, 50.0));
-        // At I=0: min(100, 10) = 10. At I=10: min(200, 510) = 200.
-        assert_eq!(m.arrivals(Seconds::ZERO).value(), 10.0);
-        assert_eq!(m.arrivals(Seconds::new(10.0)).value(), 200.0);
-        assert_eq!(m.sustained_rate().value(), 10.0);
-        // Crossing at 100+10I = 10+50I => I = 2.25
-        let mut pts = Vec::new();
-        m.breakpoints(Seconds::new(10.0), &mut pts);
-        assert!(pts.iter().any(|p| (p.value() - 2.25).abs() < 1e-6));
     }
 
     #[test]

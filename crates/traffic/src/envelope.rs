@@ -212,6 +212,24 @@ pub trait Envelope: fmt::Debug + Send + Sync {
     fn is_subadditive(&self) -> bool {
         false
     }
+
+    /// Whether what [`Envelope::arrivals`] computes is nonnegative and
+    /// nondecreasing over `[0, horizon]` up to roundoff: `true` promises
+    /// `0 ≤ Â(x) ≤ (1 + δ)·Â(y)` for all floats `0 ≤ x ≤ y ≤ horizon`,
+    /// where `δ` is a few units of roundoff (`2⁻⁵³`) per layer of the
+    /// envelope, and so far below `10⁻⁹` for any chain this workspace
+    /// builds.
+    ///
+    /// The contract already asks this of `A` in exact arithmetic; the
+    /// flag vouches for the floats, layer by layer: a `Sampled` table for
+    /// its own range, and each combinator for what its rounding does to
+    /// its inner envelope's. `RateCapped`'s crossing search uses it to
+    /// decide a midpoint's side from the values at its bracket's ends,
+    /// without evaluating it. The default is `false`, which is always
+    /// sound.
+    fn is_nondecreasing(&self, _horizon: Seconds) -> bool {
+        false
+    }
 }
 
 /// The relative value error `γ` an envelope declaring
@@ -255,6 +273,9 @@ impl<E: Envelope + ?Sized> Envelope for Arc<E> {
     fn is_subadditive(&self) -> bool {
         (**self).is_subadditive()
     }
+    fn is_nondecreasing(&self, horizon: Seconds) -> bool {
+        (**self).is_nondecreasing(horizon)
+    }
 }
 
 impl<E: Envelope + ?Sized> Envelope for &E {
@@ -284,6 +305,9 @@ impl<E: Envelope + ?Sized> Envelope for &E {
     }
     fn is_subadditive(&self) -> bool {
         (**self).is_subadditive()
+    }
+    fn is_nondecreasing(&self, horizon: Seconds) -> bool {
+        (**self).is_nondecreasing(horizon)
     }
 }
 

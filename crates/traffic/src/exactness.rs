@@ -1,8 +1,10 @@
 //! Exactness tests for the envelope kernels' shortcuts.
 //!
 //! The kernels skip work that cannot change their results: bisections
-//! stop once converged, `RateCapped`/`MinOf` enumerate their inner
-//! envelopes once, and `Sampled` inverts itself in closed form where
+//! stop once converged, `RateCapped` enumerates its inner envelope once,
+//! keeps its last breakpoint list, and decides the midpoints of its
+//! crossing searches that a nondecreasing inner envelope's bracket values
+//! already decide, and `Sampled` inverts itself in closed form where
 //! its guards prove that exact, with bracketed table searches where
 //! they do not, and the Theorem-1.4 output envelope scans only the
 //! maximizer candidates no other candidate dominates. Sorted batches are
@@ -19,10 +21,12 @@ use crate::analysis::{
 };
 use crate::approx;
 use crate::combinators::{
-    seek, Aggregate, Delayed, MinOf, Padded, Quantized, RateCapped, Sampled, Scaled,
-    CONVERGED_SHARE, KNOT_MARGIN, MAX_ULP_WALK,
+    seek, Aggregate, Delayed, Padded, Quantized, RateCapped, Sampled, Scaled, CONVERGED_SHARE,
+    KNOT_MARGIN, MAX_ULP_WALK,
 };
-use crate::envelope::{bisect, candidate_times, Envelope, SharedEnvelope, SUBADDITIVE_ARG_TOL};
+use crate::envelope::{
+    bisect, candidate_times, Envelope, EnvelopeDescriptor, SharedEnvelope, SUBADDITIVE_ARG_TOL,
+};
 use crate::models::{
     ConstantRateEnvelope, DualPeriodicEnvelope, LeakyBucketEnvelope, PeriodicEnvelope,
     PiecewiseLinearEnvelope,
@@ -60,9 +64,9 @@ fn min_interval_reference(env: &dyn Envelope, bits: Bits, max_horizon: Seconds) 
     Some(t.to_bits())
 }
 
-/// The switch-point search of `RateCapped`/`MinOf` as it was: `pts`
-/// asked for a second time, every window's sides re-evaluated, 60
-/// fixed halvings.
+/// The crossing search of `RateCapped` as it was: `pts` asked for a
+/// second time, every window's sides re-evaluated, every one of 60
+/// halvings evaluated.
 fn switch_points_reference(
     mut pts: Vec<Seconds>,
     horizon: Seconds,
@@ -90,18 +94,6 @@ fn rate_capped_reference(inner: &dyn Envelope, cap: BitsPerSec, horizon: Seconds
     let mut pts = Vec::new();
     inner.breakpoints(horizon, &mut pts);
     switch_points_reference(pts, horizon, |i| inner.arrivals(i) > cap * i, &mut out);
-    bits_of(&out)
-}
-
-/// `MinOf::breakpoints` as it was: both operands enumerated twice.
-fn min_of_reference(a: &dyn Envelope, b: &dyn Envelope, horizon: Seconds) -> Vec<u64> {
-    let mut out = Vec::new();
-    a.breakpoints(horizon, &mut out);
-    b.breakpoints(horizon, &mut out);
-    let mut pts = Vec::new();
-    a.breakpoints(horizon, &mut pts);
-    b.breakpoints(horizon, &mut pts);
-    switch_points_reference(pts, horizon, |i| a.arrivals(i) < b.arrivals(i), &mut out);
     bits_of(&out)
 }
 
@@ -454,6 +446,9 @@ impl Envelope for Counting {
         self.inversion_calls.fetch_add(1, Ordering::Relaxed);
         self.inner.min_interval(bits, max_horizon)
     }
+    fn is_nondecreasing(&self, horizon: Seconds) -> bool {
+        self.inner.is_nondecreasing(horizon)
+    }
 }
 
 fn counting(inner: SharedEnvelope) -> Arc<Counting> {
@@ -466,30 +461,58 @@ fn counting(inner: SharedEnvelope) -> Arc<Counting> {
     })
 }
 
+/// A chain of three multiplexer hops reaches its root once per new
+/// horizon: each hop enumerates the one below once, and keeps its list,
+/// so a repeated horizon reaches nothing below the top hop. A clone of
+/// the top hop starts without its list (the counter under it sees the
+/// clone's first call), while the hops below it keep theirs, and the
+/// list is invisible to `Debug` and `describe`.
 #[test]
 fn three_hop_chain_enumerates_its_root_once() {
     let root = counting(dual(0.3, 0.6, 0.2));
     let mut chain: SharedEnvelope = root.clone();
-    for (delay, cap) in [(0.004, 1.55e8), (0.002, 1.55e8), (0.003, 1.55e8)] {
+    for (delay, cap) in [(0.004, 1.55e8), (0.002, 1.55e8)] {
         chain = hop(chain, delay, cap);
     }
-    let mut out = Vec::new();
-    chain.breakpoints(Seconds::new(0.6), &mut out);
-    assert!(!out.is_empty());
+    let below_top = counting(Arc::new(Delayed::new(chain, Seconds::new(0.003))));
+    let top = RateCapped::new(below_top.clone(), BitsPerSec::new(1.55e8));
+    let calls = |env: &RateCapped, h: f64| {
+        let mut out = Vec::new();
+        env.breakpoints(Seconds::new(h), &mut out);
+        assert!(!out.is_empty());
+        (
+            root.breakpoint_calls.load(Ordering::Relaxed),
+            below_top.breakpoint_calls.load(Ordering::Relaxed),
+        )
+    };
     assert_eq!(
-        root.breakpoint_calls.load(Ordering::Relaxed),
-        1,
+        calls(&top, 0.6),
+        (1, 1),
         "the root was enumerated once per path through the chain, not once"
     );
-}
-
-#[test]
-fn min_of_enumerates_each_operand_once() {
-    let (a, b) = (counting(dual(0.3, 0.6, 0.2)), counting(dual(0.7, 0.1, 0.9)));
-    let m = MinOf::new(a.clone(), b.clone());
-    m.breakpoints(Seconds::new(1.0), &mut Vec::new());
-    assert_eq!(a.breakpoint_calls.load(Ordering::Relaxed), 1);
-    assert_eq!(b.breakpoint_calls.load(Ordering::Relaxed), 1);
+    assert_eq!(calls(&top, 0.6), (1, 1), "a repeated horizon");
+    assert_eq!(calls(&top, 0.5), (2, 2), "a new horizon");
+    assert_eq!(calls(&top, 0.5), (2, 2), "the new horizon repeated");
+    let clone = top.clone();
+    assert_eq!(calls(&clone, 0.5), (2, 3), "a clone's first call");
+    assert_eq!(calls(&clone, 0.5), (2, 3), "a clone's repeated horizon");
+    assert_eq!(calls(&top, 0.5), (2, 3), "the original after its clone");
+    let capped = RateCapped::new(
+        hop(dual(0.3, 0.6, 0.2), 0.004, 1.55e8),
+        BitsPerSec::new(1.5e8),
+    );
+    let rendered = format!("{capped:?}");
+    capped.breakpoints(Seconds::new(0.6), &mut Vec::new());
+    for env in [&capped, &capped.clone()] {
+        assert_eq!(format!("{env:?}"), rendered);
+        assert_eq!(
+            env.describe(),
+            EnvelopeDescriptor::Opaque {
+                detail: rendered.clone()
+            }
+        );
+    }
+    assert!(!rendered.contains("memo"), "{rendered}");
 }
 
 /// Answers every inversion with a sentinel, to see the hook reached
@@ -568,8 +591,10 @@ fn subadditive_source(kind: usize, a: f64, b: f64, c: f64) -> SharedEnvelope {
     }
 }
 
-/// Hides the wrapped envelope's subadditivity, and nothing else: a
-/// `ServerOutput` over it scans every candidate, as before pruning.
+/// Hides the wrapped envelope's subadditivity and monotonicity flags,
+/// and nothing else: a `ServerOutput` over it scans every candidate, as
+/// before pruning, and a `RateCapped` over it evaluates every midpoint
+/// of its crossing searches, as before the band.
 #[derive(Debug)]
 struct Unflagged(SharedEnvelope);
 
@@ -897,22 +922,6 @@ proptest! {
         let capped = RateCapped::new(Arc::clone(&inner), cap);
         prop_assert_eq!(breakpoint_bits(&capped, h), rate_capped_reference(&*inner, cap, h));
     }
-
-    /// The same for `MinOf`.
-    #[test]
-    fn min_of_breakpoints_match_double_call_reference(
-        kinds in (0_usize..5, 0_usize..5),
-        a in 0.0_f64..1.0,
-        b in 0.0_f64..1.0,
-        c in 0.0_f64..1.0,
-        horizon in 1.0e-3_f64..2.0,
-    ) {
-        let x = monotone_envelope(kinds.0, a, b, c);
-        let y = monotone_envelope(kinds.1, c, a, b);
-        let h = Seconds::new(horizon);
-        let m = MinOf::new(Arc::clone(&x), Arc::clone(&y));
-        prop_assert_eq!(breakpoint_bits(&m, h), min_of_reference(&*x, &*y, h));
-    }
 }
 
 proptest! {
@@ -1074,18 +1083,13 @@ fn batch_layer(env: SharedEnvelope, code: usize, x: f64) -> (SharedEnvelope, Vec
             let marks = s.samples().0.to_vec();
             return (Arc::new(s), marks);
         }
-        6 => {
-            let other = LeakyBucketEnvelope::new(Bits::new(rate * x), BitsPerSec::new(rate))
-                .expect("valid parameters");
-            Arc::new(MinOf::new(env, Arc::new(other)))
-        }
-        7 => Arc::new(Aggregate::new(vec![
+        6 => Arc::new(Aggregate::new(vec![
             Knots::shared(-0.0, &[], &[]),
             env,
             Arc::new(ConstantRateEnvelope::new(BitsPerSec::ZERO)),
             dual(x, 0.5, 0.5),
         ])),
-        8 => {
+        7 => {
             let cfg = AnalysisConfig {
                 max_horizon: Seconds::new(0.05 + 0.2 * x),
                 ..AnalysisConfig::default()
@@ -1184,11 +1188,6 @@ fn batches_reach_the_leaf_as_one_call_per_layer() {
             "Sampled",
             Arc::new(Sampled::flatten(Arc::clone(&shared), Seconds::new(0.2), 1)),
             1,
-        ),
-        (
-            "MinOf",
-            Arc::new(MinOf::new(Arc::clone(&shared), Arc::clone(&shared))),
-            2,
         ),
         ("ServerOutput", Arc::new(output.clone()), kept),
         ("a three-hop receive chain", nested, 1),
@@ -1315,7 +1314,7 @@ proptest! {
     fn arrivals_sorted_matches_per_point_arrivals(
         kind in 0_usize..10,
         (a, b, c) in (0.0_f64..1.0, 0.0_f64..1.0, 0.0_f64..1.0),
-        layers in proptest::collection::vec((0_usize..10, 0.0_f64..1.0), 0..4),
+        layers in proptest::collection::vec((0_usize..9, 0.0_f64..1.0), 0..4),
         picks in proptest::collection::vec((0_usize..8, 0.0_f64..1.0), 1..40),
         span in 0.01_f64..1.5,
     ) {
@@ -1353,6 +1352,9 @@ impl Envelope for Jittered {
     }
     fn breakpoints(&self, horizon: Seconds, out: &mut Vec<Seconds>) {
         self.0.breakpoints(horizon, out);
+    }
+    fn is_nondecreasing(&self, horizon: Seconds) -> bool {
+        self.0.is_nondecreasing(horizon)
     }
 }
 
@@ -1687,4 +1689,307 @@ fn level_skip_keeps_the_maxima() {
     }
     println!("skipped {skipped} of {levels} level inversions");
     prop_assert!(skipped >= 1000, "only {skipped} of {levels} levels skipped");
+}
+
+/// `env` behind `hops` multiplexer hops drawn from `rng` (delays up to
+/// 10 ms, caps 1.5–20 times `scale`), then delayed by a port's bound of
+/// up to 5 ms: the inner envelope of one more hop's cap.
+fn behind_hops(
+    rng: &mut proptest::TestRng,
+    mut env: SharedEnvelope,
+    hops: usize,
+    scale: f64,
+) -> SharedEnvelope {
+    use rand::Rng;
+    for _ in 0..hops {
+        env = hop(
+            env,
+            0.01 * rng.gen::<f64>(),
+            scale * (1.5 + 18.5 * rng.gen::<f64>()),
+        );
+    }
+    Arc::new(Delayed::new(env, Seconds::new(0.005 * rng.gen::<f64>())))
+}
+
+/// The banded crossing search returns the plain search's crossings, bit
+/// for bit, and evaluates no more midpoints. Draws, as the multiplexer
+/// builds its chains: a random monotone model flattened into a table
+/// behind zero to two hops and a port delay, capped at random rates
+/// (family 0), at a rate within `10⁻¹¹`–`10⁻³` of a leaky bucket's slope,
+/// so that the cap line runs nearly parallel to the table for a long
+/// stretch (1), and at the rate whose line passes through a breakpoint's
+/// value, or an ulp beside it, so the crossing lies at a window end (2);
+/// horizons mostly inside the table and sometimes past it, where the
+/// table does not vouch for its values. Family 3 caps a table that dips
+/// (not nondecreasing): there the search must evaluate every midpoint.
+/// Family 4 caps a nondecreasing table through the dip of its inner
+/// envelope past the table's horizon.
+/// The band must decide a floor share of the midpoints, so the property
+/// is not vacuous.
+#[test]
+fn banded_crossings_match_the_plain_bisection() {
+    use rand::Rng;
+    let mut rng = proptest::test_rng("banded_crossings_match_the_plain_bisection");
+    let (mut plain_total, mut evaluated_total, mut claimed, mut dipping) = (0, 0, 0, 0);
+    for case in 0..1000 {
+        let family = case % 5;
+        let (a, b, c) = (rng.gen::<f64>(), rng.gen::<f64>(), rng.gen::<f64>());
+        let span = 0.1 + 0.9 * rng.gen::<f64>();
+        let past = rng.gen_range(0_usize..5) == 0;
+        let h = Seconds::new(
+            span * if past {
+                1.0 + rng.gen::<f64>()
+            } else {
+                0.1 + 0.8 * rng.gen::<f64>()
+            },
+        );
+        let subdivisions = rng.gen_range(0_usize..3);
+        let hops = rng.gen_range(0_usize..3);
+        let (inner, h, cap) = match family {
+            1 => {
+                let rho = 1.0e6 * 10f64.powf(2.0 * a);
+                let eps = 10f64.powf(-11.0 + 8.0 * b);
+                let sigma = rho * eps * h.value() * (0.05 + 0.85 * c);
+                let leaf = Arc::new(
+                    LeakyBucketEnvelope::new(Bits::new(sigma), BitsPerSec::new(rho))
+                        .expect("valid parameters"),
+                );
+                let table: SharedEnvelope =
+                    Arc::new(Sampled::flatten(leaf, Seconds::new(span), subdivisions));
+                (table, h, BitsPerSec::new(rho * (1.0 + eps)))
+            }
+            3 | 4 => {
+                let dip = Knots::shared(
+                    1.0e3 * a,
+                    &[0.3 * span, 0.2 * span, 0.5 * span],
+                    &[1.0e5 * (1.0 + b), -4.0e4 * (0.1 + c), 2.0e5],
+                );
+                // Family 4 flattens only the rise, a nondecreasing table
+                // whose inner envelope dips past it, and puts the cap
+                // line through the dip.
+                let (flat, at) = if family == 3 {
+                    (1.0, h.value())
+                } else {
+                    (0.3, 0.4 * span)
+                };
+                let table = Arc::new(Sampled::flatten(
+                    dip,
+                    Seconds::new(flat * span),
+                    subdivisions,
+                ));
+                let inner = behind_hops(&mut rng, table, hops, 1.0e6);
+                let h = if family == 3 { h } else { Seconds::new(span) };
+                let rate = inner.arrivals(Seconds::new(at)).value() / at;
+                (
+                    inner,
+                    h,
+                    BitsPerSec::new(
+                        (rate * if family == 3 { 0.2 + 1.5 * a } else { 1.0 }).max(1.0),
+                    ),
+                )
+            }
+            _ => {
+                let leaf = monotone_envelope(rng.gen_range(0_usize..5), a, b, c);
+                let scale = leaf.arrivals(Seconds::new(1.0)).value().max(1.0);
+                let table = Arc::new(Sampled::flatten(leaf, Seconds::new(span), subdivisions));
+                let inner = behind_hops(&mut rng, table, hops, scale);
+                let mut points = Vec::new();
+                inner.breakpoints(h, &mut points);
+                points.retain(|p| p.value() > 0.0 && inner.arrivals(*p).value() > 0.0);
+                let cap = if family == 2 && !points.is_empty() {
+                    let p = points[rng.gen_range(0..points.len())];
+                    let rate = inner.arrivals(p).value() / p.value();
+                    match rng.gen_range(0_usize..3) {
+                        0 => rate.next_down(),
+                        1 => rate,
+                        _ => rate.next_up(),
+                    }
+                } else {
+                    inner.arrivals(h).value() / h.value()
+                        * 10f64.powf(-1.0 + 3.5 * rng.gen::<f64>())
+                };
+                (inner, h, BitsPerSec::new(cap.max(1.0)))
+            }
+        };
+        // The same search over the chain with its flag hidden evaluates
+        // every midpoint `bisect` reaches.
+        let [evaluated, plain] = [
+            counting(Arc::clone(&inner)),
+            counting(Arc::new(Unflagged(Arc::clone(&inner)))),
+        ]
+        .map(|counted| {
+            let capped = RateCapped::new(counted.clone(), cap);
+            assert_eq!(
+                breakpoint_bits(&capped, h),
+                rate_capped_reference(&*inner, cap, h),
+                "case {case} (family {family}, h = {h:?}, cap = {cap:?})"
+            );
+            counted.arrival_calls.load(Ordering::Relaxed)
+        });
+        assert!(
+            evaluated <= plain,
+            "case {case}: {evaluated} of {plain} evaluated"
+        );
+        if family == 4 {
+            assert!(!inner.is_nondecreasing(h));
+        } else if family == 3 {
+            assert!(!inner.is_nondecreasing(Seconds::ZERO));
+            assert_eq!(
+                evaluated, plain,
+                "case {case}: a dipping table's midpoint was skipped"
+            );
+            dipping += plain;
+        } else if inner.is_nondecreasing(h) {
+            claimed += 1;
+            if family != 1 {
+                plain_total += plain;
+                evaluated_total += evaluated;
+            }
+        }
+    }
+    let decided = 1.0 - evaluated_total as f64 / plain_total as f64;
+    println!(
+        "{claimed} of 600 monotone draws claimed nondecreasing; the band decided {decided:.3} \
+         of their {plain_total} midpoints outside family 1; the dipping tables evaluated all \
+         {dipping} of theirs"
+    );
+    assert!(claimed >= 350, "only {claimed} draws claimed nondecreasing");
+    assert!(
+        dipping >= 2000,
+        "the dipping tables bisected only {dipping} midpoints"
+    );
+    assert!(
+        decided >= 0.25,
+        "the band decided only {decided:.3} of the midpoints"
+    );
+}
+
+/// The band's margin covers the roundoff slack
+/// [`Envelope::is_nondecreasing`] allows. Over a plateau raised by an
+/// ulp at scattered points (`Jittered`, a table still nondecreasing up
+/// to that slack), the cap line meets the plateau's value within an ulp
+/// of a bracket end's at the last steps of every crossing search, where
+/// a bound without the margin would decide sides the evaluation does
+/// not.
+#[test]
+fn band_margin_absorbs_roundoff_slack() {
+    use rand::Rng;
+    let mut rng = proptest::test_rng("band_margin_absorbs_roundoff_slack");
+    for case in 0..400 {
+        let level = 1.0e3 + 1.0e6 * rng.gen::<f64>();
+        let rise = 0.01 + 0.1 * rng.gen::<f64>();
+        let h = Seconds::new(rise + 1.0);
+        let plateau = Knots::shared(0.0, &[rise, 1.0], &[level, 0.0]);
+        let table = Arc::new(Sampled::flatten(plateau, h, rng.gen_range(0_usize..2)));
+        let env: SharedEnvelope = Arc::new(Jittered(table, rng.gen::<u64>()));
+        assert!(env.is_nondecreasing(h));
+        let cap = BitsPerSec::new(level / (rise + 0.001 + 0.998 * rng.gen::<f64>()));
+        let capped = RateCapped::new(Arc::clone(&env), cap);
+        assert_eq!(
+            breakpoint_bits(&capped, h),
+            rate_capped_reference(&*env, cap, h),
+            "case {case} (level {level}, rise {rise}, cap {cap:?})"
+        );
+    }
+}
+
+/// One `RateCapped` shared by two threads, each asking it for a run of
+/// horizons (repeated, new and revisited, in opposite orders), returns
+/// the reference list at every call: whichever thread fills the memo,
+/// it fills it with the same list.
+#[test]
+fn a_memo_shared_by_two_threads_stays_exact() {
+    let table = Arc::new(Sampled::flatten(dual(0.4, 0.7, 0.3), Seconds::new(0.8), 1));
+    let inner: SharedEnvelope =
+        Arc::new(Delayed::new(hop(table, 0.004, 3.0e7), Seconds::new(0.002)));
+    let cap = BitsPerSec::new(inner.arrivals(Seconds::new(0.3)).value() / 0.3);
+    let capped = RateCapped::new(Arc::clone(&inner), cap);
+    let horizons = [0.1, 0.1, 0.25, 0.5, 0.25, 0.6, 0.6, 0.1, 0.45];
+    let want: Vec<Vec<u64>> = horizons
+        .iter()
+        .map(|&h| rate_capped_reference(&*inner, cap, Seconds::new(h)))
+        .collect();
+    std::thread::scope(|scope| {
+        for reversed in [false, true] {
+            let (capped, want) = (&capped, &want);
+            scope.spawn(move || {
+                for _ in 0..30 {
+                    for k in 0..horizons.len() {
+                        let k = if reversed { horizons.len() - 1 - k } else { k };
+                        let got = breakpoint_bits(capped, Seconds::new(horizons[k]));
+                        assert_eq!(got, want[k], "at {}", horizons[k]);
+                    }
+                }
+            });
+        }
+    });
+}
+
+/// `Delayed` shifts its inner points in place behind whatever `out`
+/// already holds, into the list the shift of a separate copy gave:
+/// each point less the delay, in order, the nonpositive ones dropped.
+#[test]
+fn delayed_breakpoints_shift_in_place() {
+    for (kind, delay) in [(1, 0.0), (3, 0.004), (4, 0.03), (1, 0.25)] {
+        let inner = monotone_envelope(kind, 0.3, 0.6, 0.2);
+        let delayed = Delayed::new(Arc::clone(&inner), Seconds::new(delay));
+        let h = Seconds::new(0.5);
+        let mut points = Vec::new();
+        inner.breakpoints(h + delayed.delay(), &mut points);
+        let want: Vec<Seconds> = points
+            .into_iter()
+            .map(|p| p.saturating_sub(delayed.delay()))
+            .filter(|p| *p > Seconds::ZERO)
+            .collect();
+        let mut out = vec![Seconds::new(-1.0), Seconds::ZERO];
+        delayed.breakpoints(h, &mut out);
+        assert_eq!(out[..2], [Seconds::new(-1.0), Seconds::ZERO]);
+        assert_eq!(bits_of(&out[2..]), bits_of(&want), "delay {delay}");
+        assert!(want.len() > 1, "delay {delay}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A memoized `RateCapped` returns the double-enumerating original's
+    /// list at every horizon of a sequence that repeats one, grows,
+    /// shrinks or alternates between two, appended behind whatever `out`
+    /// already holds, over models and over a delayed table.
+    #[test]
+    fn memoized_rate_capped_matches_the_reference_over_horizon_sequences(
+        kind in 0_usize..5,
+        (a, b, c) in (0.0_f64..1.0, 0.0_f64..1.0, 0.0_f64..1.0),
+        (tabled, cap_share, pattern) in (proptest::bool::ANY, 0.05_f64..2.0, 0_usize..4),
+        mut hs in proptest::collection::vec(1.0e-3_f64..1.0, 2..6),
+    ) {
+        let leaf = monotone_envelope(kind, a, b, c);
+        let inner: SharedEnvelope = if tabled {
+            let table = Arc::new(Sampled::flatten(leaf, Seconds::new(1.2), 1));
+            Arc::new(Delayed::new(table, Seconds::new(0.004)))
+        } else {
+            leaf
+        };
+        let top = hs.iter().fold(0.0_f64, |m, &h| m.max(h));
+        let rate = inner.arrivals(Seconds::new(top)).value() / top * cap_share;
+        let cap = BitsPerSec::new(rate.max(1.0));
+        let capped = RateCapped::new(Arc::clone(&inner), cap);
+        match pattern {
+            0 => hs = vec![hs[0]; hs.len()],
+            1 => hs.sort_by(f64::total_cmp),
+            2 => hs.sort_by(|x, y| y.total_cmp(x)),
+            _ => hs = (0..2 * hs.len()).map(|k| hs[k % 2]).collect(),
+        }
+        for (k, &h) in hs.iter().enumerate() {
+            let h = Seconds::new(h);
+            let mut out = vec![Seconds::new(-1.0); k % 2];
+            capped.breakpoints(h, &mut out);
+            prop_assert!(out[..k % 2].iter().all(|p| p.value() == -1.0));
+            prop_assert_eq!(
+                bits_of(&out[k % 2..]),
+                rate_capped_reference(&*inner, cap, h),
+                "call {} at {:?}", k, h
+            );
+        }
+    }
 }

@@ -234,6 +234,33 @@ lint() {
     fi
     echo "ok: one busy search"
 
+    echo "==> one-switch-point-path gate (one cap-crossing search, memoized and banded, no knobs)"
+    # RateCapped::breakpoints finds its cap crossings with one bisection,
+    # the banded one, whose proof covers every call; its memo and band
+    # are bit-identical by construction, so nothing may switch them.
+    # A second crossing search (the retired MinOf's, or a plain copy
+    # beside the banded one) or a knob must not come back.
+    n=$( (grep -vE "^[[:space:]]*//" crates/traffic/src/combinators.rs || true) \
+        | grep -oE "(^|[^_a-z])bisect\(" | wc -l)
+    if [ "$n" -ne 1 ]; then
+        echo "FAIL: crates/traffic/src/combinators.rs calls bisect( $n times (want 1: the crossing search)"
+        exit 1
+    fi
+    if grep -rnw "MinOf" --include="*.rs" crates src tests examples; then
+        echo "FAIL: MinOf is back"
+        exit 1
+    fi
+    if grep -rnF "env::var" --include="*.rs" crates/traffic/src; then
+        echo "FAIL: crates/traffic/src reads an environment variable"
+        exit 1
+    fi
+    if awk '/^pub struct AnalysisConfig/ { on = 1 } on { print } on && /^}$/ { exit }' \
+        crates/traffic/src/analysis.rs | grep -niE "memo|band"; then
+        echo "FAIL: AnalysisConfig has a field that steers the breakpoint memo or the band"
+        exit 1
+    fi
+    echo "ok: one switch-point path"
+
     echo "==> one-audit-equality gate (every certificate compares whole audit entries)"
     # Audit entries compare one way: entries_equivalent, behind
     # AuditEntry's ==, matches every field, reject details included, and
